@@ -9,9 +9,8 @@ component cache on the same-φ/many-regions AccMC ratio sweep, cold-run
 vs warm-restart component *spill* on the per-path variant of that sweep,
 cold-compile vs warm-conditioned circuit counting on a DiffMC-shaped
 ratio sweep, daemon-vs-in-process throughput plus a request-coalescing
-probe for the TCP counting service, 1-vs-2-shard cluster counting under
-the consistent-hash ``ShardedClient`` with warm-store dedup enforced, a
-``CountStore`` round-trip micro-bench), and writes (or updates)
+probe for the TCP counting service, a ``CountStore`` round-trip
+micro-bench), and writes (or updates)
 ``BENCH_counting.json`` next to this script's repository root.  The JSON
 keeps a ``history`` list so successive PRs append their numbers instead of
 overwriting the trajectory::
@@ -46,7 +45,7 @@ import sys
 import tempfile
 from pathlib import Path
 from statistics import median
-from time import perf_counter, sleep
+from time import perf_counter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_counting.json"
@@ -57,16 +56,15 @@ BACKENDS = {
     "test_legacy_exact_counter": "exact-legacy",
     "test_counting_engine_warm": "engine-warm",
     "test_approxmc_counter": "approxmc",
-    "test_bdd_counter_on_tree_region": "bdd",
     "test_compiled_conditioning_on_tree_region": "compiled-conditioning",
-    "test_composite_router": "composite",
     "test_formula_brute_counter": "formula-brute",
 }
 
 INSTANCE = (
     "PartialOrder at scope 4 with adjacent symmetry breaking "
     "(translate(...).cnf: 290 vars, 933 clauses, 16 projected) — "
-    "except 'bdd', which counts a trained tree's label region"
+    "except 'compiled-conditioning', which conditions a trained tree's "
+    "label region"
 )
 
 
@@ -682,361 +680,6 @@ def service_throughput_ablation(
     }
 
 
-def cluster_sharding_ablation(scope: int, property_names: tuple[str, ...]) -> dict:
-    """1 vs 2 counting daemons under the consistent-hash cluster client.
-
-    Both legs run real ``mcml serve`` subprocesses (separate processes,
-    separate GILs — an in-process pair could never scale), each with its
-    own fresh ``--cache-dir``:
-
-    * **single leg** — one daemon, one :class:`ServiceClient`, the
-      Table-1-shaped batch shipped as one ``solve_many``.
-    * **sharded leg** — two daemons, the batch partitioned by the
-      :class:`ShardedClient` ring (consistent hashing on request
-      signatures) and each shard's group driven from its own thread, the
-      way a parallel cluster driver would.
-
-    Three hardware-independent criteria are enforced hard; the wall
-    times are recorded as measured (``cpu_count``/``shard_count`` ride
-    along — a single-core machine documents scheduling overhead, not a
-    speedup):
-
-    * bit-identity — both legs and a follow-up
-      :meth:`ShardedClient.count_many` warm pass must match the
-      in-process session exactly;
-    * warm-store dedup — after the cold pass *plus* the warm pass, the
-      cluster-aggregated ``backend_calls`` must equal the number of
-      unique signatures: every problem counted exactly once, cluster-wide;
-    * store exclusivity — after draining, every signature's
-      ``counts.sqlite`` row exists on exactly one shard (the warm tiers
-      are disjoint by construction).
-    """
-    import signal as signal_mod
-    import threading
-
-    from repro.core.session import MCMLSession
-    from repro.counting.service import ServiceClient, ShardedClient
-    from repro.counting.store import CountStore, signature_key
-    from repro.spec import SymmetryBreaking, get_property, translate
-
-    symmetry = SymmetryBreaking()
-    batch = []
-    for name in property_names:
-        prop = get_property(name)
-        batch.append(translate(prop, scope, symmetry=symmetry).cnf)
-        batch.append(translate(prop, scope).cnf)
-
-    with MCMLSession(backend="exact") as session:
-        expected = [session.solve(problem).value for problem in batch]
-
-    def spawn_shard(cache_dir: Path) -> tuple[subprocess.Popen, tuple[str, int]]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.experiments.cli", "serve",
-                "--backend", "exact", "--cache-dir", str(cache_dir),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            env=env,
-        )
-        ready = json.loads(proc.stdout.readline())
-        if ready.get("event") != "listening":
-            proc.kill()
-            raise SystemExit(f"cluster ablation daemon failed to start: {ready}")
-        return proc, (ready["host"], ready["port"])
-
-    def drain_shard(proc: subprocess.Popen) -> None:
-        proc.send_signal(signal_mod.SIGTERM)
-        try:
-            proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.communicate()
-            raise SystemExit("cluster ablation daemon did not drain")
-        if proc.returncode != 0:
-            raise SystemExit(
-                f"cluster ablation daemon exited {proc.returncode} on drain"
-            )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        # -- single leg: one daemon, one client, one batch.
-        proc, shard = spawn_shard(Path(tmp) / "single")
-        try:
-            with ServiceClient(*shard, retries=2) as client:
-                started = perf_counter()
-                single_values = [r.value for r in client.solve_many(batch)]
-                single_s = perf_counter() - started
-        finally:
-            drain_shard(proc)
-        if single_values != expected:
-            raise SystemExit(
-                f"single-shard counts diverge: {single_values} != {expected}"
-            )
-
-        # -- sharded leg: two daemons, ring-partitioned, one thread each.
-        procs, shards = [], []
-        try:
-            for i in range(2):
-                proc, shard = spawn_shard(Path(tmp) / f"shard-{i}")
-                procs.append(proc)
-                shards.append(shard)
-            cluster = ShardedClient(shards, retries=2)
-            requests = [cluster._as_request(problem) for problem in batch]
-            groups: dict[tuple[str, int], list[int]] = {}
-            for index, request in enumerate(requests):
-                groups.setdefault(cluster.shard_for(request), []).append(index)
-            if len(groups) != 2:
-                raise SystemExit(
-                    f"ring put all {len(batch)} problems on one shard; "
-                    "the partition cannot be measured"
-                )
-            sharded_values: list[int | None] = [None] * len(batch)
-            errors: list[str] = []
-
-            def drive(shard: tuple[str, int], positions: list[int]) -> None:
-                try:
-                    with ServiceClient(*shard, retries=2) as client:
-                        answers = client.solve_many(
-                            [requests[i] for i in positions]
-                        )
-                    for i, answer in zip(positions, answers):
-                        sharded_values[i] = answer.value
-                except Exception as exc:  # noqa: BLE001 - hard bench failure
-                    errors.append(f"{shard}: {type(exc).__name__}: {exc}")
-
-            threads = [
-                threading.Thread(target=drive, args=(shard, positions))
-                for shard, positions in groups.items()
-            ]
-            started = perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            sharded_s = perf_counter() - started
-            if errors:
-                raise SystemExit(f"sharded leg clients failed: {errors}")
-            if sharded_values != expected:
-                raise SystemExit(
-                    f"sharded counts diverge: {sharded_values} != {expected}"
-                )
-            # Warm pass through the official client surface: bit-identity
-            # again, and the dedup criterion — the cluster-wide backend
-            # work must equal the unique signatures, cold + warm combined.
-            if cluster.count_many(batch) != expected:
-                raise SystemExit("warm cluster pass diverged")
-            unique_signatures = len({r.signature() for r in requests})
-            stats = cluster.stats()
-            backend_calls = stats["aggregated"]["engine"]["backend_calls"]
-            cluster.close()
-            if backend_calls != unique_signatures:
-                raise SystemExit(
-                    f"cluster performed {backend_calls} backend calls for "
-                    f"{unique_signatures} unique signatures (warm-store "
-                    "dedup violated)"
-                )
-        finally:
-            for proc in procs:
-                if proc.poll() is None:
-                    drain_shard(proc)
-
-        # -- store exclusivity, after the daemons flushed their tiers.
-        shard_rows = [0, 0]
-        stores = [CountStore(Path(tmp) / f"shard-{i}") for i in range(2)]
-        try:
-            for request in requests:
-                key = signature_key(request.signature())
-                present = [i for i in range(2) if stores[i].get(key) is not None]
-                if len(present) != 1:
-                    raise SystemExit(
-                        f"signature on {len(present)} shards (expected exactly "
-                        f"one): {request!r}"
-                    )
-                shard_rows[present[0]] += 1
-        finally:
-            for store in stores:
-                store.close()
-
-    return {
-        "instance": (
-            f"cluster sharding: symbr + plain CNFs for {len(property_names)} "
-            f"properties at scope {scope} ({len(batch)} problems) through "
-            "1 vs 2 mcml-serve daemons; 2-shard leg partitioned by the "
-            "consistent-hash ring and driven one thread per shard"
-        ),
-        "problems": len(batch),
-        "unique_signatures": unique_signatures,
-        "shard_count": 2,
-        "cpu_count": os.cpu_count(),
-        "single_s": round(single_s, 4),
-        "sharded_s": round(sharded_s, 4),
-        "speedup_x": round(single_s / sharded_s, 2),
-        "shard_rows": shard_rows,
-        "cluster_backend_calls": backend_calls,
-        "bit_identical": True,
-    }
-
-
-def solver_lanes_ablation(
-    scope: int,
-    property_names: tuple[str, ...],
-    delay: float = 0.3,
-    slow_problems: int = 4,
-    reps: int = 3,
-) -> dict:
-    """1 vs 2 solver lanes on one daemon: overlap proof + real medians.
-
-    Two legs against in-process :class:`CountingServer` instances (PR 10's
-    ``mcml serve --solver-threads``):
-
-    * **delay leg** — an exact backend behind a fixed ``delay`` sleep
-      (sleep releases the GIL, so lane overlap is measurable even on one
-      core).  ``slow_problems`` *distinct* slow requests are submitted by
-      that many concurrent clients to a 1-lane and then a 2-lane daemon;
-      the 2-lane wall time must land under 0.8x the 1-lane time — the
-      acceptance bar, enforced hard — and both legs must be bit-identical
-      to a bare :class:`ExactCounter`.
-    * **real leg** — the Table-1-shaped batch (each property's symbr +
-      plain CNF at ``scope``) through fresh 1-lane and 2-lane daemons,
-      median of ``reps`` cold runs each.  Pure-Python exact counting is
-      GIL-bound, so no speedup is *enforced* here; the medians and
-      ``cpu_count`` are recorded so the ratio stays interpretable (a
-      free-threaded or C-accelerated backend is where this leg moves).
-    """
-    import threading
-
-    from repro.core.session import MCMLSession
-    from repro.counting import CountingEngine, ExactCounter
-    from repro.counting.service import CountingServer, ServiceClient
-    from repro.logic import CNF
-    from repro.spec import SymmetryBreaking, get_property, translate
-
-    class _SleepyExact(ExactCounter):
-        def __init__(self, seconds: float) -> None:
-            super().__init__()
-            self._seconds = seconds
-
-        def count(self, cnf: CNF) -> int:
-            sleep(self._seconds)
-            return super().count(cnf)
-
-    def timed_run(session_factory, problems, clients) -> tuple[float, list]:
-        """Wall time of ``clients`` concurrent clients splitting ``problems``."""
-        server = CountingServer(
-            session_factory(),
-            session_factory=session_factory,
-            solver_threads=session_factory.lanes,
-            host="127.0.0.1",
-            port=0,
-            max_queue=len(problems) + 8,
-            max_inflight_per_client=len(problems) + 8,
-        )
-        host, port = server.start()
-        values: list = [None] * len(problems)
-        errors: list[str] = []
-
-        def worker(offset: int) -> None:
-            client = ServiceClient(host, port, retries=2, request_timeout=120)
-            try:
-                for index in range(offset, len(problems), clients):
-                    values[index] = client.solve(problems[index]).value
-            except Exception as exc:  # noqa: BLE001 - a hard bench failure
-                errors.append(f"client {offset}: {type(exc).__name__}: {exc}")
-            finally:
-                client.close()
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(clients)
-        ]
-        started = perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = perf_counter() - started
-        server.drain()
-        if errors:
-            raise SystemExit(f"solver-lanes clients failed: {errors}")
-        return elapsed, values
-
-    def factory_for(lanes: int, make_session):
-        make_session.lanes = lanes
-        return make_session
-
-    # -- delay leg: distinct slow problems, overlap is the whole point.
-    slow_batch = [
-        CNF(num_vars=3, clauses=[(var,)]) for var in range(1, slow_problems + 1)
-    ]
-    slow_truths = [ExactCounter().count(problem) for problem in slow_batch]
-    lane_times: dict[int, float] = {}
-    for lanes in (1, 2):
-        factory = factory_for(
-            lanes,
-            lambda: MCMLSession(engine=CountingEngine(_SleepyExact(delay))),
-        )
-        elapsed, values = timed_run(factory, slow_batch, clients=slow_problems)
-        if values != slow_truths:
-            raise SystemExit(
-                f"{lanes}-lane delay leg diverged: {values} != {slow_truths}"
-            )
-        lane_times[lanes] = elapsed
-    overlap_ratio = lane_times[2] / lane_times[1]
-    if overlap_ratio >= 0.8:
-        raise SystemExit(
-            f"no lane overlap: 2 lanes took {lane_times[2]:.2f}s vs "
-            f"{lane_times[1]:.2f}s on 1 lane (ratio {overlap_ratio:.2f}, "
-            "acceptance bar < 0.8)"
-        )
-
-    # -- real leg: GIL-bound exact counting, medians recorded not gated.
-    symmetry = SymmetryBreaking()
-    batch = []
-    for name in property_names:
-        prop = get_property(name)
-        batch.append(translate(prop, scope, symmetry=symmetry).cnf)
-        batch.append(translate(prop, scope).cnf)
-    truths = [ExactCounter().count(problem) for problem in batch]
-    medians: dict[int, float] = {}
-    for lanes in (1, 2):
-        factory = factory_for(lanes, lambda: MCMLSession(backend="exact"))
-        times = []
-        for _ in range(reps):
-            elapsed, values = timed_run(factory, batch, clients=4)
-            if values != truths:
-                raise SystemExit(
-                    f"{lanes}-lane real leg diverged: {values} != {truths}"
-                )
-            times.append(elapsed)
-        medians[lanes] = median(times)
-
-    return {
-        "instance": (
-            f"solver lanes: {slow_problems} distinct {delay}s-delay requests "
-            f"from {slow_problems} concurrent clients through a 1- vs 2-lane "
-            f"daemon (overlap leg), then symbr + plain CNFs for "
-            f"{len(property_names)} properties at scope {scope} "
-            f"({len(batch)} problems, 4 clients, median of {reps} cold runs)"
-        ),
-        "delay_s": delay,
-        "slow_problems": slow_problems,
-        "one_lane_delay_s": round(lane_times[1], 4),
-        "two_lane_delay_s": round(lane_times[2], 4),
-        "overlap_ratio": round(overlap_ratio, 3),
-        "problems": len(batch),
-        "reps": reps,
-        "cpu_count": os.cpu_count(),
-        "one_lane_median_s": round(medians[1], 4),
-        "two_lane_median_s": round(medians[2], 4),
-        "real_ratio_x": round(medians[1] / medians[2], 2),
-        "bit_identical": True,
-    }
-
-
 def store_roundtrip_bench(entries: int = 2000) -> dict:
     """CountStore micro-bench: buffered single puts, then a batch read-back.
 
@@ -1132,8 +775,6 @@ def _print_ablations(
     spill_result: dict | None = None,
     conditioning_result: dict | None = None,
     service_result: dict | None = None,
-    cluster_result: dict | None = None,
-    lanes_result: dict | None = None,
 ) -> None:
     print(
         f"  workers fan-out: serial {workers_result['serial_s']:.3f} s, "
@@ -1187,29 +828,6 @@ def _print_ablations(
             f"{service_result['coalesce_backend_calls']} backend calls "
             f"({service_result['coalesced']} coalesced), bit-identical"
         )
-    if cluster_result is not None:
-        print(
-            f"  cluster sharding: 1 shard {cluster_result['single_s']:.3f} s, "
-            f"{cluster_result['shard_count']} shards "
-            f"{cluster_result['sharded_s']:.3f} s "
-            f"({cluster_result['speedup_x']}x on "
-            f"{cluster_result['cpu_count']} cpu(s)), store rows "
-            f"{cluster_result['shard_rows']} (disjoint), "
-            f"{cluster_result['cluster_backend_calls']} backend calls for "
-            f"{cluster_result['unique_signatures']} signatures, bit-identical"
-        )
-    if lanes_result is not None:
-        print(
-            f"  solver lanes: {lanes_result['slow_problems']} distinct "
-            f"{lanes_result['delay_s']}s requests — 1 lane "
-            f"{lanes_result['one_lane_delay_s']:.3f} s, 2 lanes "
-            f"{lanes_result['two_lane_delay_s']:.3f} s (overlap ratio "
-            f"{lanes_result['overlap_ratio']}); real batch medians 1 lane "
-            f"{lanes_result['one_lane_median_s']:.3f} s, 2 lanes "
-            f"{lanes_result['two_lane_median_s']:.3f} s "
-            f"({lanes_result['real_ratio_x']}x, GIL-bound, on "
-            f"{lanes_result['cpu_count']} cpu(s)), bit-identical"
-        )
     if store_result is not None:
         print(
             f"  store round-trip: {store_result['entries']} entries, "
@@ -1249,7 +867,7 @@ def backend_smoke(name: str, scope: int = 3) -> dict:
         instance = f"{prop.name} CNF at scope {scope}"
         value = backend.count(translate(prop, scope).cnf)
     else:
-        # Auxiliary-free backends (OBDD) serve decision-tree regions.
+        # Auxiliary-free backends (compiled) serve decision-tree regions.
         pipeline = MCMLPipeline(seed=0)
         dataset = pipeline.make_dataset(prop, scope)
         train, _ = dataset.split(0.75, rng=0)
@@ -1383,8 +1001,8 @@ def main() -> None:
     parser.add_argument(
         "--backend", action="append", default=None, metavar="NAME",
         help="additionally smoke a registered backend by name against "
-        "ground truth; repeatable (CI smokes bdd and compiled so "
-        "non-default backends cannot rot)",
+        "ground truth; repeatable (CI smokes compiled so non-default "
+        "backends cannot rot)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -1419,21 +1037,10 @@ def main() -> None:
             scope=3, property_names=_ablation_properties()[:4],
             clients=2, coalesce_requests=4,
         )
-        # 8 properties (16 signatures), not 4: with only 8 keys the ring
-        # has sub-percent odds of putting everything on one shard, which
-        # would flake the partition check. 16 keys make that ~2^-15.
-        cluster_result = cluster_sharding_ablation(
-            scope=3, property_names=_ablation_properties()[:8]
-        )
-        lanes_result = solver_lanes_ablation(
-            scope=3, property_names=_ablation_properties()[:4],
-            delay=0.2, slow_problems=2, reps=1,
-        )
         store_result = store_roundtrip_bench(entries=500)
         _print_ablations(
             workers_result, cache_result, component_result, store_result,
-            spill_result, conditioning_result, service_result, cluster_result,
-            lanes_result,
+            spill_result, conditioning_result, service_result,
         )
         for name in args.backend or ():
             backend_smoke(name)
@@ -1455,8 +1062,6 @@ def main() -> None:
                     "component_spill": spill_result,
                     "compiled_conditioning": conditioning_result,
                     "service_throughput": service_result,
-                    "cluster_sharding": cluster_result,
-                    "solver_lanes": lanes_result,
                     "store_roundtrip": store_result,
                 },
             }
@@ -1494,12 +1099,6 @@ def main() -> None:
         scope=4, property_names=_ablation_properties(),
         clients=4, coalesce_requests=8,
     )
-    cluster_result = cluster_sharding_ablation(
-        scope=4, property_names=_ablation_properties()
-    )
-    lanes_result = solver_lanes_ablation(
-        scope=4, property_names=_ablation_properties()[:8]
-    )
     store_result = store_roundtrip_bench()
 
     document = {"instance": INSTANCE, "unit": "seconds", "history": []}
@@ -1515,8 +1114,6 @@ def main() -> None:
         "component_spill": spill_result,
         "compiled_conditioning": conditioning_result,
         "service_throughput": service_result,
-        "cluster_sharding": cluster_result,
-        "solver_lanes": lanes_result,
         "store_roundtrip": store_result,
     }
     for name in args.backend or ():
@@ -1545,11 +1142,6 @@ def main() -> None:
             "compiled_conditioning_speedup_x": conditioning_result["speedup_x"],
             "service_wire_overhead_x": service_result["wire_overhead_x"],
             "service_coalesce_backend_calls": service_result["coalesce_backend_calls"],
-            "cluster_sharding_speedup_x": cluster_result["speedup_x"],
-            "cluster_shard_count": cluster_result["shard_count"],
-            "solver_lanes_overlap_ratio": lanes_result["overlap_ratio"],
-            "solver_lanes_real_ratio_x": lanes_result["real_ratio_x"],
-            "solver_lanes_cpu_count": lanes_result["cpu_count"],
             "store_roundtrip_puts_per_s": store_result["puts_per_s"],
         }
     )
@@ -1564,8 +1156,7 @@ def main() -> None:
         print(f"  {label:>14}: median {stats['median_s'] * 1000:8.2f} ms")
     _print_ablations(
         workers_result, cache_result, component_result, store_result,
-        spill_result, conditioning_result, service_result, cluster_result,
-        lanes_result,
+        spill_result, conditioning_result, service_result,
     )
 
 

@@ -13,22 +13,7 @@ afternoon would:
 * a SIGTERM drain: the daemon must exit 0 within the timeout and emit a
   clean ``drained`` event.
 
-Then the cluster leg: two more ``mcml serve`` daemons behind a
-:class:`ShardedClient` — the batch must come back bit-identical to the
-in-process session, one shard is SIGKILLed and the rerun batch must
-complete on the survivor via rehash-failover, and the survivor must
-still SIGTERM-drain clean.  The cluster daemons run with
-``--solver-threads 2`` so the sharding story is exercised on multi-lane
-daemons.
-
-Then the lanes leg: a ``--solver-threads 2`` daemon over a sleeping
-exact backend (sleep releases the GIL, so lane overlap is measurable
-even on one core).  Two distinct slow requests submitted concurrently
-must finish in well under the serial sum of their delays, the ``stats``
-verb must report both lanes working, and the daemon must still
-SIGTERM-drain clean with a traceback-free stderr.
-
-Afterwards each daemon's stderr is scanned: any ``Traceback`` means an
+Afterwards the daemon's stderr is scanned: any ``Traceback`` means an
 exception escaped the typed error taxonomy (the in-process equivalent of
 the ``bare-except-allowlist`` gate), and the smoke fails.
 
@@ -49,7 +34,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -57,14 +41,8 @@ SRC_DIR = str(REPO_ROOT / "src")
 sys.path.insert(0, SRC_DIR)
 
 from repro.core.session import MCMLSession  # noqa: E402
-from repro.counting.exact import ExactCounter  # noqa: E402
-from repro.counting.service import (  # noqa: E402
-    ServiceClient,
-    ServiceOverloaded,
-    ShardedClient,
-)
+from repro.counting.service import ServiceClient, ServiceOverloaded  # noqa: E402
 from repro.counting.service import protocol  # noqa: E402
-from repro.logic import CNF  # noqa: E402
 from repro.spec import SymmetryBreaking, get_property, translate  # noqa: E402
 from repro.spec.properties import property_names  # noqa: E402
 
@@ -76,46 +54,35 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def _await_listening(proc: subprocess.Popen) -> tuple[str, int]:
+def spawn_daemon(cache_dir: str) -> tuple[subprocess.Popen, str, int]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.experiments.cli",
+            "serve",
+            "--backend",
+            "exact",
+            "--cache-dir",
+            cache_dir,
+            # Tiny admission limits so the storm below reliably trips them.
+            "--max-queue",
+            "2",
+            "--max-inflight",
+            "2",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
     ready = json.loads(proc.stdout.readline())
     if ready.get("event") != "listening":
         fail(f"daemon did not report listening: {ready}")
     print(f"  daemon up on {ready['host']}:{ready['port']} (pid {proc.pid})")
-    return ready["host"], ready["port"]
-
-
-def _daemon_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def spawn_daemon(
-    cache_dir: str, *, tiny_limits: bool = True, extra_args: list[str] | None = None
-) -> tuple[subprocess.Popen, str, int]:
-    argv = [
-        sys.executable,
-        "-m",
-        "repro.experiments.cli",
-        "serve",
-        "--backend",
-        "exact",
-        "--cache-dir",
-        cache_dir,
-    ]
-    if tiny_limits:
-        # Tiny admission limits so the storm below reliably trips them.
-        argv += ["--max-queue", "2", "--max-inflight", "2"]
-    argv += extra_args or []
-    proc = subprocess.Popen(
-        argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=_daemon_env(),
-    )
-    host, port = _await_listening(proc)
-    return proc, host, port
+    return proc, ready["host"], ready["port"]
 
 
 def concurrent_clients(host: str, port: int, batch, expected) -> None:
@@ -228,167 +195,6 @@ def check_stderr(stderr: str) -> None:
     print("  daemon stderr: no tracebacks (typed errors only)")
 
 
-#: Daemon program of the lanes leg: an exact backend behind a fixed
-#: sleep (sleep releases the GIL, so two lanes overlap measurably even
-#: on a single-core runner), registered and served with two solver
-#: lanes.  argv: [delay_seconds].
-LANES_DAEMON = """
-import sys, time
-from repro.counting.api import register_backend
-from repro.counting.exact import ExactCounter
-
-DELAY = float(sys.argv[1])
-
-class SleepyCounter(ExactCounter):
-    def count(self, cnf):
-        time.sleep(DELAY)
-        return super().count(cnf)
-
-register_backend("sleepy", lambda **_: SleepyCounter())
-
-from repro.experiments.cli import main
-sys.exit(main(["serve", "--backend", "sleepy", "--solver-threads", "2"]))
-"""
-
-
-def lanes_leg() -> None:
-    """A 2-lane daemon: distinct slow requests must overlap in wall-clock."""
-    print("lanes leg: --solver-threads 2 over a sleeping backend")
-    delay = 0.6
-    problems = [
-        CNF(num_vars=3, clauses=[(1,), (2, 3)]),
-        CNF(num_vars=3, clauses=[(-1,), (2,)]),
-    ]
-    expected = [ExactCounter().count(problem) for problem in problems]
-    proc = subprocess.Popen(
-        [sys.executable, "-c", LANES_DAEMON, str(delay)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=_daemon_env(),
-    )
-    try:
-        host, port = _await_listening(proc)
-        results: list[int | None] = [None] * len(problems)
-        errors: list[str] = []
-
-        def worker(index: int) -> None:
-            client = ServiceClient(host, port, request_timeout=60)
-            try:
-                results[index] = client.solve(problems[index]).value
-            except Exception as exc:  # noqa: BLE001 - reported as smoke failure
-                errors.append(f"lane client {index}: {type(exc).__name__}: {exc}")
-            finally:
-                client.close()
-
-        started = time.monotonic()
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(len(problems))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.monotonic() - started
-        if errors:
-            fail(f"lane clients errored: {errors}")
-        if results != expected:
-            fail(f"2-lane counts diverge from in-process: {results} != {expected}")
-        serial = delay * len(problems)
-        if elapsed >= 0.8 * serial:
-            fail(
-                f"no lane overlap: {len(problems)} distinct {delay}s requests "
-                f"took {elapsed:.2f}s (serial sum {serial:.2f}s)"
-            )
-        print(
-            f"  {len(problems)} distinct {delay}s requests overlapped: "
-            f"{elapsed:.2f}s < 0.8 x {serial:.2f}s serial"
-        )
-        client = ServiceClient(host, port)
-        try:
-            payload = client.stats()
-        finally:
-            client.close()
-        lanes = payload["service"]["lanes"]
-        if payload["service"]["solver_threads"] != 2 or len(lanes) != 2:
-            fail(f"expected 2 lanes in the stats verb, got {payload['service']}")
-        if sum(lane["jobs"] for lane in lanes) < len(problems):
-            fail(f"lanes report too few jobs: {lanes}")
-        if payload["engine"]["backend_calls"] != len(problems):
-            fail(
-                "summed engine stats miss the lane split: backend_calls = "
-                f"{payload['engine']['backend_calls']} != {len(problems)}"
-            )
-        print(f"  stats verb: 2 lanes, jobs split {[lane['jobs'] for lane in lanes]}")
-    except BaseException:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
-        raise
-    stderr = drain(proc)
-    check_stderr(stderr)
-
-
-def cluster_leg(batch, expected) -> None:
-    """Two daemons, one SIGKILLed: failover must finish the batch.
-
-    The cluster daemons run with default admission limits — the sharded
-    client treats an exhausted retry budget as shard death, so only real
-    deaths (the SIGKILL below) may look like one.
-    """
-    print("cluster leg: 2 shards behind a ShardedClient")
-    with tempfile.TemporaryDirectory() as cache_root:
-        procs: list[subprocess.Popen] = []
-        shards: list[tuple[str, int]] = []
-        try:
-            for i in range(2):
-                proc, host, port = spawn_daemon(
-                    str(Path(cache_root) / f"shard-{i}"),
-                    tiny_limits=False,
-                    extra_args=["--solver-threads", "2"],
-                )
-                procs.append(proc)
-                shards.append((host, port))
-            with ShardedClient(shards, retries=2, backoff_base=0.02) as cluster:
-                values = cluster.count_many(batch)
-                if values != expected:
-                    fail(f"cluster counts diverge: {values} != {expected}")
-                owners = {cluster.shard_for(problem) for problem in batch}
-                print(
-                    f"  2-shard count_many bit-identical "
-                    f"({len(batch)} problems over {len(owners)} shard(s))"
-                )
-                # SIGKILL whichever shard owns the first problem, then
-                # rerun the batch: its positions must rehash onto the
-                # survivor mid-batch and the values must not move.
-                victim = cluster.shard_for(batch[0])
-                victim_index = shards.index(victim)
-                procs[victim_index].kill()
-                procs[victim_index].communicate()
-                again = cluster.count_many(batch)
-                if again != expected:
-                    fail(f"post-kill counts diverge: {again} != {expected}")
-                if cluster.failovers != 1 or cluster.failed_shards != [victim]:
-                    fail(
-                        f"expected exactly one failover of {victim}, got "
-                        f"failovers={cluster.failovers} "
-                        f"dead={cluster.failed_shards}"
-                    )
-                print(
-                    f"  SIGKILLed shard {victim_index}: batch completed on "
-                    f"the survivor via rehash-failover"
-                )
-            survivor = procs[1 - victim_index]
-            stderr = drain(survivor)
-            check_stderr(stderr)
-        except BaseException:
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.communicate()
-            raise
-
-
 def main() -> None:
     print("counting-service smoke")
     symmetry = SymmetryBreaking()
@@ -428,8 +234,6 @@ def main() -> None:
             raise
         stderr = drain(proc)
         check_stderr(stderr)
-    cluster_leg(batch, expected)
-    lanes_leg()
     print("ok")
 
 

@@ -159,9 +159,8 @@ class AccMC:
     vectorised sweep, the rest the paper's CNF construction.
 
     ``surface`` routes the *counting* verbs (``solve``/``solve_many``)
-    through any :class:`~repro.counting.api.CountingSurface` — a remote
-    :class:`~repro.counting.service.client.ServiceClient` or
-    :class:`~repro.counting.service.cluster.ShardedClient` — while
+    through any :class:`~repro.counting.api.CountingSurface` — e.g. a
+    remote :class:`~repro.counting.service.client.ServiceClient` — while
     compilation (translation, region CNFs, capability negotiation) stays
     on the local engine.  Default: the engine itself.
     """
@@ -236,7 +235,7 @@ class AccMC:
         if not caps.counts_formulas and not caps.supports_projection:
             # Fail at the routing layer, not deep inside the backend: the
             # CNF route conjoins Tseitin formulas with auxiliaries, which
-            # projection-incapable backends (bdd, compiled) cannot serve.
+            # projection-incapable backends (compiled) cannot serve.
             # ``compiled``'s cube conditioning is consumed by DiffMC and
             # per-path region counting, whose bases are auxiliary-free.
             raise ValueError(

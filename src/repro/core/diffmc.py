@@ -93,7 +93,7 @@ class DiffMC:
         self.counter = self.engine
         # Where the counting verbs go (compilation and capability
         # negotiation stay on the local engine).  Any CountingSurface —
-        # a session, a ServiceClient, a ShardedClient — slots in here.
+        # a session or a ServiceClient — slots in here.
         self.surface = surface if surface is not None else self.engine
         self.region_strategy = region_strategy
 

@@ -64,16 +64,15 @@ class MCMLSession(CountingSurface):
 
     The session is the *in-process* implementation of
     :class:`~repro.counting.api.CountingSurface` — the counting surface
-    drivers program against.  The remote implementations
-    (:class:`~repro.counting.service.client.ServiceClient`,
-    :class:`~repro.counting.service.cluster.ShardedClient`) are drop-in
-    replacements for the counting verbs; pick by deployment, not by API.
+    drivers program against.  The remote implementation,
+    :class:`~repro.counting.service.client.ServiceClient`, is a drop-in
+    replacement for the counting verbs; pick by deployment, not by API.
 
     Parameters
     ----------
     backend:
         Registered backend name (``exact``, ``legacy``, ``brute``,
-        ``bdd``, ``compiled``, ``approxmc`` or an alias); ``backend_opts``
+        ``compiled``, ``approxmc`` or an alias); ``backend_opts``
         are passed to the factory.  Ignored when ``engine`` is supplied.
     engine:
         An existing :class:`CountingEngine` to adopt instead of building
@@ -96,12 +95,6 @@ class MCMLSession(CountingSurface):
         Fault-tolerance knobs of the engine's worker pool: watchdog slack
         past a request's deadline before a wedged worker is killed, and
         re-dispatches granted to problems whose worker died.
-    fanout_min_vars:
-        Intra-problem fan-out threshold (``mcml --fanout-min-vars``):
-        with ``workers > 1`` and a ``decomposes`` backend, one hard
-        problem's independent components are counted through the worker
-        pool and multiplied.  ``None`` (default) keeps single-problem
-        counts in-process; see :class:`EngineConfig`.
     accmc_mode:
         Default AccMC construction (``"derived"`` or the paper's
         ``"product"``); overridable per :meth:`accmc` call.
@@ -134,7 +127,6 @@ class MCMLSession(CountingSurface):
         fallback_opts: dict | None = None,
         deadline_grace: float = 5.0,
         task_retries: int = 2,
-        fanout_min_vars: int | None = None,
         deadline: float | None = None,
         budget: int | None = None,
         accmc_mode: str = "derived",
@@ -155,7 +147,6 @@ class MCMLSession(CountingSurface):
                     fallback_opts=fallback_opts,
                     deadline_grace=deadline_grace,
                     task_retries=task_retries,
-                    fanout_min_vars=fanout_min_vars,
                 ),
             )
         self.engine = engine
@@ -185,8 +176,7 @@ class MCMLSession(CountingSurface):
         """JSON-safe telemetry payload (the :class:`CountingSurface` verb).
 
         Nests the engine counters under ``"engine"`` — the same shape
-        ``mcml --stats`` and the service daemon's ``stats`` verb render,
-        and the shape the remote surfaces aggregate across lanes/shards.
+        ``mcml --stats`` and the service daemon's ``stats`` verb render.
         For the live :class:`~repro.counting.api.EngineStats` object use
         ``session.engine.stats``.
         """

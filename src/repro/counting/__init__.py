@@ -1,7 +1,7 @@
 """Model counting back-ends.
 
 MCML reduces every whole-input-space metric to model counting.  The paper
-uses two external tools; we implement both families natively, plus two more
+uses two external tools; we implement both families natively, plus the
 back-ends used for validation and ablation:
 
 * :mod:`repro.counting.exact` — exact counting in the ProjMC/sharpSAT
@@ -11,16 +11,14 @@ back-ends used for validation and ablation:
   counting with random XOR hash constraints and bounded cell enumeration.
 * :mod:`repro.counting.brute` — numpy-vectorised exhaustive counting for
   small variable counts; the ground truth for differential tests.
-* :mod:`repro.counting.circuit` — the compile-once-query-forever kernel:
+* :mod:`repro.counting.circuit` — the compile-once-query-forever kernel,
+  the "compilation" alternative discussed in the paper's related work:
   :class:`CircuitBuilder` constructs a reduced d-DNNF-style DAG,
   :class:`Circuit` answers ``model_count()`` and per-cube
   ``condition()`` queries in one linear pass each, and
   :class:`CompiledCounter` is the ``compiled`` backend that declares
   ``conditions_cubes`` so the engine can answer every ``mc(φ ∧ path)``
   sub-problem of a per-path request from one cached circuit.
-* :mod:`repro.counting.bdd` — reduced OBDD compilation counter, mirroring
-  the "compilation" alternative discussed in the paper's related work
-  (a thin compile-and-discard wrapper over :mod:`repro.counting.circuit`).
 * :mod:`repro.counting.oracles` — closed-form combinatorial counts for the
   16 relational properties (Bell numbers, labeled posets, …), used to check
   Table 1 at paper scopes without running a counter.
@@ -36,8 +34,7 @@ back-ends used for validation and ablation:
   memoizing facade AccMC/DiffMC and the experiment drivers count through,
   configured by :class:`EngineConfig` (worker processes, disk cache,
   shared component cache); ``solve``/``solve_many`` return typed
-  :class:`CountResult`\\ s, ``count``/``count_many`` remain bare-``int``
-  shims.
+  :class:`CountResult`\\ s.
 * :mod:`repro.counting.component_cache` — :class:`ComponentCache`, the
   bounded LRU of counted components that persists across counting calls
   and is shared engine-wide.
@@ -75,7 +72,6 @@ from repro.counting.api import (
     register_backend,
 )
 from repro.counting.approxmc import ApproxMCCounter, approx_count
-from repro.counting.bdd import BDDCounter, bdd_count
 from repro.counting.brute import brute_force_count, brute_force_models
 from repro.counting.circuit import (
     Circuit,
@@ -96,7 +92,6 @@ from repro.counting.exact import (
 from repro.counting.legacy import LegacyExactCounter
 from repro.counting.oracles import closed_form_count
 from repro.counting.parallel import WorkerPool, count_parallel
-from repro.counting.router import CompositeCounter, Route, RoutingRule
 from repro.counting.store import (
     BlobStore,
     CircuitStore,
@@ -109,14 +104,12 @@ from repro.counting.vector import FormulaBruteCounter, count_formula
 
 __all__ = [
     "ApproxMCCounter",
-    "BDDCounter",
     "BlobStore",
     "Capabilities",
     "Circuit",
     "CircuitBuilder",
     "CircuitStore",
     "CompiledCounter",
-    "CompositeCounter",
     "ComponentCache",
     "ComponentStore",
     "CountFailure",
@@ -133,13 +126,10 @@ __all__ = [
     "ExactCounter",
     "FormulaBruteCounter",
     "LegacyExactCounter",
-    "Route",
-    "RoutingRule",
     "WorkerPool",
     "approx_count",
     "available_backends",
     "backend_capabilities",
-    "bdd_count",
     "brute_force_count",
     "brute_force_models",
     "capabilities_of",

@@ -11,8 +11,7 @@ This module makes the contract explicit:
   mode + node budget) and the typed answer (count, exactness, backend
   name, wall time, cache provenance, engine-stats delta).  The
   :class:`~repro.counting.engine.CountingEngine`'s ``solve``/``solve_many``
-  speak these; the historical ``count``/``count_many`` survive as thin
-  bare-``int`` shims over them.
+  speak these.
 * :class:`Capabilities` — what a backend can actually do, declared once as
   a dataclass instead of being sniffed per call site: exactness (counts
   portable across backends/sessions), formula counting (AccMC's
@@ -24,7 +23,7 @@ This module makes the contract explicit:
 * :class:`CounterBackend` — the structural protocol every backend
   satisfies: ``name``, ``capabilities``, ``count(cnf) -> int``.
 * the **backend registry** — every backend is constructible by name via
-  :func:`make_backend` (``exact``, ``legacy``, ``brute``, ``bdd``,
+  :func:`make_backend` (``exact``, ``legacy``, ``brute``, ``compiled``,
   ``approxmc``, plus aliases) and enumerable via
   :func:`available_backends`, which is what ``mcml --backend NAME`` and
   the conformance suite iterate over.  A new backend is a registry entry
@@ -79,10 +78,10 @@ class Capabilities:
     counts_formulas:
         The backend exposes ``count_formula(formula, num_vars)``; AccMC's
         formula-sweep fast path and the engine's memoized
-        ``count_formula`` route negotiate on this flag.
+        ``solve_formula`` negotiate on this flag.
     supports_projection:
         Clauses may mention variables outside the projection (Tseitin
-        auxiliaries); backends without it (brute sweep, OBDD) reject such
+        auxiliaries); backends without it (brute sweep, compiled) reject such
         CNFs, so they only serve auxiliary-free problems like tree
         regions.
     parallel_safe:
@@ -101,25 +100,6 @@ class Capabilities:
         Implies ``exact`` — conditioning results carry
         ``source="circuit"`` provenance and are persisted like any exact
         count.
-    routes:
-        The backend exposes ``route(cnf, prefer_exact=…) ->``
-        :class:`~repro.counting.router.Route`: it is a dispatcher over
-        other registered backends rather than a counter of its own, and
-        the engine asks it *where* each problem should go before counting
-        so the decision can be surfaced as provenance
-        (:attr:`CountResult.routed_to`, per-route :class:`EngineStats`
-        counters) and so approximate routes are never memoized or
-        persisted even though the routing backend declares ``exact``
-        (its exact routes are).
-    decomposes:
-        The backend exposes ``decompose(cnf, min_component_vars=…) ->
-        (multiplier, sub_cnfs) | None``: its top-level simplification can
-        split one hard problem into independent connected components whose
-        counts multiply (``count(cnf) == multiplier × Π count(sub)``), so
-        the engine may fan the sub-problems of a *single* count out over
-        its worker pool (``EngineConfig(fanout_min_vars=…)``) instead of
-        only parallelising across batch positions.  Implies ``exact`` —
-        multiplying estimates compounds their error.
     """
 
     exact: bool
@@ -128,8 +108,6 @@ class Capabilities:
     parallel_safe: bool = False
     owns_component_cache: bool = False
     conditions_cubes: bool = False
-    routes: bool = False
-    decomposes: bool = False
 
     def as_dict(self) -> dict[str, bool]:
         """Flag mapping, e.g. for benchmark/CLI provenance records."""
@@ -163,13 +141,11 @@ class CounterBackend(Protocol):
 class CountingSurface(Protocol):
     """The one client surface every counting front end speaks.
 
-    :class:`~repro.core.session.MCMLSession` (in-process),
-    :class:`~repro.counting.service.client.ServiceClient` (one daemon
-    over TCP) and :class:`~repro.counting.service.cluster.ShardedClient`
-    (a consistent-hash daemon cluster) all declare this protocol, so
-    drivers (AccMC, DiffMC, the table runners, the CLI) accept any of the
-    three interchangeably — where the counts are produced is a deployment
-    decision, not an API one.
+    :class:`~repro.core.session.MCMLSession` (in-process) and
+    :class:`~repro.counting.service.client.ServiceClient` (a daemon over
+    TCP) both declare this protocol, so drivers (AccMC, DiffMC, the table
+    runners, the CLI) accept either interchangeably — where the counts
+    are produced is a deployment decision, not an API one.
 
     The contract:
 
@@ -185,9 +161,8 @@ class CountingSurface(Protocol):
       bare-int conveniences over the typed path (always ``raise``
       semantics).
     * ``stats() -> dict`` — a JSON-safe telemetry payload.  Every
-      implementation nests the engine counters under an ``"engine"`` key
-      (remote surfaces aggregate across lanes/shards); other keys are
-      implementation-specific.
+      implementation nests the engine counters under an ``"engine"`` key;
+      other keys are implementation-specific.
     * ``close()`` + context manager — releases pools, sockets and disk
       store handles; closing twice is safe.
     """
@@ -468,13 +443,6 @@ class CountResult:
     ``fallback_from`` names the backend that failed, ``exact`` reflects
     the *fallback* backend's guarantee, and ``epsilon``/``delta`` carry
     its (ε, δ) tolerance when it is approximate.
-
-    A result produced through a routing backend (``capabilities.routes``,
-    e.g. ``composite``) additionally carries ``routed_to``: the name of
-    the concrete backend the router dispatched the problem to.
-    ``backend`` stays the routing backend's own name (the session-level
-    provenance), ``exact``/``epsilon``/``delta`` reflect the *target*
-    backend's guarantee.
     """
 
     value: int
@@ -483,7 +451,6 @@ class CountResult:
     source: str
     elapsed_seconds: float = 0.0
     fallback_from: str | None = None
-    routed_to: str | None = None
     epsilon: float | None = None
     delta: float | None = None
     stats_delta: "EngineStats | None" = field(default=None, compare=False)
@@ -530,8 +497,6 @@ class CountResult:
         }
         if self.fallback_from is not None:
             out["fallback_from"] = self.fallback_from
-        if self.routed_to is not None:
-            out["routed_to"] = self.routed_to
         if self.epsilon is not None:
             out["epsilon"] = self.epsilon
         if self.delta is not None:
@@ -551,7 +516,6 @@ class CountResult:
             source=payload["source"],
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
             fallback_from=payload.get("fallback_from"),
-            routed_to=payload.get("routed_to"),
             epsilon=payload.get("epsilon"),
             delta=payload.get("delta"),
             stats_delta=EngineStats(**delta) if delta is not None else None,
@@ -727,22 +691,6 @@ class EngineStats:
     ``store_degradations`` disk-tier degradation events (corrupt database
     rotated aside, unreadable row read as a miss, swallowed write
     failure) across all four disk tiers.
-
-    The routing counters observe a ``routes`` backend (``composite``):
-    ``route_exact``/``route_compiled``/``route_approx`` count cold
-    problems dispatched to each target backend, so a session's routing
-    mix is auditable after the fact (cache hits never route — only
-    ``backend_calls`` show up here, and
-    ``route_exact + route_compiled + route_approx == backend_calls``
-    for a pure-routing session).
-
-    The intra-problem fan-out counters observe a ``decomposes`` backend
-    under ``EngineConfig(fanout_min_vars=…)``: ``component_fanouts``
-    counts cold problems whose component split was shipped through the
-    worker pool (the parent still reports as one ``backend_call`` — the
-    fan-out is *how* the call was served, sub-counts multiply back into
-    one value), and ``fanout_subproblems`` the total sub-components those
-    fan-outs produced.
     """
 
     count_calls: int = 0
@@ -765,11 +713,6 @@ class EngineStats:
     fallbacks: int = 0
     serial_fallbacks: int = 0
     store_degradations: int = 0
-    route_exact: int = 0
-    route_compiled: int = 0
-    route_approx: int = 0
-    component_fanouts: int = 0
-    fanout_subproblems: int = 0
 
     @property
     def count_misses(self) -> int:
@@ -893,12 +836,6 @@ def _brute_factory(**opts):
     return FormulaBruteCounter(**opts)
 
 
-def _bdd_factory(**opts):
-    from repro.counting.bdd import BDDCounter
-
-    return BDDCounter(**opts)
-
-
 def _approxmc_factory(**opts):
     from repro.counting.approxmc import ApproxMCCounter
 
@@ -911,25 +848,15 @@ def _compiled_factory(**opts):
     return CompiledCounter(**opts)
 
 
-def _composite_factory(**opts):
-    from repro.counting.router import CompositeCounter
-
-    return CompositeCounter(**opts)
-
-
 register_backend("exact", _exact_factory)
 register_backend("legacy", _legacy_factory, aliases=("exact-legacy",))
 # "brute" is the numpy whole-space sweep over formulas and aux-free CNFs
 # (repro.counting.vector); "vector" is its descriptive alias.
 register_backend("brute", _brute_factory, aliases=("vector",))
-register_backend("bdd", _bdd_factory)
 register_backend("approxmc", _approxmc_factory, aliases=("approx",))
 # "compiled" keeps the circuit: compile once, answer per-path queries by
 # unit-cube conditioning (conditions_cubes=True); "circuit" is its alias.
 register_backend("compiled", _compiled_factory, aliases=("circuit",))
-# "composite" routes each problem to the best-suited backend above by
-# inspectable rules (routes=True); "router" is its alias.
-register_backend("composite", _composite_factory, aliases=("router",))
 
 
 # -- timing helper --------------------------------------------------------------------

@@ -8,8 +8,7 @@ pays a (cache-assisted) search per region; a compiled form pays one
 compilation and then answers each region query with a linear pass over the
 DAG.
 
-This module is the shared compilation machinery (extracted from
-:mod:`repro.counting.bdd`, which keeps the thin ablation backend):
+This module is the compilation machinery:
 
 * :class:`CircuitBuilder` — the reduced-OBDD construction kernel (unique
   table, memoised apply-AND, linear clause builder) under a node budget
@@ -29,10 +28,10 @@ This module is the shared compilation machinery (extracted from
   per-path base once (persisting it in the :class:`CircuitStore` tier) and
   serves every ``mc(φ∧path)`` sub-problem by conditioning.
 
-Like the ``bdd`` backend, compilation is restricted to auxiliary-free
-CNFs (decision-tree regions): projecting Tseitin auxiliaries out of an
-OBDD would need existential quantification, which is exactly the blow-up
-compilation is meant to avoid.
+Compilation is restricted to auxiliary-free CNFs (decision-tree
+regions): projecting Tseitin auxiliaries out of an OBDD would need
+existential quantification, which is exactly the blow-up compilation is
+meant to avoid.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ _DEADLINE_CHECK_MASK = 0xFF
 class CircuitBuilder:
     """A reduced ordered BDD forest over levels 0..k-1 (order = index).
 
-    The construction kernel shared by the ``bdd`` and ``compiled``
-    backends.  ``max_nodes`` bounds the *total* node count (terminals
-    included): the node that would make the table exceed the budget raises
+    The construction kernel of the ``compiled`` backend.  ``max_nodes``
+    bounds the *total* node count (terminals included): the node that
+    would make the table exceed the budget raises
     :class:`CounterBudgetExceeded` before it is created.  ``deadline``
     arms a cooperative wall clock probed every few hundred node creations
     (:class:`CounterTimeout`).
@@ -317,9 +316,9 @@ class CompiledCounter:
 
     name = "compiled"
     exact = True
-    #: Exact by compilation, auxiliary-free like ``bdd`` (no existential
-    #: projection over an OBDD), but additionally able to answer unit-cube
-    #: conditioning queries from one compiled circuit.
+    #: Exact by compilation, auxiliary-free (no existential projection
+    #: over an OBDD), and able to answer unit-cube conditioning queries
+    #: from one compiled circuit.
     capabilities = Capabilities(
         exact=True,
         counts_formulas=False,
@@ -344,5 +343,5 @@ class CompiledCounter:
 
 
 def compiled_count(cnf: CNF, max_nodes: int = 2_000_000) -> int:
-    """One-shot compile-and-count (mirrors :func:`repro.counting.bdd.bdd_count`)."""
+    """One-shot compile-and-count."""
     return CompiledCounter(max_nodes=max_nodes).count(cnf)

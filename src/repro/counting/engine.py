@@ -12,10 +12,7 @@ scales the cold remainder across processes and sessions:
   :class:`~repro.counting.api.CountResult` objects carrying the count plus
   provenance — exactness, backend name, wall time, whether the answer came
   from the in-memory memo, the disk store or actual backend work, and the
-  :class:`~repro.counting.api.EngineStats` delta the call caused.  The
-  historical ``count`` / ``count_many`` / ``count_formula`` survive as
-  thin bare-``int`` shims over the typed path, so every cached or fanned
-  out count flows through one code path;
+  :class:`~repro.counting.api.EngineStats` delta the call caused;
 * results are memoized keyed on the CNF's canonical packed signature
   (:meth:`repro.logic.cnf.CNF.signature`), so a cache hit is bit-identical
   to the cold call by construction;
@@ -54,15 +51,6 @@ scales the cold remainder across processes and sessions:
   (:class:`repro.counting.store.CircuitStore`, ``EngineConfig(circuit_store=…)``),
   so a warm restart performs zero compilations
   (``EngineStats.circuit_store_hits``);
-* when the backend declares ``routes`` (the ``composite`` backend), cold
-  problems are *dispatched*: the engine asks the backend where each
-  problem should go (``route(cnf)``), bumps the per-route
-  :class:`~repro.counting.api.EngineStats` counter, counts on the routed
-  target under the request's limits, and stamps the decision on the
-  result (``CountResult.routed_to``).  Approx-routed results carry the
-  target's (ε, δ) and are never memoized or persisted — the same
-  discipline inexact fallback results follow — and the approx route is
-  refused outright for exact-precision and per-path problems;
 * failures are *typed and contained*: budget exhaustions, wall-clock
   deadline overruns (``CountRequest(deadline=...)``) and workers lost to
   SIGKILL/OOM become per-problem
@@ -82,13 +70,13 @@ scales the cold remainder across processes and sessions:
 * ``region`` memoizes decision-tree label-region CNFs keyed on the paths.
 
 Routing decisions — disk persistence, worker fan-out, component-cache
-installation, the ``count_formula`` fast path — are negotiated purely
+installation, the ``solve_formula`` fast path — are negotiated purely
 through the backend's declared :class:`~repro.counting.api.Capabilities`
 (``engine.capabilities``); the engine never sniffs attributes.  Backends
 are constructible by registered name via
-:func:`repro.counting.api.make_backend`, and attribute access falls
-through to the wrapped backend, so the engine is a drop-in ``counter``
-anywhere one is accepted.  One engine is meant to be shared across every
+:func:`repro.counting.api.make_backend`, and attribute reads the engine
+does not define (``engine.name``, ``engine.max_nodes``, …) fall through
+to the wrapped backend.  One engine is meant to be shared across every
 ``AccMC``, ``DiffMC`` and pipeline in a process — or owned by one
 :class:`repro.core.session.MCMLSession`, the facade over the whole
 pipeline; ``clear()`` resets the in-memory memos (the disk stores, if any,
@@ -100,7 +88,6 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -206,20 +193,6 @@ class EngineConfig:
     task_retries:
         Re-dispatches granted to a problem whose worker *died*
         (SIGKILL/OOM) before the problem is declared lost.
-    fanout_min_vars:
-        Intra-problem fan-out threshold: when set (and ``workers > 1``
-        and the backend declares ``decomposes``), a *single* cold problem
-        whose top-level component split yields at least two components of
-        at least this many variables is served by counting the components
-        as independent sub-problems — through the same memo → store →
-        worker-pool machinery batches use — and multiplying the
-        sub-counts (``EngineStats.component_fanouts`` /
-        ``fanout_subproblems``).  Bit-identical to the serial count by
-        construction (components are independent, and the split is the
-        one the serial search performs anyway); a per-problem
-        budget/deadline is enforced on *each* sub-component, so the
-        failure taxonomy is preserved.  ``None`` (the default) keeps
-        single-problem counting fully in-process.
 
     Fan-out additionally requires the backend to declare ``parallel_safe``
     (worker clones reproduce the serial count stream): engines over seeded
@@ -235,7 +208,6 @@ class EngineConfig:
     fallback_opts: dict | None = None
     deadline_grace: float = 5.0
     task_retries: int = 2
-    fanout_min_vars: int | None = None
 
 
 def _prop_key(prop) -> object:
@@ -414,23 +386,10 @@ class CountingEngine:
 
     def __getattr__(self, name: str):
         # Fall through to the backend for everything the engine does not
-        # define (``max_nodes``, ``epsilon``, …), so the engine is a
-        # drop-in counter.  ``count_formula`` is special-cased: when the
-        # backend's capabilities declare formula counting the engine
-        # serves a memoizing wrapper (so the call stops silently bypassing
-        # memo and stats); when they do not, the AttributeError points at
-        # ``count``.
+        # define (``name``, ``max_nodes``, ``epsilon``, …).
         if name in ("counter", "capabilities"):
             # guard against recursion before __init__ ran
             raise AttributeError(name)
-        if name == "count_formula":
-            if self.capabilities.counts_formulas:
-                return self._count_formula_shim
-            raise AttributeError(
-                f"backend {self.backend_name!r} does not count formulas "
-                "(capabilities.counts_formulas is False); Tseitin-translate "
-                "and use engine.count(cnf)"
-            )
         return getattr(self.counter, name)
 
     # -- typed counting API ----------------------------------------------------------
@@ -493,7 +452,7 @@ class CountingEngine:
         Thread safety.  ``solve``/``solve_many``/``solve_formula`` (and
         the compilation memos) serialize on the engine's internal
         reentrant lock: concurrent callers — the counting service's
-        solver threads are the only sanctioned ones — get bit-identical
+        solver thread is the only sanctioned one — get bit-identical
         counts and consistent :class:`EngineStats`, never interleaved
         memo/knob state.  Parallelism belongs to the worker pool, not to
         caller threads.
@@ -584,7 +543,6 @@ class CountingEngine:
                         source=r.source,
                         elapsed_seconds=r.elapsed_seconds,
                         fallback_from=r.fallback_from,
-                        routed_to=r.routed_to,
                         epsilon=r.epsilon,
                         delta=r.delta,
                         stats_delta=stats_delta,
@@ -607,15 +565,11 @@ class CountingEngine:
             raise primary
         return results
 
-    def _solve_flat(
-        self, items: list[_Flat], caps: Capabilities, allow_fanout: bool = True
-    ):
+    def _solve_flat(self, items: list[_Flat], caps: Capabilities):
         """Solve already-expanded :class:`_Flat` problems (no delta attach).
 
         Returns one :class:`~repro.counting.api.CountResult` or
         :class:`~repro.counting.api.CountFailure` per item.
-        ``allow_fanout=False`` marks the recursive call serving one
-        fanned-out problem's components — components never fan out again.
         """
         from repro.counting.exact import CounterAbort
 
@@ -672,10 +626,6 @@ class CountingEngine:
             limited = set(pooled)
             serial = [key for key in missing if key not in limited]
             completed: dict[tuple, tuple[int, float]] = {}
-            #: routing backend only: key -> the Route its problem took,
-            #: consulted when results merge (exactness, routed_to, ε/δ,
-            #: and whether the value may be memoized/persisted).
-            routed: dict[tuple, object] = {}
             deltas: list = []
             try:
                 pool = None
@@ -704,53 +654,17 @@ class CountingEngine:
                     serial = pooled + serial
                 for key in serial:
                     item = cold[key]
-                    if allow_fanout:
-                        fanned = self._maybe_fanout(item, caps)
-                        if fanned is not None:
-                            status, payload, seconds = fanned
-                            if status == "ok":
-                                completed[key] = (payload, seconds)
-                            else:
-                                # The components already went through the
-                                # degradation ladder (and the timeout
-                                # stats) inside the recursive call; the
-                                # first surviving failure is the parent's
-                                # typed outcome.
-                                for i in positions[key]:
-                                    results[i] = payload
-                            continue
                     started = time.perf_counter()
-                    # A routing backend is asked *where* first, so the
-                    # decision lands in stats and provenance even when
-                    # the count itself later aborts.  The approx-route
-                    # refusal (exact precision / per-path demands on an
-                    # oversized problem) raises ValueError out of the
-                    # batch, like the engine's other contract checks.
-                    route = None
-                    route_counter = self.counter
-                    route_backend = self.backend_name
-                    if caps.routes:
-                        route = self.counter.route(
-                            item.cnf,
-                            prefer_exact=item.exact_only or item.per_path,
-                        )
-                        routed[key] = route
-                        field = route.rule.stats_field
-                        setattr(self.stats, field, getattr(self.stats, field) + 1)
-                        route_counter = route.counter
-                        route_backend = route.rule.target
                     try:
-                        with self._limits(
-                            item.budget, item.deadline, counter=route_counter
-                        ):
-                            value = route_counter.count(item.cnf)
+                        with self._limits(item.budget, item.deadline):
+                            value = self.counter.count(item.cnf)
                     except CounterAbort as exc:
                         # Budget/deadline aborts are per-problem outcomes,
                         # not batch aborts: record and keep counting — the
                         # rest of the batch is still worth paying for.
                         failed[key] = CountFailure.from_exception(
                             exc,
-                            backend=route_backend,
+                            backend=self.backend_name,
                             elapsed_seconds=time.perf_counter() - started,
                         )
                         continue
@@ -768,38 +682,20 @@ class CountingEngine:
                 self.stats.backend_calls += len(completed)
                 fresh: list[tuple[str, int]] = []
                 for key, (value, seconds) in completed.items():
-                    route = routed.get(key)
-                    if route is None:
-                        exact = caps.exact
-                        routed_to = epsilon = delta = None
-                    else:
-                        # Exactness (and ε/δ) are the *routed target's*;
-                        # approx-routed values are neither memoized nor
-                        # persisted — like inexact fallback counts, an
-                        # estimate must never warm an exact cache.
-                        exact = route.capabilities.exact
-                        routed_to = route.rule.target
-                        epsilon = (
-                            None if exact else getattr(route.counter, "epsilon", None)
-                        )
-                        delta = (
-                            None if exact else getattr(route.counter, "delta", None)
-                        )
-                    if exact:
+                    # Like inexact fallback counts, an estimate is never
+                    # memoized (the store exists only for exact backends).
+                    if caps.exact:
                         self._counts[key] = value
                     result = CountResult(
                         value=value,
-                        exact=exact,
+                        exact=caps.exact,
                         backend=self.backend_name,
                         source="backend",
                         elapsed_seconds=seconds,
-                        routed_to=routed_to,
-                        epsilon=epsilon,
-                        delta=delta,
                     )
                     for i in positions[key]:
                         results[i] = result
-                    if self.store is not None and exact:
+                    if self.store is not None:
                         fresh.append((hashed[key], value))
                 if fresh and self.store is not None:
                     self.store.put_many(fresh)
@@ -863,64 +759,6 @@ class CountingEngine:
             epsilon=None if fb_caps.exact else getattr(fallback, "epsilon", None),
             delta=None if fb_caps.exact else getattr(fallback, "delta", None),
         )
-
-    def _maybe_fanout(self, item: _Flat, caps: Capabilities):
-        """Try serving one cold problem through its component split.
-
-        The intra-problem fan-out point (``EngineConfig(fanout_min_vars)``):
-        the backend's :meth:`decompose` splits the problem into independent
-        components whose counts multiply, and the components flow through
-        the same memo → store → worker-pool machinery a batch does — so a
-        single hard problem becomes parallel work at batch width 1, and
-        structurally identical components (canonically renumbered by the
-        backend) collapse onto one backend call.  Requires an exact,
-        ``parallel_safe``, ``decomposes`` backend; routing backends are
-        excluded (the split is the *routed target's* business, and the
-        router may not even own a ``decompose``).
-
-        Returns ``None`` when the problem does not fan out (the caller
-        counts it normally), ``("ok", value, seconds)`` on success —
-        merged, memoized and persisted exactly like a direct backend
-        count — or ``("fail", CountFailure, seconds)`` when a component
-        failed past the degradation ladder (a product with a missing
-        factor is meaningless, so the first failure stands for the
-        parent).  A per-problem budget/deadline is applied to *each*
-        component, preserving the typed failure taxonomy per sub-problem.
-        """
-        from repro.counting.exact import CounterAbort
-
-        min_vars = self.config.fanout_min_vars
-        if (
-            min_vars is None
-            or self._workers <= 1
-            or item.cnf is None
-            or caps.routes
-            or not (caps.exact and caps.parallel_safe and caps.decomposes)
-        ):
-            return None
-        started = time.perf_counter()
-        try:
-            split = self.counter.decompose(item.cnf, min_component_vars=min_vars)
-        except CounterAbort:
-            # Decomposition itself never spends search nodes; treat an
-            # abort defensively as "did not decompose".
-            return None
-        if split is None:
-            return None
-        multiplier, subs = split
-        self.stats.component_fanouts += 1
-        self.stats.fanout_subproblems += len(subs)
-        flats = [
-            _Flat(sub, item.budget, item.deadline, item.exact_only, item.per_path)
-            for sub in subs
-        ]
-        outcomes = self._solve_flat(flats, caps, allow_fanout=False)
-        value = multiplier
-        for outcome in outcomes:
-            if isinstance(outcome, CountFailure):
-                return ("fail", outcome, time.perf_counter() - started)
-            value *= outcome.value
-        return ("ok", value, time.perf_counter() - started)
 
     def _condition_request(
         self, problem: CountRequest, exact_only: bool
@@ -1181,13 +1019,7 @@ class CountingEngine:
         )
 
     @contextmanager
-    def _limits(
-        self,
-        budget: int | None,
-        deadline: float | None = None,
-        *,
-        counter=None,
-    ):
+    def _limits(self, budget: int | None, deadline: float | None = None):
         """Temporarily override the backend's resource knobs, if it has them.
 
         ``budget`` maps onto a ``max_nodes`` attribute and ``deadline``
@@ -1196,7 +1028,7 @@ class CountingEngine:
         backstops deadlines for parallel batches).  Restores on exit even
         when the count aborts.
         """
-        counter = self.counter if counter is None else counter
+        counter = self.counter
         previous_budget = _MISSING
         previous_deadline = _MISSING
         if budget is not None:
@@ -1214,43 +1046,6 @@ class CountingEngine:
                 counter.max_nodes = previous_budget
             if previous_deadline is not _MISSING:
                 counter.deadline = previous_deadline
-
-    # -- bare-int shims (deprecated spelling of the typed API) -----------------------
-    #
-    # Kept for external callers only.  The in-tree consumer layers
-    # (core/, experiments/) speak the typed surface exclusively — a CI
-    # grep gate rejects any engine.count/count_many/count_formula call
-    # reappearing there.
-
-    def count(self, cnf: CNF) -> int:
-        """Deprecated shim: ``solve(cnf).value`` (kept for old call sites)."""
-        warnings.warn(
-            "engine.count(cnf) is deprecated; use engine.solve(cnf).value "
-            "(typed provenance, per-problem limits, failure taxonomy)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.solve(cnf).value
-
-    def count_many(self, cnfs) -> list[int]:
-        """Deprecated shim: ``[r.value for r in solve_many(cnfs)]``."""
-        warnings.warn(
-            "engine.count_many(cnfs) is deprecated; use "
-            "[r.value for r in engine.solve_many(cnfs)]",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [result.value for result in self.solve_many(cnfs)]
-
-    def _count_formula_shim(self, formula, num_vars: int) -> int:
-        """Deprecated shim: ``solve_formula(...).value`` (via attribute)."""
-        warnings.warn(
-            "engine.count_formula(...) is deprecated; use "
-            "engine.solve_formula(formula, num_vars).value",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.solve_formula(formula, num_vars).value
 
     # -- compilation memos -----------------------------------------------------------
 

@@ -161,7 +161,6 @@ class ExactCounter:
         supports_projection=True,
         parallel_safe=True,
         owns_component_cache=True,
-        decomposes=True,
     )
 
     def __init__(
@@ -256,113 +255,6 @@ class ExactCounter:
         # Projection variables whose every constraint resolved away are free.
         multiplier <<= ((residual_vars & proj_mask) & ~eliminated_vars).bit_count()
         return multiplier * self._sharp(eliminated, proj_mask, eliminated_vars)
-
-    def decompose(
-        self, cnf: CNF, min_component_vars: int = 2
-    ) -> tuple[int, list[CNF]] | None:
-        """Split ``cnf`` into independent sub-problems whose counts multiply.
-
-        Mirrors :meth:`count`'s top-level pipeline — propagation, memoized
-        auxiliary elimination, free-variable accounting — up to the first
-        component split, then stops and *returns* the components instead
-        of recursing into them:
-
-        ``count(cnf) == multiplier * prod(count(sub) for sub in subs)``
-
-        bit-exactly, for any exact counter.  Returns ``None`` whenever a
-        split is not worth shipping anywhere — the formula is trivially
-        unsatisfiable, propagation/elimination solves it outright, the
-        residual is one connected component, or fewer than two components
-        reach ``min_component_vars`` variables — so callers fall through
-        to a plain :meth:`count` with uniform provenance.  This is the
-        engine's intra-problem fan-out hook
-        (:class:`~repro.counting.api.Capabilities` ``decomposes``,
-        ``EngineConfig(fanout_min_vars=…)``).
-
-        Each sub-CNF is *canonically renumbered* into its own dense
-        ``1..k`` variable space (component bits ascending — the same
-        order-preserving renumbering :func:`_repack` applies to cache
-        keys), so structurally identical components met in different
-        problems — or ten times inside one antisymmetry constraint —
-        share one signature, hence one memo/store row and one backend
-        call.  Components with no projected variables come back with an
-        empty (non-``None``) projection: counting one is exactly the
-        satisfiability check :meth:`count` already performs for
-        auxiliary-only residuals.
-        """
-        if any(len(clause) == 0 for clause in cnf.clauses):
-            return None
-        projection = cnf.projected_vars()
-        packed = cnf.packed_view()
-        proj_mask = 0
-        index = packed.index
-        for var in projection:
-            bit_index = index.get(var)
-            if bit_index is not None:
-                proj_mask |= 1 << bit_index
-        multiplier = 1 << (len(projection) - proj_mask.bit_count())
-        simplified = _propagate(packed.clauses)
-        if simplified is None:
-            return None
-        residual, true_mask, false_mask, residual_vars = simplified
-        occurring = (1 << packed.num_vars) - 1
-        vanished = occurring & ~residual_vars & ~(true_mask | false_mask)
-        multiplier <<= (vanished & proj_mask).bit_count()
-        eliminated = self._eliminate_memoized(residual, proj_mask)
-        if eliminated is None or not eliminated:
-            return None
-        eliminated_vars = 0
-        for pos, neg in eliminated:
-            eliminated_vars |= pos | neg
-        multiplier <<= ((residual_vars & proj_mask) & ~eliminated_vars).bit_count()
-        # Elimination can expose fresh units; one more propagation pass
-        # mirrors the first step of the search this replaces.
-        simplified = _propagate(eliminated)
-        if simplified is None:
-            return None
-        residual, true_mask, false_mask, residual_vars = simplified
-        vanished = eliminated_vars & ~residual_vars & ~(true_mask | false_mask)
-        multiplier <<= (vanished & proj_mask).bit_count()
-        if not residual:
-            return None
-        components = _split_components(residual)
-        nontrivial = sum(
-            1
-            for component_vars, _ in components
-            if component_vars.bit_count() >= min_component_vars
-        )
-        if len(components) < 2 or nontrivial < 2:
-            return None
-        subs: list[CNF] = []
-        for component_vars, component in components:
-            bits: list[int] = []
-            mask = component_vars
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                bits.append(bit)
-            renumber = {bit: i + 1 for i, bit in enumerate(bits)}
-            sub = CNF(
-                num_vars=len(bits),
-                projection=tuple(
-                    renumber[bit] for bit in bits if bit & proj_mask
-                ),
-            )
-            for pos, neg in component:
-                literals: list[int] = []
-                m = pos
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    literals.append(renumber[bit])
-                m = neg
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    literals.append(-renumber[bit])
-                sub.add_clause(tuple(literals))
-            subs.append(sub)
-        return multiplier, subs
 
     def _eliminate_memoized(
         self, residual: list[MaskClause], proj_mask: int

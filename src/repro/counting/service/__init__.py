@@ -22,16 +22,11 @@ The three modules:
     exponential backoff with jitter, and rehydration of
     :class:`~repro.counting.api.CountFailure` /
     :class:`~repro.counting.exact.CounterAbort` so remote failures look
-    exactly like local ones.
-:mod:`~repro.counting.service.cluster`
-    :class:`ShardedClient` — the same client surface over N daemons:
-    consistent-hash partitioning of batches keyed on request
-    signatures (each signature's warm store rows live on exactly one
-    shard), rehash-failover when a shard dies mid-batch, and
-    cluster-aggregated stats.
+    exactly like local ones.  With :class:`~repro.core.session.MCMLSession`
+    it is one of the two implementations of
+    :class:`~repro.counting.api.CountingSurface`.
 
-``mcml serve`` (:mod:`repro.experiments.cli`) is the daemon entry point
-and ``mcml cluster --shards N`` the in-process cluster launcher;
+``mcml serve`` (:mod:`repro.experiments.cli`) is the daemon entry point;
 ``docs/api.md`` documents the wire protocol and failure semantics.
 """
 
@@ -43,7 +38,6 @@ from repro.counting.service.client import (
     ServiceOverloaded,
     ServiceUnavailable,
 )
-from repro.counting.service.cluster import ShardedClient
 from repro.counting.service.protocol import (
     DEFAULT_PORT,
     MAX_LINE_BYTES,
@@ -58,7 +52,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "CountingServer",
     "ServiceClient",
-    "ShardedClient",
     "ServiceError",
     "ServiceOverloaded",
     "ServiceUnavailable",

@@ -78,9 +78,8 @@ class ServiceClient(CountingSurface):
 
     Declares :class:`~repro.counting.api.CountingSurface`: the remote
     spelling of the one client surface, interchangeable with
-    :class:`~repro.core.session.MCMLSession` and
-    :class:`~repro.counting.service.cluster.ShardedClient` anywhere a
-    surface is accepted (drivers, CLI, the conformance suite).
+    :class:`~repro.core.session.MCMLSession` anywhere a surface is
+    accepted (drivers, CLI, the conformance suite).
 
     Parameters
     ----------

@@ -6,21 +6,10 @@ Threading model (all stdlib)::
                            │  admission control (queue depth, per-client
                            │  in-flight budget, drain flag) + coalescing
                            ▼
-                    bounded queue.Queue ──▶ solver lane(s) ──▶ fan-out
-                                                 │             responses
-                                                 ▼             (per-conn
-                                        one MCMLSession         send lock)
-                                        per lane (shared
-                                        disk tiers)
-
-Solver lanes: with ``solver_threads=N`` and a ``session_factory``, each
-lane owns its *own* session (its own engine clone, memo, and worker
-pool) over the *shared* sqlite tiers — counts, memos, components, and
-circuits are WAL databases, so N lanes counting concurrently is the
-supported multi-process story applied in-process.  Coalescing happens
-before the queue, so identical formulas still collapse to one
-computation no matter which lane picks the job up; the ``stats`` verb
-sums engine counters across lanes and reports per-lane activity.
+                    bounded queue.Queue ──▶ solver thread ──▶ fan-out
+                                                 │              responses
+                                                 ▼              (per-conn
+                                           MCMLSession           send lock)
 
 Admission control happens on the *reader* thread, before anything is
 buffered: a full queue or an exhausted per-client in-flight budget gets an
@@ -68,7 +57,7 @@ __all__ = ["CountingServer"]
 
 log = logging.getLogger("repro.counting.service")
 
-#: Verbs that run on the solver threads (and are subject to admission
+#: Verbs that run on the solver thread (and are subject to admission
 #: control); ``ping`` and ``stats`` answer inline on the reader thread.
 _COUNT_VERBS = ("solve", "solve_many", "accmc", "diffmc")
 
@@ -106,17 +95,8 @@ class CountingServer:
     Parameters
     ----------
     session:
-        The warm session lane 0 runs through.  The server *owns* it
+        The warm session every verb runs through.  The server *owns* it
         from here on: :meth:`close` closes it (spilling the disk tiers).
-    session_factory:
-        Zero-argument callable building one more session per extra lane
-        (``mcml serve`` passes its config's ``session``).  Each lane's
-        session is an independent engine clone over the same cache
-        directory — the sqlite tiers are WAL, so concurrent lanes are
-        the documented multi-process story applied in-process.  Without
-        a factory, extra lanes share lane 0's session and only overlap
-        serialization and response writing (the engine serializes
-        ``solve*`` under its own lock).
     host / port:
         Bind address; port ``0`` picks a free port (:meth:`start` returns
         the bound pair).
@@ -125,13 +105,6 @@ class CountingServer:
     max_inflight_per_client:
         Per-connection budget of unanswered counting requests; exceeding
         it is an ``overloaded`` rejection (coalesced waiters count too).
-    solver_threads:
-        Solver lanes draining the queue.  With a ``session_factory``
-        each lane counts on its own engine, so N lanes overlap real
-        solving wall-clock (distinct formulas run concurrently;
-        identical ones still coalesce to a single computation before
-        the queue).  Without a factory, extra lanes share one session
-        and only overlap serialization.
     read_timeout:
         Idle-connection deadline in seconds; a client that neither
         completes a line nor closes (slow loris) is dropped when it
@@ -147,12 +120,10 @@ class CountingServer:
         self,
         session,
         *,
-        session_factory=None,
         host: str = protocol.DEFAULT_HOST,
         port: int = 0,
         max_queue: int = 64,
         max_inflight_per_client: int = 8,
-        solver_threads: int = 1,
         read_timeout: float = 300.0,
         max_line_bytes: int = protocol.MAX_LINE_BYTES,
         default_deadline: float | None = None,
@@ -162,13 +133,10 @@ class CountingServer:
         drain_grace: float = 5.0,
     ) -> None:
         self.session = session
-        self._session_factory = session_factory
-        self._sessions = [session]  # lane i counts on _sessions[i]
         self.host = host
         self.port = port
         self.max_queue = max_queue
         self.max_inflight_per_client = max_inflight_per_client
-        self.solver_threads = max(1, int(solver_threads))
         self.read_timeout = read_timeout
         self.max_line_bytes = max_line_bytes
         self.default_deadline = default_deadline
@@ -184,7 +152,7 @@ class CountingServer:
         self._draining = threading.Event()
         self._drained = threading.Event()
         self._accept_thread: threading.Thread | None = None
-        self._solver_pool: list[threading.Thread] = []
+        self._solver_thread: threading.Thread | None = None
         self._readers: list[threading.Thread] = []
         self._connections: set[_Connection] = set()
         self._conn_lock = threading.Lock()
@@ -206,10 +174,6 @@ class CountingServer:
             "internal_errors": 0,
         }
         self._client_stats: dict[str, dict[str, int]] = {}
-        self._lane_counters: list[dict[str, int]] = [
-            {"jobs": 0, "served": 0, "failures": 0}
-            for _ in range(self.solver_threads)
-        ]
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -228,20 +192,10 @@ class CountingServer:
             target=self._accept_loop, name="mcml-serve-accept", daemon=True
         )
         self._accept_thread.start()
-        for i in range(1, self.solver_threads):
-            if self._session_factory is not None:
-                self._sessions.append(self._session_factory())
-            else:
-                self._sessions.append(self.session)
-        for i in range(self.solver_threads):
-            thread = threading.Thread(
-                target=self._solver_loop,
-                args=(i,),
-                name=f"mcml-serve-solver-{i}",
-                daemon=True,
-            )
-            thread.start()
-            self._solver_pool.append(thread)
+        self._solver_thread = threading.Thread(
+            target=self._solver_loop, name="mcml-serve-solver", daemon=True
+        )
+        self._solver_thread.start()
         log.info("listening on %s:%d", self.host, self.port)
         return self.host, self.port
 
@@ -272,10 +226,9 @@ class CountingServer:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=max(0.0, deadline - time.monotonic()) + 1.0)
         clean = True
-        for thread in self._solver_pool:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-            if thread.is_alive():
-                clean = False
+        if self._solver_thread is not None:
+            self._solver_thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            clean = not self._solver_thread.is_alive()
 
         # Whatever is still queued — or owned by a wedged solver — gets a
         # typed goodbye instead of a hang.  No late enqueue can race this
@@ -308,7 +261,7 @@ class CountingServer:
         return clean
 
     def close(self) -> None:
-        """Close every connection and every lane session (idempotent)."""
+        """Close every connection and the session (idempotent)."""
         if self._drained.is_set():
             return
         self._drained.set()
@@ -323,15 +276,8 @@ class CountingServer:
                 pass
         for thread in self._readers:
             thread.join(timeout=2.0)
-        # Lanes without a factory alias lane 0's session — dedupe so each
-        # session's close() (and its cache spill) runs exactly once.
-        seen: set[int] = set()
-        for sess in self._sessions:
-            if id(sess) in seen:
-                continue
-            seen.add(id(sess))
-            sess.close()
-        log.info("drained; %d lane session(s) closed", len(seen))
+        self.session.close()
+        log.info("drained; session closed")
 
     def serve_until_drained(self, poll: float = 0.2) -> bool:
         """Block until :meth:`initiate_drain` fires, then drain and close."""
@@ -595,8 +541,7 @@ class CountingServer:
 
     # -- solve -----------------------------------------------------------------------
 
-    def _solver_loop(self, lane: int) -> None:
-        session = self._sessions[lane]
+    def _solver_loop(self) -> None:
         while True:
             try:
                 job = self._queue.get(timeout=0.2)
@@ -604,9 +549,8 @@ class CountingServer:
                 if self._draining.is_set():
                     return
                 continue
-            self._bump_lane(lane, "jobs")
             try:
-                responder = self._execute(job, lane, session)
+                responder = self._execute(job)
             except Exception:  # typed escapes only: anything else is "internal"
                 log.exception("%s job crashed", job.verb)
                 self._bump("internal_errors")
@@ -626,33 +570,30 @@ class CountingServer:
                 if self._send(conn, responder(msg_id)):
                     conn.stats["served"] += 1
                     self._bump("served")
-                    self._bump_lane(lane, "served")
 
-    def _execute(self, job: _Job, lane: int, session):
-        """Run one job on ``lane``'s session; return ``msg_id -> response``."""
+    def _execute(self, job: _Job):
+        """Run one job; return ``msg_id -> response envelope``."""
         payload = job.payload
         if job.verb == "solve":
-            result = session.solve(payload["request"], on_failure="return")
+            result = self.session.solve(payload["request"], on_failure="return")
             if isinstance(result, CountFailure):
                 self._bump("failures")
-                self._bump_lane(lane, "failures")
                 return lambda msg_id: protocol.failure_response(msg_id, result)
             body = result.to_dict()
             return lambda msg_id: protocol.ok_response(msg_id, body)
         if job.verb == "solve_many":
-            results = session.solve_many(payload["requests"], on_failure="return")
+            results = self.session.solve_many(payload["requests"], on_failure="return")
             entries = []
             for outcome in results:
                 if isinstance(outcome, CountFailure):
                     self._bump("failures")
-                    self._bump_lane(lane, "failures")
                     entries.append({"ok": False, "failure": outcome.to_dict()})
                 else:
                     entries.append({"ok": True, "result": outcome.to_dict()})
             return lambda msg_id: protocol.ok_response(msg_id, entries)
         if job.verb == "accmc":
             try:
-                result = session.accmc(
+                result = self.session.accmc(
                     payload["tree"],
                     payload["property"],
                     payload["scope"],
@@ -662,7 +603,6 @@ class CountingServer:
                 )
             except CountFailure as failure:
                 self._bump("failures")
-                self._bump_lane(lane, "failures")
                 return lambda msg_id: protocol.failure_response(msg_id, failure)
             except CounterAbort as abort:
                 self._bump("aborts")
@@ -687,7 +627,7 @@ class CountingServer:
             return lambda msg_id: protocol.ok_response(msg_id, body)
         # diffmc
         try:
-            result = session.diffmc(
+            result = self.session.diffmc(
                 payload["first"],
                 payload["second"],
                 deadline=payload["deadline"],
@@ -695,7 +635,6 @@ class CountingServer:
             )
         except CountFailure as failure:
             self._bump("failures")
-            self._bump_lane(lane, "failures")
             return lambda msg_id: protocol.failure_response(msg_id, failure)
         except CounterAbort as abort:
             self._bump("aborts")
@@ -775,22 +714,11 @@ class CountingServer:
         with self._counters_lock:
             self._counters[counter] += 1
 
-    def _bump_lane(self, lane: int, counter: str) -> None:
-        with self._counters_lock:
-            self._lane_counters[lane][counter] += 1
-
     def stats_payload(self) -> dict:
-        """The ``stats`` verb: engine stats + queue/admission telemetry.
-
-        With one lane this is exactly the session's ``stats()`` payload
-        plus the ``service`` block; with N lanes the ``engine`` counters
-        are summed across every distinct lane session, and per-lane
-        activity rides in ``service["lanes"]``.
-        """
+        """The ``stats`` verb: engine stats + queue/admission telemetry."""
         with self._counters_lock:
             counters = dict(self._counters)
             clients = {name: dict(stats) for name, stats in self._client_stats.items()}
-            lanes = [dict(entry) for entry in self._lane_counters]
         with self._conn_lock:
             active = list(self._connections)
         for conn in active:
@@ -800,14 +728,6 @@ class CountingServer:
             for field, value in conn.stats.items():
                 merged[field] += value
         payload = protocol.engine_stats_payload(self.session)
-        seen = {id(self.session)}
-        for sess in self._sessions[1:]:
-            if id(sess) in seen:
-                continue
-            seen.add(id(sess))
-            for field, value in sess.stats()["engine"].items():
-                if isinstance(value, int):
-                    payload["engine"][field] = payload["engine"].get(field, 0) + value
         payload["service"] = {
             "version": protocol.PROTOCOL_VERSION,
             "uptime_seconds": (
@@ -818,8 +738,6 @@ class CountingServer:
             "max_queue": self.max_queue,
             "max_inflight_per_client": self.max_inflight_per_client,
             "active_connections": len(active),
-            "solver_threads": self.solver_threads,
-            "lanes": lanes,
             "counters": counters,
             "clients": clients,
         }

@@ -34,7 +34,7 @@ from repro.spec.properties import property_names
 ARTIFACTS = (
     "table1", "table2", "table3", "table4", "table5",
     "table6", "table7", "table8", "table9", "figure1", "figure2", "all",
-    "serve", "cluster",
+    "serve",
 )
 
 
@@ -61,16 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        default=None,
+        default="exact",
         metavar="NAME",
         help="counting backend by registered name "
-        f"({', '.join(available_backends())}; see --list-backends)",
-    )
-    parser.add_argument(
-        "--counter",
-        choices=("exact", "approx", "brute"),
-        default="exact",
-        help="deprecated alias of --backend (kept for old scripts)",
+        f"({', '.join(available_backends())}; see --list-backends; "
+        "default exact)",
     )
     parser.add_argument(
         "--list-backends",
@@ -101,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="processes to fan cold counting batches out over "
         "(default 1; 0 = one per core)",
-    )
-    parser.add_argument(
-        "--fanout-min-vars", type=int, default=None, metavar="N",
-        help="intra-problem component fan-out: with --workers > 1 and a "
-        "decomposing backend, one hard problem whose component split has "
-        ">= 2 components of >= N variables is counted through the worker "
-        "pool and the sub-counts multiplied (default: off)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -187,13 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 8)",
     )
     serve.add_argument(
-        "--solver-threads", type=int, default=1, metavar="N",
-        help="solver lanes draining the daemon's queue, each owning its "
-        "own engine clone over the shared cache-dir tiers, so distinct "
-        "formulas count concurrently (identical ones still coalesce); "
-        "mcml cluster gives every shard this many lanes (default 1)",
-    )
-    serve.add_argument(
         "--read-timeout", type=float, default=300.0, metavar="SECONDS",
         help="idle-connection deadline; a client that stalls mid-line "
         "(slow loris) is dropped past it (default 300)",
@@ -215,20 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
         "in-flight deadline before answering leftovers with "
         "'shutting-down' (default 5)",
     )
-    serve.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="mcml cluster only: number of counting daemons to launch in "
-        "this process, each owning its own cache-dir subtree "
-        "(cache-dir/shard-i) and consistent-hash key range; drive them "
-        "with ShardedClient (default 2)",
-    )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     kwargs = dict(
         scope=args.scope,
-        counter=args.backend if args.backend is not None else args.counter,
+        counter=args.backend,
         accmc_mode=args.accmc_mode,
         seed=args.seed,
         train_fraction=args.train_fraction,
@@ -242,7 +216,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         deadline=args.deadline,
         budget=args.budget,
         region_strategy=args.region_strategy,
-        fanout_min_vars=args.fanout_min_vars,
     )
     if args.properties:
         kwargs["properties"] = tuple(args.properties)
@@ -257,8 +230,6 @@ _CAPABILITY_COLUMNS = {
     "parallel_safe": "parallel",
     "owns_component_cache": "components",
     "conditions_cubes": "cubes",
-    "routes": "routes",
-    "decomposes": "decomposes",
 }
 
 
@@ -268,12 +239,8 @@ def list_backends() -> str:
     One row per registered backend, one yes/no column per declared
     :class:`~repro.counting.api.Capabilities` flag — the same negotiation
     surface the engine routes on, so what this table says a backend can
-    do is exactly what the engine will let it do.  Backends declaring
-    ``routes`` (composite) additionally render their routing table:
-    which inspectable rule sends a problem to which target backend.
+    do is exactly what the engine will let it do.
     """
-    from repro.counting.router import ROUTING_RULES
-
     names = available_backends()
     rows = []
     for name in names:
@@ -294,23 +261,6 @@ def list_backends() -> str:
         return "  " + "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     lines = ["registered counting backends:", render(header)]
     lines.extend(render(row) for row in rows)
-    lines.append("")
-    lines.append("composite routing table (first matching rule wins):")
-    rule_rows = [
-        [rule.name, rule.description, "-> " + rule.target]
-        for rule in ROUTING_RULES
-    ]
-    rule_header = ["rule", "predicate", "target"]
-    rule_widths = [
-        max(len(rule_header[i]), *(len(row[i]) for row in rule_rows))
-        for i in range(len(rule_header))
-    ]
-    def render_rule(cells):
-        return "  " + "  ".join(
-            c.ljust(w) for c, w in zip(cells, rule_widths)
-        ).rstrip()
-    lines.append(render_rule(rule_header))
-    lines.extend(render_rule(row) for row in rule_rows)
     return "\n".join(lines)
 
 
@@ -366,12 +316,10 @@ def serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
     with config.session() as session:
         server = CountingServer(
             session,
-            session_factory=config.session,
             host=args.host,
             port=args.port,
             max_queue=args.max_queue,
             max_inflight_per_client=args.max_inflight,
-            solver_threads=args.solver_threads,
             read_timeout=args.read_timeout,
             default_deadline=args.deadline,
             default_budget=args.budget,
@@ -392,102 +340,6 @@ def serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
         return 0 if clean else 1
 
 
-def cluster(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    """``mcml cluster --shards N``: one process, N counting daemons.
-
-    Each shard owns its own session over ``cache-dir/shard-i`` (disjoint
-    sqlite tiers — the :class:`~repro.counting.service.cluster.ShardedClient`
-    partition guarantees each request signature only ever warms one of
-    them).  Emits one JSON ``listening`` event carrying every shard's
-    bound address, then serves until SIGTERM/SIGINT drains all shards
-    and emits a combined ``drained`` event.  With ``--port P`` shard *i*
-    binds ``P + i``; the default picks N free ports.
-
-    One process keeps the launcher dependency-free for benches and
-    smoke tests; production clusters that need kill-one-shard isolation
-    run N separate ``mcml serve`` daemons and the same ``ShardedClient``.
-    """
-    import json
-    import logging
-    import signal
-    import threading
-    from dataclasses import replace as config_replace
-    from pathlib import Path
-
-    from repro.counting.service.server import CountingServer
-
-    if args.shards < 1:
-        print(json.dumps({"event": "error", "message": "--shards must be >= 1"}))
-        return 2
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
-    servers: list[CountingServer] = []
-    bound: list[dict] = []
-    try:
-        for i in range(args.shards):
-            shard_config = (
-                config
-                if config.cache_dir is None
-                else config_replace(
-                    config, cache_dir=str(Path(config.cache_dir) / f"shard-{i}")
-                )
-            )
-            server = CountingServer(
-                shard_config.session(),
-                session_factory=shard_config.session,
-                host=args.host,
-                port=(args.port + i) if args.port else 0,
-                max_queue=args.max_queue,
-                max_inflight_per_client=args.max_inflight,
-                solver_threads=args.solver_threads,
-                read_timeout=args.read_timeout,
-                default_deadline=args.deadline,
-                default_budget=args.budget,
-                max_deadline=args.max_deadline,
-                max_budget=args.max_budget,
-                drain_grace=args.drain_grace,
-            )
-            host, port = server.start()
-            servers.append(server)
-            bound.append({"shard": i, "host": host, "port": port})
-    except BaseException:
-        for server in servers:
-            server.close()
-        raise
-
-    def _drain_all(signum, frame):
-        for server in servers:
-            server.initiate_drain(signal.Signals(signum).name)
-
-    signal.signal(signal.SIGTERM, _drain_all)
-    signal.signal(signal.SIGINT, _drain_all)
-    print(
-        json.dumps({"event": "listening", "shards": bound}),
-        flush=True,
-    )
-    outcomes: dict[int, bool] = {}
-
-    def _serve(index: int, server: CountingServer) -> None:
-        outcomes[index] = server.serve_until_drained()
-
-    threads = [
-        threading.Thread(target=_serve, args=(i, server), daemon=True)
-        for i, server in enumerate(servers)
-    ]
-    for thread in threads:
-        thread.start()
-    # Poll-join so the main thread stays responsive to signals.
-    for thread in threads:
-        while thread.is_alive():
-            thread.join(timeout=0.2)
-    clean = all(outcomes.get(i, False) for i in range(args.shards))
-    print(json.dumps({"event": "drained", "clean": clean}), flush=True)
-    return 0 if clean else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -499,10 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     config = config_from_args(args)
     if args.artifact == "serve":
         return serve(args, config)
-    if args.artifact == "cluster":
-        return cluster(args, config)
     artifacts = (
-        [a for a in ARTIFACTS if a not in ("all", "serve", "cluster")]
+        [a for a in ARTIFACTS if a not in ("all", "serve")]
         if args.artifact == "all"
         else [args.artifact]
     )

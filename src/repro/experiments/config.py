@@ -35,7 +35,7 @@ def make_counter(name: str, seed: int = 0):
     Kept as the experiments-layer spelling: it threads the experiment seed
     into backends that take one (the approximate counter) and accepts any
     registry name or alias (``exact``, ``legacy``, ``brute``/``vector``,
-    ``bdd``, ``approxmc``/``approx``).
+    ``compiled``/``circuit``, ``approxmc``/``approx``).
     """
     if name in ("approx", "approxmc"):
         return make_backend(name, seed=seed)
@@ -68,11 +68,6 @@ class ExperimentConfig:
     re-counts failed problems on (``mcml --fallback approxmc``), and
     ``deadline``/``budget`` apply per-problem wall-clock and node limits
     to every metric count made through drivers that accept them.
-    ``fanout_min_vars`` (``mcml --fanout-min-vars``) turns on
-    intra-problem component fan-out: with ``workers > 1`` and a
-    ``decomposes`` backend, one hard problem whose component split
-    yields two or more components of at least that many variables is
-    counted through the worker pool and multiplied back together.
     """
 
     properties: tuple[str, ...] = tuple(p.name for p in PROPERTIES)
@@ -91,7 +86,6 @@ class ExperimentConfig:
     fallback: str | None = None
     deadline: float | None = None
     budget: int | None = None
-    fanout_min_vars: int | None = None
     model_params: dict[str, dict] = field(
         default_factory=lambda: {k: dict(v) for k, v in EXPERIMENT_MODEL_PARAMS.items()}
     )
@@ -115,7 +109,6 @@ class ExperimentConfig:
             circuit_store=self.circuit_store,
             fallback=self.fallback,
             fallback_opts={"seed": self.seed} if self.fallback in ("approx", "approxmc") else None,
-            fanout_min_vars=self.fanout_min_vars,
         )
 
     def build_engine(self) -> CountingEngine:

@@ -2,8 +2,10 @@
 
 One parametrized module runs every registered backend over the 16-property
 × scope 2–4 matrix (each backend counting through the representation its
-declared capabilities advertise), asserting bit-identity of exact backends
-against the closed-form oracles, the (ε, δ) envelope for approximate ones,
+declared capabilities advertise) and over the same properties as
+auxiliary-free truth-table CNFs at scopes 2–3, asserting bit-identity of
+exact backends against the closed-form oracles, the (ε, δ) envelope for
+approximate ones,
 and — flag by flag — that the declared :class:`Capabilities` match actual
 behaviour: formula counting, auxiliary-variable support, clone
 determinism, component-cache ownership, engine store/fan-out gating.
@@ -29,13 +31,17 @@ from repro.counting import (
     closed_form_count,
 )
 from repro.counting.api import (
+    CountRequest,
     available_backends,
     backend_aliases,
     backend_capabilities,
     capabilities_of,
     make_backend,
 )
+from repro.counting.brute import iter_assignment_blocks
+from repro.logic import CNF
 from repro.spec import SymmetryBreaking, get_property, translate
+from repro.spec.matrices import bits_to_matrices, property_mask
 from repro.spec.properties import PROPERTIES
 
 BACKENDS = available_backends()
@@ -56,9 +62,7 @@ def _count_via_capabilities(backend, problem, num_primary):
 
 class TestRegistry:
     def test_lists_the_expected_backends(self):
-        assert BACKENDS == sorted(
-            ["exact", "legacy", "brute", "bdd", "compiled", "approxmc", "composite"]
-        )
+        assert BACKENDS == ["approxmc", "brute", "compiled", "exact", "legacy"]
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_constructs_and_declares(self, name):
@@ -118,6 +122,42 @@ class TestMatrixConformance:
             if value is None:
                 pytest.skip("auxiliary-free backend")
             assert value == reference.count(problem.cnf)
+
+
+def _truth_table_cnf(prop, scope):
+    """The auxiliary-free CNF of a property: one blocking clause per invalid
+    relation, so its models are exactly the valid relations on ``scope``."""
+    num_vars = scope * scope
+    cnf = CNF(num_vars=num_vars, projection=range(1, num_vars + 1))
+    valid = property_mask(prop.oracle)
+    for block in iter_assignment_blocks(num_vars):
+        for row in block[~valid(bits_to_matrices(block, scope))]:
+            cnf.add_clause(-(i + 1) if bit else i + 1 for i, bit in enumerate(row))
+    return cnf
+
+
+class TestAuxFreeMatrix:
+    """16 properties × scopes 2–3 as auxiliary-free CNFs, every backend.
+
+    The Tseitin matrix above carries auxiliaries, so it skips the
+    ``compiled`` column entirely; this matrix gives every backend's CNF
+    path — the one AccMC's tree regions take — the same property coverage,
+    counted through the engine's typed ``solve``.
+    """
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("scope", (2, 3))
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    def test_against_closed_forms(self, name, scope, prop):
+        cnf = _truth_table_cnf(prop, scope)
+        assert not cnf.aux_vars()
+        result = CountingEngine(make_backend(name)).solve(CountRequest.from_cnf(cnf))
+        truth = closed_form_count(prop.oracle, scope)
+        assert result.exact == backend_capabilities(name).exact
+        if result.exact:
+            assert result.value == truth
+        else:
+            assert truth / 1.8 <= result.value <= truth * 1.8
 
 
 @pytest.fixture(scope="module")
@@ -189,31 +229,6 @@ class TestCapabilityFlagsMatchBehaviour:
             assert circuit.condition(()) == ExactCounter().count(region)
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_decomposes_flag(self, name):
-        """Flag on: ``decompose`` returns a split whose counts multiply
-        back to the whole bit-exactly.  Off: no ``decompose`` surface."""
-        backend = make_backend(name)
-        caps = backend.capabilities
-        decompose_attr = getattr(backend, "decompose", _MISSING)
-        assert caps.decomposes == (decompose_attr is not _MISSING)
-        if not caps.decomposes:
-            return
-        assert caps.exact  # fan-out multiplies sub-counts: exact only
-        # Antisymmetry at scope 4: C(4,2) independent 2-variable components.
-        problem = translate(get_property("Antisymmetric"), 4)
-        split = backend.decompose(problem.cnf)
-        assert split is not None
-        multiplier, subs = split
-        assert len(subs) >= 2
-        product = multiplier
-        for sub in subs:
-            product *= backend.count(sub)
-        assert product == backend.count(problem.cnf)
-        # A connected problem declines: callers fall through to count().
-        connected = translate(get_property("PartialOrder"), 3)
-        assert backend.decompose(connected.cnf) is None
-
-    @pytest.mark.parametrize("name", BACKENDS)
     def test_owns_component_cache_flag(self, name):
         backend = make_backend(name)
         has_attr = getattr(backend, "component_cache", _MISSING) is not _MISSING
@@ -223,25 +238,6 @@ class TestCapabilityFlagsMatchBehaviour:
     def test_exact_flag_matches_historical_attr(self, name):
         backend = make_backend(name)
         assert backend.capabilities.exact == bool(getattr(backend, "exact", False))
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_routes_flag(self, name):
-        """Flag on: ``route(cnf)`` returns an inspectable Route.  Off: no
-        ``route`` surface (the engine only asks declared routers)."""
-        from repro.counting.router import Route
-
-        backend = make_backend(name)
-        route_attr = getattr(backend, "route", _MISSING)
-        assert backend.capabilities.routes == callable(
-            None if route_attr is _MISSING else route_attr
-        )
-        if not backend.capabilities.routes:
-            return
-        problem = translate(get_property("Reflexive"), 3)
-        route = backend.route(problem.cnf)
-        assert isinstance(route, Route)
-        assert route.rule.target in BACKENDS
-        assert route.capabilities == backend_capabilities(route.rule.target)
 
 
 class TestEngineNegotiatesThroughCapabilities:
@@ -261,16 +257,19 @@ class TestEngineNegotiatesThroughCapabilities:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_count_formula_routing(self, name):
         engine = CountingEngine(make_backend(name))
+        problem = translate(get_property("Reflexive"), 2)
         if engine.capabilities.counts_formulas:
-            assert callable(engine.count_formula)
+            result = engine.solve_formula(problem.formula, 4)
+            assert result.value == closed_form_count("reflexive", 2)
+            assert engine.solve_formula(problem.formula, 4).source == "memo"
         else:
-            with pytest.raises(AttributeError, match="count_formula|count formulas"):
-                engine.count_formula
+            with pytest.raises(ValueError, match="count formulas"):
+                engine.solve_formula(problem.formula, 4)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_accmc_rejects_unroutable_backends_at_the_routing_layer(self, name):
         """Backends serving neither AccMC route fail with a capability error,
-        not a deep backend exception (e.g. ``mcml table9 --backend bdd``)."""
+        not a deep backend exception (e.g. ``mcml table9 --backend compiled``)."""
         from repro.core.accmc import AccMC
 
         caps = backend_capabilities(name)
@@ -288,104 +287,6 @@ class TestEngineNegotiatesThroughCapabilities:
         else:
             with pytest.raises(ValueError, match="capabilities"):
                 accmc.evaluate(tree, ground_truth)
-
-
-class TestCompositeRouting:
-    """The ``composite`` column: routing decisions, provenance, refusal."""
-
-    def test_aux_free_routes_to_compiled_bit_identical(self, tree_regions):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite"))
-        reference = ExactCounter()
-        for region in tree_regions:
-            result = engine.solve(CountRequest.from_cnf(region))
-            assert result.routed_to == "compiled"
-            assert result.exact
-            assert result.value == reference.count(region)
-        assert engine.stats.route_compiled == len(tree_regions)
-        assert engine.stats.route_exact == 0
-        assert engine.stats.route_approx == 0
-
-    def test_aux_bearing_routes_to_exact_bit_identical(self):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite"))
-        problem = translate(get_property("PartialOrder"), 3)
-        assert problem.cnf.aux_vars()
-        result = engine.solve(CountRequest.from_cnf(problem.cnf))
-        assert result.routed_to == "exact"
-        assert result.exact
-        assert result.value == closed_form_count("partialorder", 3)
-        assert engine.stats.route_exact == 1
-
-    def test_oversized_routes_to_approx_with_epsilon_delta(self):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite", oversize_vars=4))
-        problem = translate(get_property("Reflexive"), 3)
-        truth = closed_form_count("reflexive", 3)
-        result = engine.solve(CountRequest.from_cnf(problem.cnf))
-        assert result.routed_to == "approxmc"
-        assert not result.exact
-        assert result.epsilon == 0.8 and result.delta == 0.2
-        assert truth / 1.8 <= result.value <= truth * 1.8
-        assert engine.stats.route_approx == 1
-        # Estimates are never memoized: a second solve routes (and
-        # counts) again instead of serving a cache hit as "exact".
-        again = engine.solve(CountRequest.from_cnf(problem.cnf))
-        assert again.source == "backend"
-        assert engine.stats.route_approx == 2
-
-    def test_precision_exact_refused_on_the_approx_route(self):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite", oversize_vars=4))
-        problem = translate(get_property("Reflexive"), 3)
-        with pytest.raises(ValueError, match="approx route"):
-            engine.solve(CountRequest.from_cnf(problem.cnf, precision="exact"))
-        # Direct backend refusal too — the contract is the router's, not
-        # only the engine's.
-        with pytest.raises(ValueError, match="approx route"):
-            make_backend("composite", oversize_vars=4).route(
-                problem.cnf, prefer_exact=True
-            )
-
-    def test_per_path_requests_refuse_the_approx_route(self, tree_regions):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite", oversize_vars=4))
-        region = tree_regions[0]
-        request = CountRequest.from_cnf(
-            region, strategy="per-path", cubes=((1,), (-1,))
-        )
-        with pytest.raises(ValueError, match="approx route"):
-            engine.solve(request)
-
-    def test_exact_routes_persist_approx_routes_do_not(self, tmp_path):
-        from repro.counting.api import CountRequest
-        from repro.counting.store import CountStore, signature_key
-
-        problem = translate(get_property("Reflexive"), 3)
-        request = CountRequest.from_cnf(problem.cnf)
-        key = signature_key(request.signature())
-        with CountingEngine(
-            make_backend("composite", oversize_vars=4),
-            config=EngineConfig(cache_dir=tmp_path / "approx"),
-        ) as engine:
-            engine.solve(request)
-            assert engine.store.get(key) is None
-        with CountingEngine(
-            make_backend("composite"),
-            config=EngineConfig(cache_dir=tmp_path / "exact"),
-        ) as engine:
-            engine.solve(request)
-            assert engine.store.get(key) == closed_form_count("reflexive", 3)
-
-    def test_routing_table_renders_the_rule_order(self):
-        table = make_backend("composite").routing_table()
-        assert [row["rule"] for row in table] == ["oversized", "aux-free", "aux"]
-        assert [row["target"] for row in table] == ["approxmc", "compiled", "exact"]
 
 
 class TestGrepClean:

@@ -300,7 +300,7 @@ class TestEngineConditioning:
     def test_non_conditioning_exact_backends_still_serve_per_path(self, trees):
         base, cubes = self._region_problem(trees)
         values = set()
-        for name in ("exact", "compiled", "bdd", "legacy"):
+        for name in ("exact", "compiled", "legacy"):
             with CountingEngine(
                 make_backend(name), EngineConfig(workers=1)
             ) as engine:

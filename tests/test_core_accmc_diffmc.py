@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import AccMC, DiffMC
 from repro.core.accmc import GroundTruth
-from repro.counting import ApproxMCCounter, BDDCounter
+from repro.counting import ApproxMCCounter, CompiledCounter
 from repro.data import generate_dataset
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.spec import SymmetryBreaking, get_property
@@ -117,17 +117,17 @@ class TestAccMC:
         row = AccMC().evaluate(tree, GroundTruth(prop, 2)).as_row()
         assert set(row) == {"accuracy", "precision", "recall", "f1", "time"}
 
-    def test_bdd_backend_agrees_in_derived_mode(self):
-        """The OBDD ablation backend gives identical derived-mode counts on
+    def test_compiled_backend_agrees_in_derived_mode(self):
+        """The compiled (OBDD) backend gives identical derived-mode counts on
         the aux-free region CNFs... via DiffMC-style region counting."""
         tree, prop = _tree_for("Function", 2)
         exact = AccMC(mode="product").evaluate(tree, GroundTruth(prop, 2))
-        # BDD can't take Tseitin aux vars, so compare region counts only.
+        # Compilation can't take Tseitin aux vars, so compare region counts only.
         from repro.core.tree2cnf import label_region_cnf
 
-        bdd = BDDCounter()
+        compiled = CompiledCounter()
         region = label_region_cnf(tree, 1, 4)
-        assert bdd.count(region) == exact.counts.tp + exact.counts.fp
+        assert compiled.count(region) == exact.counts.tp + exact.counts.fp
 
 
 class TestDiffMC:

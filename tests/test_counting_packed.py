@@ -129,18 +129,18 @@ class TestCountingEngine:
         prop = get_property("PartialOrder")
         cnf = translate(prop, 3, symmetry=SymmetryBreaking()).cnf
         engine = CountingEngine()
-        cold = engine.count(cnf)
+        cold = engine.solve(cnf).value
         assert engine.stats.count_hits == 0
         # A structurally equal but distinct CNF object must hit the memo.
         clone = translate(prop, 3, symmetry=SymmetryBreaking()).cnf
-        warm = engine.count(clone)
+        warm = engine.solve(clone).value
         assert engine.stats.count_hits == 1
         assert warm == cold == ExactCounter().count(cnf)
 
     def test_count_many_deduplicates(self):
         cnf = translate(get_property("Reflexive"), 3).cnf
         engine = CountingEngine()
-        first, second = engine.count_many([cnf, cnf.copy()])
+        first, second = (r.value for r in engine.solve_many([cnf, cnf.copy()]))
         assert first == second
         assert engine.stats.count_calls == 2
         assert engine.stats.count_hits == 1
@@ -150,8 +150,8 @@ class TestCountingEngine:
         engine = CountingEngine()
         narrow = CNF([[1]], num_vars=1, projection=[1])
         wide = CNF([[1]], num_vars=3, projection=[1, 2, 3])
-        assert engine.count(narrow) == 1
-        assert engine.count(wide) == 4
+        assert engine.solve(narrow).value == 1
+        assert engine.solve(wide).value == 4
         assert engine.stats.count_hits == 0
 
     def test_translate_memo(self):
@@ -169,7 +169,7 @@ class TestCountingEngine:
         gt1 = engine.ground_truth(get_property("Reflexive"), 3)
         gt2 = engine.ground_truth(get_property("Reflexive"), 3)
         assert gt1 is gt2
-        assert engine.count(gt1.positive().cnf) == 1 << 6  # free off-diagonal bits
+        assert engine.solve(gt1.positive().cnf).value == 1 << 6  # free off-diagonal bits
 
     def test_backend_delegation(self):
         engine = shared_engine(None)
@@ -191,7 +191,7 @@ class TestCountingEngine:
         second = engine.region(paths, 1, 4)
         assert first is second
         assert engine.stats.region_hits == 1
-        assert engine.count(first) == 8  # x1 true, three free bits
+        assert engine.solve(first).value == 8  # x1 true, three free bits
 
 
 class TestPackedRepresentation:

@@ -140,15 +140,17 @@ class TestParallelFanOut:
             translate(prop, scope, symmetry=symmetry).cnf
             for prop, scope, symmetry in MATRIX_CASES
         ]
-        serial = CountingEngine(config=EngineConfig(workers=1)).count_many(batch)
-        parallel = CountingEngine(config=EngineConfig(workers=4)).count_many(batch)
-        assert serial == parallel
+        serial = CountingEngine(config=EngineConfig(workers=1)).solve_many(batch)
+        parallel = CountingEngine(config=EngineConfig(workers=4)).solve_many(batch)
+        assert [r.value for r in serial] == [r.value for r in parallel]
 
     def test_workers_zero_means_one_per_core(self):
         batch = [translate(get_property(name), 2).cnf for name in ("Reflexive", "Connex")]
         engine = CountingEngine(config=EngineConfig(workers=0))
         assert engine._workers >= 1
-        assert engine.count_many(batch) == CountingEngine().count_many(batch)
+        assert [r.value for r in engine.solve_many(batch)] == [
+            r.value for r in CountingEngine().solve_many(batch)
+        ]
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_completed_counts_survive_a_mid_batch_failure(self, workers, tmp_path):
@@ -159,10 +161,10 @@ class TestParallelFanOut:
         config = EngineConfig(workers=workers, cache_dir=tmp_path)
         engine = CountingEngine(ExactCounter(max_nodes=10), config=config)
         with pytest.raises(CounterBudgetExceeded):
-            engine.count_many([easy, hard])
+            engine.solve_many([easy, hard])
         # The count paid for before the failure reached memo *and* store.
         assert engine.stats.backend_calls == 1
-        assert engine.count(easy.copy()) == 3
+        assert engine.solve(easy.copy()).value == 3
         assert engine.stats.count_hits == 1
         assert engine.store.get(signature_key(easy.signature())) == 3
         engine.close()
@@ -173,9 +175,9 @@ class TestParallelFanOut:
             for name in ("Reflexive", "Transitive", "Connex", "Function")
         ]
         engine = CountingEngine(config=EngineConfig(workers=4))
-        first = engine.count_many(batch)
+        first = [r.value for r in engine.solve_many(batch)]
         assert engine.stats.backend_calls == len(batch)
-        second = engine.count_many(batch)
+        second = [r.value for r in engine.solve_many(batch)]
         assert second == first
         assert engine.stats.backend_calls == len(batch)  # all memo hits now
         assert engine.stats.count_hits == len(batch)
@@ -194,14 +196,14 @@ class TestDiskPersistentEngine:
         batch = self._batch()
 
         cold = CountingEngine(config=config)
-        first = cold.count_many(batch)
+        first = [r.value for r in cold.solve_many(batch)]
         assert cold.stats.backend_calls == len(batch)
         assert cold.stats.store_hits == 0
         assert len(cold.store) == len(batch)
         cold.close()
 
         warm = CountingEngine(config=config)
-        second = warm.count_many(batch)
+        second = [r.value for r in warm.solve_many(batch)]
         assert second == first
         assert warm.stats.backend_calls == 0
         assert warm.stats.store_hits == len(batch)
@@ -211,14 +213,14 @@ class TestDiskPersistentEngine:
         config = EngineConfig(cache_dir=tmp_path)
         cnf = translate(get_property("Transitive"), 3).cnf
         cold = CountingEngine(config=config)
-        value = cold.count(cnf)
+        value = cold.solve(cnf).value
         cold.close()
         warm = CountingEngine(config=config)
-        assert warm.count(cnf.copy()) == value
+        assert warm.solve(cnf.copy()).value == value
         assert warm.stats.backend_calls == 0
         assert warm.stats.store_hits == 1
         # Second call in the same engine is an in-memory memo hit.
-        assert warm.count(cnf) == value
+        assert warm.solve(cnf).value == value
         assert warm.stats.count_hits == 1
         warm.close()
 
@@ -226,14 +228,14 @@ class TestDiskPersistentEngine:
         config = EngineConfig(cache_dir=tmp_path)
         cnf = translate(get_property("Connex"), 3).cnf
         cold = CountingEngine(config=config)
-        value = cold.count(cnf)
+        value = cold.solve(cnf).value
         key = signature_key(cnf.signature())
         cold.close()
         with sqlite3.connect(tmp_path / STORE_FILENAME) as raw:
             raw.execute("UPDATE counts SET value = 'garbage' WHERE key = ?", (key,))
             raw.commit()
         warm = CountingEngine(config=config)
-        assert warm.count(cnf) == value  # graceful miss → recount
+        assert warm.solve(cnf).value == value  # graceful miss → recount
         assert warm.stats.backend_calls == 1
         assert warm.store.get(key) == value  # …and the row is repaired
         warm.close()
@@ -242,9 +244,9 @@ class TestDiskPersistentEngine:
         config = EngineConfig(cache_dir=tmp_path)
         engine = CountingEngine(config=config)
         cnf = translate(get_property("Reflexive"), 2).cnf
-        engine.count(cnf)
+        engine.solve(cnf)
         engine.clear()
-        assert engine.count(cnf) == 1 << 2  # reflexive scope 2: 2 free bits
+        assert engine.solve(cnf).value == 1 << 2  # reflexive scope 2: 2 free bits
         assert engine.stats.store_hits == 1
         assert engine.stats.backend_calls == 0
         engine.close()
@@ -257,9 +259,9 @@ class TestDiskPersistentEngine:
         cnf = CNF(num_vars=12, projection=range(1, 13))
         approx_engine = CountingEngine(ApproxMCCounter(seed=3), config=config)
         assert approx_engine.store is None
-        approx_engine.count(cnf)  # would have persisted 4096±ε
+        approx_engine.solve(cnf)  # would have persisted 4096±ε
         exact_engine = CountingEngine(config=config)
-        assert exact_engine.count(cnf) == 4096
+        assert exact_engine.solve(cnf).value == 4096
         assert exact_engine.stats.store_hits == 0
         assert exact_engine.stats.backend_calls == 1
         exact_engine.close()
@@ -270,20 +272,20 @@ class TestDiskPersistentEngine:
         batch = [
             CNF(num_vars=n, projection=range(1, n + 1)) for n in (10, 11, 12, 13)
         ]
-        serial = CountingEngine(ApproxMCCounter(seed=9)).count_many(batch)
+        serial = CountingEngine(ApproxMCCounter(seed=9)).solve_many(batch)
         fanned = CountingEngine(
             ApproxMCCounter(seed=9), config=EngineConfig(workers=4)
-        ).count_many(batch)
-        assert fanned == serial
+        ).solve_many(batch)
+        assert [r.value for r in fanned] == [r.value for r in serial]
 
     def test_engines_share_a_cache_dir(self, tmp_path):
         config = EngineConfig(cache_dir=tmp_path, workers=2)
         batch = self._batch()
         producer = CountingEngine(config=config)
-        counts = producer.count_many(batch)
+        counts = [r.value for r in producer.solve_many(batch)]
         producer.close()
         consumer = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
-        assert consumer.count_many(batch) == counts
+        assert [r.value for r in consumer.solve_many(batch)] == counts
         assert consumer.stats.backend_calls == 0
         consumer.close()
 
@@ -307,8 +309,8 @@ class TestMemoKeyRegression:
         assert engine.stats.translate_hits == 0
         # Reflexive at scope 3 leaves the 6 off-diagonal bits free (2^6);
         # Transitive counts 171 — a name-keyed memo returns 64 for both.
-        assert engine.count(problem_first.cnf) == 64
-        assert engine.count(problem_second.cnf) == 171
+        assert engine.solve(problem_first.cnf).value == 64
+        assert engine.solve(problem_second.cnf).value == 171
 
     def test_translate_still_memoizes_structural_equals(self):
         first, _ = self._twins()
@@ -323,8 +325,8 @@ class TestMemoKeyRegression:
         gt_first = engine.ground_truth(first, 3)
         gt_second = engine.ground_truth(second, 3)
         assert gt_first is not gt_second
-        assert engine.count(gt_first.positive().cnf) == 64
-        assert engine.count(gt_second.positive().cnf) == 171
+        assert engine.solve(gt_first.positive().cnf).value == 64
+        assert engine.solve(gt_second.positive().cnf).value == 171
 
 
 class TestApproxMCFrontier:

@@ -11,9 +11,10 @@ Covers:
   idempotent close, fork-after-close recreation, worker component-cache
   deltas warming the engine's shared cache;
 * the satellite fixes — ``CountingEngine.__repr__`` reporting the resolved
-  worker count, ``count_formula`` routed through the count memo (or
-  rejected with a pointer to ``count``), lazy ``CNF.signature()``
-  memoization with invalidation, and ``CountStore`` write batching + WAL.
+  worker count, ``solve_formula`` routed through the count memo (or
+  rejected on CNF-only backends), lazy
+  ``CNF.signature()`` memoization with invalidation, and ``CountStore``
+  write batching + WAL.
 """
 
 import random
@@ -164,7 +165,7 @@ class TestSharedCacheDifferential:
         assert engine.component_cache is None
         assert engine.counter.component_cache is None
         cnf = translate(get_property("Transitive"), 3).cnf
-        assert engine.count(cnf) == 171
+        assert engine.solve(cnf).value == 171
 
 
 @pytest.fixture(scope="class")
@@ -178,40 +179,39 @@ class TestPersistentPool:
 
     def test_pool_reused_across_batches(self):
         engine = CountingEngine(config=EngineConfig(workers=2))
-        engine.count_many(self._cold_batch(("Reflexive", "Irreflexive")))
+        engine.solve_many(self._cold_batch(("Reflexive", "Irreflexive")))
         pool = engine._pool
         assert pool is not None and not pool.closed
         assert pool.batches == 1
-        engine.count_many(self._cold_batch(("Connex", "Functional")))
+        engine.solve_many(self._cold_batch(("Connex", "Functional")))
         assert engine._pool is pool  # same pool, no re-fork
         assert pool.batches == 2
         engine.close()
 
     def test_close_is_idempotent_and_fork_after_close_recreates(self):
         engine = CountingEngine(config=EngineConfig(workers=2))
-        engine.count_many(self._cold_batch(("Reflexive", "Irreflexive")))
+        engine.solve_many(self._cold_batch(("Reflexive", "Irreflexive")))
         first_pool = engine._pool
         engine.close()
         engine.close()  # idempotent
         assert first_pool.closed
-        counts = engine.count_many(self._cold_batch(("Connex", "Functional")))
+        batch = self._cold_batch(("Connex", "Functional"))
+        counts = [r.value for r in engine.solve_many(batch)]
         assert engine._pool is not first_pool
         assert not engine._pool.closed
-        assert counts == CountingEngine().count_many(
-            self._cold_batch(("Connex", "Functional"))
-        )
+        assert counts == [r.value for r in CountingEngine().solve_many(batch)]
         engine.close()
 
     def test_serial_engine_never_forks(self):
         engine = CountingEngine()
-        engine.count_many(self._cold_batch(("Reflexive", "Irreflexive")))
+        engine.solve_many(self._cold_batch(("Reflexive", "Irreflexive")))
         assert engine._pool is None
         engine.close()
 
     def test_worker_deltas_warm_the_shared_cache(self):
         engine = CountingEngine(config=EngineConfig(workers=2))
         assert len(engine.component_cache) == 0
-        engine.count_many(self._cold_batch(("PartialOrder", "Equivalence"), scope=3))
+        engine.solve_many(self._cold_batch(("PartialOrder", "Equivalence"), scope=3))
         # The components were solved in worker processes, yet the parent's
         # shared cache holds them now (the delta protocol shipped them back).
         assert len(engine.component_cache) > 0
@@ -230,19 +230,20 @@ class TestPersistentPool:
             ExactCounter(max_nodes=10), config=EngineConfig(workers=2)
         )
         with pytest.raises(CounterBudgetExceeded):
-            engine.count_many(hard)
+            engine.solve_many(hard)
         pool = engine._pool
         assert pool is not None and not pool.closed
         # The same pool serves the next (feasible) batch.
-        assert engine.count_many(self._cold_batch(("Reflexive", "Connex"))) == (
-            CountingEngine().count_many(self._cold_batch(("Reflexive", "Connex")))
-        )
+        batch = self._cold_batch(("Reflexive", "Connex"))
+        assert [r.value for r in engine.solve_many(batch)] == [
+            r.value for r in CountingEngine().solve_many(batch)
+        ]
         assert engine._pool is pool
         engine.close()
 
     def test_engine_is_a_context_manager(self):
         with CountingEngine(config=EngineConfig(workers=2)) as engine:
-            engine.count_many(self._cold_batch(("Reflexive", "Irreflexive")))
+            engine.solve_many(self._cold_batch(("Reflexive", "Irreflexive")))
             pool = engine._pool
         assert pool.closed
 
@@ -262,23 +263,27 @@ class TestSatelliteFixes:
     def test_count_formula_memoized_through_engine(self):
         engine = CountingEngine(FormulaBruteCounter())
         formula = Or(And(Var(1), Var(2)), Var(3))
-        first = engine.count_formula(formula, 3)
+        first = engine.solve_formula(formula, 3).value
         assert first == 5
-        assert engine.count_formula(formula, 3) == 5
+        assert engine.solve_formula(formula, 3).value == 5
         assert engine.stats.count_calls == 2
         assert engine.stats.count_hits == 1
         assert engine.stats.backend_calls == 1
         # A different variable space is a different counting problem.
-        assert engine.count_formula(formula, 4) == 10
+        assert engine.solve_formula(formula, 4).value == 10
         assert engine.stats.backend_calls == 2
 
     def test_count_formula_rejected_for_cnf_only_backends(self):
         engine = CountingEngine()
-        with pytest.raises(AttributeError, match="engine.count"):
-            engine.count_formula
-        assert not hasattr(engine, "count_formula")
+        formula = Or(And(Var(1), Var(2)), Var(3))
+        with pytest.raises(ValueError, match="does not count formulas"):
+            engine.solve_formula(formula, 3)
+        # Refused before the memo or the backend is touched.
+        assert engine.stats.count_calls == 0
+        assert engine.stats.backend_calls == 0
         # AccMC's capability probe must still route CNF backends to CNFs.
-        assert hasattr(CountingEngine(FormulaBruteCounter()), "count_formula")
+        assert not engine.capabilities.counts_formulas
+        assert CountingEngine(FormulaBruteCounter()).capabilities.counts_formulas
 
     def test_signature_is_memoized_and_invalidated(self):
         cnf = CNF([[1, 2], [-1, 3]], projection=[1, 2, 3])

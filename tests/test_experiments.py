@@ -246,7 +246,7 @@ class TestCli:
     def test_cli_table9_with_options(self, capsys):
         from repro.experiments.cli import main
 
-        code = main(["table9", "--scope", "3", "--counter", "brute"])
+        code = main(["table9", "--scope", "3", "--backend", "brute"])
         assert code == 0
         assert "MCML Precision" in capsys.readouterr().out
 
@@ -258,8 +258,7 @@ class TestCli:
 
     def test_cli_all_expands_to_artifacts_only(self, monkeypatch, capsys):
         # "all" must never reach run_artifact with the pseudo-artifacts
-        # ("all" itself, "serve", "cluster") — daemons are not tables to
-        # render.
+        # ("all" itself, "serve") — the daemon is not a table to render.
         from repro.experiments import cli
 
         seen = []
@@ -271,8 +270,6 @@ class TestCli:
             ),
         )
         assert cli.main(["all"]) == 0
-        assert seen == [
-            a for a in cli.ARTIFACTS if a not in ("all", "serve", "cluster")
-        ]
+        assert seen == [a for a in cli.ARTIFACTS if a not in ("all", "serve")]
         out = capsys.readouterr().out
         assert "<table1>" in out and "<figure2>" in out

@@ -16,12 +16,18 @@ Covers, in-process (daemon subprocess scenarios live in
   waiter gets its own response;
 * admission control — a full queue and an exhausted per-client in-flight
   budget answer typed ``overloaded``, never buffer or hang;
-* the ``stats`` verb — engine stats + queue depth + per-client counters,
-  sharing its engine block with ``mcml --stats``;
+* the ``stats`` verb — engine stats + queue depth + per-client and
+  served/failure counters, sharing its engine block with ``mcml --stats``;
 * the engine lock — two threads hammering ``solve_many`` on one session
-  get bit-identical counts and a consistent ``EngineStats``.
+  get bit-identical counts and a consistent ``EngineStats``, and three
+  concurrent clients of the daemon's one solver thread get the
+  in-process values over the 16-property matrix;
+* client-side chunking — ``ServiceClient.solve_many`` splits batches
+  under the daemon's line ceiling instead of earning a blanket
+  ``oversized`` rejection.
 """
 
+import json
 import socket
 import threading
 import time
@@ -85,10 +91,6 @@ class DelayCounter:
     def count(self, cnf: CNF) -> int:
         time.sleep(self.delay)
         return self._inner.count(cnf)
-
-    def decompose(self, cnf: CNF, min_component_vars: int = 2):
-        # The copied capabilities claim ``decomposes``; honour them.
-        return self._inner.decompose(cnf, min_component_vars=min_component_vars)
 
 
 @contextmanager
@@ -466,6 +468,44 @@ class TestStats:
         (client_stats,) = service["clients"].values()
         assert client_stats["requests"] >= 2  # the solve + the stats call
 
+    def test_service_block_has_the_single_solver_shape(self, exact_service):
+        session, server, host, port = exact_service
+        with ServiceClient(host, port) as client:
+            client.count(property_cnf("Reflexive", 3))
+            payload = client.stats()
+        assert set(payload["service"]) == {
+            "version",
+            "uptime_seconds",
+            "draining",
+            "queue_depth",
+            "max_queue",
+            "max_inflight_per_client",
+            "active_connections",
+            "counters",
+            "clients",
+        }
+        assert payload["engine"] == protocol.engine_stats_payload(session)["engine"]
+
+    def test_counters_track_served_and_failures(self, exact_service):
+        _, server, host, port = exact_service
+        hard = CountRequest.from_cnf(
+            translate(get_property("PartialOrder"), 4).cnf, budget=10
+        )
+        with ServiceClient(host, port) as client:
+            client.solve(property_cnf("Reflexive", 3))
+            outcome = client.solve(hard, on_failure="return")
+            assert isinstance(outcome, CountFailure)
+            assert outcome.kind == "budget"
+            assert wait_until(lambda: server._counters["served"] >= 2)
+            payload = client.stats()
+        counters = payload["service"]["counters"]
+        # A typed count failure is a served answer, not an abort or crash.
+        assert counters["failures"] == 1
+        assert counters["aborts"] == 0
+        assert counters["internal_errors"] == 0
+        assert counters["served"] >= 2
+        assert payload["engine"]["backend_calls"] >= 1
+
 
 # -- the engine lock (satellite: documented concurrency contract) --------------------
 
@@ -502,18 +542,9 @@ class TestEngineLock:
             assert session.engine.stats.count_calls == len(problems) * 10
             assert session.engine.stats.count_hits == session.engine.stats.count_calls - len(problems)
 
-
-# -- solver lanes (PR 10: concurrent counting lanes) ---------------------------------
-
-
-def delay_session(delay: float = 0.4) -> MCMLSession:
-    """A session over its own DelayCounter engine — one concurrency lane."""
-    return MCMLSession(engine=CountingEngine(DelayCounter(delay)))
-
-
-class TestSolverLanes:
-    def test_two_lane_matrix_bit_identical_to_one_lane(self, tmp_path):
-        """16 properties x scopes 2-4, two lanes vs one: values may not move."""
+    def test_three_clients_matrix_bit_identical_to_in_process(self, tmp_path):
+        """16 properties x scopes 2-4 split over three concurrent clients of
+        the one solver thread: the values may not move."""
         from repro.spec.properties import PROPERTIES
 
         batch = [
@@ -521,159 +552,71 @@ class TestSolverLanes:
             for prop in PROPERTIES
             for scope in (2, 3, 4)
         ]
-        with MCMLSession(backend="exact", cache_dir=str(tmp_path / "one")) as session:
-            with running_server(session) as (_, host, port):
-                with ServiceClient(host, port) as client:
-                    one_lane = [r.value for r in client.solve_many(batch)]
-
-        two_cache = str(tmp_path / "two")
-        factory = lambda: MCMLSession(backend="exact", cache_dir=two_cache)  # noqa: E731
-        two_lane: list[int | None] = [None] * len(batch)
+        with MCMLSession(backend="exact") as local:
+            expected = [r.value for r in local.solve_many(batch)]
+        served: list[int | None] = [None] * len(batch)
         errors: list[Exception] = []
-        with running_server(
-            factory(), solver_threads=2, session_factory=factory
-        ) as (server, host, port):
+        with MCMLSession(backend="exact", cache_dir=str(tmp_path)) as session:
+            with running_server(session) as (server, host, port):
 
-            def worker(offset: int) -> None:
-                try:
-                    with ServiceClient(host, port) as client:
-                        for index in range(offset, len(batch), 3):
-                            two_lane[index] = client.solve(batch[index]).value
-                except Exception as exc:  # noqa: BLE001 - asserted below
-                    errors.append(exc)
+                def worker(offset: int) -> None:
+                    try:
+                        with ServiceClient(host, port) as client:
+                            for index in range(offset, len(batch), 3):
+                                served[index] = client.solve(batch[index]).value
+                    except Exception as exc:  # noqa: BLE001 - asserted below
+                        errors.append(exc)
 
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            assert not errors
-            assert wait_until(
-                lambda: sum(e["jobs"] for e in server.stats_payload()["service"]["lanes"])
-                >= len(batch)
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not errors
+                assert wait_until(lambda: server._counters["served"] >= len(batch))
+            assert session.engine.stats.backend_calls == len(
+                {cnf.signature() for cnf in batch}
             )
-            payload = server.stats_payload()
-        assert two_lane == one_lane
-        assert payload["service"]["solver_threads"] == 2
-        assert len(payload["service"]["lanes"]) == 2
+        assert served == expected
 
-    def test_two_distinct_slow_requests_overlap_in_wall_clock(self):
-        """Two 0.4s problems on two lanes must beat 0.8x the serial sum."""
-        delay = 0.4
-        problems = [
-            CNF(num_vars=3, clauses=[(1,), (2, 3)]),
-            CNF(num_vars=3, clauses=[(-1,), (2,)]),
-        ]
-        expected = [ExactCounter().count(p) for p in problems]
-        results: list[int | None] = [None] * len(problems)
-        errors: list[Exception] = []
-        with running_server(
-            delay_session(delay),
-            solver_threads=2,
-            session_factory=lambda: delay_session(delay),
-        ) as (server, host, port):
 
-            def worker(index: int) -> None:
-                try:
-                    with ServiceClient(host, port, request_timeout=30) as client:
-                        results[index] = client.solve(problems[index]).value
-                except Exception as exc:  # noqa: BLE001 - asserted below
-                    errors.append(exc)
+# -- client-side chunking -----------------------------------------------------------
 
-            started = time.monotonic()
-            threads = [
-                threading.Thread(target=worker, args=(i,))
-                for i in range(len(problems))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            elapsed = time.monotonic() - started
-            assert not errors
-            assert results == expected
-            # Sleep releases the GIL, so distinct problems on distinct
-            # lanes overlap; serial lanes would take >= 2 * delay.
-            assert elapsed < 0.8 * (len(problems) * delay)
-            assert wait_until(
-                lambda: all(
-                    e["jobs"] >= 1
-                    for e in server.stats_payload()["service"]["lanes"]
-                )
-            )
 
-    def test_cross_lane_coalescing_eight_identical_cost_one_backend_call(self):
-        """Coalescing is pre-queue: identical concurrent requests collapse
-        to one job on one lane even with two lanes draining."""
-        sessions = [delay_session(0.4)]
+class TestClientChunking:
+    def test_chunks_preserve_order_and_budget(self):
+        client = ServiceClient("127.0.0.1", 1, max_line_bytes=600)
+        payloads = [{"clauses": [[i]] * 8, "num_vars": i} for i in range(40)]
+        chunks = client._chunk_requests(payloads)
+        assert [p for chunk in chunks for p in chunk] == payloads
+        assert len(chunks) > 1
+        for chunk in chunks:
+            line = json.dumps(chunk, separators=(",", ":"))
+            assert len(line) <= client.max_line_bytes
 
-        def factory() -> MCMLSession:
-            session = delay_session(0.4)
-            sessions.append(session)
-            return session
+    def test_single_oversized_request_ships_alone(self):
+        client = ServiceClient("127.0.0.1", 1, max_line_bytes=600)
+        big = {"clauses": [[1, 2]] * 200, "num_vars": 2}
+        chunks = client._chunk_requests([{"num_vars": 1}, big, {"num_vars": 2}])
+        assert [len(c) for c in chunks] == [1, 1, 1]
 
-        problem = property_cnf("Transitive", 3)
-        expected = ExactCounter().count(problem)
-        results: list[int | None] = [None] * 8
-        errors: list[Exception] = []
-        with running_server(
-            sessions[0], solver_threads=2, session_factory=factory
-        ) as (_, host, port):
-
-            def worker(index: int) -> None:
-                try:
-                    with ServiceClient(host, port, request_timeout=30) as client:
-                        results[index] = client.solve(problem).value
-                except Exception as exc:  # noqa: BLE001 - asserted below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not errors
-            assert results == [expected] * 8
-        # Lane sessions do not share an in-process memo, so one total
-        # backend call across them is cross-lane coalescing at work.
-        assert (
-            sum(s.engine.stats.backend_calls for s in sessions) == 1
-        ), [s.engine.stats.backend_calls for s in sessions]
-
-    def test_lane_counters_track_jobs_and_failures(self):
-        hard = CountRequest.from_cnf(
-            translate(get_property("PartialOrder"), 4).cnf, budget=10
-        )
-        with MCMLSession(backend="exact") as session:
-            with running_server(
-                session, solver_threads=2, session_factory=lambda: MCMLSession(backend="exact")
-            ) as (server, host, port):
-                with ServiceClient(host, port) as client:
-                    client.solve(property_cnf("Reflexive", 3))
-                    outcome = client.solve(hard, on_failure="return")
-                    assert isinstance(outcome, CountFailure)
-                    assert outcome.kind == "budget"
-                    assert wait_until(
-                        lambda: sum(
-                            e["failures"]
-                            for e in server.stats_payload()["service"]["lanes"]
-                        )
-                        == 1
-                    )
-                    payload = client.stats()
-        lanes = payload["service"]["lanes"]
-        assert len(lanes) == 2
-        assert all(set(e) == {"jobs", "served", "failures"} for e in lanes)
-        assert sum(e["jobs"] for e in lanes) >= 2
-        # The engine block sums the per-lane sessions, so the stats verb
-        # keeps one coherent engine story across lanes.
-        assert payload["engine"]["backend_calls"] >= 1
-
-    def test_one_lane_without_factory_degenerates_to_the_old_shape(self, exact_service):
-        session, server, host, port = exact_service
-        with ServiceClient(host, port) as client:
-            client.count(property_cnf("Reflexive", 3))
-            payload = client.stats()
-        assert payload["service"]["solver_threads"] == 1
-        assert len(payload["service"]["lanes"]) == 1
-        assert payload["engine"] == protocol.engine_stats_payload(session)["engine"]
+    def test_large_batch_crosses_a_small_line_ceiling(self, tmp_path):
+        """Unchunked, this batch is one oversized line the daemon rejects;
+        chunked, it just works."""
+        ceiling = 4096
+        cnfs = []
+        for i in range(120):
+            cnf = CNF(num_vars=8)
+            cnf.add_clause(tuple(range(1, 8)))
+            cnf.add_clause((-(i % 8 + 1),))
+            cnf.add_clause((i % 7 + 2,))
+            cnfs.append(cnf)
+        requests = [CountRequest.from_cnf(c) for c in cnfs]
+        whole = json.dumps([r.to_dict() for r in requests], separators=(",", ":"))
+        assert len(whole) > ceiling
+        truths = [ExactCounter().count(c) for c in cnfs]
+        session = MCMLSession(backend="exact", cache_dir=str(tmp_path))
+        with running_server(session, max_line_bytes=ceiling) as (_, host, port):
+            with ServiceClient(host, port, max_line_bytes=ceiling) as client:
+                values = [r.value for r in client.solve_many(requests)]
+        assert values == truths

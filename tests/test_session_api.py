@@ -2,7 +2,7 @@
 
 Covers the typed request/result layer (`CountRequest`/`CountResult`
 round-trips, provenance, precision/budget semantics), the engine's typed
-``solve``/``solve_many``/``solve_formula`` path and its bare-int shims,
+``solve``/``solve_many``/``solve_formula`` path,
 the disk-persistent compilation memos, the `MCMLSession` facade, and the
 CLI surface (``--backend``, ``--list-backends``).
 """
@@ -91,7 +91,9 @@ class TestTypedSolvePath:
         a, b = _cnf("Reflexive"), _cnf("Irreflexive")
         engine.solve(a)
         results = engine.solve_many([a, b, b.copy()])
-        assert [r.value for r in results] == engine.count_many([a, b, b])
+        assert [r.value for r in results] == [
+            r.value for r in engine.solve_many([a, b, b])
+        ]
         assert results[0].source == "memo"
         assert results[1].source == "backend"
         # The in-batch duplicate shares the representative's answer.
@@ -135,12 +137,6 @@ class TestTypedSolvePath:
             assert values[0] == values[1]
         finally:
             pool.close()
-
-    def test_shims_equal_typed_path(self):
-        engine = CountingEngine()
-        cnf = _cnf("Antisymmetric")
-        assert engine.count(cnf) == engine.solve(cnf).value
-        assert engine.count_many([cnf]) == [engine.solve(cnf).value]
 
     def test_solve_formula_memoizes_and_gates(self):
         brute = CountingEngine(make_backend("brute"))
@@ -267,8 +263,11 @@ class TestCLISurface:
     def test_list_backends_flag(self, capsys):
         assert main(["--list-backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("exact", "legacy", "brute", "bdd", "compiled", "approxmc"):
-            assert name in out
+        # A title line, the header, then exactly one row per backend.
+        rows = out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == [
+            "approxmc", "brute", "compiled", "exact", "legacy",
+        ]
         # One column per declared capability flag.
         for column in (
             "exact", "formulas", "projection", "parallel", "components", "cubes",
@@ -278,29 +277,46 @@ class TestCLISurface:
     def test_backend_flag_flows_into_config(self):
         args = build_parser().parse_args(["table9", "--backend", "legacy"])
         assert config_from_args(args).counter == "legacy"
-        # --counter stays as the deprecated alias.
-        args = build_parser().parse_args(["table9", "--counter", "brute"])
+        args = build_parser().parse_args(["table9", "--backend", "brute"])
         assert config_from_args(args).counter == "brute"
+        assert config_from_args(build_parser().parse_args(["table9"])).counter == "exact"
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["cluster"],
+            ["serve", "--shards", "2"],
+            ["serve", "--solver-threads", "2"],
+            ["table9", "--fanout-min-vars", "4"],
+            ["table9", "--counter", "brute"],
+        ),
+        ids=("cluster", "shards", "solver-threads", "fanout-min-vars", "counter"),
+    )
+    def test_parser_rejects_removed_verbs_and_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_listing_renders_every_backend(self):
         text = list_backends()
         assert "vector" in text and "approx" in text and "circuit" in text
-        # The compiled row declares cube conditioning; bdd's does not.
+        # The compiled row declares cube conditioning; exact has no alias.
         compiled_row = next(l for l in text.splitlines() if "compiled" in l)
-        bdd_row = next(l for l in text.splitlines() if " bdd " in f" {l} ")
+        exact_row = next(l for l in text.splitlines() if l.split()[:1] == ["exact"])
         assert compiled_row.split()[1:-1].count("yes") >= 2
-        assert bdd_row.rstrip().endswith("-")
+        assert exact_row.rstrip().endswith("-")
 
     def test_backend_runs_end_to_end(self, capsys):
         # Fast end-to-end runs for non-default backends: the legacy exact
-        # counter drives Table 9, the OBDD backend drives Table 8 (its
-        # region CNFs are auxiliary-free, the one shape bdd serves).
+        # counter drives Table 9, the compiled backend drives Table 8 (its
+        # region CNFs are auxiliary-free, the one shape compiled serves).
         assert main(["table9", "--scope", "3", "--backend", "legacy"]) == 0
         assert "Table 9" in capsys.readouterr().out
         assert (
             main(
                 [
-                    "table8", "--scope", "3", "--backend", "bdd",
+                    "table8", "--scope", "3", "--backend", "compiled",
                     "--properties", "Reflexive",
                 ]
             )

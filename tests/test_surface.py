@@ -1,10 +1,9 @@
-"""CountingSurface conformance: one client surface, three deployments (PR 10).
+"""CountingSurface conformance: one client surface, two deployments.
 
 :class:`~repro.counting.api.CountingSurface` is the counting API drivers
-program against; :class:`MCMLSession` (in-process),
-:class:`ServiceClient` (one daemon) and :class:`ShardedClient` (a
-consistent-hash cluster) all declare it.  This module runs the *same*
-battery over all three, so "pick by deployment, not by API" is a tested
+program against; :class:`MCMLSession` (in-process) and
+:class:`ServiceClient` (a daemon) both declare it.  This module runs the
+*same* battery over both, so "pick by deployment, not by API" is a tested
 sentence, not a docstring:
 
 * each implementation passes ``isinstance(..., CountingSurface)``;
@@ -17,7 +16,7 @@ sentence, not a docstring:
 
 The drivers' side of the same redesign lives in
 ``test_core_accmc_diffmc.py`` (AccMC/DiffMC accept any surface); the
-per-deployment depth lives in ``test_service.py`` / ``test_cluster.py``.
+per-deployment depth lives in ``test_service.py``.
 """
 
 import threading
@@ -28,15 +27,14 @@ import pytest
 from repro.core.session import MCMLSession
 from repro.counting.api import CountFailure, CountingSurface, CountRequest, CountResult
 from repro.counting.exact import CounterBudgetExceeded, ExactCounter
-from repro.counting.service import CountingServer, ServiceClient, ShardedClient
-from repro.experiments.config import ExperimentConfig
+from repro.counting.service import CountingServer, ServiceClient
 from repro.spec import SymmetryBreaking, get_property, translate
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning"
 )
 
-SURFACES = ("session", "service", "cluster")
+SURFACES = ("session", "service")
 
 
 def property_cnf(name: str, scope: int = 3):
@@ -63,31 +61,11 @@ def surface_under_test(kind: str, tmp_path):
     if kind == "session":
         with MCMLSession(backend="exact", cache_dir=str(tmp_path / "s")) as session:
             yield session
-    elif kind == "service":
+    else:
         with MCMLSession(backend="exact", cache_dir=str(tmp_path / "d")) as session:
             with _served(session) as (host, port):
                 with ServiceClient(host, port) as client:
                     yield client
-    else:
-        sessions = [
-            ExperimentConfig(cache_dir=str(tmp_path / f"shard-{i}")).session()
-            for i in range(2)
-        ]
-        servers, shards = [], []
-        try:
-            for session in sessions:
-                server = CountingServer(session, port=0)
-                shards.append(server.start())
-                threading.Thread(
-                    target=server.serve_until_drained, daemon=True
-                ).start()
-                servers.append(server)
-            with ShardedClient(shards) as cluster:
-                yield cluster
-        finally:
-            for server in servers:
-                server.initiate_drain("test teardown")
-                server.close()
 
 
 @pytest.fixture(params=SURFACES)

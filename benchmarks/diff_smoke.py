@@ -27,7 +27,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: smoke-record field → (history field, unit, higher_is_better)
 COMPARISONS = (
     ("exact_median_s", "exact_median_s", "s", False),
-    ("workers_fanout.speedup_x", "workers_fanout_speedup_x", "x", True),
     ("disk_cache.speedup_x", "warm_cache_speedup_x", "x", True),
     ("component_cache.speedup_x", "component_cache_speedup_x", "x", True),
     ("component_spill.speedup_x", "component_spill_speedup_x", "x", True),

@@ -3,8 +3,7 @@
 
 Runs the ``TestCounterAblation`` benchmarks of ``bench_substrates.py``
 through pytest-benchmark, extracts the per-backend median times, runs the
-counting-service ablations (1-vs-N worker fan-out on the AccMC
-product-mode batch, warm-vs-cold disk cache on a Table 1 slice, shared
+counting-service ablations (warm-vs-cold disk cache on a Table 1 slice, shared
 component cache on the same-φ/many-regions AccMC ratio sweep, cold-run
 vs warm-restart component *spill* on the per-path variant of that sweep,
 cold-compile vs warm-conditioned circuit counting on a DiffMC-shaped
@@ -102,78 +101,6 @@ def run_benchmarks() -> dict[str, dict[str, float]]:
 
 
 # -- counting-service ablations ---------------------------------------------------------
-
-
-def _accmc_product_batch(scope: int):
-    """The four confusion problems AccMC product mode hands to ``count_many``.
-
-    Built exactly as :meth:`repro.core.accmc.AccMC._evaluate_by_cnf` does:
-    a decision tree trained on the property's own dataset, its true/false
-    label regions conjoined with φ and ¬φ.
-    """
-    from repro.core.pipeline import MCMLPipeline
-    from repro.core.tree2cnf import label_region_cnf
-    from repro.spec import SymmetryBreaking, get_property, translate
-
-    prop = get_property("PartialOrder")
-    symmetry = SymmetryBreaking()
-    pipeline = MCMLPipeline(seed=0)
-    dataset = pipeline.make_dataset(prop, scope, symmetry=symmetry)
-    train, _ = dataset.split(0.75, rng=0)
-    tree = pipeline.train("DT", train)
-    m = scope * scope
-    paths = tree.decision_paths()
-    true_region = label_region_cnf(paths, 1, m)
-    false_region = label_region_cnf(paths, 0, m)
-    phi = translate(prop, scope, symmetry=symmetry).cnf
-    not_phi = translate(prop, scope, symmetry=symmetry, negate=True).cnf
-    return [
-        phi.conjoin(true_region),
-        not_phi.conjoin(true_region),
-        phi.conjoin(false_region),
-        not_phi.conjoin(false_region),
-    ]
-
-
-def workers_ablation(workers: int, scope: int) -> dict:
-    """1-vs-N-worker ``count_many`` on the AccMC product-mode batch.
-
-    Bit-identity between the serial and parallel results is enforced hard;
-    the speedup is reported as measured.  On a single-core machine the pool
-    overhead makes the parallel run *slower* — ``cpu_count`` is recorded so
-    the number stays interpretable across machines.
-    """
-    from repro.counting import CountingEngine, EngineConfig
-
-    batch = _accmc_product_batch(scope)
-    started = perf_counter()
-    serial = [
-        r.value
-        for r in CountingEngine(config=EngineConfig(workers=1)).solve_many(batch)
-    ]
-    serial_s = perf_counter() - started
-    started = perf_counter()
-    parallel = [
-        r.value
-        for r in CountingEngine(config=EngineConfig(workers=workers)).solve_many(batch)
-    ]
-    parallel_s = perf_counter() - started
-    if serial != parallel:
-        raise SystemExit(
-            f"parallel counts diverge from serial: {parallel} != {serial}"
-        )
-    return {
-        "instance": (
-            f"AccMC product-mode batch: PartialOrder scope {scope}, adjacent "
-            "symmetry breaking, trained DT regions (4 counting problems)"
-        ),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "speedup_x": round(serial_s / parallel_s, 2),
-        "bit_identical": True,
-    }
 
 
 def component_cache_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
@@ -768,7 +695,6 @@ def cache_ablation(scope: int, property_names: tuple[str, ...]) -> dict:
 
 
 def _print_ablations(
-    workers_result: dict,
     cache_result: dict,
     component_result: dict | None = None,
     store_result: dict | None = None,
@@ -776,12 +702,6 @@ def _print_ablations(
     conditioning_result: dict | None = None,
     service_result: dict | None = None,
 ) -> None:
-    print(
-        f"  workers fan-out: serial {workers_result['serial_s']:.3f} s, "
-        f"{workers_result['workers']} workers {workers_result['parallel_s']:.3f} s "
-        f"({workers_result['speedup_x']}x on {workers_result['cpu_count']} cpu(s)), "
-        "bit-identical"
-    )
     print(
         f"  disk cache: cold {cache_result['cold_s']:.3f} s "
         f"({cache_result['cold_backend_counts']} backend counts), "
@@ -990,10 +910,6 @@ def main() -> None:
         "--output", type=Path, default=OUTPUT, help="where to write the JSON"
     )
     parser.add_argument(
-        "--workers", type=int, default=4,
-        help="worker count for the fan-out ablation (default 4)",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="smoke mode: ablations on small instances, perf-regression "
         "gate vs the last history entry, no JSON update",
@@ -1024,7 +940,6 @@ def main() -> None:
 
     if args.quick:
         print("quick smoke: counting-service ablations on reduced instances")
-        workers_result = workers_ablation(workers=2, scope=3)
         cache_result = cache_ablation(scope=3, property_names=_ablation_properties()[:4])
         component_result = component_cache_ablation(
             scope=3, fractions=(0.75, 0.5, 0.25)
@@ -1039,7 +954,7 @@ def main() -> None:
         )
         store_result = store_roundtrip_bench(entries=500)
         _print_ablations(
-            workers_result, cache_result, component_result, store_result,
+            cache_result, component_result, store_result,
             spill_result, conditioning_result, service_result,
         )
         for name in args.backend or ():
@@ -1056,7 +971,6 @@ def main() -> None:
                 "exact_median_s": exact_median,
                 "gate_failure": gate_failure,
                 "ablations": {
-                    "workers_fanout": workers_result,
                     "disk_cache": cache_result,
                     "component_cache": component_result,
                     "component_spill": spill_result,
@@ -1075,7 +989,6 @@ def main() -> None:
     backends = run_benchmarks()
     if "exact" not in backends:
         raise SystemExit("no exact-counter benchmark result found")
-    workers_result = workers_ablation(workers=args.workers, scope=4)
     cache_result = cache_ablation(scope=4, property_names=_ablation_properties())
     component_result = component_cache_ablation(
         scope=4,
@@ -1108,7 +1021,6 @@ def main() -> None:
     document["unit"] = "seconds"
     document["backends"] = backends
     document["ablations"] = {
-        "workers_fanout": workers_result,
         "disk_cache": cache_result,
         "component_cache": component_result,
         "component_spill": spill_result,
@@ -1133,8 +1045,6 @@ def main() -> None:
             "backend": "exact",
             "capabilities": backend_capabilities("exact").as_dict(),
             "exact_median_s": backends["exact"]["median_s"],
-            "workers_fanout_speedup_x": workers_result["speedup_x"],
-            "workers_fanout_cpu_count": workers_result["cpu_count"],
             "warm_cache_backend_counts": cache_result["warm_backend_counts"],
             "warm_cache_speedup_x": cache_result["speedup_x"],
             "component_cache_speedup_x": component_result["speedup_x"],
@@ -1155,7 +1065,7 @@ def main() -> None:
     for label, stats in sorted(backends.items()):
         print(f"  {label:>14}: median {stats['median_s'] * 1000:8.2f} ms")
     _print_ablations(
-        workers_result, cache_result, component_result, store_result,
+        cache_result, component_result, store_result,
         spill_result, conditioning_result, service_result,
     )
 

@@ -7,8 +7,8 @@ observation that the two disagree wildly.
 
 Everything runs through one :class:`repro.core.session.MCMLSession`: the
 session owns the counting engine (backend by registered name, caches,
-optional worker fan-out / disk persistence) and fronts dataset generation,
-training and the whole-space metrics.
+optional disk persistence) and fronts dataset generation, training and
+the whole-space metrics.
 
 Run:  python examples/quickstart.py
 """

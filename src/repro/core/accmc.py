@@ -181,7 +181,7 @@ class AccMC:
         # All counting goes through a shared memoizing engine: repeated
         # regions, translations and counts (across evaluate() calls, rows
         # of a table, or tables sharing a pipeline) are computed once.
-        # ``config`` (worker fan-out, disk cache) applies only when a new
+        # ``config`` (disk cache, component cache) applies only when a new
         # engine is built here; a passed-in engine keeps its own.
         self.engine = engine if engine is not None else shared_engine(counter, config)
         self.counter = self.engine

@@ -59,7 +59,7 @@ class MCMLPipeline:
         An existing :class:`CountingEngine` to share memoized counts,
         translations and tree regions with other pipelines/evaluators.
     config:
-        :class:`EngineConfig` (worker fan-out, disk cache) for the engine
+        :class:`EngineConfig` (disk cache, component cache) for the engine
         built when ``engine`` is not supplied.
     region_strategy:
         AccMC region-counting route — ``"conjunction"`` (default) or

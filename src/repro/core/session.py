@@ -7,8 +7,8 @@ engine/config/store plumbing by hand; a session owns that plumbing once:
 
 * one :class:`~repro.counting.engine.CountingEngine` over a backend chosen
   by registered name (:func:`repro.counting.api.make_backend`), carrying
-  the scaling knobs (worker fan-out, disk-persistent count and compilation
-  stores, shared component cache);
+  the scaling knobs (disk-persistent count and compilation stores, shared
+  component cache);
 * one :class:`~repro.core.pipeline.MCMLPipeline` for dataset generation
   and model training, sharing the session seed;
 * the metric entry points — :meth:`accmc`, :meth:`diffmc`, :meth:`bnnmc`,
@@ -20,16 +20,16 @@ Quickstart::
 
     from repro.core.session import MCMLSession
 
-    with MCMLSession(backend="exact", workers=4, cache_dir=".mcml-cache") as s:
+    with MCMLSession(backend="exact", cache_dir=".mcml-cache") as s:
         data = s.pipeline.make_dataset("PartialOrder", 4)
         train, test = data.split(0.10, rng=1)
         tree = s.pipeline.train("DT", train)
         result = s.accmc(tree, "PartialOrder", 4)   # whole-space metrics
         print(result.accuracy, s.engine.stats.as_dict())
 
-Closing the session (or leaving the ``with`` block) releases the worker
-pool and flushes the disk stores; every consumer built through the session
-shares its caches, which is the point.
+Closing the session (or leaving the ``with`` block) flushes the disk
+stores; every consumer built through the session shares its caches, which
+is the point.
 
 Thread-safety: the session is as thread-safe as its engine — ``solve``,
 ``solve_many``, ``count`` and the metric entry points may be called from
@@ -37,9 +37,7 @@ multiple threads concurrently (the counting service daemon does exactly
 this), because :class:`~repro.counting.engine.CountingEngine` serializes
 every solve under one re-entrant lock.  Concurrent callers get
 bit-identical counts and a consistent
-:class:`~repro.counting.api.EngineStats`; they do not get parallelism —
-fan-out lives *inside* the engine (``workers``), not across calling
-threads.
+:class:`~repro.counting.api.EngineStats`; they do not get parallelism.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ class MCMLSession(CountingSurface):
     engine:
         An existing :class:`CountingEngine` to adopt instead of building
         one — the session then shares (and on ``close()`` releases) it.
-    workers / cache_dir / component_cache_mb / component_spill / circuit_store:
+    cache_dir / component_cache_mb / component_spill / circuit_store:
         The :class:`EngineConfig` scaling knobs (``component_spill``
         persists the component cache under ``cache_dir`` so component
         work survives session restarts; ``circuit_store`` persists the
@@ -86,15 +84,11 @@ class MCMLSession(CountingSurface):
         Both on by default; ``0``/``False`` opts out).
     fallback / fallback_opts:
         The degradation ladder: a registered backend name failed problems
-        (budget, deadline, lost worker) are re-counted on, with explicit
+        (budget, deadline) are re-counted on, with explicit
         ``source="fallback"`` provenance on the results — e.g.
         ``fallback="approxmc"`` trades exactness for an answer when the
         exact backend cannot finish in budget.  ``None`` (default)
         disables it.  See :class:`EngineConfig`.
-    deadline_grace / task_retries:
-        Fault-tolerance knobs of the engine's worker pool: watchdog slack
-        past a request's deadline before a wedged worker is killed, and
-        re-dispatches granted to problems whose worker died.
     accmc_mode:
         Default AccMC construction (``"derived"`` or the paper's
         ``"product"``); overridable per :meth:`accmc` call.
@@ -118,15 +112,12 @@ class MCMLSession(CountingSurface):
         *,
         engine: CountingEngine | None = None,
         backend_opts: dict | None = None,
-        workers: int = 1,
         cache_dir=None,
         component_cache_mb: float = 512.0,
         component_spill: bool = True,
         circuit_store: bool = True,
         fallback: str | None = None,
         fallback_opts: dict | None = None,
-        deadline_grace: float = 5.0,
-        task_retries: int = 2,
         deadline: float | None = None,
         budget: int | None = None,
         accmc_mode: str = "derived",
@@ -138,15 +129,12 @@ class MCMLSession(CountingSurface):
             engine = CountingEngine(
                 counter,
                 config=EngineConfig(
-                    workers=workers,
                     cache_dir=cache_dir,
                     component_cache_mb=component_cache_mb,
                     component_spill=component_spill,
                     circuit_store=circuit_store,
                     fallback=fallback,
                     fallback_opts=fallback_opts,
-                    deadline_grace=deadline_grace,
-                    task_retries=task_retries,
                 ),
             )
         self.engine = engine
@@ -353,7 +341,7 @@ class MCMLSession(CountingSurface):
     # -- lifecycle -------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the worker pool and flush/close the disk stores."""
+        """Flush and close the disk stores."""
         self.engine.close()
 
     def __enter__(self) -> "MCMLSession":

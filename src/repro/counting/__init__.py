@@ -32,15 +32,12 @@ back-ends used for validation and ablation:
   --backend NAME`` and the conformance suite iterate over.
 * :mod:`repro.counting.engine` — :class:`CountingEngine`, the shared,
   memoizing facade AccMC/DiffMC and the experiment drivers count through,
-  configured by :class:`EngineConfig` (worker processes, disk cache,
-  shared component cache); ``solve``/``solve_many`` return typed
+  configured by :class:`EngineConfig` (disk cache, shared component
+  cache, fallback ladder); ``solve``/``solve_many`` return typed
   :class:`CountResult`\\ s.
 * :mod:`repro.counting.component_cache` — :class:`ComponentCache`, the
   bounded LRU of counted components that persists across counting calls
   and is shared engine-wide.
-* :mod:`repro.counting.parallel` — multiprocess fan-out for batches of
-  independent counting problems: the engine-owned persistent
-  :class:`WorkerPool` and the one-shot :func:`count_parallel`.
 * :mod:`repro.counting.store` — the disk tiers, all subclasses of one
   ``_SqliteStore`` base: :class:`CountStore` (whole counts keyed on
   canonical CNF signatures), :class:`BlobStore` (compilation memos),
@@ -48,14 +45,14 @@ back-ends used for validation and ablation:
   :class:`CircuitStore` (pickled compiled circuits, so a warm restart
   conditions without recompiling).
 * :mod:`repro.counting.faults` — the fault-injection harness the chaos
-  suite drives the robustness layer with (corrupt stores, full disks,
-  SIGKILLed workers, unpicklable backends).
+  suites drive the robustness layer with (corrupt stores, full disks,
+  hostile service clients).
 
 Failure taxonomy: :class:`CounterAbort` is the base of the cooperative
 resource aborts (:class:`CounterBudgetExceeded` for node budgets,
 :class:`CounterTimeout` for wall-clock deadlines);
-:class:`CountFailure` is the engine/pool-level typed outcome a failed
-batch problem becomes.
+:class:`CountFailure` is the engine-level typed outcome a failed batch
+problem becomes.
 """
 
 from repro.counting.api import (
@@ -91,7 +88,6 @@ from repro.counting.exact import (
 )
 from repro.counting.legacy import LegacyExactCounter
 from repro.counting.oracles import closed_form_count
-from repro.counting.parallel import WorkerPool, count_parallel
 from repro.counting.store import (
     BlobStore,
     CircuitStore,
@@ -126,7 +122,6 @@ __all__ = [
     "ExactCounter",
     "FormulaBruteCounter",
     "LegacyExactCounter",
-    "WorkerPool",
     "approx_count",
     "available_backends",
     "backend_capabilities",
@@ -137,7 +132,6 @@ __all__ = [
     "compile_cnf",
     "compiled_count",
     "count_formula",
-    "count_parallel",
     "exact_count",
     "make_backend",
     "register_backend",

@@ -16,10 +16,9 @@ This module makes the contract explicit:
   a dataclass instead of being sniffed per call site: exactness (counts
   portable across backends/sessions), formula counting (AccMC's
   vectorised fast path), projection support (Tseitin auxiliaries allowed
-  in clauses), parallel safety (worker clones reproduce the serial
-  stream), and component-cache ownership (the engine may install a shared
-  cache).  Engine routing, store/parallel gating and consumer fast paths
-  all negotiate through these flags only.
+  in clauses), component-cache ownership (the engine may install a shared
+  cache) and cube conditioning (compiled circuits).  Engine routing, store
+  gating and consumer fast paths all negotiate through these flags only.
 * :class:`CounterBackend` — the structural protocol every backend
   satisfies: ``name``, ``capabilities``, ``count(cnf) -> int``.
 * the **backend registry** — every backend is constructible by name via
@@ -73,8 +72,8 @@ class Capabilities:
     ----------
     exact:
         Counts are exact, hence portable across backends and sessions: the
-        engine may persist them to a shared disk store and fan batches out
-        to worker clones.  Approximate (ε, δ) estimates are neither.
+        engine may persist them to a shared disk store.  Approximate
+        (ε, δ) estimates are not.
     counts_formulas:
         The backend exposes ``count_formula(formula, num_vars)``; AccMC's
         formula-sweep fast path and the engine's memoized
@@ -84,10 +83,6 @@ class Capabilities:
         auxiliaries); backends without it (brute sweep, compiled) reject such
         CNFs, so they only serve auxiliary-free problems like tree
         regions.
-    parallel_safe:
-        A pickled clone reproduces the original's count stream, so the
-        engine may fan cold batches out over worker processes.  False for
-        seeded approximate backends (each clone restarts the RNG).
     owns_component_cache:
         The backend exposes a ``component_cache`` attribute the engine may
         replace with a shared :class:`~repro.counting.component_cache.ComponentCache`.
@@ -105,7 +100,6 @@ class Capabilities:
     exact: bool
     counts_formulas: bool = False
     supports_projection: bool = False
-    parallel_safe: bool = False
     owns_component_cache: bool = False
     conditions_cubes: bool = False
 
@@ -163,8 +157,8 @@ class CountingSurface(Protocol):
     * ``stats() -> dict`` — a JSON-safe telemetry payload.  Every
       implementation nests the engine counters under an ``"engine"`` key;
       other keys are implementation-specific.
-    * ``close()`` + context manager — releases pools, sockets and disk
-      store handles; closing twice is safe.
+    * ``close()`` + context manager — releases sockets and disk store
+      handles; closing twice is safe.
     """
 
     def solve(self, problem, *, on_failure: str = "raise") -> "CountResult":
@@ -207,12 +201,10 @@ def capabilities_of(counter) -> Capabilities:
     declared = getattr(counter, "capabilities", None)
     if isinstance(declared, Capabilities):
         return declared
-    exact = bool(getattr(counter, "exact", False))
     return Capabilities(
-        exact=exact,
+        exact=bool(getattr(counter, "exact", False)),
         counts_formulas=callable(getattr(counter, "count_formula", None)),
         supports_projection=True,
-        parallel_safe=exact,
         owns_component_cache=getattr(counter, "component_cache", _MISSING)
         is not _MISSING,
     )
@@ -225,8 +217,7 @@ def capabilities_of(counter) -> Capabilities:
 class CountRequest:
     """One projected model-counting problem, frozen and picklable.
 
-    The CNF payload is flattened to hashable tuples (the same shape the
-    worker-pool protocol ships across processes), plus the two knobs a
+    The CNF payload is flattened to hashable tuples, plus the knobs a
     caller can put on a single problem:
 
     ``precision``
@@ -236,18 +227,16 @@ class CountRequest:
     ``budget``
         Per-problem search-node budget overriding the backend's default
         (``max_nodes``); ``None`` keeps the backend's own.  The override
-        is applied per problem and restored afterwards, in-process and in
-        worker clones alike.
+        is applied per problem and restored afterwards.
     ``deadline``
-        Per-problem wall-clock seconds.  Backends with a ``deadline``
-        knob (the exact and approxmc counters) enforce it cooperatively
-        and raise :class:`~repro.counting.exact.CounterTimeout`; the
-        worker pool additionally backstops it with a kill-and-respawn
-        watchdog at deadline + grace, so even a wedged worker cannot hang
-        a batch.  For per-path requests the deadline applies to each
-        sub-problem.  Like ``budget`` it never changes a count's value —
-        only whether the count finishes — so it is excluded from the
-        request's :meth:`signature`.
+        Per-problem wall-clock seconds.  Deadlines are cooperative:
+        backends with a ``deadline`` knob (the exact, approxmc and
+        compiled counters) enforce it and raise
+        :class:`~repro.counting.exact.CounterTimeout`; a backend without
+        the knob ignores it.  For per-path requests the deadline applies
+        to each sub-problem.  Like ``budget`` it never changes a count's
+        value — only whether the count finishes — so it is excluded from
+        the request's :meth:`signature`.
     ``strategy`` / ``cubes``
         How the problem is decomposed.  ``"conjunction"`` (default) counts
         the CNF as-is — the paper's construction.  ``"per-path"`` declares
@@ -324,8 +313,8 @@ class CountRequest:
         Memoized on the request: repeated calls return the *same* CNF
         object, so its signature memo survives across the engine's uses
         (per-path conditioning consults it per cube) — treat the returned
-        CNF as frozen.  The memo never travels in pickles (worker
-        payloads rebuild it on first use).
+        CNF as frozen.  The memo never travels in pickles (an unpickled
+        request rebuilds it on first use).
         """
         memo = self.__dict__.get("_cnf_memo")
         if memo is not None:
@@ -378,10 +367,10 @@ class CountRequest:
     def to_dict(self) -> dict:
         """JSON-safe encoding of this request (tuples become lists).
 
-        The counting service's wire format: everything the worker-pool
-        pickle protocol carries, but as plain JSON values so requests
-        cross machine (and language) boundaries.  :meth:`from_dict`
-        inverts it exactly — limits, strategy and cubes included.
+        The counting service's wire format: every field of the request,
+        as plain JSON values so requests cross machine (and language)
+        boundaries.  :meth:`from_dict` inverts it exactly — limits,
+        strategy and cubes included.
         """
         out: dict = {
             "clauses": [list(clause) for clause in self.clauses],
@@ -527,23 +516,20 @@ class CountFailure(Exception):
 
     Raised (or returned, with ``solve_many(..., on_failure="return")``)
     by the engine when a problem exhausts its budget or deadline with no
-    configured fallback, when a worker died and the retry budget ran out,
-    or when the backend itself raised.  Carries enough provenance for the
-    caller to decide what to do next:
+    configured fallback, or when the backend itself raised.  Carries
+    enough provenance for the caller to decide what to do next:
 
     ``kind``
-        ``"timeout"`` (wall-clock deadline), ``"budget"`` (node budget),
-        ``"worker-lost"`` (worker died, retries exhausted) or ``"error"``
-        (any other backend exception).
+        ``"timeout"`` (wall-clock deadline), ``"budget"`` (node budget) or
+        ``"error"`` (any other backend exception).
     ``backend``
         The backend that was counting when the problem failed.
     ``cause``
-        The original exception when one exists (``CounterTimeout``,
-        ``CounterBudgetExceeded``, …); ``None`` for watchdog kills and
-        lost workers, where no in-process exception ever fired.
-    ``elapsed_seconds`` / ``retries``
-        Wall time burned on the problem and how many times it was
-        re-dispatched after a worker loss.
+        The original exception (``CounterTimeout``,
+        ``CounterBudgetExceeded``, …), or ``None`` for a failure built
+        without one.
+    ``elapsed_seconds``
+        Wall time burned on the problem.
     """
 
     def __init__(
@@ -554,14 +540,12 @@ class CountFailure(Exception):
         backend: str = "?",
         cause: BaseException | None = None,
         elapsed_seconds: float = 0.0,
-        retries: int = 0,
     ) -> None:
         super().__init__(message)
         self.kind = kind
         self.backend = backend
         self.cause = cause
         self.elapsed_seconds = elapsed_seconds
-        self.retries = retries
 
     @classmethod
     def from_exception(
@@ -570,7 +554,6 @@ class CountFailure(Exception):
         *,
         backend: str = "?",
         elapsed_seconds: float = 0.0,
-        retries: int = 0,
     ) -> "CountFailure":
         """Classify a backend exception into its failure kind."""
         from repro.counting.exact import CounterBudgetExceeded, CounterTimeout
@@ -587,17 +570,15 @@ class CountFailure(Exception):
             backend=backend,
             cause=exc,
             elapsed_seconds=elapsed_seconds,
-            retries=retries,
         )
 
     def to_dict(self) -> dict:
         """JSON-safe encoding of this failure (``cause`` flattened to a string).
 
-        The worker pool's pickle wire format cannot cross machines (or a
-        JSON socket), so the service serializes failures through this:
-        kind, backend, elapsed and retries survive verbatim, and the
-        original exception is flattened to ``"TypeName: message"`` —
-        enough for triage without shipping arbitrary picklable state.
+        The counting service serializes failures through this: kind,
+        backend and elapsed survive verbatim, and the original exception
+        is flattened to ``"TypeName: message"`` — enough for triage
+        without shipping arbitrary picklable state.
         :meth:`from_dict` rehydrates the cause as the matching typed abort
         (:class:`~repro.counting.exact.CounterTimeout` /
         :class:`~repro.counting.exact.CounterBudgetExceeded`) so client
@@ -614,7 +595,6 @@ class CountFailure(Exception):
                 else None
             ),
             "elapsed_seconds": self.elapsed_seconds,
-            "retries": self.retries,
         }
 
     @classmethod
@@ -623,9 +603,8 @@ class CountFailure(Exception):
 
         The flattened ``cause`` string is rehydrated as the typed abort
         matching ``kind`` (timeout → ``CounterTimeout``, budget →
-        ``CounterBudgetExceeded``, error → ``RuntimeError``); kinds that
-        never had an in-process exception (watchdog kills, lost workers)
-        stay ``cause=None``.
+        ``CounterBudgetExceeded``, error → ``RuntimeError``); a failure
+        sent without a cause stays ``cause=None``.
         """
         from repro.counting.exact import CounterBudgetExceeded, CounterTimeout
 
@@ -645,13 +624,12 @@ class CountFailure(Exception):
             backend=payload.get("backend", "?"),
             cause=cause,
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            retries=int(payload.get("retries", 0)),
         )
 
     def __repr__(self) -> str:
         return (
             f"CountFailure(kind={self.kind!r}, backend={self.backend!r}, "
-            f"retries={self.retries}, {self.args[0]!r})"
+            f"{self.args[0]!r})"
         )
 
 
@@ -662,7 +640,7 @@ class EngineStats:
     ``count_calls`` splits exactly into ``count_hits`` (in-memory memo),
     ``store_hits`` (disk store), ``circuit_hits`` (answered by
     conditioning a compiled circuit on a cube) and ``backend_calls``
-    (actual counting work, serial or parallel) — a warm re-run shows
+    (actual counting work) — a warm re-run shows
     ``backend_calls == 0``.
 
     The circuit tier has its own counters: ``circuit_compilations``
@@ -682,12 +660,8 @@ class EngineStats:
 
     The failure-path counters observe the robustness layer:
     ``timeouts`` counts problems aborted by a wall-clock deadline
-    (cooperative ``CounterTimeout`` or the pool watchdog);
-    ``worker_respawns`` dead workers replaced by the self-healing pool;
-    ``retries`` problems re-dispatched after a worker loss;
-    ``fallbacks`` problems the degradation ladder re-routed to the
-    configured fallback backend; ``serial_fallbacks`` batches counted
-    serially because the backend did not pickle;
+    (cooperative ``CounterTimeout``); ``fallbacks`` problems the
+    degradation ladder re-routed to the configured fallback backend;
     ``store_degradations`` disk-tier degradation events (corrupt database
     rotated aside, unreadable row read as a miss, swallowed write
     failure) across all four disk tiers.
@@ -708,10 +682,7 @@ class EngineStats:
     region_hits: int = 0
     region_store_hits: int = 0
     timeouts: int = 0
-    worker_respawns: int = 0
-    retries: int = 0
     fallbacks: int = 0
-    serial_fallbacks: int = 0
     store_degradations: int = 0
 
     @property

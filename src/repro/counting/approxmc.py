@@ -108,15 +108,12 @@ class ApproxMCCounter:
     """(ε, δ) approximate projected model counter."""
 
     name = "approxmc"
-    #: (ε, δ) estimates: not portable across backends, not persisted, and
-    #: not fanned out by the engine (worker RNG clones would diverge from
-    #: the serial estimate stream).
+    #: (ε, δ) estimates: not portable across backends and not persisted.
     exact = False
     capabilities = Capabilities(
         exact=False,
         counts_formulas=False,
         supports_projection=True,
-        parallel_safe=False,
         owns_component_cache=False,
     )
 

@@ -323,7 +323,6 @@ class CompiledCounter:
         exact=True,
         counts_formulas=False,
         supports_projection=False,
-        parallel_safe=True,
         owns_component_cache=False,
         conditions_cubes=True,
     )

@@ -17,13 +17,10 @@ reuse is its natural extension once an engine owns the batch).
   instead (same-φ conjunctions share that work wholesale, because clauses
   inside the projection can never contain an elimination pivot).  Either
   value is a *pure function* of its key, so sharing entries across calls,
-  problems, engines and even processes is sound by construction: a warm
-  hit is bit-identical to a cold recount;
+  problems and engines is sound by construction: a warm hit is
+  bit-identical to a cold recount;
 * the cache is bounded: a byte budget (estimated — see :func:`entry_cost`)
   and/or an entry budget, evicting least-recently-used entries first;
-* it records insertion *deltas* on demand, so worker processes can ship the
-  components they solved back to the parent engine's shared cache
-  (:mod:`repro.counting.parallel`);
 * it can *spill to disk*: with a
   :class:`~repro.counting.store.ComponentStore` attached
   (:meth:`attach_spill`), LRU-evicted entries are persisted instead of
@@ -35,15 +32,12 @@ reuse is its natural extension once an engine owns the batch).
   bit-identical to a cold recount.
 
 Thread-safety: none — the cache is meant to be owned by one engine in one
-process; cross-process sharing happens by value (pickled snapshots out,
-deltas back), never by reference.  The spill store never crosses a process
-boundary: pickling a cache (worker clones) detaches it.
+process; the spill tier is what carries its work across processes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
 
 #: Default byte budget for a cache built without explicit caps.  Sized so a
 #: full AccMC training-ratio sweep at scope 4 runs eviction-free (~380 MiB
@@ -51,10 +45,6 @@ from collections.abc import Iterable
 #: graceful: LRU churn degrades toward per-call-cache performance, never
 #: below it by more than a few percent.
 DEFAULT_MAX_BYTES = 512 << 20
-
-#: Hard cap on the entries a worker ships back per counting problem —
-#: bounds the pickle traffic of a delta regardless of the cache budget.
-MAX_DELTA_ENTRIES = 8192
 
 #: A cached component: packed clause set + projection mask.
 ComponentKey = tuple[frozenset, int]
@@ -107,7 +97,6 @@ class ComponentCache:
         "max_entries",
         "_data",
         "_bytes",
-        "_delta",
         "_spill",
         "hits",
         "misses",
@@ -125,7 +114,6 @@ class ComponentCache:
         self.max_entries = max_entries
         self._data: OrderedDict[ComponentKey, int] = OrderedDict()
         self._bytes = 0
-        self._delta: list[tuple[ComponentKey, int]] | None = None
         self._spill = None
         self.hits = 0
         self.misses = 0
@@ -171,8 +159,6 @@ class ComponentCache:
             return  # counts are pure functions of the key: never re-stored
         data[key] = value
         self._bytes += entry_cost(key, value)
-        if self._delta is not None and len(self._delta) < MAX_DELTA_ENTRIES:
-            self._delta.append((key, value))
         max_bytes, max_entries = self.max_bytes, self.max_entries
         spill = self._spill
         while (max_bytes is not None and self._bytes > max_bytes and data) or (
@@ -216,74 +202,12 @@ class ComponentCache:
         spill.flush()
         return len(self._data)
 
-    # -- cross-process warming --------------------------------------------------------
-
-    def start_recording(self) -> None:
-        """Begin recording insertions (worker side of the delta protocol)."""
-        self._delta = []
-
-    def drain_delta(self) -> list[tuple[ComponentKey, int]]:
-        """Insertions since the last drain (capped at MAX_DELTA_ENTRIES)."""
-        if self._delta is None:
-            return []
-        delta, self._delta = self._delta, []
-        return delta
-
-    def absorb(self, items: Iterable[tuple[ComponentKey, int]]) -> None:
-        """Merge entries computed elsewhere (a worker delta) into the cache."""
-        for key, value in items:
-            self.put(key, value)
-
-    def snapshot(self, max_bytes: int) -> "ComponentCache":
-        """A bounded copy holding the most-recently-used entries.
-
-        Used when a counter is pickled into worker processes: shipping the
-        whole warm cache (up to the full budget) would stall pool creation
-        and multiply resident memory per worker, so workers get the MRU
-        slice up to ``max_bytes`` and warm the rest themselves (shipping
-        their deltas back).  The copy's *own* byte budget is capped at
-        ``max_bytes`` too — otherwise every worker clone would grow toward
-        the parent's full budget and an N-worker pool would multiply the
-        configured memory by N.
-        """
-        cap = max_bytes if self.max_bytes is None else min(self.max_bytes, max_bytes)
-        clone = ComponentCache(max_bytes=cap, max_entries=self.max_entries)
-        budget = max_bytes
-        taken: list[tuple[ComponentKey, int]] = []
-        for key in reversed(self._data):  # most recent first
-            value = self._data[key]
-            budget -= entry_cost(key, value)
-            if budget < 0:
-                break
-            taken.append((key, value))
-        for key, value in reversed(taken):  # restore LRU→MRU insertion order
-            clone.put(key, value)
-        clone.hits = clone.misses = clone.evictions = 0
-        clone.spill_hits = clone.spills = 0
-        return clone
-
-    # -- pickling ---------------------------------------------------------------------
-
-    def __getstate__(self):
-        # The spill store holds a sqlite connection, which neither pickles
-        # nor may be shared across processes: clones (worker processes)
-        # start memory-only and warm the parent through the delta protocol.
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_spill"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     # -- maintenance ------------------------------------------------------------------
 
     def clear(self) -> None:
         """Drop the in-memory entries (an attached spill store is kept)."""
         self._data.clear()
         self._bytes = 0
-        if self._delta is not None:
-            self._delta = []
 
     def approximate_bytes(self) -> int:
         """The estimated byte footprint the eviction loop works against."""

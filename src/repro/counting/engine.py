@@ -1,11 +1,11 @@
-"""CountingEngine: a shared, memoizing, parallel counting service.
+"""CountingEngine: a shared, memoizing counting front door.
 
 Every MCML metric is a handful of projected model-counting calls, and the
 experiment drivers repeat large parts of the work across rows: the same
 ground-truth translation at every training ratio, the same symmetry-space
 CNF for all sixteen properties of a table, the same tree regions when a
-model is evaluated twice.  The engine makes that reuse automatic — and
-scales the cold remainder across processes and sessions:
+model is evaluated twice.  The engine makes that reuse automatic, within a
+process and across sessions:
 
 * ``solve`` / ``solve_many`` are the typed front door: they accept a
   :class:`~repro.counting.api.CountRequest` (or a raw CNF) and return
@@ -21,12 +21,10 @@ scales the cold remainder across processes and sessions:
   *compilation* memos (translations, tree regions) by a
   :class:`repro.counting.store.BlobStore`, so a table re-run in a fresh
   process performs zero backend counts and zero recompilations;
-* with ``EngineConfig(workers=N)`` a ``solve_many`` batch is partitioned
-  into memo hits, disk-store hits and cold problems, and the cold problems
-  fan out over an engine-owned *persistent*
-  :class:`repro.counting.parallel.WorkerPool` — forked lazily on the first
-  cold batch, reused across batches and table rows, released by
-  ``engine.close()`` (the engine is a context manager);
+* a ``solve_many`` batch runs memo → store → serial backend count →
+  fallback ladder: memo and store hits are answered first (duplicates
+  inside the batch collapse onto one count) and only the cold remainder
+  reaches the backend;
 * the engine owns a bounded LRU
   :class:`repro.counting.component_cache.ComponentCache` installed on
   backends that declare ``owns_component_cache``, so the *sub-problems* of
@@ -39,8 +37,8 @@ scales the cold remainder across processes and sessions:
 * requests with ``strategy="per-path"`` decompose a tree-region count into
   one sub-problem per disjoint path cube (``mc(φ∧τ) = Σ_paths mc(φ∧path)``)
   — the cubes are unit clauses that propagate hard, and the sub-problems
-  flow through the same memo/store/fan-out machinery, deduping shared
-  paths across trees and sessions;
+  flow through the same memo/store machinery, deduping shared paths
+  across trees and sessions;
 * when the backend declares ``conditions_cubes`` (the ``compiled``
   backend), cold per-path sub-problems skip independent counting
   entirely: the base formula is compiled *once* into a
@@ -51,17 +49,14 @@ scales the cold remainder across processes and sessions:
   (:class:`repro.counting.store.CircuitStore`, ``EngineConfig(circuit_store=…)``),
   so a warm restart performs zero compilations
   (``EngineStats.circuit_store_hits``);
-* failures are *typed and contained*: budget exhaustions, wall-clock
-  deadline overruns (``CountRequest(deadline=...)``) and workers lost to
-  SIGKILL/OOM become per-problem
+* failures are *typed and contained*: budget exhaustions and wall-clock
+  deadline overruns (``CountRequest(deadline=...)``) become per-problem
   :class:`~repro.counting.api.CountFailure` outcomes instead of batch
-  aborts — completed counts always merge into the caches, the pool
-  respawns dead workers and re-dispatches their problems within a retry
-  budget, and with ``EngineConfig(fallback="approxmc")`` the *degradation
-  ladder* re-counts failed problems on an explicitly-provenanced fallback
-  backend (``solve_many(..., on_failure="return")`` surfaces the
-  remaining failures; the default re-raises the first original
-  exception);
+  aborts — completed counts always merge into the caches, and with
+  ``EngineConfig(fallback="approxmc")`` the *degradation ladder* re-counts
+  failed problems on an explicitly-provenanced fallback backend
+  (``solve_many(..., on_failure="return")`` surfaces the remaining
+  failures; the default re-raises the first original exception);
 * ``translate`` memoizes grounded-property compilations (property × scope ×
   symmetry × polarity), keyed on the property's *structural* identity —
   two distinct properties sharing a name never collide;
@@ -69,14 +64,14 @@ scales the cold remainder across processes and sessions:
   objects built on those translations;
 * ``region`` memoizes decision-tree label-region CNFs keyed on the paths.
 
-Routing decisions — disk persistence, worker fan-out, component-cache
-installation, the ``solve_formula`` fast path — are negotiated purely
-through the backend's declared :class:`~repro.counting.api.Capabilities`
-(``engine.capabilities``); the engine never sniffs attributes.  Backends
-are constructible by registered name via
-:func:`repro.counting.api.make_backend`, and attribute reads the engine
-does not define (``engine.name``, ``engine.max_nodes``, …) fall through
-to the wrapped backend.  One engine is meant to be shared across every
+Routing decisions — disk persistence, component-cache installation,
+circuit conditioning, the ``solve_formula`` fast path — are negotiated
+purely through the backend's declared
+:class:`~repro.counting.api.Capabilities` (``engine.capabilities``); the
+engine never sniffs attributes.  Backends are constructible by registered
+name via :func:`repro.counting.api.make_backend`; the wrapped backend
+itself is ``engine.counter`` and its registered name
+``engine.backend_name``.  One engine is meant to be shared across every
 ``AccMC``, ``DiffMC`` and pipeline in a process — or owned by one
 :class:`repro.core.session.MCMLSession`, the facade over the whole
 pipeline; ``clear()`` resets the in-memory memos (the disk stores, if any,
@@ -85,7 +80,6 @@ survive — that is their point).
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from contextlib import contextmanager
@@ -93,7 +87,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.counting import faults
 from repro.counting.api import (
     Capabilities,
     CountFailure,
@@ -104,7 +97,6 @@ from repro.counting.api import (
     make_backend,
 )
 from repro.counting.component_cache import ComponentCache
-from repro.counting.parallel import WorkerPool, default_workers
 from repro.counting.store import (
     BlobStore,
     CircuitStore,
@@ -125,13 +117,6 @@ class EngineConfig:
 
     Parameters
     ----------
-    workers:
-        Processes a cold ``solve_many`` batch fans out over.  ``1`` (the
-        default) keeps everything in-process; ``0`` or negative means one
-        per core; results are bit-identical either way.  The pool is owned
-        by the engine: forked lazily on the first cold parallel batch,
-        reused across ``solve_many`` calls, released by ``engine.close()``
-        (and lazily re-forked should the engine count again afterwards).
     cache_dir:
         Directory for the disk-persistent caches.  ``None`` disables
         persistence; any path makes counts *and compilations* survive (and
@@ -157,8 +142,7 @@ class EngineConfig:
         already do (``EngineStats.component_spill_hits`` reports the
         promotions).  On by default but only active when ``cache_dir`` is
         configured and the component cache itself is; ``0``/``False``
-        opts out.  Worker deltas reach the shared cache and hence the
-        spill too.
+        opts out.
     circuit_store:
         Persist compiled circuits
         (:class:`~repro.counting.store.CircuitStore` under ``cache_dir``):
@@ -173,10 +157,9 @@ class EngineConfig:
         Registered backend name (see
         :func:`repro.counting.api.make_backend`) the *degradation ladder*
         re-routes failed problems to — a problem that exhausts its node
-        budget, exceeds its wall-clock deadline, or loses its worker past
-        the retry budget is re-counted once on this backend instead of
-        failing the batch.  ``None`` (the default) disables the ladder.
-        The fallback result carries explicit provenance
+        budget or exceeds its wall-clock deadline is re-counted once on
+        this backend instead of failing the batch.  ``None`` (the default)
+        disables the ladder.  The fallback result carries explicit provenance
         (``source="fallback"``, ``fallback_from``, ``exact``/(ε, δ)), and
         an inexact fallback (e.g. ``"approxmc"``) is never used for
         requests demanding exact precision nor for per-path sub-problems
@@ -185,29 +168,14 @@ class EngineConfig:
     fallback_opts:
         Keyword options for constructing the fallback backend (e.g.
         ``{"epsilon": 0.8, "rounds": 1}``).
-    deadline_grace:
-        Parent-side watchdog slack on top of a request's ``deadline``
-        before a wedged worker is killed (the cooperative
-        ``CounterTimeout`` normally fires inside the worker well before
-        this backstop).
-    task_retries:
-        Re-dispatches granted to a problem whose worker *died*
-        (SIGKILL/OOM) before the problem is declared lost.
-
-    Fan-out additionally requires the backend to declare ``parallel_safe``
-    (worker clones reproduce the serial count stream): engines over seeded
-    approximate backends quietly stay serial and unpersisted.
     """
 
-    workers: int = 1
     cache_dir: str | Path | None = None
     component_cache_mb: float = 512.0
     component_spill: bool = True
     circuit_store: bool = True
     fallback: str | None = None
     fallback_opts: dict | None = None
-    deadline_grace: float = 5.0
-    task_retries: int = 2
 
 
 def _prop_key(prop) -> object:
@@ -270,7 +238,7 @@ class _Flat(NamedTuple):
 
 
 class CountingEngine:
-    """Memoizing, optionally parallel and disk-backed counting front door.
+    """Memoizing, optionally disk-backed counting front door.
 
     Parameters
     ----------
@@ -281,7 +249,7 @@ class CountingEngine:
         :func:`repro.counting.api.make_backend`.  Passing an engine
         returns its backend wrapped afresh — engines do not nest.
     config:
-        :class:`EngineConfig` with the parallelism / persistence knobs.
+        :class:`EngineConfig` with the persistence and fallback knobs.
     """
 
     def __init__(self, counter=None, config: EngineConfig | None = None) -> None:
@@ -297,10 +265,6 @@ class CountingEngine:
             self.counter, "name", type(self.counter).__name__
         )
         caps = self.capabilities
-        # workers <= 0 means "one per core".
-        self._workers = (
-            self.config.workers if self.config.workers > 0 else default_workers()
-        )
         # Count persistence is reserved for exact backends: exact counts
         # are interchangeable across backends and sessions, whereas an
         # (ε, δ) estimate persisted to a shared cache_dir would silently
@@ -317,10 +281,9 @@ class CountingEngine:
             else None
         )
         # The engine owns the component cache and installs it on backends
-        # declaring ``owns_component_cache``, so serial counts, every
-        # problem of a batch, and (via the worker delta protocol) parallel
-        # counts all warm one shared cache.  ``component_cache_mb=0`` opts
-        # out: the backend reverts to per-call caching.
+        # declaring ``owns_component_cache``, so every count of every batch
+        # warms one shared cache.  ``component_cache_mb=0`` opts out: the
+        # backend reverts to per-call caching.
         self.component_cache: ComponentCache | None = None
         if caps.exact and caps.owns_component_cache:
             mb = self.config.component_cache_mb
@@ -331,7 +294,7 @@ class CountingEngine:
                 self.counter.component_cache = None
         # The spill tier rides on both knobs: a component cache to spill
         # and a cache_dir to spill into.  Attached to the shared cache, so
-        # evictions, close-time spills and worker deltas all reach disk.
+        # evictions and close-time spills both reach disk.
         self.component_store: ComponentStore | None = None
         if (
             self.component_cache is not None
@@ -354,9 +317,6 @@ class CountingEngine:
         self._circuits: dict[tuple, object] = {}
         self._component_spill_hits_base = 0
         self._store_degradations_base = 0
-        self._pool: WorkerPool | None = None
-        self._pool_respawns_base = 0
-        self._pool_retries_base = 0
         # The degradation ladder's fallback backend, built eagerly so a
         # misconfigured name fails at construction, not at the first
         # failure it was supposed to absorb.
@@ -378,19 +338,10 @@ class CountingEngine:
         #: a time.  ``solve*`` and the compilation memos serialize on this
         #: reentrant lock so a multi-threaded *caller* (the counting
         #: service's solver executor is the only sanctioned one) gets
-        #: bit-identical counts and consistent stats; true parallelism
-        #: comes from the engine's worker pool, never from racing threads
+        #: bit-identical counts and consistent stats, never racing threads
         #: into one backend.
         self._lock = threading.RLock()
         self._sync_store_degradations()
-
-    def __getattr__(self, name: str):
-        # Fall through to the backend for everything the engine does not
-        # define (``name``, ``max_nodes``, ``epsilon``, …).
-        if name in ("counter", "capabilities"):
-            # guard against recursion before __init__ ran
-            raise AttributeError(name)
-        return getattr(self.counter, name)
 
     # -- typed counting API ----------------------------------------------------------
 
@@ -408,19 +359,17 @@ class CountingEngine:
         batch is partitioned into in-memory memo hits, disk-store hits and
         cold problems (duplicates inside the batch collapse onto the first
         occurrence and report as memo hits).  Cold problems run on the
-        backend — across ``config.workers`` processes when the batch and
-        the backend's capabilities allow — and their results merge back
-        into the memo and the disk store, so the parallel path is
-        bit-identical to the serial one by construction.  Each result
-        records its provenance; ``stats_delta`` is the whole batch's
-        telemetry movement (shared by the batch's results).
+        backend one after another, and their results merge back into the
+        memo and the disk store.  Each result records its provenance;
+        ``stats_delta`` is the whole batch's telemetry movement (shared by
+        the batch's results).
 
         Requests with ``strategy="per-path"`` are *decomposed*: the region
         they describe is a disjoint union of path cubes, so the request
         expands into one sub-problem per cube (the base CNF plus unit
         clauses, which propagate hard) and the result is the sum of the
         sub-counts.  The sub-problems flow through the same memo → store →
-        fan-out machinery as everything else, which is what makes shared
+        backend chain as everything else, which is what makes shared
         paths dedup across trees, batches and sessions.  On a
         ``conditions_cubes`` backend the sub-problems are keyed on
         ``(base, cube)`` instead — never materialized, never store-backed
@@ -433,14 +382,15 @@ class CountingEngine:
 
         Failure semantics.  A problem can fail without poisoning the
         batch: a node-budget exhaustion
-        (:class:`~repro.counting.exact.CounterBudgetExceeded`), a
+        (:class:`~repro.counting.exact.CounterBudgetExceeded`) or a
         wall-clock deadline overrun
-        (:class:`~repro.counting.exact.CounterTimeout`), or a worker lost
-        past its retry budget each produce a typed
+        (:class:`~repro.counting.exact.CounterTimeout`) produces a typed
         :class:`~repro.counting.api.CountFailure` for *that position* —
         every other problem still completes, and completed counts always
         reach the memo and the disk store (a retry resumes, it does not
-        recount).  With ``config.fallback`` set, failed problems are
+        recount).  Deadlines are cooperative: they are enforced by the
+        backend's own ``deadline`` knob, so a backend without one ignores
+        them.  With ``config.fallback`` set, failed problems are
         re-counted once on the fallback backend first (results carry
         ``source="fallback"`` provenance).  ``on_failure`` selects what
         happens to failures that remain: ``"raise"`` (the default)
@@ -454,8 +404,7 @@ class CountingEngine:
         reentrant lock: concurrent callers — the counting service's
         solver thread is the only sanctioned one — get bit-identical
         counts and consistent :class:`EngineStats`, never interleaved
-        memo/knob state.  Parallelism belongs to the worker pool, not to
-        caller threads.
+        memo/knob state.
         """
         with self._lock:
             return self._solve_many_locked(problems, on_failure)
@@ -613,92 +562,49 @@ class CountingEngine:
                     results[i] = hit
 
         failed: dict[tuple, CountFailure] = {}
-
-        if missing:
-            # Budgeted and deadlined requests stay in-process (the knob
-            # overrides must not leak into worker clones); the rest may
-            # fan out.
-            pooled = [
-                key
-                for key in missing
-                if cold[key].budget is None and cold[key].deadline is None
-            ]
-            limited = set(pooled)
-            serial = [key for key in missing if key not in limited]
-            completed: dict[tuple, tuple[int, float]] = {}
-            deltas: list = []
-            try:
-                pool = None
-                if (
-                    self._workers > 1
-                    and len(pooled) > 1
-                    and caps.exact
-                    and caps.parallel_safe
-                ):
-                    pool = self._ensure_pool()
-                if pool is not None:
-                    try:
-                        outcomes = pool.run_tasks(
-                            [cold[key].cnf for key in pooled]
-                        )
-                    finally:
-                        self._sync_pool_stats(pool)
-                    for key, outcome in zip(pooled, outcomes):
-                        if isinstance(outcome, CountFailure):
-                            failed[key] = outcome
-                            continue
-                        completed[key] = (outcome.value, outcome.elapsed_seconds)
-                        if outcome.delta:
-                            deltas.extend(outcome.delta)
-                else:
-                    serial = pooled + serial
-                for key in serial:
-                    item = cold[key]
-                    started = time.perf_counter()
-                    try:
-                        with self._limits(item.budget, item.deadline):
-                            value = self.counter.count(item.cnf)
-                    except CounterAbort as exc:
-                        # Budget/deadline aborts are per-problem outcomes,
-                        # not batch aborts: record and keep counting — the
-                        # rest of the batch is still worth paying for.
-                        failed[key] = CountFailure.from_exception(
-                            exc,
-                            backend=self.backend_name,
-                            elapsed_seconds=time.perf_counter() - started,
-                        )
-                        continue
-                    completed[key] = (value, time.perf_counter() - started)
-            finally:
-                # Components the workers solved warm the shared cache, so
-                # the serial paths (and later batches' pickled clones)
-                # start from them too.
-                if deltas and self.component_cache is not None:
-                    self.component_cache.absorb(deltas)
-                # Merge whatever completed even when a later problem
-                # failed or raised: counts already paid for must reach the
-                # memo and the disk store, so a retry resumes instead of
-                # re-counting from scratch.
-                self.stats.backend_calls += len(completed)
-                fresh: list[tuple[str, int]] = []
-                for key, (value, seconds) in completed.items():
-                    # Like inexact fallback counts, an estimate is never
-                    # memoized (the store exists only for exact backends).
-                    if caps.exact:
-                        self._counts[key] = value
-                    result = CountResult(
-                        value=value,
-                        exact=caps.exact,
+        completed: dict[tuple, tuple[int, float]] = {}
+        try:
+            for key in missing:
+                item = cold[key]
+                started = time.perf_counter()
+                try:
+                    with self._limits(item.budget, item.deadline):
+                        value = self.counter.count(item.cnf)
+                except CounterAbort as exc:
+                    # Budget/deadline aborts are per-problem outcomes, not
+                    # batch aborts: record and keep counting — the rest of
+                    # the batch is still worth paying for.
+                    failed[key] = CountFailure.from_exception(
+                        exc,
                         backend=self.backend_name,
-                        source="backend",
-                        elapsed_seconds=seconds,
+                        elapsed_seconds=time.perf_counter() - started,
                     )
-                    for i in positions[key]:
-                        results[i] = result
-                    if self.store is not None:
-                        fresh.append((hashed[key], value))
-                if fresh and self.store is not None:
-                    self.store.put_many(fresh)
+                    continue
+                completed[key] = (value, time.perf_counter() - started)
+        finally:
+            # Merge whatever completed even when a later problem raised:
+            # counts already paid for must reach the memo and the disk
+            # store, so a retry resumes instead of re-counting from scratch.
+            self.stats.backend_calls += len(completed)
+            fresh: list[tuple[str, int]] = []
+            for key, (value, seconds) in completed.items():
+                # Like inexact fallback counts, an estimate is never
+                # memoized (the store exists only for exact backends).
+                if caps.exact:
+                    self._counts[key] = value
+                result = CountResult(
+                    value=value,
+                    exact=caps.exact,
+                    backend=self.backend_name,
+                    source="backend",
+                    elapsed_seconds=seconds,
+                )
+                for i in positions[key]:
+                    results[i] = result
+                if self.store is not None:
+                    fresh.append((hashed[key], value))
+            if fresh:
+                self.store.put_many(fresh)
 
         # The degradation ladder: each failed problem gets one shot on
         # the configured fallback backend; failures the ladder cannot
@@ -723,8 +629,8 @@ class CountingEngine:
     def _try_fallback(self, failure: CountFailure, item: _Flat):
         """One fallback attempt for a failed problem (or the failure itself).
 
-        The ladder only absorbs *resource* failures (timeout, budget,
-        worker-lost) — a genuine backend error would fail on any backend.
+        The ladder only absorbs *resource* failures (timeout, budget) —
+        a genuine backend error would fail on any backend.
         An inexact fallback is refused for exact-precision requests and
         per-path sub-problems.  The fallback does *not* inherit the
         request's budget/deadline limits: the ladder exists to still
@@ -951,19 +857,6 @@ class CountingEngine:
             self._store_degradations_total() - self._store_degradations_base
         )
 
-    def _sync_pool_stats(self, pool: WorkerPool) -> None:
-        """Mirror the pool's self-healing counters into EngineStats.
-
-        The pool's counters are cumulative over its lifetime; the engine
-        tracks bases so each sync moves the stats by exactly the delta
-        since the last one (and ``clear()``'s fresh EngineStats starts
-        from zero without touching the live pool).
-        """
-        self.stats.worker_respawns += pool.respawns - self._pool_respawns_base
-        self.stats.retries += pool.retries - self._pool_retries_base
-        self._pool_respawns_base = pool.respawns
-        self._pool_retries_base = pool.retries
-
     def solve_formula(self, formula, num_vars: int) -> CountResult:
         """Typed memoized whole-space formula count (fast-path backends).
 
@@ -1024,9 +917,8 @@ class CountingEngine:
 
         ``budget`` maps onto a ``max_nodes`` attribute and ``deadline``
         onto a ``deadline`` attribute; a knob the backend lacks makes the
-        corresponding request limit moot (the pool watchdog still
-        backstops deadlines for parallel batches).  Restores on exit even
-        when the count aborts.
+        corresponding request limit moot.  Restores on exit even when the
+        count aborts.
         """
         counter = self.counter
         previous_budget = _MISSING
@@ -1127,51 +1019,15 @@ class CountingEngine:
             self._regions[key] = cnf
             return cnf
 
-    # -- parallel plumbing -----------------------------------------------------------
-
-    def _ensure_pool(self) -> WorkerPool | None:
-        """The engine's persistent worker pool, forked lazily.
-
-        Created on the first cold parallel batch and reused across
-        ``solve_many`` calls; ``close()`` releases it, and counting again
-        after a close simply forks a fresh one.  Returns ``None`` when the
-        backend does not pickle — the caller then counts serially, exactly
-        like :func:`repro.counting.parallel.count_parallel` would.
-        """
-        if self._pool is not None and not self._pool.closed:
-            return self._pool
-        try:
-            if faults.active("backend-unpicklable"):
-                raise pickle.PicklingError("injected: backend does not pickle")
-            blob = pickle.dumps(self.counter)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # The probe catches exactly the serialization failures — a
-            # genuinely broken backend still raises loudly here.
-            self.stats.serial_fallbacks += 1
-            return None
-        self._pool = WorkerPool(
-            blob,
-            self._workers,
-            record_deltas=self.component_cache is not None,
-            grace=self.config.deadline_grace,
-            task_retries=self.config.task_retries,
-            backend_name=self.backend_name,
-        )
-        self._pool_respawns_base = 0
-        self._pool_retries_base = 0
-        return self._pool
-
     # -- maintenance -----------------------------------------------------------------
 
     def clear(self) -> None:
         """Drop the in-memory memos and reset the statistics.
 
         The shared component cache is a memo too, so it is dropped with the
-        rest.  The disk stores (if configured) and the worker pool are
-        intentionally left intact — surviving resets is their purpose; use
-        ``engine.store.clear()`` / ``engine.close()`` for those.  (Workers
-        keep their own warmed cache clones regardless: they are process
-        state, re-cloned only when a pool is re-forked.)
+        rest.  The disk stores (if configured) are intentionally left
+        intact — surviving resets is their purpose; use
+        ``engine.store.clear()`` / ``engine.close()`` for those.
         """
         with self._lock:
             self._clear_locked()
@@ -1187,21 +1043,16 @@ class CountingEngine:
             # The cache's own counters are cumulative; re-baseline so the
             # fresh EngineStats reports spill promotions from zero.
             self._component_spill_hits_base = self.component_cache.spill_hits
-        # Same re-baselining for the cumulative store and pool counters.
+        # Same re-baselining for the cumulative store counters.
         self._store_degradations_base = self._store_degradations_total()
-        if self._pool is not None:
-            self._pool_respawns_base = self._pool.respawns
-            self._pool_retries_base = self._pool.retries
         self.stats = EngineStats()
 
     def close(self) -> None:
-        """Release the worker pool and the disk store handles (idempotent).
+        """Flush and release the disk store handles (idempotent).
 
-        Counting again after a close works: the stores stay closed (work
-        falls through to the backend) but the pool re-forks lazily.
+        Counting again after a close works: the stores stay closed and
+        the work falls through to the backend.
         """
-        if self._pool is not None:
-            self._pool.close()
         if self.store is not None:
             self.store.close()
         if self.memo_store is not None:
@@ -1225,11 +1076,6 @@ class CountingEngine:
     def __repr__(self) -> str:
         s = self.stats
         extras = ""
-        if self._workers > 1:
-            # The *resolved* worker count: config.workers == 0 means "one
-            # per core", which is > 1 on any multi-core machine.
-            pool = "+pool" if self._pool is not None and not self._pool.closed else ""
-            extras += f", workers={self._workers}{pool}"
         if self.component_cache is not None:
             spill = "+spill" if self.component_store is not None else ""
             extras += f", components={len(self.component_cache)}{spill}"

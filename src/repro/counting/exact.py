@@ -55,10 +55,6 @@ from repro.logic.cnf import CNF, MaskClause
 #: Sentinel: "build me a private persistent cache" (the default).
 _FRESH_CACHE = object()
 
-#: Byte cap on the component-cache slice pickled along with the counter
-#: (worker clones get the MRU slice and warm the rest themselves).
-_PICKLED_CACHE_BYTES = 64 << 20
-
 #: Search nodes between wall-clock probes when a deadline is armed: the
 #: monotonic() call stays off the per-node path, and at Python node rates
 #: (~1M nodes/s at best) the cadence bounds overshoot well under a
@@ -152,14 +148,13 @@ class ExactCounter:
     #: Counts are exact, hence portable across backends and safe to persist.
     exact = True
     #: Declared contract (see :class:`repro.counting.api.Capabilities`):
-    #: projected DPLL search handles auxiliaries, worker clones reproduce
-    #: the serial stream, and the engine may install a shared component
-    #: cache on the ``component_cache`` attribute.
+    #: projected DPLL search handles auxiliaries, and the engine may
+    #: install a shared component cache on the ``component_cache``
+    #: attribute.
     capabilities = Capabilities(
         exact=True,
         counts_formulas=False,
         supports_projection=True,
-        parallel_safe=True,
         owns_component_cache=True,
     )
 
@@ -176,28 +171,6 @@ class ExactCounter:
         if component_cache is _FRESH_CACHE:
             component_cache = ComponentCache()
         self.component_cache: ComponentCache | None = component_cache
-
-    def __getstate__(self):
-        # The per-call cache bindings are bound methods of unpicklable
-        # builtins; workers rebind them on their first count().  A warm
-        # component cache is shipped only as its MRU slice — serializing
-        # the full budget (hundreds of MiB) would stall pool creation and
-        # multiply resident memory per worker clone.
-        state = self.__dict__.copy()
-        state.pop("_cache_get", None)
-        state.pop("_cache_put", None)
-        # Mid-call clock state: meaningless in a clone, reset per count().
-        state["_deadline_at"] = None
-        cache = state.get("component_cache")
-        if cache is not None and (
-            cache.max_bytes is None
-            or cache.max_bytes > _PICKLED_CACHE_BYTES
-            or cache.approximate_bytes() > _PICKLED_CACHE_BYTES
-        ):
-            # The clone is capped too, so an N-worker pool holds N small
-            # caches, not N copies of the parent's full budget.
-            state["component_cache"] = cache.snapshot(_PICKLED_CACHE_BYTES)
-        return state
 
     # -- public API ---------------------------------------------------------------
 

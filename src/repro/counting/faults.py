@@ -1,19 +1,18 @@
 """Fault-injection harness for the counting stack's chaos tests.
 
 The robustness layer — corrupt-store rotation, disk-full degradation,
-worker-crash recovery, serial fallback on unpicklable backends — exists to
-survive events that are hard to produce on demand.  This module makes them
-producible: named *injection points* scattered through the stores, the
-worker pool and the engine consult a tiny activation registry and misbehave
-on purpose when their point is armed.
+the counting service's handling of hostile networks — exists to survive
+events that are hard to produce on demand.  This module makes them
+producible: named *injection points* scattered through the stores and the
+service consult a tiny activation registry and misbehave on purpose when
+their point is armed.
 
 Activation is either programmatic (:func:`inject` / the :func:`injected`
-context manager, what the chaos suite uses) or environmental: the
+context manager, what the chaos suites use) or environmental: the
 ``REPRO_FAULTS`` variable holds a comma-separated spec like
-``"store-read-corrupt,worker-kill:2"`` and is parsed at import.  Armed
-points are mirrored back into ``os.environ`` so worker processes observe
-them regardless of start method — ``fork`` children inherit the registry
-itself, ``spawn`` children re-parse the environment on import.
+``"store-read-corrupt,service-accept-drop:2"`` and is parsed at import.
+Armed points are mirrored back into ``os.environ`` so subprocesses (an
+``mcml serve`` daemon, say) observe them too.
 
 Injection points currently wired in:
 
@@ -26,18 +25,6 @@ Injection points currently wired in:
 ``store-disk-full``
     Store writes/flushes raise ``sqlite3.OperationalError`` ("disk full"),
     exercising the swallow-and-degrade write path.
-``worker-kill`` (value: N)
-    A pool worker SIGKILLs itself when its per-process task counter
-    reaches N — the OOM-killer stand-in driving the self-healing pool
-    tests.  With ``worker-kill-marker`` set to a path, the kill fires at
-    most once across the pool (the first worker to atomically create the
-    marker file dies; respawned replacements survive), so a batch can
-    complete within the retry budget.  Without a marker every worker dies
-    at its Nth task, which is how the retry-exhaustion path is tested.
-``backend-unpicklable``
-    The engine's (and :func:`~repro.counting.parallel.count_parallel`'s)
-    pickle probe fails as if the backend did not pickle, forcing the
-    serial-fallback degradation.
 
 Network points, consulted by the counting service
 (:mod:`repro.counting.service`) and its client:
@@ -143,8 +130,8 @@ def injected(point: str, value: object = True):
         clear(point)
 
 
-# Spawn-started workers (and subprocesses generally) arm themselves from
-# the environment their parent mirrored the registry into.
+# Subprocesses arm themselves from the environment their parent mirrored
+# the registry into.
 _env_spec = os.environ.get(ENV_VAR)
 if _env_spec:
     _ACTIVE.update(_parse(_env_spec))

@@ -35,14 +35,13 @@ class LegacyExactCounter:
 
     name = "exact-legacy"
     exact = True
-    #: Exact and clone-deterministic like the packed counter, but its
-    #: per-call scratch cache is private — the engine must not install a
+    #: Exact like the packed counter, but its per-call scratch cache is
+    #: private — the engine must not install a
     #: shared component cache on it.
     capabilities = Capabilities(
         exact=True,
         counts_formulas=False,
         supports_projection=True,
-        parallel_safe=True,
         owns_component_cache=False,
     )
 

@@ -1,6 +1,6 @@
 """The counting service: :class:`~repro.core.session.MCMLSession` over a wire.
 
-One long-lived daemon process owns a warm session — hot worker pool,
+One long-lived daemon process owns a warm session — filled memos,
 populated component cache, open sqlite tiers — and serves counting verbs
 (``solve``, ``solve_many``, ``accmc``, ``diffmc``, ``stats``, ``ping``) to
 concurrent clients over line-delimited JSON on a TCP socket.  Everything

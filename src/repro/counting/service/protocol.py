@@ -24,7 +24,7 @@ Error codes, and what a client should do with them:
     retryable.
 ``failure``
     A typed :class:`~repro.counting.api.CountFailure`: the problem ran
-    but could not be answered (timeout / budget / worker-lost / error).
+    but could not be answered (timeout / budget / error).
     The full ``to_dict()`` payload rides in ``error["failure"]`` so the
     client rehydrates the exact failure, provenance intact.
 ``abort``

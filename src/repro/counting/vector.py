@@ -99,7 +99,6 @@ class FormulaBruteCounter:
         exact=True,
         counts_formulas=True,
         supports_projection=False,
-        parallel_safe=True,
         owns_component_cache=False,
     )
 

@@ -12,9 +12,8 @@ Examples::
 
 Every counting artifact runs through one :class:`repro.core.session.MCMLSession`
 built from the parsed configuration: backend by registered name
-(``--backend``), worker fan-out, disk caches and the component cache all
-travel on the session, and successive artifacts of an ``mcml all`` run
-share its memos.
+(``--backend``), disk caches and the component cache all travel on the
+session, and successive artifacts of an ``mcml all`` run share its memos.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--properties",
         nargs="+",
+        choices=property_names(),
         metavar="NAME",
         default=None,
         help=f"subset of properties (default: all 16); choices: {', '.join(property_names())}",
@@ -93,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="table1 only: report at paper scopes using closed forms",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="processes to fan cold counting batches out over "
-        "(default 1; 0 = one per core)",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist model counts and compilations to DIR so re-runs "
         "skip the work (default: off)",
@@ -124,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fallback", default=None, metavar="NAME",
         help="degradation ladder: registered backend failed counts "
-        "(budget/deadline/lost worker) are re-counted on, with explicit "
+        "(budget/deadline) are re-counted on, with explicit "
         "fallback provenance on the results (e.g. approxmc; default: off)",
     )
     parser.add_argument(
@@ -207,7 +202,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         train_fraction=args.train_fraction,
         max_positives=args.max_positives,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         component_cache_mb=args.component_cache_mb,
         component_spill=bool(args.component_spill),
@@ -227,7 +221,6 @@ _CAPABILITY_COLUMNS = {
     "exact": "exact",
     "counts_formulas": "formulas",
     "supports_projection": "projection",
-    "parallel_safe": "parallel",
     "owns_component_cache": "components",
     "conditions_cubes": "cubes",
 }
@@ -357,8 +350,8 @@ def main(argv: list[str] | None = None) -> int:
         else [args.artifact]
     )
     # One session for the whole invocation: an ``mcml all`` run shares
-    # translations, counts and the worker pool across artifacts instead of
-    # rebuilding the plumbing per table.
+    # translations and counts across artifacts instead of rebuilding the
+    # plumbing per table.
     with config.session() as session:
         for artifact in artifacts:
             print(run_artifact(artifact, config, paper_scopes=args.paper_scopes, session=session))

@@ -51,10 +51,9 @@ class ExperimentConfig:
     ``max_positives`` caps bounded-exhaustive sets so dense properties
     (Reflexive has 4096 positives at scope 4) do not dominate runtime.
     ``counter`` is any registered backend name or alias (``mcml
-    --backend``); ``workers`` fans cold ``count_many`` batches out over
-    that many processes, ``cache_dir`` persists every count *and
-    compilation* to disk so table re-runs across sessions skip counting
-    entirely, and ``component_cache_mb`` bounds the engine-shared
+    --backend``); ``cache_dir`` persists every count *and compilation* to
+    disk so table re-runs across sessions skip counting entirely, and
+    ``component_cache_mb`` bounds the engine-shared
     component cache that lets overlapping counting problems (same φ,
     different tree regions) reuse each other's sub-counts (see
     :class:`repro.counting.EngineConfig`; 0 opts out).
@@ -78,7 +77,6 @@ class ExperimentConfig:
     seed: int = 0
     train_fraction: float = 0.10
     max_positives: int | None = 5000
-    workers: int = 1
     cache_dir: str | None = None
     component_cache_mb: float = 512.0
     component_spill: bool = True
@@ -102,7 +100,6 @@ class ExperimentConfig:
     def engine_config(self) -> EngineConfig:
         """The counting-engine scaling knobs this experiment asked for."""
         return EngineConfig(
-            workers=self.workers,
             cache_dir=self.cache_dir,
             component_cache_mb=self.component_cache_mb,
             component_spill=self.component_spill,
@@ -120,8 +117,7 @@ class ExperimentConfig:
 
         The one facade every table driver (and the CLI) runs through:
         backend by name, engine knobs, AccMC mode and seed all travel
-        together, and closing the session releases the pool and flushes
-        the disk stores.
+        together, and closing the session flushes the disk stores.
         """
         return MCMLSession(
             engine=self.build_engine(),

@@ -96,7 +96,7 @@ def generalization_table(
             )
     finally:
         if owned:
-            # Release the engine-owned worker pool and flush the disk stores.
+            # Flush the disk stores.
             session.close()
     return rows
 

@@ -56,9 +56,8 @@ def table1(
 
     One engine for the whole table: translations and counts are memoized,
     so re-rendering (or computing Table 1 after another experiment sharing
-    the session) does no counting work twice, and the config's
-    workers/cache_dir knobs fan per-property symbr/plain pairs out and
-    make cache-dir re-runs perform zero backend counts.
+    the session) does no counting work twice, and the config's cache_dir
+    knob makes re-runs perform zero backend counts.
 
     The exact columns are definitionally exact projected counts of
     Tseitin CNFs, so the engine must be exact and projection-capable: a

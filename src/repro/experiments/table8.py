@@ -58,7 +58,7 @@ def table8(
             rows.append(Table8Row(prop.name, scope, session.diffmc(first, second)))
     finally:
         if owned:
-            # Release the engine-owned worker pool and flush the disk stores.
+            # Flush the disk stores.
             session.close()
     return rows
 

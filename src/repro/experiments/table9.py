@@ -71,7 +71,7 @@ def table9(
             )
     finally:
         if owned:
-            # Release the engine-owned worker pool and flush the disk stores.
+            # Flush the disk stores.
             session.close()
     return rows
 

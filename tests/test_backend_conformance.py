@@ -7,8 +7,8 @@ auxiliary-free truth-table CNFs at scopes 2–3, asserting bit-identity of
 exact backends against the closed-form oracles, the (ε, δ) envelope for
 approximate ones,
 and — flag by flag — that the declared :class:`Capabilities` match actual
-behaviour: formula counting, auxiliary-variable support, clone
-determinism, component-cache ownership, engine store/fan-out gating.
+behaviour: formula counting, auxiliary-variable support, component-cache
+ownership, cube conditioning, engine store gating.
 
 A new backend is a registry entry plus a green run of this module; a
 capability flag that lies fails here before it can mis-route the engine.
@@ -16,7 +16,6 @@ The module also keeps the counting/core packages grep-clean of
 ``hasattr``-based capability sniffing (the API v2 redesign's invariant).
 """
 
-import pickle
 from pathlib import Path
 
 import pytest
@@ -203,15 +202,6 @@ class TestCapabilityFlagsMatchBehaviour:
         reference = ExactCounter()
         for region in tree_regions:
             assert backend.count(region) == reference.count(region)
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_parallel_safe_flag_means_clone_determinism(self, name, tree_regions):
-        backend = make_backend(name)
-        if not backend.capabilities.parallel_safe:
-            pytest.skip("backend declares itself unsafe to clone-fan-out")
-        clone = pickle.loads(pickle.dumps(backend))
-        for region in tree_regions:
-            assert clone.count(region) == backend.count(region)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_conditions_cubes_flag(self, name, tree_regions):

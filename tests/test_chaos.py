@@ -3,19 +3,13 @@
 Drives the failure machinery on demand through :mod:`repro.counting.faults`
 and asserts the PR's acceptance criteria:
 
-* wall-clock deadlines abort cooperatively (``CounterTimeout``) and, for a
-  wedged worker, via the pool's kill-and-respawn watchdog — never by
+* wall-clock deadlines abort cooperatively (``CounterTimeout``) — never by
   hanging;
-* a SIGKILLed worker mid-batch neither hangs nor corrupts: the batch
-  completes bit-identical to the serial reference and the respawn shows up
-  in ``EngineStats``;
-* the degradation ladder re-routes timeout/budget/worker-lost failures to
-  the configured fallback backend with explicit provenance (an estimate
-  can never masquerade as exact, and is never memoized or persisted);
+* the degradation ladder re-routes timeout/budget failures to the
+  configured fallback backend with explicit provenance (an estimate can
+  never masquerade as exact, and is never memoized or persisted);
 * the disk tiers degrade (rotate, miss, swallow) instead of failing, and
-  every such event is visible as ``store_degradations``;
-* an unpicklable backend degrades to serial counting (``serial_fallbacks``)
-  while a genuinely broken backend still raises loudly.
+  every such event is visible as ``store_degradations``.
 
 Every test disarms the fault registry on the way out (autouse fixture), and
 the tests that could conceivably hang carry a SIGALRM hard timeout so a
@@ -23,7 +17,6 @@ regression fails fast instead of wedging the suite.
 """
 
 import os
-import pickle
 import signal
 import time
 from contextlib import contextmanager
@@ -43,7 +36,6 @@ from repro.counting import (
     faults,
 )
 from repro.counting.api import CountRequest, CountResult
-from repro.counting.parallel import TaskResult, WorkerPool, count_parallel
 from repro.counting.store import STORE_FILENAME
 from repro.logic import CNF
 from repro.spec import get_property, translate
@@ -83,26 +75,6 @@ def property_cnf(name: str, scope: int) -> CNF:
     return translate(get_property(name), scope).cnf
 
 
-class SleepyCounter:
-    """A picklable backend with no deadline knob that wedges forever."""
-
-    name = "sleepy"
-
-    def count(self, cnf):
-        time.sleep(30)
-        return 0
-
-
-class ExplodingPickle:
-    """A backend whose pickling fails with a *non*-serialization error."""
-
-    def count(self, cnf):
-        return 0
-
-    def __reduce__(self):
-        raise RuntimeError("boom: not a serialization failure")
-
-
 # -- taxonomy and request validation --------------------------------------------------
 
 
@@ -140,21 +112,21 @@ class TestFailureTaxonomy:
 class TestFaultHarness:
     def test_env_round_trip(self):
         faults.inject("store-read-corrupt")
-        faults.inject("worker-kill", 2)
-        assert os.environ[faults.ENV_VAR] == "store-read-corrupt,worker-kill:2"
-        assert faults.active("worker-kill") == 2
+        faults.inject("service-accept-drop", 2)
+        assert os.environ[faults.ENV_VAR] == "service-accept-drop:2,store-read-corrupt"
+        assert faults.active("service-accept-drop") == 2
         assert faults.active("store-read-corrupt") is True
         assert faults.active("not-armed") is None
-        faults.clear("worker-kill")
+        faults.clear("service-accept-drop")
         assert os.environ[faults.ENV_VAR] == "store-read-corrupt"
         faults.clear()
         assert faults.ENV_VAR not in os.environ
         assert faults.active("store-read-corrupt") is None
 
     def test_injected_context_manager(self):
-        with faults.injected("worker-kill-marker", "/tmp/marker"):
-            assert faults.active("worker-kill-marker") == "/tmp/marker"
-        assert faults.active("worker-kill-marker") is None
+        with faults.injected("service-accept-drop", 3):
+            assert faults.active("service-accept-drop") == 3
+        assert faults.active("service-accept-drop") is None
 
 
 # -- cooperative deadlines ------------------------------------------------------------
@@ -324,133 +296,6 @@ class TestDegradationLadder:
     def test_misconfigured_fallback_fails_at_construction(self):
         with pytest.raises(ValueError, match="unknown counter"):
             CountingEngine(ExactCounter(), config=EngineConfig(fallback="nope"))
-
-
-# -- the self-healing worker pool -----------------------------------------------------
-
-
-class TestSelfHealingPool:
-    def test_sigkilled_worker_batch_matches_serial(self, tmp_path):
-        """The PR's acceptance path: SIGKILL mid-batch, no hang, no drift."""
-        names = [
-            "Reflexive",
-            "Transitive",
-            "Connex",
-            "Function",
-            "PartialOrder",
-            "Equivalence",
-        ]
-        cnfs = [property_cnf(name, 3) for name in names]
-        serial = [ExactCounter().count(cnf) for cnf in cnfs]
-        engine = CountingEngine(ExactCounter(), config=EngineConfig(workers=2))
-        faults.inject("worker-kill", 2)
-        faults.inject("worker-kill-marker", str(tmp_path / "killed-once"))
-        try:
-            with hard_timeout(120):
-                results = engine.solve_many(cnfs)
-        finally:
-            faults.clear()
-            engine.close()
-        assert [r.value for r in results] == serial
-        assert engine.stats.worker_respawns >= 1
-        assert engine.stats.retries >= 1
-
-    def test_worker_loss_exhausts_retries_then_recovers(self):
-        cnf = property_cnf("Transitive", 3)
-        pool = WorkerPool(
-            pickle.dumps(ExactCounter()), 1, task_retries=1, backend_name="exact"
-        )
-        try:
-            faults.inject("worker-kill", 1)  # no marker: every worker dies
-            with hard_timeout(120):
-                [outcome] = pool.run_tasks([cnf])
-            assert isinstance(outcome, CountFailure)
-            assert outcome.kind == "worker-lost"
-            assert outcome.retries == 1
-            assert outcome.cause is None  # the process died; nothing raised
-            assert pool.respawns >= 2
-            faults.clear()
-            # The pool heals: one straggler worker forked under the armed
-            # fault may still die once, but the retry budget covers it.
-            with hard_timeout(120):
-                [again] = pool.run_tasks([cnf])
-            assert isinstance(again, TaskResult)
-            assert again.value == TRANSITIVE_3
-        finally:
-            faults.clear()
-            pool.close()
-
-    def test_watchdog_kills_a_wedged_worker(self):
-        request = CountRequest.from_cnf(CNF([[1]], num_vars=1), deadline=0.1)
-        pool = WorkerPool(
-            pickle.dumps(SleepyCounter()), 1, grace=0.2, backend_name="sleepy"
-        )
-        try:
-            started = time.monotonic()
-            with hard_timeout(60):
-                [outcome] = pool.run_tasks([request])
-            elapsed = time.monotonic() - started
-            assert isinstance(outcome, CountFailure)
-            assert outcome.kind == "timeout"
-            assert outcome.cause is None  # watchdog kill, not a cooperative abort
-            assert pool.timeouts == 1
-            # deadline (0.1) + grace (0.2) plus scheduling slack — nowhere
-            # near the 30s the worker wanted to sleep.
-            assert elapsed < 10.0
-        finally:
-            pool.close()
-
-    def test_per_path_requests_are_rejected_before_forking(self):
-        request = CountRequest.from_cnf(
-            property_cnf("Transitive", 3), strategy="per-path", cubes=((1,), (-1,))
-        )
-        pool = WorkerPool(pickle.dumps(ExactCounter()), 2)
-        try:
-            with pytest.raises(ValueError, match="solve_many"):
-                pool.run_tasks([request])
-            assert pool._handles == []  # validation ran before any fork
-        finally:
-            pool.close()
-
-    def test_graceful_close_is_idempotent(self):
-        cnfs = [property_cnf("Transitive", 3), property_cnf("PartialOrder", 3)]
-        pool = WorkerPool(pickle.dumps(ExactCounter()), 2)
-        with hard_timeout(120):
-            outcomes = pool.run_tasks(cnfs)
-        assert all(isinstance(o, TaskResult) for o in outcomes)
-        processes = [handle.process for handle in pool._handles]
-        pool.close()
-        assert pool.closed
-        assert all(not process.is_alive() for process in processes)
-        pool.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.run_tasks(cnfs)
-
-
-# -- serial fallback on unpicklable backends ------------------------------------------
-
-
-class TestSerialFallback:
-    def test_engine_counts_serially_when_backend_does_not_pickle(self):
-        engine = CountingEngine(ExactCounter(), config=EngineConfig(workers=2))
-        faults.inject("backend-unpicklable")
-        results = engine.solve_many(
-            [property_cnf("Transitive", 3), property_cnf("PartialOrder", 3)]
-        )
-        assert results[0].value == TRANSITIVE_3
-        assert engine.stats.serial_fallbacks == 1
-        assert engine._pool is None
-
-    def test_count_parallel_probe_degrades_to_serial(self):
-        cnfs = [property_cnf("Transitive", 3), property_cnf("PartialOrder", 3)]
-        faults.inject("backend-unpicklable")
-        values = count_parallel(ExactCounter(), cnfs, workers=2)
-        assert values == [ExactCounter().count(cnf) for cnf in cnfs]
-
-    def test_non_serialization_pickle_errors_raise_loudly(self):
-        cnfs = [property_cnf("Transitive", 3), property_cnf("PartialOrder", 3)]
-        with pytest.raises(RuntimeError, match="boom"):
-            count_parallel(ExplodingPickle(), cnfs, workers=2)
 
 
 # -- disk-tier degradations -----------------------------------------------------------

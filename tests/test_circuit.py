@@ -169,7 +169,7 @@ class TestCompiledBackend:
         assert isinstance(backend, CompiledCounter)
         assert type(make_backend("circuit")) is CompiledCounter
         caps = backend.capabilities
-        assert caps.conditions_cubes and caps.exact and caps.parallel_safe
+        assert caps.conditions_cubes and caps.exact
         assert not caps.supports_projection
 
     def test_one_shot_helper(self):
@@ -232,11 +232,9 @@ class TestEngineConditioning:
     def test_conditioning_is_bit_identical_to_conjunction(self, trees):
         base, cubes = self._region_problem(trees)
         request = _per_path_request(base, cubes)
-        with CountingEngine(make_backend("exact"), EngineConfig(workers=1)) as ref:
+        with CountingEngine(make_backend("exact")) as ref:
             expected = ref.solve(request).value
-        with CountingEngine(
-            make_backend("compiled"), EngineConfig(workers=1)
-        ) as engine:
+        with CountingEngine(make_backend("compiled")) as engine:
             result = engine.solve(request)
             assert result.value == expected
             assert result.exact
@@ -248,9 +246,7 @@ class TestEngineConditioning:
 
     def test_repeated_sweeps_reuse_the_in_process_circuit(self, trees):
         base, cubes = self._region_problem(trees)
-        with CountingEngine(
-            make_backend("compiled"), EngineConfig(workers=1)
-        ) as engine:
+        with CountingEngine(make_backend("compiled")) as engine:
             first = engine.solve(_per_path_request(base, cubes)).value
             # Same base, different region: conditioned, not recompiled.
             more = tuple(tuple(-l for l in cube) for cube in cubes[:2])
@@ -261,9 +257,7 @@ class TestEngineConditioning:
 
     def test_budget_abort_surfaces_as_typed_failure(self, trees):
         base, cubes = self._region_problem(trees)
-        with CountingEngine(
-            make_backend("compiled"), EngineConfig(workers=1)
-        ) as engine:
+        with CountingEngine(make_backend("compiled")) as engine:
             outcome = engine.solve(
                 _per_path_request(base, cubes, budget=3), on_failure="return"
             )
@@ -274,9 +268,7 @@ class TestEngineConditioning:
 
     def test_deadline_abort_surfaces_as_typed_failure(self):
         cubes = ((1,), (-1, 2))
-        with CountingEngine(
-            make_backend("compiled"), EngineConfig(workers=1)
-        ) as engine:
+        with CountingEngine(make_backend("compiled")) as engine:
             outcome = engine.solve(
                 _per_path_request(_CHAIN, cubes, deadline=1e-9),
                 on_failure="return",
@@ -286,11 +278,11 @@ class TestEngineConditioning:
 
     def test_degradation_ladder_reroutes_compile_aborts(self, trees):
         base, cubes = self._region_problem(trees)
-        with CountingEngine(make_backend("exact"), EngineConfig(workers=1)) as ref:
+        with CountingEngine(make_backend("exact")) as ref:
             expected = ref.solve(_per_path_request(base, cubes)).value
         with CountingEngine(
             make_backend("compiled"),
-            EngineConfig(workers=1, fallback="exact"),
+            EngineConfig(fallback="exact"),
         ) as engine:
             result = engine.solve(_per_path_request(base, cubes, budget=3))
             assert result.value == expected
@@ -301,9 +293,7 @@ class TestEngineConditioning:
         base, cubes = self._region_problem(trees)
         values = set()
         for name in ("exact", "compiled", "legacy"):
-            with CountingEngine(
-                make_backend(name), EngineConfig(workers=1)
-            ) as engine:
+            with CountingEngine(make_backend(name)) as engine:
                 values.add(engine.solve(_per_path_request(base, cubes)).value)
         assert len(values) == 1
 
@@ -312,7 +302,7 @@ class TestCircuitStoreTier:
     def test_warm_restart_conditions_without_recompiling(self, trees, tmp_path):
         base, cubes = self._sweep(trees)
         with CountingEngine(
-            make_backend("compiled"), EngineConfig(workers=1, cache_dir=tmp_path)
+            make_backend("compiled"), EngineConfig(cache_dir=tmp_path)
         ) as cold:
             expected = cold.solve(_per_path_request(base, cubes)).value
             assert cold.stats.circuit_compilations == 1
@@ -321,7 +311,7 @@ class TestCircuitStoreTier:
         # every cube from the warmed circuit — zero compilations, zero
         # backend counts, zero count-store hits.
         with CountingEngine(
-            make_backend("compiled"), EngineConfig(workers=1, cache_dir=tmp_path)
+            make_backend("compiled"), EngineConfig(cache_dir=tmp_path)
         ) as warm:
             assert warm.solve(_per_path_request(base, cubes)).value == expected
             assert warm.stats.circuit_store_hits == 1
@@ -332,7 +322,7 @@ class TestCircuitStoreTier:
 
     def test_circuit_store_knob_opts_out(self, trees, tmp_path):
         base, cubes = self._sweep(trees)
-        config = EngineConfig(workers=1, cache_dir=tmp_path, circuit_store=False)
+        config = EngineConfig(cache_dir=tmp_path, circuit_store=False)
         with CountingEngine(make_backend("compiled"), config) as engine:
             engine.solve(_per_path_request(base, cubes))
             assert engine.circuit_store is None
@@ -340,7 +330,7 @@ class TestCircuitStoreTier:
 
     def test_non_conditioning_backends_get_no_circuit_store(self, tmp_path):
         with CountingEngine(
-            make_backend("exact"), EngineConfig(workers=1, cache_dir=tmp_path)
+            make_backend("exact"), EngineConfig(cache_dir=tmp_path)
         ) as engine:
             assert engine.circuit_store is None
 
@@ -368,9 +358,7 @@ class TestDiffMCPerPath:
 
     def test_two_circuits_serve_all_four_counts(self, trees):
         first, second = trees
-        with CountingEngine(
-            make_backend("compiled"), EngineConfig(workers=1)
-        ) as engine:
+        with CountingEngine(make_backend("compiled")) as engine:
             DiffMC(engine=engine, region_strategy="per-path").evaluate(first, second)
             assert engine.stats.circuit_compilations == 2
             assert engine.stats.backend_calls == 0

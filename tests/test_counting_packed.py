@@ -173,7 +173,14 @@ class TestCountingEngine:
 
     def test_backend_delegation(self):
         engine = shared_engine(None)
-        assert engine.name == "exact"
+        assert engine.backend_name == "exact"
+        # The engine is not a backend: backend attributes live on
+        # ``engine.counter`` only.
+        with pytest.raises(AttributeError):
+            engine.count
+        with pytest.raises(AttributeError):
+            engine.max_nodes
+        assert engine.counter.max_nodes > 0
         assert shared_engine(engine) is engine
         # Wrapping an engine in a fresh engine unwraps to the same backend.
         rewrapped = CountingEngine(engine)

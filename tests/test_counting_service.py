@@ -1,12 +1,11 @@
-"""Tests for the parallel counting service and its satellite bugfixes.
+"""Tests for the counting engine's batch path and its satellite bugfixes.
 
 Covers:
 
 * :class:`CountStore` — round-trips of arbitrary-precision counts, graceful
   handling of corrupted rows and corrupted database files;
-* :mod:`repro.counting.parallel` — payload round-trips and the differential
-  guarantee that ``count_many`` with ``workers=4`` is bit-identical to
-  serial across the PR-1 property/scope matrix;
+* batch solving — request round-trips, empty batches, and completed counts
+  surviving a mid-batch failure;
 * the engine's disk persistence — a cold run populates the store, a warm
   run in a fresh engine performs *zero* backend calls (``EngineStats``);
 * the ``translate``/``ground_truth`` memo-key regression — two distinct
@@ -25,26 +24,15 @@ from repro.counting import (
     CountingEngine,
     CountStore,
     EngineConfig,
+    CountRequest,
     ExactCounter,
     closed_form_count,
-    count_parallel,
     signature_key,
 )
-from repro.counting.parallel import cnf_to_payload, payload_to_cnf
 from repro.counting.store import STORE_FILENAME
 from repro.logic import CNF
 from repro.spec import SymmetryBreaking, get_property, translate
 from repro.spec.properties import PROPERTIES, Property
-
-#: The PR-1 differential matrix (kept to the cheap scopes: parallelism does
-#: not change the counter, so this pins plumbing, not search).
-MATRIX_CASES = [
-    (prop, scope, symmetry)
-    for prop in PROPERTIES
-    for scope in (2, 3)
-    for symmetry in (None, SymmetryBreaking())
-]
-
 
 class TestCountStore:
     def test_round_trip_arbitrary_precision(self, tmp_path):
@@ -104,61 +92,23 @@ class TestCountStore:
         assert store.path.exists()
 
 
-class TestParallelFanOut:
-    def test_payload_round_trip_preserves_signature(self):
+class TestBatchSolve:
+    def test_request_round_trip_preserves_signature(self):
         cnf = translate(get_property("PartialOrder"), 3, symmetry=SymmetryBreaking()).cnf
-        rebuilt = payload_to_cnf(cnf_to_payload(cnf))
+        rebuilt = CountRequest.from_cnf(cnf).cnf()
         assert rebuilt.signature() == cnf.signature()
         assert rebuilt.num_vars == cnf.num_vars
         assert rebuilt.aux_unique == cnf.aux_unique
 
     def test_empty_batch(self):
-        assert count_parallel(ExactCounter(), [], 4) == []
+        assert CountingEngine().solve_many([]) == []
 
-    def test_unpicklable_backend_falls_back_to_serial(self):
-        class Unpicklable:
-            name = "closure"
-
-            def __init__(self):
-                self.fn = lambda cnf: ExactCounter().count(cnf)  # defeats pickle
-
-            def count(self, cnf):
-                return self.fn(cnf)
-
-        cnf = CNF([[1, 2]], projection=[1, 2])
-        assert count_parallel(Unpicklable(), [cnf, cnf.copy()], 4) == [3, 3]
-
-    def test_worker_exceptions_propagate(self):
-        from repro.counting.exact import CounterBudgetExceeded
-
-        hard = translate(get_property("Transitive"), 3).cnf
-        with pytest.raises(CounterBudgetExceeded):
-            count_parallel(ExactCounter(max_nodes=1), [hard, hard.copy()], 2)
-
-    def test_count_many_workers4_bit_identical_to_serial(self):
-        batch = [
-            translate(prop, scope, symmetry=symmetry).cnf
-            for prop, scope, symmetry in MATRIX_CASES
-        ]
-        serial = CountingEngine(config=EngineConfig(workers=1)).solve_many(batch)
-        parallel = CountingEngine(config=EngineConfig(workers=4)).solve_many(batch)
-        assert [r.value for r in serial] == [r.value for r in parallel]
-
-    def test_workers_zero_means_one_per_core(self):
-        batch = [translate(get_property(name), 2).cnf for name in ("Reflexive", "Connex")]
-        engine = CountingEngine(config=EngineConfig(workers=0))
-        assert engine._workers >= 1
-        assert [r.value for r in engine.solve_many(batch)] == [
-            r.value for r in CountingEngine().solve_many(batch)
-        ]
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_completed_counts_survive_a_mid_batch_failure(self, workers, tmp_path):
+    def test_completed_counts_survive_a_mid_batch_failure(self, tmp_path):
         from repro.counting.exact import CounterBudgetExceeded
 
         easy = CNF([[1, 2]], projection=[1, 2])  # 3 models, two search nodes
         hard = translate(get_property("Transitive"), 3).cnf  # blows a 10-node budget
-        config = EngineConfig(workers=workers, cache_dir=tmp_path)
+        config = EngineConfig(cache_dir=tmp_path)
         engine = CountingEngine(ExactCounter(max_nodes=10), config=config)
         with pytest.raises(CounterBudgetExceeded):
             engine.solve_many([easy, hard])
@@ -168,19 +118,6 @@ class TestParallelFanOut:
         assert engine.stats.count_hits == 1
         assert engine.store.get(signature_key(easy.signature())) == 3
         engine.close()
-
-    def test_parallel_results_merge_into_memo(self):
-        batch = [
-            translate(get_property(name), 3).cnf
-            for name in ("Reflexive", "Transitive", "Connex", "Function")
-        ]
-        engine = CountingEngine(config=EngineConfig(workers=4))
-        first = [r.value for r in engine.solve_many(batch)]
-        assert engine.stats.backend_calls == len(batch)
-        second = [r.value for r in engine.solve_many(batch)]
-        assert second == first
-        assert engine.stats.backend_calls == len(batch)  # all memo hits now
-        assert engine.stats.count_hits == len(batch)
 
 
 class TestDiskPersistentEngine:
@@ -266,20 +203,8 @@ class TestDiskPersistentEngine:
         assert exact_engine.stats.backend_calls == 1
         exact_engine.close()
 
-    def test_approximate_backend_stays_serial_under_workers(self):
-        # Worker clones of a seeded RNG diverge from the serial estimate
-        # stream, so count_many must not fan a non-exact backend out.
-        batch = [
-            CNF(num_vars=n, projection=range(1, n + 1)) for n in (10, 11, 12, 13)
-        ]
-        serial = CountingEngine(ApproxMCCounter(seed=9)).solve_many(batch)
-        fanned = CountingEngine(
-            ApproxMCCounter(seed=9), config=EngineConfig(workers=4)
-        ).solve_many(batch)
-        assert [r.value for r in fanned] == [r.value for r in serial]
-
     def test_engines_share_a_cache_dir(self, tmp_path):
-        config = EngineConfig(cache_dir=tmp_path, workers=2)
+        config = EngineConfig(cache_dir=tmp_path)
         batch = self._batch()
         producer = CountingEngine(config=config)
         counts = [r.value for r in producer.solve_many(batch)]

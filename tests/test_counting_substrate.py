@@ -3,15 +3,13 @@
 Covers:
 
 * :class:`ComponentCache` — LRU eviction under tiny caps, recency refresh,
-  byte accounting, delta recording/absorption;
+  byte accounting;
 * the shared component cache's differential guarantee — counts through a
   shared (and warm) cache are bit-identical to fresh-counter counts, over
   the 16-property matrix at scopes 2–4 and over randomized CNFs;
-* the engine-owned persistent :class:`WorkerPool` — reuse across batches,
-  idempotent close, fork-after-close recreation, worker component-cache
-  deltas warming the engine's shared cache;
-* the satellite fixes — ``CountingEngine.__repr__`` reporting the resolved
-  worker count, ``solve_formula`` routed through the count memo (or
+* the engine lifecycle — the context manager closes the disk stores,
+  closing twice is safe, and counting after a close still works;
+* the satellite fixes — ``solve_formula`` routed through the count memo (or
   rejected on CNF-only backends), lazy
   ``CNF.signature()`` memoization with invalidation, and ``CountStore``
   write batching + WAL.
@@ -83,19 +81,6 @@ class TestComponentCacheLRU:
         cache.put(key, 7)
         assert len(cache) == 1
         assert cache.get(key) == 7
-
-    def test_delta_recording_and_absorb(self):
-        producer = ComponentCache()
-        producer.start_recording()
-        producer.put(_key((1, 0)), 1)
-        producer.put(_key((0, 1)), 2)
-        delta = producer.drain_delta()
-        assert len(delta) == 2
-        assert producer.drain_delta() == []  # drained
-        consumer = ComponentCache()
-        consumer.absorb(delta)
-        assert consumer.get(_key((1, 0))) == 1
-        assert consumer.get(_key((0, 1))) == 2
 
     def test_clear_resets_bytes(self):
         cache = ComponentCache()
@@ -173,93 +158,25 @@ def shared_scope4_counter():
     return ExactCounter()
 
 
-class TestPersistentPool:
+class TestEngineLifecycle:
     def _cold_batch(self, names, scope=2):
         return [translate(get_property(name), scope).cnf for name in names]
 
-    def test_pool_reused_across_batches(self):
-        engine = CountingEngine(config=EngineConfig(workers=2))
-        engine.solve_many(self._cold_batch(("Reflexive", "Irreflexive")))
-        pool = engine._pool
-        assert pool is not None and not pool.closed
-        assert pool.batches == 1
-        engine.solve_many(self._cold_batch(("Connex", "Functional")))
-        assert engine._pool is pool  # same pool, no re-fork
-        assert pool.batches == 2
-        engine.close()
-
-    def test_close_is_idempotent_and_fork_after_close_recreates(self):
-        engine = CountingEngine(config=EngineConfig(workers=2))
-        engine.solve_many(self._cold_batch(("Reflexive", "Irreflexive")))
-        first_pool = engine._pool
-        engine.close()
+    def test_engine_is_a_context_manager(self, tmp_path):
+        batch = self._cold_batch(("Reflexive", "Irreflexive"))
+        with CountingEngine(config=EngineConfig(cache_dir=tmp_path)) as engine:
+            counts = [r.value for r in engine.solve_many(batch)]
+            stores = [engine.store, engine.memo_store, engine.component_store]
+            assert all(store._connection is not None for store in stores)
+        assert all(store._connection is None for store in stores)
         engine.close()  # idempotent
-        assert first_pool.closed
-        batch = self._cold_batch(("Connex", "Functional"))
-        counts = [r.value for r in engine.solve_many(batch)]
-        assert engine._pool is not first_pool
-        assert not engine._pool.closed
-        assert counts == [r.value for r in CountingEngine().solve_many(batch)]
-        engine.close()
-
-    def test_serial_engine_never_forks(self):
-        engine = CountingEngine()
-        engine.solve_many(self._cold_batch(("Reflexive", "Irreflexive")))
-        assert engine._pool is None
-        engine.close()
-
-    def test_worker_deltas_warm_the_shared_cache(self):
-        engine = CountingEngine(config=EngineConfig(workers=2))
-        assert len(engine.component_cache) == 0
-        engine.solve_many(self._cold_batch(("PartialOrder", "Equivalence"), scope=3))
-        # The components were solved in worker processes, yet the parent's
-        # shared cache holds them now (the delta protocol shipped them back).
-        assert len(engine.component_cache) > 0
-        engine.close()
-
-    def test_pool_survives_a_worker_exception(self):
-        from repro.counting.exact import CounterBudgetExceeded
-
-        # Two *distinct* infeasible problems (duplicates would collapse onto
-        # one cold problem and skip the pool entirely).
-        hard = [
-            translate(get_property("Transitive"), 3).cnf,
-            translate(get_property("TotalOrder"), 3).cnf,
-        ]
-        engine = CountingEngine(
-            ExactCounter(max_nodes=10), config=EngineConfig(workers=2)
-        )
-        with pytest.raises(CounterBudgetExceeded):
-            engine.solve_many(hard)
-        pool = engine._pool
-        assert pool is not None and not pool.closed
-        # The same pool serves the next (feasible) batch.
-        batch = self._cold_batch(("Reflexive", "Connex"))
-        assert [r.value for r in engine.solve_many(batch)] == [
-            r.value for r in CountingEngine().solve_many(batch)
-        ]
-        assert engine._pool is pool
-        engine.close()
-
-    def test_engine_is_a_context_manager(self):
-        with CountingEngine(config=EngineConfig(workers=2)) as engine:
-            engine.solve_many(self._cold_batch(("Reflexive", "Irreflexive")))
-            pool = engine._pool
-        assert pool.closed
+        # Counting after a close still answers (memo hits, then the backend).
+        assert [r.value for r in engine.solve_many(batch)] == counts
+        fresh = self._cold_batch(("Connex",))
+        assert engine.solve_many(fresh)[0].source == "backend"
 
 
 class TestSatelliteFixes:
-    def test_repr_reports_resolved_workers(self):
-        # workers=0 means one per core; the repr must show the resolved
-        # count, not hide behind config.workers > 1.
-        engine = CountingEngine(config=EngineConfig(workers=0))
-        if engine._workers > 1:
-            assert f"workers={engine._workers}" in repr(engine)
-        else:  # single-core machine: resolved count is 1, nothing to show
-            assert "workers=" not in repr(engine)
-        explicit = CountingEngine(config=EngineConfig(workers=7))
-        assert "workers=7" in repr(explicit)
-
     def test_count_formula_memoized_through_engine(self):
         engine = CountingEngine(FormulaBruteCounter())
         formula = Or(And(Var(1), Var(2)), Var(3))
@@ -368,38 +285,3 @@ class TestStoreBatching:
         assert store._pending == {}
         assert len(store) == 0
         assert store.get("k") is None
-
-
-class TestCacheSnapshot:
-    def test_snapshot_keeps_mru_entries_within_budget(self):
-        cache = ComponentCache(max_bytes=None)
-        keys = [_key((1 << i, 0)) for i in range(10)]
-        for i, key in enumerate(keys):
-            cache.put(key, i)
-        one = entry_cost(keys[0], 0)
-        clone = cache.snapshot(one * 3)
-        assert 0 < len(clone) <= 3
-        # The retained entries are the most recently used ones.
-        for key in keys[-len(clone):]:
-            assert key in clone
-        assert keys[0] not in clone
-
-    def test_pickled_counter_ships_a_bounded_cache(self):
-        import pickle
-
-        from repro.counting.exact import _PICKLED_CACHE_BYTES
-
-        counter = ExactCounter()
-        cache = counter.component_cache
-        # Force the estimate far over the shipping cap without allocating
-        # real memory: one entry, then inflate the byte accounting.
-        cache.put(_key((1, 2)), 1)
-        cache._bytes = _PICKLED_CACHE_BYTES * 4
-        clone = pickle.loads(pickle.dumps(counter))
-        assert clone.component_cache is not None
-        assert clone.component_cache.approximate_bytes() <= _PICKLED_CACHE_BYTES
-        # The clone's own budget is capped too: an N-worker pool must hold
-        # N small caches, not N copies of the parent's full budget.
-        assert clone.component_cache.max_bytes <= _PICKLED_CACHE_BYTES
-        # The original counter is untouched.
-        assert cache.approximate_bytes() == _PICKLED_CACHE_BYTES * 4

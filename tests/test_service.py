@@ -42,7 +42,7 @@ from repro.counting.api import (
     CountResult,
     EngineStats,
 )
-from repro.counting.engine import CountingEngine, EngineConfig
+from repro.counting.engine import CountingEngine
 from repro.counting.exact import (
     CounterAbort,
     CounterBudgetExceeded,
@@ -178,7 +178,6 @@ class TestWireSerialization:
             backend="exact",
             cause=CounterTimeout("past 2.0s"),
             elapsed_seconds=2.01,
-            retries=1,
         )
         payload = failure.to_dict()
         assert isinstance(payload["cause"], str)
@@ -186,13 +185,12 @@ class TestWireSerialization:
         assert again.kind == "timeout"
         assert again.backend == "exact"
         assert again.elapsed_seconds == pytest.approx(2.01)
-        assert again.retries == 1
         assert isinstance(again.cause, CounterTimeout)
 
     def test_count_failure_without_cause_stays_causeless(self):
-        failure = CountFailure("worker-lost", "worker died", backend="exact")
+        failure = CountFailure("timeout", "deadline exceeded", backend="exact")
         again = CountFailure.from_dict(failure.to_dict())
-        assert again.kind == "worker-lost"
+        assert again.kind == "timeout"
         assert again.cause is None
 
 
@@ -363,7 +361,7 @@ class TestMetricVerbs:
 
 class TestCoalescing:
     def test_identical_concurrent_requests_cost_one_computation(self):
-        engine = CountingEngine(DelayCounter(0.5), EngineConfig(workers=1))
+        engine = CountingEngine(DelayCounter(0.5))
         cnf = CNF(num_vars=3, clauses=[(1, 2), (-1, 3)])
         with MCMLSession(engine=engine) as session:
             with running_server(session) as (server, host, port):
@@ -389,7 +387,7 @@ class TestCoalescing:
                 assert wait_until(lambda: server._counters["served"] == 4)
 
     def test_queue_full_is_a_typed_overloaded_rejection(self):
-        engine = CountingEngine(DelayCounter(0.8), EngineConfig(workers=1))
+        engine = CountingEngine(DelayCounter(0.8))
         with MCMLSession(engine=engine) as session:
             with running_server(session, max_queue=1) as (server, host, port):
                 problems = [
@@ -419,7 +417,7 @@ class TestCoalescing:
                 assert server._counters["rejected_overloaded"] == 1
 
     def test_per_client_inflight_budget(self):
-        engine = CountingEngine(DelayCounter(0.8), EngineConfig(workers=1))
+        engine = CountingEngine(DelayCounter(0.8))
         with MCMLSession(engine=engine) as session:
             with running_server(session, max_inflight_per_client=1) as (_, host, port):
                 sock = socket.create_connection((host, port), timeout=10)

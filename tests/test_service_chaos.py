@@ -44,7 +44,7 @@ import pytest
 from repro.core.session import MCMLSession
 from repro.counting import faults
 from repro.counting.api import CountRequest
-from repro.counting.engine import CountingEngine, EngineConfig
+from repro.counting.engine import CountingEngine
 from repro.counting.exact import ExactCounter
 from repro.counting.service import ServiceClient, ServiceError
 from repro.counting.service.client import ServiceUnavailable
@@ -157,7 +157,7 @@ class TestNetworkFaults:
         problems = [CNF(num_vars=4, clauses=[(i + 1,)]) for i in range(4)]
         with CountingEngine(ExactCounter()) as reference:
             expected = [r.value for r in reference.solve_many(problems)]
-        engine = CountingEngine(DelayCounter(0.1), EngineConfig(workers=1))
+        engine = CountingEngine(DelayCounter(0.1))
         with hard_timeout(120):
             with MCMLSession(engine=engine) as session:
                 with running_server(

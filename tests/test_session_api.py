@@ -120,24 +120,6 @@ class TestTypedSolvePath:
         value = engine.solve(_cnf("PartialOrder", 4, symmetry=None)).value
         assert value > 0
 
-    def test_worker_pool_honours_request_budgets(self):
-        import pickle as _pickle
-
-        from repro.counting.parallel import WorkerPool
-
-        hard = _cnf("PartialOrder", 4, symmetry=None)
-        pool = WorkerPool(_pickle.dumps(ExactCounter()), workers=2)
-        try:
-            with pytest.raises(CounterBudgetExceeded):
-                pool.run([CountRequest.from_cnf(hard, budget=2)] * 2)
-            # The override is per problem: the pool still counts unbudgeted
-            # requests afterwards with the backend default.
-            easy = _cnf("Reflexive", 2, symmetry=None)
-            values = pool.run([CountRequest.from_cnf(easy), easy])
-            assert values[0] == values[1]
-        finally:
-            pool.close()
-
     def test_solve_formula_memoizes_and_gates(self):
         brute = CountingEngine(make_backend("brute"))
         problem = translate(get_property("Reflexive"), 2)
@@ -270,7 +252,7 @@ class TestCLISurface:
         ]
         # One column per declared capability flag.
         for column in (
-            "exact", "formulas", "projection", "parallel", "components", "cubes",
+            "exact", "formulas", "projection", "components", "cubes",
         ):
             assert column in out
 
@@ -289,14 +271,26 @@ class TestCLISurface:
             ["serve", "--solver-threads", "2"],
             ["table9", "--fanout-min-vars", "4"],
             ["table9", "--counter", "brute"],
+            ["table3", "--workers", "2"],
         ),
-        ids=("cluster", "shards", "solver-threads", "fanout-min-vars", "counter"),
+        ids=(
+            "cluster", "shards", "solver-threads", "fanout-min-vars", "counter",
+            "workers",
+        ),
     )
     def test_parser_rejects_removed_verbs_and_flags(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_parser_rejects_unknown_property_names(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["table3", "--properties", "Foo"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'Foo'" in capsys.readouterr().err
+        args = build_parser().parse_args(["table3", "--properties", "Function"])
+        assert config_from_args(args).properties == ("Function",)
 
     def test_listing_renders_every_backend(self):
         text = list_backends()

@@ -8,7 +8,8 @@ exact backends against the closed-form oracles, the (ε, δ) envelope for
 approximate ones,
 and — flag by flag — that the declared :class:`Capabilities` match actual
 behaviour: formula counting, auxiliary-variable support, component-cache
-ownership, cube conditioning, engine store gating.
+ownership, cube conditioning, engine store gating; and that every backend's
+counts reproduce across fresh instances.
 
 A new backend is a registry entry plus a green run of this module; a
 capability flag that lies fails here before it can mis-route the engine.
@@ -202,6 +203,19 @@ class TestCapabilityFlagsMatchBehaviour:
         reference = ExactCounter()
         for region in tree_regions:
             assert backend.count(region) == reference.count(region)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_counts_reproduce_across_instances(self, name, tree_regions):
+        """A count does not depend on the instance that produced it: the
+        memo, the disk store and the golden artifacts all rely on that
+        (approximate backends through their fixed default seed)."""
+        first, second = make_backend(name), make_backend(name)
+        counts = [first.count(region) for region in tree_regions]
+        assert [second.count(region) for region in tree_regions] == counts
+        if backend_capabilities(name).exact:
+            # Nor on its history: a warm instance recounts identically.
+            recount = [first.count(region) for region in reversed(tree_regions)]
+            assert recount == counts[::-1]
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_conditions_cubes_flag(self, name, tree_regions):

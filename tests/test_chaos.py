@@ -4,7 +4,7 @@ Drives the failure machinery on demand through :mod:`repro.counting.faults`
 and asserts the PR's acceptance criteria:
 
 * wall-clock deadlines abort cooperatively (``CounterTimeout``) — never by
-  hanging;
+  hanging — and a backend without a ``deadline`` knob ignores them;
 * the degradation ladder re-routes timeout/budget failures to the
   configured fallback backend with explicit provenance (an estimate can
   never masquerade as exact, and is never memoized or persisted);
@@ -73,6 +73,16 @@ def hard_timeout(seconds: int):
 
 def property_cnf(name: str, scope: int) -> CNF:
     return translate(get_property(name), scope).cnf
+
+
+class NoKnobCounter:
+    """A slow backend with no ``deadline`` knob: it counts at its own pace."""
+
+    name = "no-knob"
+
+    def count(self, cnf):
+        time.sleep(0.2)
+        return ExactCounter().count(cnf)
 
 
 # -- taxonomy and request validation --------------------------------------------------
@@ -162,6 +172,17 @@ class TestCooperativeDeadline:
                 engine.solve(request)
         assert engine.counter.deadline is None  # per-problem override restored
         assert engine.stats.timeouts == 1
+
+    def test_backend_without_a_deadline_knob_ignores_deadlines(self):
+        """Deadlines are cooperative: nothing aborts a backend that cannot
+        check one, so the count runs past it and still answers."""
+        engine = CountingEngine(NoKnobCounter())
+        request = CountRequest.from_cnf(property_cnf("Transitive", 3), deadline=0.01)
+        with hard_timeout(60):
+            result = engine.solve(request)
+        assert result.value == TRANSITIVE_3
+        assert result.elapsed_seconds > request.deadline
+        assert engine.stats.timeouts == 0
 
     def test_timed_out_work_warms_the_resume(self):
         """A retry after a timeout resumes from the warm tiers, not scratch."""

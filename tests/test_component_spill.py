@@ -12,7 +12,8 @@ Covers:
   ``EngineStats.component_spill_hits``, ``component_spill=0`` opt-out,
   detaching the store, and counting on after the store closed;
 * the per-path route — ``CountRequest(strategy="per-path")`` validation and
-  expansion, engine-level sum correctness and sub-problem dedup, rejection
+  expansion (the backend only ever sees the expanded sub-problems),
+  engine-level sum correctness and sub-problem dedup, rejection
   on approximate backends, and AccMC bit-identity of
   the per-path vs conjunction routes over the 16-property × scope 2–4
   matrix (both construction modes);
@@ -34,6 +35,7 @@ from repro.counting import (
     CountingEngine,
     CountRequest,
     EngineConfig,
+    ExactCounter,
     make_backend,
 )
 from repro.counting.store import COMPONENT_STORE_FILENAME, component_key_digest
@@ -349,6 +351,21 @@ class TestPerPathRequests:
         delta = engine.stats.delta_since(before)
         assert delta.backend_calls == 0  # every sub-problem was a memo hit
         assert delta.count_hits == len(cubes)
+
+    def test_engine_expands_per_path_requests_before_counting(self):
+        seen = []
+
+        class RecordingCounter(ExactCounter):
+            def count(self, cnf):
+                seen.append(list(cnf.clauses))
+                return super().count(cnf)
+
+        phi = _phi()
+        request = CountRequest.from_cnf(phi, strategy="per-path", cubes=((1,), (-1,)))
+        result = CountingEngine(RecordingCounter()).solve(request)
+        # The backend sees one sub-problem per cube, never the bare base.
+        assert seen == [sub.clauses for sub in request.expand()]
+        assert result.value == ExactCounter().count(phi)
 
     def test_per_path_rejected_on_approximate_backend(self):
         engine = CountingEngine(make_backend("approxmc", seed=7))

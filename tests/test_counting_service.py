@@ -4,10 +4,13 @@ Covers:
 
 * :class:`CountStore` — round-trips of arbitrary-precision counts, graceful
   handling of corrupted rows and corrupted database files;
-* batch solving — request round-trips, empty batches, and completed counts
-  surviving a mid-batch failure;
+* batch solving — request round-trips, empty batches, bit-identity with
+  one-at-a-time solving over the property matrix, memo merging, cold
+  problems counted in batch order, in-process counting of unpicklable
+  backends, and completed counts surviving a mid-batch failure or error;
 * the engine's disk persistence — a cold run populates the store, a warm
   run in a fresh engine performs *zero* backend calls (``EngineStats``);
+  a seeded approximate backend neither persists nor reorders its draws;
 * the ``translate``/``ground_truth`` memo-key regression — two distinct
   properties sharing a name must not collide;
 * the ApproxMC ``m = 1`` frontier — no duplicated cell enumeration;
@@ -33,6 +36,16 @@ from repro.counting.store import STORE_FILENAME
 from repro.logic import CNF
 from repro.spec import SymmetryBreaking, get_property, translate
 from repro.spec.properties import PROPERTIES, Property
+
+#: The differential matrix at the cheap scopes: batching does not change
+#: the counter, so this pins plumbing (dedup, memo, shared cache), not search.
+MATRIX_CASES = [
+    (prop, scope, symmetry)
+    for prop in PROPERTIES
+    for scope in (2, 3)
+    for symmetry in (None, SymmetryBreaking())
+]
+
 
 class TestCountStore:
     def test_round_trip_arbitrary_precision(self, tmp_path):
@@ -102,6 +115,94 @@ class TestBatchSolve:
 
     def test_empty_batch(self):
         assert CountingEngine().solve_many([]) == []
+
+    def test_batch_bit_identical_to_one_at_a_time(self):
+        batch = [
+            translate(prop, scope, symmetry=symmetry).cnf
+            for prop, scope, symmetry in MATRIX_CASES
+        ]
+        batched = [r.value for r in CountingEngine().solve_many(batch)]
+        singles = [CountingEngine().solve(cnf).value for cnf in batch]
+        assert batched == singles
+
+    def test_batch_results_merge_into_memo(self):
+        batch = [
+            translate(get_property(name), 3).cnf
+            for name in ("Reflexive", "Transitive", "Connex", "Function")
+        ]
+        engine = CountingEngine()
+        first = [r.value for r in engine.solve_many(batch)]
+        assert engine.stats.backend_calls == len(batch)
+        second = [r.value for r in engine.solve_many(batch)]
+        assert second == first
+        assert engine.stats.backend_calls == len(batch)  # all memo hits now
+        assert engine.stats.count_hits == len(batch)
+
+    def test_cold_problems_reach_the_backend_in_batch_order(self):
+        seen = []
+
+        class RecordingCounter(ExactCounter):
+            def count(self, cnf):
+                seen.append(cnf.signature())
+                return super().count(cnf)
+
+        a, b, c, d = (
+            translate(get_property(name), 3).cnf
+            for name in ("Reflexive", "Transitive", "Connex", "Function")
+        )
+        engine = CountingEngine(RecordingCounter())
+        engine.solve(c)
+        seen.clear()
+        engine.solve_many(
+            [
+                CountRequest.from_cnf(a, budget=10**6),
+                b,
+                c,  # memo hit
+                a.copy(),  # in-batch duplicate
+                CountRequest.from_cnf(d, deadline=60.0),
+            ]
+        )
+        # Limited and unlimited problems alike run once each, in the order
+        # they were submitted; hits and duplicates never reach the backend.
+        assert seen == [a.signature(), b.signature(), d.signature()]
+
+    def test_backend_that_does_not_pickle_counts_in_process(self):
+        class Unpicklable:
+            name = "closure"
+
+            def __init__(self):
+                self.fn = lambda cnf: ExactCounter().count(cnf)  # defeats pickle
+
+            def count(self, cnf):
+                return self.fn(cnf)
+
+        engine = CountingEngine(Unpicklable())
+        problems = [
+            CNF([[1, 2]], projection=[1, 2]),
+            CNF([[1], [2, 3]], projection=[1, 2, 3]),
+        ]
+        assert [r.value for r in engine.solve_many(problems)] == [3, 3]
+        assert engine.stats.backend_calls == 2
+
+    def test_backend_errors_propagate_after_completed_counts_merge(self, tmp_path):
+        easy = CNF([[1, 2]], projection=[1, 2])
+        broken = CNF([[1], [2, 3]], projection=[1, 2, 3])
+
+        class BrokenOnOne(ExactCounter):
+            def count(self, cnf):
+                if cnf.signature() == broken.signature():
+                    raise RuntimeError("not a resource failure")
+                return super().count(cnf)
+
+        engine = CountingEngine(BrokenOnOne(), config=EngineConfig(cache_dir=tmp_path))
+        # A genuine backend error is no per-problem outcome: it leaves the
+        # batch at once, but the count already paid for is kept.
+        with pytest.raises(RuntimeError, match="not a resource failure"):
+            engine.solve_many([easy, broken])
+        assert engine.stats.backend_calls == 1
+        assert engine.solve(easy.copy()).source == "memo"
+        assert engine.store.get(signature_key(easy.signature())) == 3
+        engine.close()
 
     def test_completed_counts_survive_a_mid_batch_failure(self, tmp_path):
         from repro.counting.exact import CounterBudgetExceeded
@@ -202,6 +303,21 @@ class TestDiskPersistentEngine:
         assert exact_engine.stats.store_hits == 0
         assert exact_engine.stats.backend_calls == 1
         exact_engine.close()
+
+    def test_seeded_approximate_batch_draws_in_batch_order(self):
+        # A seeded approximate backend draws every estimate from one random
+        # stream, so a batch must consume it in submission order (limited
+        # and unlimited requests alike) to match counting the problems one
+        # at a time on a backend with the same seed.  Seed 9 estimates
+        # Transitive differently when it is drawn first.
+        first = translate(get_property("Antisymmetric"), 3).cnf
+        second = translate(get_property("Transitive"), 3).cnf
+        reference = ApproxMCCounter(seed=9)
+        expected = [reference.count(first), reference.count(second)]
+        batch = [CountRequest.from_cnf(first, deadline=60.0), second]
+        results = CountingEngine(ApproxMCCounter(seed=9)).solve_many(batch)
+        assert [r.value for r in results] == expected
+        assert not any(r.exact for r in results)
 
     def test_engines_share_a_cache_dir(self, tmp_path):
         config = EngineConfig(cache_dir=tmp_path)

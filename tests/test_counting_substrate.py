@@ -8,13 +8,16 @@ Covers:
   shared (and warm) cache are bit-identical to fresh-counter counts, over
   the 16-property matrix at scopes 2–4 and over randomized CNFs;
 * the engine lifecycle — the context manager closes the disk stores,
-  closing twice is safe, and counting after a close still works;
-* the satellite fixes — ``solve_formula`` routed through the count memo (or
-  rejected on CNF-only backends), lazy
-  ``CNF.signature()`` memoization with invalidation, and ``CountStore``
-  write batching + WAL.
+  closing twice is safe, counting after a close still works, every count
+  runs in-process, batches warm the shared component cache, and the
+  engine counts on after a budget abort;
+* the satellite fixes — ``CountingEngine.__repr__`` reporting the backend
+  and the configured tiers, ``solve_formula`` routed through the count memo
+  (or rejected on CNF-only backends), lazy ``CNF.signature()`` memoization
+  with invalidation, and ``CountStore`` write batching + WAL.
 """
 
+import os
 import random
 
 import pytest
@@ -175,8 +178,67 @@ class TestEngineLifecycle:
         fresh = self._cold_batch(("Connex",))
         assert engine.solve_many(fresh)[0].source == "backend"
 
+    def test_serial_engine_never_forks(self, monkeypatch):
+        pids = []
+
+        class PidRecordingCounter(ExactCounter):
+            def count(self, cnf):
+                pids.append(os.getpid())
+                return super().count(cnf)
+
+        def refuse_fork():
+            raise AssertionError("the engine must count in-process")
+
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        engine = CountingEngine(PidRecordingCounter())
+        batch = self._cold_batch(("Reflexive", "Irreflexive", "Connex"), scope=3)
+        values = [r.value for r in engine.solve_many(batch)]
+        names = ("reflexive", "irreflexive", "connex")
+        assert values == [closed_form_count(name, 3) for name in names]
+        assert pids == [os.getpid()] * len(batch)
+
+    def test_batches_warm_the_shared_cache(self):
+        engine = CountingEngine()
+        assert len(engine.component_cache) == 0
+        engine.solve_many(self._cold_batch(("PartialOrder", "Equivalence"), scope=3))
+        assert len(engine.component_cache) > 0
+        # A later batch over related properties reuses those components.
+        hits = engine.component_cache.hits
+        batch = self._cold_batch(("PreOrder", "TotalOrder"), scope=3)
+        values = [r.value for r in engine.solve_many(batch)]
+        assert engine.component_cache.hits > hits
+        names = ("preorder", "totalorder")
+        assert values == [closed_form_count(name, 3) for name in names]
+
+    def test_engine_counts_on_after_a_budget_abort(self):
+        from repro.counting.exact import CounterBudgetExceeded
+
+        # Two distinct infeasible problems, so both reach the backend.
+        hard = self._cold_batch(("Transitive", "TotalOrder"), scope=3)
+        engine = CountingEngine(ExactCounter(max_nodes=10))
+        with pytest.raises(CounterBudgetExceeded):
+            engine.solve_many(hard)
+        # The next (feasible) batch counts correctly on the same engine.
+        batch = self._cold_batch(("Reflexive", "Connex"))
+        assert [r.value for r in engine.solve_many(batch)] == [
+            r.value for r in CountingEngine().solve_many(batch)
+        ]
+        assert engine.counter.max_nodes == 10
+
 
 class TestSatelliteFixes:
+    def test_repr_reports_backend_and_tiers(self, tmp_path):
+        plain = repr(CountingEngine())
+        assert plain.startswith("CountingEngine(backend='exact', counts=0")
+        assert "components=0" in plain and "store=" not in plain
+        config = EngineConfig(cache_dir=tmp_path, fallback="exact")
+        with CountingEngine(config=config) as engine:
+            engine.solve(translate(get_property("Reflexive"), 2).cnf)
+            text = repr(engine)
+        assert "counts=1" in text and "hits=0/1" in text
+        assert "+spill" in text and "store=" in text
+        assert "fallback='exact'" in text
+
     def test_count_formula_memoized_through_engine(self):
         engine = CountingEngine(FormulaBruteCounter())
         formula = Or(And(Var(1), Var(2)), Var(3))

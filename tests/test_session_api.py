@@ -240,6 +240,21 @@ class TestMCMLSession:
         session.close()
         session.close()
 
+    @pytest.mark.parametrize(
+        "surface", ("EngineConfig", "MCMLSession", "ExperimentConfig")
+    )
+    def test_workers_option_is_rejected(self, surface):
+        """The removed ``workers`` option fails loudly, never silently."""
+        from repro.experiments.config import ExperimentConfig
+
+        build = {
+            "EngineConfig": EngineConfig,
+            "MCMLSession": MCMLSession,
+            "ExperimentConfig": ExperimentConfig,
+        }[surface]
+        with pytest.raises(TypeError, match="workers"):
+            build(workers=2)
+
 
 class TestCLISurface:
     def test_list_backends_flag(self, capsys):

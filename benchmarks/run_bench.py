@@ -1045,6 +1045,8 @@ def main() -> None:
             "backend": "exact",
             "capabilities": backend_capabilities("exact").as_dict(),
             "exact_median_s": backends["exact"]["median_s"],
+            "approxmc_median_s": backends["approxmc"]["median_s"],
+            "cpu_count": os.cpu_count(),
             "warm_cache_backend_counts": cache_result["warm_backend_counts"],
             "warm_cache_speedup_x": cache_result["speedup_x"],
             "component_cache_speedup_x": component_result["speedup_x"],

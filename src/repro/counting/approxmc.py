@@ -9,7 +9,14 @@ calls):
    probability ½ plus a random parity bit — partitioning the solution space
    into ~``2^m`` cells;
 2. enumerate the cell containing up to ``thresh`` solutions (projected
-   AllSAT with a cutoff);
+   AllSAT with a cutoff).  One ``count`` call keeps the projected models
+   it has found, starting with the quick-exit probe's: every one satisfies
+   the CNF, so a cell starts from those that satisfy its hashes, blocks
+   them before its search, and adds what the search finds.  Each model is
+   found at most once per count, and a cell whose known models already
+   reach ``thresh`` builds no solver.  The cell size is still exactly
+   ``min(#models, thresh)`` and the hash draws do not depend on it, so the
+   estimates are those of enumerating every cell from scratch;
 3. find the ``m`` at which the cell size falls below ``thresh`` (galloping
    search seeded by the previous round's ``m``);
 4. report ``cell_size × 2^m``, taking the median over ``t`` rounds.
@@ -104,6 +111,31 @@ def compute_rounds(delta: float) -> int:
     return t if t % 2 == 1 else t + 1
 
 
+class _Found:
+    """The projected models of one CNF found so far by one ``count`` call.
+
+    ``models`` holds int bitmasks over the sorted ``projection``, as
+    :func:`~repro.sat.enumerate.count_models` takes them.  A model of one
+    CNF is not a model of the next, so this lives only as long as a count.
+    """
+
+    __slots__ = ("projection", "models", "_bit")
+
+    def __init__(self, projection: list[int]) -> None:
+        self.projection = projection
+        self.models: set[int] = set()
+        self._bit = {v: 1 << i for i, v in enumerate(projection)}
+
+    def in_cell(self, xors: Sequence[XorConstraint]) -> set[int]:
+        """The models found so far that satisfy every constraint of ``xors``."""
+        hashes = [(sum(self._bit[v] for v in xor.variables), xor.rhs) for xor in xors]
+        return {
+            x
+            for x in self.models
+            if all(((x & mask).bit_count() & 1) == rhs for mask, rhs in hashes)
+        }
+
+
 class ApproxMCCounter:
     """(ε, δ) approximate projected model counter."""
 
@@ -144,16 +176,18 @@ class ApproxMCCounter:
         self._deadline_at = (
             monotonic() + self.deadline if self.deadline is not None else None
         )
-        projection = sorted(cnf.projected_vars())
+        found = _Found(sorted(cnf.projected_vars()))
         # Quick exit: fewer than `threshold` solutions are counted exactly.
-        exact_small = count_models(cnf, projection=projection, limit=self.threshold)
+        exact_small = count_models(
+            cnf, projection=found.projection, limit=self.threshold, known=found.models
+        )
         if exact_small < self.threshold:
             return exact_small
 
         estimates: list[int] = []
         prev_m = 0
         for _ in range(self.rounds):
-            estimate, prev_m = self._one_round(cnf, projection, prev_m)
+            estimate, prev_m = self._one_round(cnf, found, prev_m)
             if estimate is not None:
                 estimates.append(estimate)
         if not estimates:
@@ -164,24 +198,30 @@ class ApproxMCCounter:
     # -- internals -----------------------------------------------------------------
 
     def _cell_size(
-        self, cnf: CNF, projection: Sequence[int], xors: Sequence[XorConstraint], m: int
+        self, cnf: CNF, found: _Found, xors: Sequence[XorConstraint], m: int
     ) -> int:
         """Solutions in the cell carved by the first ``m`` hashes, capped."""
         self._check_deadline()
+        hashes = xors[:m]
         hashed = cnf.copy()
-        for constraint in xors[:m]:
+        for constraint in hashes:
             encode_xor(hashed, constraint)
-        return count_models(hashed, projection=projection, limit=self.threshold)
+        known = found.in_cell(hashes)
+        size = count_models(
+            hashed, projection=found.projection, limit=self.threshold, known=known
+        )
+        found.models |= known
+        return size
 
     def _one_round(
-        self, cnf: CNF, projection: Sequence[int], prev_m: int
+        self, cnf: CNF, found: _Found, prev_m: int
     ) -> tuple[int | None, int]:
         """One ApproxMCCore invocation: returns (estimate or None, final m)."""
-        max_m = len(projection)
-        xors = [random_xor(projection, self._rng) for _ in range(max_m)]
+        max_m = len(found.projection)
+        xors = [random_xor(found.projection, self._rng) for _ in range(max_m)]
 
         def small_enough(m: int) -> tuple[bool, int]:
-            size = self._cell_size(cnf, projection, xors, m)
+            size = self._cell_size(cnf, found, xors, m)
             return size < self.threshold, size
 
         # Galloping search for the frontier m*: cell(m*) < thresh ≤ cell(m*-1).

@@ -31,14 +31,15 @@ def positive_count(
     symmetry: SymmetryBreaking | None = None,
     limit: int | None = None,
 ) -> int:
-    """Number of positive solutions at ``scope`` (≤ ``limit`` if given).
+    """Number of positive solutions at ``scope``, capped at ``limit`` if given.
 
     Without symmetry breaking the closed form answers exactly.  With it,
     small scopes are counted exactly by sweep; larger scopes enumerate with
     the SAT back-end up to ``limit`` (enough for threshold queries).
     """
     if symmetry is None:
-        return closed_form_count(prop.oracle, scope)
+        total = closed_form_count(prop.oracle, scope)
+        return total if limit is None else min(total, limit)
     m = scope * scope
     if m <= MAX_BRUTE_VARS:
         mask_fn = property_mask(prop.oracle)
@@ -48,7 +49,7 @@ def positive_count(
             keep &= symmetry.mask(block, scope)
             total += int(keep.sum())
             if limit is not None and total >= limit:
-                return total
+                return limit
         return total
     from repro.sat.enumerate import count_models
     from repro.spec.translate import translate

@@ -23,10 +23,15 @@ from repro.counting.approxmc import (
     encode_xor,
     random_xor,
 )
+from repro.counting import approxmc as approxmc_module
 from repro.counting.exact import CounterBudgetExceeded
 from repro.counting.oracles import bell_number, fibonacci
 from repro.logic import CNF, Var, tseitin_cnf
 from repro.logic.formula import iter_assignments
+from repro.sat import SatResult, Solver, count_models
+from repro.spec.properties import get_property, property_names
+from repro.spec.symmetry import SymmetryBreaking
+from repro.spec.translate import translate
 
 from tests.test_sat_solver import random_cnf
 
@@ -210,6 +215,75 @@ class TestApproxMC:
         epsilon = 0.8
         estimate = ApproxMCCounter(epsilon=epsilon, delta=0.2, seed=7).count(cnf)
         assert truth / (1 + epsilon) <= estimate <= truth * (1 + epsilon)
+
+
+def _estimates(problems, seeds):
+    """ApproxMC estimates, one counter per property and seed, as Table 1 counts.
+
+    Each counter counts the property's symmetry-broken CNF and then its
+    plain one, so the second count draws from the RNG state the first left.
+    """
+    estimates = {}
+    for name, cnfs in problems:
+        for seed in seeds:
+            counter = ApproxMCCounter(seed=seed)
+            estimates[name, seed] = [counter.count(cnf) for cnf in cnfs]
+    return estimates
+
+
+def _table1_problems(names, scope):
+    symmetry = SymmetryBreaking("adjacent")
+    return [
+        (
+            f"{name}@{scope}",
+            (
+                translate(get_property(name), scope, symmetry=symmetry).cnf,
+                translate(get_property(name), scope).cnf,
+            ),
+        )
+        for name in names
+    ]
+
+
+class TestApproxMCReuse:
+    """Cells reuse the models earlier cells found: same estimates, no re-finds."""
+
+    def test_estimates_match_enumerating_every_cell_afresh(self, monkeypatch):
+        problems = _table1_problems(property_names(), 3) + _table1_problems(
+            ("Function", "StrictOrder"), 4
+        )
+        seeds = range(5)
+        reusing = _estimates(problems, seeds)
+
+        def from_scratch(cnf, projection=None, limit=None, known=None):
+            return count_models(cnf, projection=projection, limit=limit)
+
+        monkeypatch.setattr(approxmc_module, "count_models", from_scratch)
+        assert _estimates(problems, seeds) == reusing
+
+    @pytest.mark.parametrize(
+        "name, models", [("Function", 256), ("StrictOrder", 219)]
+    )
+    def test_each_model_is_found_once_per_count(self, monkeypatch, name, models):
+        cnf = translate(get_property(name), 4).cnf
+        projection = sorted(cnf.projected_vars())
+        found = []
+        original = Solver.solve
+
+        def recording(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            if result is SatResult.SAT:
+                model = self.model()
+                found.append(tuple(model.get(v, False) for v in projection))
+            return result
+
+        monkeypatch.setattr(Solver, "solve", recording)
+        counter = ApproxMCCounter(seed=0)
+        # Above the pivot, so the count runs hashing rounds; enumerating
+        # every cell afresh makes 2,884 (Function) and 2,717 (StrictOrder)
+        # SAT solves here.
+        assert counter.count(cnf) >= counter.threshold
+        assert len(found) == len(set(found)) == models
 
 
 class TestOracles:

@@ -195,6 +195,108 @@ def test_enumeration_agrees_with_brute_force(instance):
     assert got == set(expected)
 
 
+def _projected_bits(clauses, num_vars, proj):
+    """Projected models as bitmasks over sorted ``proj`` (bit i = proj[i])."""
+    return {
+        sum(1 << i for i, v in enumerate(proj) if bits[v - 1])
+        for bits in _brute_force_models(clauses, num_vars)
+    }
+
+
+@st.composite
+def counting_with_known(draw):
+    """A random CNF, a projection, some of its projected models, a limit."""
+    num_vars, clauses = draw(random_cnf())
+    proj = sorted(draw(st.sets(st.integers(min_value=1, max_value=num_vars))))
+    models = _projected_bits(clauses, num_vars, proj)
+    known = draw(st.sets(st.sampled_from(sorted(models)))) if models else set()
+    limit = draw(st.none() | st.integers(min_value=0, max_value=len(models) + 2))
+    return num_vars, clauses, proj, models, known, limit
+
+
+class TestCountModelsKnown:
+    """``count_models(known=…)``: known models count, and found ones are added."""
+
+    @given(counting_with_known())
+    @settings(max_examples=150, deadline=None)
+    def test_known_models_count_and_grow(self, instance):
+        num_vars, clauses, proj, models, known, limit = instance
+        cnf = CNF(clauses, num_vars=num_vars, projection=proj)
+        given_known = set(known)
+        result = count_models(cnf, limit=limit, known=known)
+        assert result == (len(models) if limit is None else min(len(models), limit))
+        assert known >= given_known
+        assert known <= models
+
+    def test_unlimited_count_finds_every_model(self):
+        cnf = CNF([[1, 2]], num_vars=3, projection=[1, 2])
+        known = {0b11}  # x1 and x2 true
+        assert count_models(cnf, known=known) == 3
+        assert known == {0b01, 0b10, 0b11}
+
+    def test_empty_projection(self):
+        sat = CNF([[1, 2]], num_vars=2, projection=[])
+        known: set[int] = set()
+        assert count_models(sat, known=known) == 1
+        assert known == {0}
+        assert count_models(sat, known=known) == 1
+        unsat = CNF([[1], [-1]], num_vars=1, projection=[])
+        assert count_models(unsat, known=set()) == 0
+
+    def test_limit_zero(self, monkeypatch):
+        cnf = CNF([[1, 2]], num_vars=2, projection=[1, 2])
+        self._forbid_solver(monkeypatch)
+        known: set[int] = set()
+        assert count_models(cnf, limit=0, known=known) == 0
+        assert known == set()
+
+    def test_known_at_limit_builds_no_solver(self, monkeypatch):
+        cnf = CNF(num_vars=4, projection=[1, 2, 3, 4])
+        self._forbid_solver(monkeypatch)
+        known = {0b0001, 0b0010, 0b0100}
+        assert count_models(cnf, limit=3, known=known) == 3
+        assert count_models(cnf, limit=2, known=known) == 2
+        assert known == {0b0001, 0b0010, 0b0100}
+
+    def test_without_known_the_solver_calls_are_unchanged(self, monkeypatch):
+        cnf = CNF([[1, 2], [-2, 3]], num_vars=3, projection=[1, 2])
+        plain = self._record_solver(monkeypatch, lambda: list(enumerate_models(cnf)))
+        counted = self._record_solver(monkeypatch, lambda: count_models(cnf))
+        assert counted == plain
+
+    @staticmethod
+    def _forbid_solver(monkeypatch):
+        import repro.sat.enumerate as enumerate_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no solver may be built")
+
+        monkeypatch.setattr(enumerate_module, "Solver", forbidden)
+
+    @staticmethod
+    def _record_solver(monkeypatch, run):
+        """The (method, argument) calls a solver receives while ``run`` runs."""
+        import repro.sat.enumerate as enumerate_module
+
+        calls = []
+
+        class Recording(Solver):
+            def add_clause(self, literals):
+                literals = list(literals)
+                calls.append(("add_clause", literals))
+                super().add_clause(literals)
+
+            def solve(self, *args, **kwargs):
+                result = super().solve(*args, **kwargs)
+                calls.append(("solve", result))
+                return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(enumerate_module, "Solver", Recording)
+            run()
+        return calls
+
+
 def test_solver_on_tseitin_output():
     # End-to-end: formula -> tseitin -> solver model satisfies the formula.
     x, y, z = Var(1), Var(2), Var(3)

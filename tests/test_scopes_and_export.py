@@ -27,7 +27,12 @@ class TestPositiveCount:
 
     def test_limit_short_circuits(self):
         prop = get_property("Reflexive")
-        assert positive_count(prop, 4, symmetry=SymmetryBreaking(), limit=3) >= 3
+        assert positive_count(prop, 4, symmetry=SymmetryBreaking(), limit=3) == 3
+
+    def test_limit_caps_the_closed_form(self):
+        prop = get_property("Function")
+        assert positive_count(prop, 4, limit=10) == 10
+        assert positive_count(prop, 4, limit=1000) == 256
 
 
 class TestChooseScope:

@@ -56,6 +56,7 @@ BACKENDS = {
     "test_counting_engine_warm": "engine-warm",
     "test_approxmc_counter": "approxmc",
     "test_compiled_conditioning_on_tree_region": "compiled-conditioning",
+    "test_engine_conditioned_sweep": "engine-conditioned-sweep",
     "test_formula_brute_counter": "formula-brute",
 }
 
@@ -63,7 +64,9 @@ INSTANCE = (
     "PartialOrder at scope 4 with adjacent symmetry breaking "
     "(translate(...).cnf: 290 vars, 933 clauses, 16 projected) — "
     "except 'compiled-conditioning', which conditions a trained tree's "
-    "label region"
+    "label region, and 'engine-conditioned-sweep', which solves the "
+    "compiled_conditioning ablation's 112 per-path requests (1,726 cubes) "
+    "on a fresh compiled engine over a filled circuits.sqlite"
 )
 
 
@@ -276,6 +279,52 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
     }
 
 
+#: The conditioning sweep's dense 28-step ratio grid: adjacent fractions
+#: retrain nearly identical trees, so sweep regions share path cubes — the
+#: conditioning memo's favourable (and DiffMC-realistic) regime.
+CONDITIONING_FRACTIONS = tuple(round(0.80 - 0.025 * i, 3) for i in range(28))
+
+
+def conditioning_sweep(scope: int, fractions: tuple[float, ...]) -> tuple[list, list]:
+    """The same-base/many-regions sweep as ``(conjunctions, per_path)``.
+
+    A reference decision tree's true/false label regions (auxiliary-free
+    CNFs) are the two bases; a tree retrained at each training fraction
+    contributes its true and false label cubes against each base.  The
+    two lists describe the same ``4 * len(fractions)`` region counts:
+    ``conjunctions`` as base-and-region CNFs, ``per_path`` as
+    ``strategy="per-path"`` requests over the retrained tree's cubes.
+    """
+    from repro.core.pipeline import MCMLPipeline
+    from repro.core.tree2cnf import label_cubes, label_region_cnf
+    from repro.counting import CountRequest
+    from repro.spec import SymmetryBreaking, get_property
+
+    m = scope * scope
+    pipeline = MCMLPipeline(seed=0)
+    dataset = pipeline.make_dataset(
+        get_property("PartialOrder"), scope, symmetry=SymmetryBreaking()
+    )
+    reference_train, _ = dataset.split(0.8, rng=1)
+    reference_paths = pipeline.train("DT", reference_train).decision_paths()
+    bases = [label_region_cnf(reference_paths, label, m) for label in (1, 0)]
+
+    conjunctions: list = []
+    per_path: list = []
+    for fraction in fractions:
+        train, _ = dataset.split(fraction, rng=0)
+        paths = pipeline.train("DT", train).decision_paths()
+        for base in bases:
+            for label in (1, 0):
+                conjunctions.append(base.conjoin(label_region_cnf(paths, label, m)))
+                per_path.append(
+                    CountRequest.from_cnf(
+                        base, strategy="per-path", cubes=label_cubes(paths, label)
+                    )
+                )
+    return conjunctions, per_path
+
+
 def compiled_conditioning_ablation(
     scope: int, fractions: tuple[float, ...], reps: int = 5
 ) -> dict:
@@ -314,35 +363,9 @@ def compiled_conditioning_ablation(
     enforced hard; the speedup is reported as measured with
     ``cpu_count`` recorded for context.
     """
-    from statistics import median
+    from repro.counting import CountingEngine, EngineConfig, make_backend
 
-    from repro.core.pipeline import MCMLPipeline
-    from repro.core.tree2cnf import label_cubes, label_region_cnf
-    from repro.counting import CountingEngine, CountRequest, EngineConfig, make_backend
-    from repro.spec import SymmetryBreaking, get_property
-
-    prop = get_property("PartialOrder")
-    symmetry = SymmetryBreaking()
-    m = scope * scope
-    pipeline = MCMLPipeline(seed=0)
-    dataset = pipeline.make_dataset(prop, scope, symmetry=symmetry)
-    reference_train, _ = dataset.split(0.8, rng=1)
-    reference_paths = pipeline.train("DT", reference_train).decision_paths()
-    bases = [label_region_cnf(reference_paths, label, m) for label in (1, 0)]
-
-    conjunction: list = []
-    per_path: list = []
-    for fraction in fractions:
-        train, _ = dataset.split(fraction, rng=0)
-        paths = pipeline.train("DT", train).decision_paths()
-        for base in bases:
-            for label in (1, 0):
-                conjunction.append(base.conjoin(label_region_cnf(paths, label, m)))
-                per_path.append(
-                    CountRequest.from_cnf(
-                        base, strategy="per-path", cubes=label_cubes(paths, label)
-                    )
-                )
+    conjunction, per_path = conditioning_sweep(scope, fractions)
 
     exact_engine = CountingEngine(make_backend("exact"), EngineConfig())
     started = perf_counter()
@@ -1002,11 +1025,7 @@ def main() -> None:
         fractions=(0.75, 0.65, 0.55, 0.45, 0.35, 0.25, 0.15),
     )
     conditioning_result = compiled_conditioning_ablation(
-        scope=4,
-        # A dense 28-step ratio grid: adjacent fractions retrain nearly
-        # identical trees, so sweep regions share path cubes — the
-        # conditioning memo's favourable (and DiffMC-realistic) regime.
-        fractions=tuple(round(0.80 - 0.025 * i, 3) for i in range(28)),
+        scope=4, fractions=CONDITIONING_FRACTIONS
     )
     service_result = service_throughput_ablation(
         scope=4, property_names=_ablation_properties(),
@@ -1046,6 +1065,9 @@ def main() -> None:
             "capabilities": backend_capabilities("exact").as_dict(),
             "exact_median_s": backends["exact"]["median_s"],
             "approxmc_median_s": backends["approxmc"]["median_s"],
+            "engine_conditioned_sweep_median_s": backends[
+                "engine-conditioned-sweep"
+            ]["median_s"],
             "cpu_count": os.cpu_count(),
             "warm_cache_backend_counts": cache_result["warm_backend_counts"],
             "warm_cache_speedup_x": cache_result["speedup_x"],

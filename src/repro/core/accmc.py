@@ -268,10 +268,6 @@ class AccMC:
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    def count_region(self, cnf: CNF) -> int:
-        """Expose the backend count (used by experiments for Table 1)."""
-        return self.surface.solve(cnf).value
-
     def _space_count(self, ground_truth: GroundTruth, compute) -> int:
         if ground_truth.symmetry is None:
             return 1 << ground_truth.num_primary

@@ -75,13 +75,12 @@ class MCMLSession(CountingSurface):
     engine:
         An existing :class:`CountingEngine` to adopt instead of building
         one — the session then shares (and on ``close()`` releases) it.
-    cache_dir / component_cache_mb / component_spill / circuit_store:
-        The :class:`EngineConfig` scaling knobs (``component_spill``
-        persists the component cache under ``cache_dir`` so component
-        work survives session restarts; ``circuit_store`` persists the
-        compiled circuits of a ``conditions_cubes`` backend the same way,
-        so a warm restart conditions without a single recompilation.
-        Both on by default; ``0``/``False`` opts out).
+    cache_dir / component_cache_mb:
+        The :class:`EngineConfig` scaling knobs.  ``cache_dir`` also
+        persists the component cache (so component work survives session
+        restarts) and the compiled circuits of a ``conditions_cubes``
+        backend (so a warm restart conditions without a single
+        recompilation).
     fallback / fallback_opts:
         The degradation ladder: a registered backend name failed problems
         (budget, deadline) are re-counted on, with explicit
@@ -114,8 +113,6 @@ class MCMLSession(CountingSurface):
         backend_opts: dict | None = None,
         cache_dir=None,
         component_cache_mb: float = 512.0,
-        component_spill: bool = True,
-        circuit_store: bool = True,
         fallback: str | None = None,
         fallback_opts: dict | None = None,
         deadline: float | None = None,
@@ -131,8 +128,6 @@ class MCMLSession(CountingSurface):
                 config=EngineConfig(
                     cache_dir=cache_dir,
                     component_cache_mb=component_cache_mb,
-                    component_spill=component_spill,
-                    circuit_store=circuit_store,
                     fallback=fallback,
                     fallback_opts=fallback_opts,
                 ),

@@ -35,7 +35,6 @@ concrete backend factories are imported lazily inside the registry.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from typing import Protocol, runtime_checkable
@@ -93,8 +92,8 @@ class Capabilities:
         tier) and answers every ``mc(φ∧path)`` sub-problem by unit-cube
         conditioning on the cached circuit instead of independent counts.
         Implies ``exact`` — conditioning results carry
-        ``source="circuit"`` provenance and are persisted like any exact
-        count.
+        ``source="circuit"`` provenance and are memoized like any exact
+        count; the circuit, not each sub-count, is what persists.
     """
 
     exact: bool
@@ -106,13 +105,6 @@ class Capabilities:
     def as_dict(self) -> dict[str, bool]:
         """Flag mapping, e.g. for benchmark/CLI provenance records."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def summary(self) -> str:
-        """Compact ``flag+flag-…`` rendering for CLI listings."""
-        return " ".join(
-            f"{name}={'yes' if value else 'no'}"
-            for name, value in self.as_dict().items()
-        )
 
 
 @runtime_checkable
@@ -637,10 +629,12 @@ class CountFailure(Exception):
 class EngineStats:
     """Cache telemetry: calls vs hits per memo table.
 
-    ``count_calls`` splits exactly into ``count_hits`` (in-memory memo),
-    ``store_hits`` (disk store), ``circuit_hits`` (answered by
-    conditioning a compiled circuit on a cube) and ``backend_calls``
-    (actual counting work) — a warm re-run shows
+    ``count_calls`` counts every (sub-)problem once and splits exactly
+    into ``count_hits`` (in-memory memo, duplicates inside a batch
+    included), ``store_hits`` (disk store), ``circuit_hits`` (answered by
+    conditioning a compiled circuit on a cube), ``backend_calls`` (actual
+    counting work) and the problems that failed (budget or deadline;
+    those that timed out are ``timeouts``) — a warm re-run shows
     ``backend_calls == 0``.
 
     The circuit tier has its own counters: ``circuit_compilations``
@@ -660,7 +654,9 @@ class EngineStats:
 
     The failure-path counters observe the robustness layer:
     ``timeouts`` counts problems aborted by a wall-clock deadline
-    (cooperative ``CounterTimeout``); ``fallbacks`` problems the
+    (cooperative ``CounterTimeout``), one per sub-problem of a per-path
+    request — a circuit compilation that times out fails each cold cube
+    of its base; ``fallbacks`` problems the
     degradation ladder re-routed to the configured fallback backend;
     ``store_degradations`` disk-tier degradation events (corrupt database
     rotated aside, unreadable row read as a miss, swallowed write
@@ -684,10 +680,6 @@ class EngineStats:
     timeouts: int = 0
     fallbacks: int = 0
     store_degradations: int = 0
-
-    @property
-    def count_misses(self) -> int:
-        return self.count_calls - self.count_hits
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -829,12 +821,3 @@ register_backend("approxmc", _approxmc_factory, aliases=("approx",))
 # unit-cube conditioning (conditions_cubes=True); "circuit" is its alias.
 register_backend("compiled", _compiled_factory, aliases=("circuit",))
 
-
-# -- timing helper --------------------------------------------------------------------
-
-
-def timed(fn: Callable[[], int]) -> tuple[int, float]:
-    """Run ``fn`` and return ``(value, elapsed_seconds)``."""
-    started = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - started

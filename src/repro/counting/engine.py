@@ -10,8 +10,8 @@ process and across sessions:
 * ``solve`` / ``solve_many`` are the typed front door: they accept a
   :class:`~repro.counting.api.CountRequest` (or a raw CNF) and return
   :class:`~repro.counting.api.CountResult` objects carrying the count plus
-  provenance — exactness, backend name, wall time, whether the answer came
-  from the in-memory memo, the disk store or actual backend work, and the
+  provenance — exactness, backend name, wall time, which tier answered
+  (memo, disk store, circuit, backend or fallback), and the
   :class:`~repro.counting.api.EngineStats` delta the call caused;
 * results are memoized keyed on the CNF's canonical packed signature
   (:meth:`repro.logic.cnf.CNF.signature`), so a cache hit is bit-identical
@@ -21,34 +21,31 @@ process and across sessions:
   *compilation* memos (translations, tree regions) by a
   :class:`repro.counting.store.BlobStore`, so a table re-run in a fresh
   process performs zero backend counts and zero recompilations;
-* a ``solve_many`` batch runs memo → store → serial backend count →
-  fallback ladder: memo and store hits are answered first (duplicates
-  inside the batch collapse onto one count) and only the cold remainder
-  reaches the backend;
+* requests with ``strategy="per-path"`` decompose a tree-region count into
+  one sub-problem per disjoint path cube (``mc(φ∧τ) = Σ_paths mc(φ∧path)``)
+  — the cubes are unit clauses that propagate hard, deduping shared paths
+  across trees and sessions.  When the backend declares
+  ``conditions_cubes`` (the ``compiled`` backend) a sub-problem is keyed
+  on its base formula and cube instead of a materialized CNF: the base is
+  compiled *once* into a :class:`~repro.counting.circuit.Circuit` and
+  every cold ``mc(φ∧path)`` is answered by unit-cube conditioning — a
+  linear DAG pass — with ``source="circuit"`` provenance.  Compiled
+  circuits are memoized in-process and, with ``cache_dir``, persisted in
+  a fourth disk tier (:class:`repro.counting.store.CircuitStore`), so a
+  warm restart performs zero compilations
+  (``EngineStats.circuit_store_hits``);
+* every ``solve_many`` batch runs one chain over its expanded
+  sub-problems: memo → count store → circuit → backend → fallback ladder.
+  Duplicates inside the batch collapse onto one count, and each tier
+  sees only what the tiers before it left cold;
 * the engine owns a bounded LRU
   :class:`repro.counting.component_cache.ComponentCache` installed on
   backends that declare ``owns_component_cache``, so the *sub-problems* of
   different counting calls share work too (``EngineConfig(component_cache_mb=…)``,
   0 to opt out); with ``cache_dir`` configured the cache additionally
-  *spills to disk* (``EngineConfig(component_spill=…)``, on by default):
-  evictions and ``close()`` persist entries into a
+  *spills to disk*: evictions and ``close()`` persist entries into a
   :class:`repro.counting.store.ComponentStore` and misses consult it
   before recounting, so component work survives engine restarts;
-* requests with ``strategy="per-path"`` decompose a tree-region count into
-  one sub-problem per disjoint path cube (``mc(φ∧τ) = Σ_paths mc(φ∧path)``)
-  — the cubes are unit clauses that propagate hard, and the sub-problems
-  flow through the same memo/store machinery, deduping shared paths
-  across trees and sessions;
-* when the backend declares ``conditions_cubes`` (the ``compiled``
-  backend), cold per-path sub-problems skip independent counting
-  entirely: the base formula is compiled *once* into a
-  :class:`~repro.counting.circuit.Circuit` and every ``mc(φ∧path)`` is
-  answered by unit-cube conditioning — a linear DAG pass — with
-  ``source="circuit"`` provenance.  Compiled circuits are memoized
-  in-process and persisted in a fourth disk tier
-  (:class:`repro.counting.store.CircuitStore`, ``EngineConfig(circuit_store=…)``),
-  so a warm restart performs zero compilations
-  (``EngineStats.circuit_store_hits``);
 * failures are *typed and contained*: budget exhaustions and wall-clock
   deadline overruns (``CountRequest(deadline=...)``) become per-problem
   :class:`~repro.counting.api.CountFailure` outcomes instead of batch
@@ -83,7 +80,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -110,6 +107,10 @@ from repro.logic.cnf import CNF
 #: Attribute-absence sentinel for budget overrides (no ``hasattr`` here).
 _MISSING = object()
 
+#: Result sources, coldest first: a summed per-path result reports the
+#: coldest tier any of its sub-problems touched.
+_COLDEST_FIRST = ("fallback", "backend", "circuit", "store", "memo")
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -123,7 +124,15 @@ class EngineConfig:
         warm) across processes and sessions.  Counts persist only for
         backends whose capabilities declare ``exact`` (estimates are not
         portable); compilations are backend-independent and persist for
-        every backend.
+        every backend.  The same directory holds the component cache's
+        spill tier (:class:`~repro.counting.store.ComponentStore`, whenever
+        the component cache is on: LRU evictions and ``close()`` persist
+        entries, and a later engine's misses consult it before recounting —
+        ``EngineStats.component_spill_hits`` reports the promotions) and,
+        for a ``conditions_cubes`` backend, the compiled circuits
+        (:class:`~repro.counting.store.CircuitStore`: a warm restart
+        answers conditioning queries with *zero* recompilations —
+        ``EngineStats.circuit_store_hits``).
     component_cache_mb:
         Approximate byte budget (in MiB) of the engine-owned
         :class:`~repro.counting.component_cache.ComponentCache` shared
@@ -133,26 +142,6 @@ class EngineConfig:
         per-call component caching).  Warm hits are bit-identical to cold
         recounts by construction; only backends declaring
         ``owns_component_cache`` (the exact counter) participate.
-    component_spill:
-        Spill the component cache to disk
-        (:class:`~repro.counting.store.ComponentStore` under
-        ``cache_dir``): LRU evictions and ``close()`` persist entries,
-        and a later engine's misses consult the store before recounting —
-        so a φ's *component* work survives restarts the way whole counts
-        already do (``EngineStats.component_spill_hits`` reports the
-        promotions).  On by default but only active when ``cache_dir`` is
-        configured and the component cache itself is; ``0``/``False``
-        opts out.
-    circuit_store:
-        Persist compiled circuits
-        (:class:`~repro.counting.store.CircuitStore` under ``cache_dir``):
-        per-path base formulas compiled by a ``conditions_cubes`` backend
-        are pickled keyed on their CNF signature, so a warm engine restart
-        answers conditioning queries with *zero* recompilations
-        (``EngineStats.circuit_store_hits``).  On by default but only
-        active when ``cache_dir`` is configured and the backend declares
-        ``conditions_cubes``; ``0``/``False`` opts out.
-
     fallback:
         Registered backend name (see
         :func:`repro.counting.api.make_backend`) the *degradation ladder*
@@ -172,8 +161,6 @@ class EngineConfig:
 
     cache_dir: str | Path | None = None
     component_cache_mb: float = 512.0
-    component_spill: bool = True
-    circuit_store: bool = True
     fallback: str | None = None
     fallback_opts: dict | None = None
 
@@ -211,16 +198,17 @@ class _Flat(NamedTuple):
     deadline: float | None
     exact_only: bool  #: request demanded exact precision
     per_path: bool  #: sub-problem of a per-path decomposition
-    #: With a ``conditions_cubes`` backend: the per-path base CNF and this
-    #: sub-problem's unit cube, so a cold miss conditions the base's
-    #: compiled circuit instead of counting ``cnf`` independently.
+    #: With a ``conditions_cubes`` backend: the per-path request's base
+    #: CNF and this sub-problem's unit cube, so a cold miss conditions the
+    #: base's compiled circuit instead of counting a sub-CNF.
     base: CNF | None = None
     cube: tuple[int, ...] | None = None
-    #: Memo key override for conditioned sub-problems:
-    #: ``("cube", base.signature(), cube)``.  Composing the (memoized)
-    #: base signature with the cube skips packing and hashing a fresh
-    #: sub-CNF per cube — the difference between microsecond and
-    #: millisecond query cost on a warm circuit.
+    #: Memo key of a conditioned sub-problem: ``(identity, cube)``, where
+    #: ``identity`` is the base's ``(num_vars, projection,
+    #: frozenset(clauses))``.  Composing the base identity with the cube
+    #: skips packing and hashing a fresh sub-CNF per cube — the
+    #: difference between microsecond and millisecond query cost on a
+    #: warm circuit.
     key: tuple | None = None
 
     def materialize(self) -> CNF:
@@ -265,20 +253,17 @@ class CountingEngine:
             self.counter, "name", type(self.counter).__name__
         )
         caps = self.capabilities
+        cache_dir = self.config.cache_dir
         # Count persistence is reserved for exact backends: exact counts
         # are interchangeable across backends and sessions, whereas an
         # (ε, δ) estimate persisted to a shared cache_dir would silently
         # poison later exact runs.  Compilation memos carry no counts, so
         # they persist for every backend.
         self.store: CountStore | None = (
-            CountStore(self.config.cache_dir)
-            if self.config.cache_dir is not None and caps.exact
-            else None
+            CountStore(cache_dir) if cache_dir is not None and caps.exact else None
         )
         self.memo_store: BlobStore | None = (
-            BlobStore(self.config.cache_dir)
-            if self.config.cache_dir is not None
-            else None
+            BlobStore(cache_dir) if cache_dir is not None else None
         )
         # The engine owns the component cache and installs it on backends
         # declaring ``owns_component_cache``, so every count of every batch
@@ -292,31 +277,25 @@ class CountingEngine:
                 self.counter.component_cache = self.component_cache
             else:
                 self.counter.component_cache = None
-        # The spill tier rides on both knobs: a component cache to spill
-        # and a cache_dir to spill into.  Attached to the shared cache, so
-        # evictions and close-time spills both reach disk.
+        # The spill tier needs a component cache to spill and a cache_dir
+        # to spill into.  Attached to the shared cache, so evictions and
+        # close-time spills both reach disk.
         self.component_store: ComponentStore | None = None
-        if (
-            self.component_cache is not None
-            and self.config.cache_dir is not None
-            and self.config.component_spill
-        ):
-            self.component_store = ComponentStore(self.config.cache_dir)
+        if self.component_cache is not None and cache_dir is not None:
+            self.component_store = ComponentStore(cache_dir)
             self.component_cache.attach_spill(self.component_store)
         # The circuit tier rides on the backend's conditions_cubes
         # declaration: only a compiling backend produces circuits worth
         # keeping, and only per-path conditioning consumes them.
-        self.circuit_store: CircuitStore | None = None
-        if (
-            caps.conditions_cubes
-            and self.config.cache_dir is not None
-            and self.config.circuit_store
-        ):
-            self.circuit_store = CircuitStore(self.config.cache_dir)
-        #: In-process circuit memo: base signature -> compiled Circuit.
+        self.circuit_store: CircuitStore | None = (
+            CircuitStore(cache_dir)
+            if caps.conditions_cubes and cache_dir is not None
+            else None
+        )
+        #: In-process circuit memo: base identity -> compiled Circuit.
         self._circuits: dict[tuple, object] = {}
-        self._component_spill_hits_base = 0
-        self._store_degradations_base = 0
+        #: Interned base identities of conditioned sub-problems.
+        self._bases: dict[tuple, tuple] = {}
         # The degradation ladder's fallback backend, built eagerly so a
         # misconfigured name fails at construction, not at the first
         # failure it was supposed to absorb.
@@ -341,7 +320,7 @@ class CountingEngine:
         #: bit-identical counts and consistent stats, never racing threads
         #: into one backend.
         self._lock = threading.RLock()
-        self._sync_store_degradations()
+        self._mirror_tier_counters()
 
     # -- typed counting API ----------------------------------------------------------
 
@@ -355,30 +334,35 @@ class CountingEngine:
         """Solve a batch of problems, reusing every cache layer.
 
         Accepts :class:`~repro.counting.api.CountRequest` objects or raw
-        CNFs (frozen into requests with default precision/budget).  The
-        batch is partitioned into in-memory memo hits, disk-store hits and
-        cold problems (duplicates inside the batch collapse onto the first
-        occurrence and report as memo hits).  Cold problems run on the
-        backend one after another, and their results merge back into the
-        memo and the disk store.  Each result records its provenance;
+        CNFs (frozen into requests with default precision/budget).  Each
+        request expands into sub-problems — one for a conjunction, one per
+        cube for ``strategy="per-path"`` — and the whole batch runs one
+        chain: the in-memory memo answers first (duplicates inside the
+        batch collapse onto the first occurrence and report as memo
+        hits), then the disk count store, then the circuit tier, then the
+        backend, one cold problem after another, and finally the
+        degradation ladder.  New counts merge back into the memo and the
+        disk store.  Each result records its provenance;
         ``stats_delta`` is the whole batch's telemetry movement (shared by
         the batch's results).
 
-        Requests with ``strategy="per-path"`` are *decomposed*: the region
-        they describe is a disjoint union of path cubes, so the request
-        expands into one sub-problem per cube (the base CNF plus unit
-        clauses, which propagate hard) and the result is the sum of the
-        sub-counts.  The sub-problems flow through the same memo → store →
-        backend chain as everything else, which is what makes shared
+        Per-path requests are *decomposed*: the region they describe is a
+        disjoint union of path cubes, so the request expands into one
+        sub-problem per cube (the base CNF plus unit clauses, which
+        propagate hard) and the result is the sum of the sub-counts, with
+        the coldest tier any sub-problem touched as its source.  Shared
         paths dedup across trees, batches and sessions.  On a
         ``conditions_cubes`` backend the sub-problems are keyed on
         ``(base, cube)`` instead — never materialized, never store-backed
         (the persistent artifact is the base's compiled circuit, and
-        re-conditioning it is cheaper than a disk read) — and the cold
-        remainder is answered by conditioning passes.  Summing estimates
-        would compound their error, so per-path requests require an exact
-        backend (consumers negotiate via ``capabilities.exact`` and fall
-        back to the conjunction route — see :class:`repro.core.accmc.AccMC`).
+        re-conditioning it is cheaper than a disk read) — and the circuit
+        tier answers the cold ones: each request base is compiled (or
+        read from the circuit store) once under the request's
+        budget/deadline, then conditioned once per cold cube.  Summing
+        estimates would compound their error, so per-path requests
+        require an exact backend (consumers negotiate via
+        ``capabilities.exact`` and fall back to the conjunction route —
+        see :class:`repro.core.accmc.AccMC`).
 
         Failure semantics.  A problem can fail without poisoning the
         batch: a node-budget exhaustion
@@ -388,16 +372,19 @@ class CountingEngine:
         :class:`~repro.counting.api.CountFailure` for *that position* —
         every other problem still completes, and completed counts always
         reach the memo and the disk store (a retry resumes, it does not
-        recount).  Deadlines are cooperative: they are enforced by the
-        backend's own ``deadline`` knob, so a backend without one ignores
-        them.  With ``config.fallback`` set, failed problems are
-        re-counted once on the fallback backend first (results carry
-        ``source="fallback"`` provenance).  ``on_failure`` selects what
-        happens to failures that remain: ``"raise"`` (the default)
-        re-raises the first failure's original exception after the batch
-        completes; ``"return"`` returns the ``CountFailure`` objects in
-        their batch positions alongside the successes (a failed per-path
-        request is represented by its first failed sub-problem).
+        recount).  A circuit compilation that aborts fails every cold
+        cube of its base.  Each failed sub-problem counts once in
+        ``EngineStats.timeouts`` when it timed out.  Deadlines are
+        cooperative: they are enforced by the backend's own ``deadline``
+        knob, so a backend without one ignores them.  With
+        ``config.fallback`` set, failed problems are re-counted once on
+        the fallback backend first (results carry ``source="fallback"``
+        provenance).  ``on_failure`` selects what happens to failures
+        that remain: ``"raise"`` (the default) re-raises the first
+        failure's original exception after the batch completes;
+        ``"return"`` returns the ``CountFailure`` objects in their batch
+        positions alongside the successes (a failed per-path request is
+        represented by its first failed sub-problem).
 
         Thread safety.  ``solve``/``solve_many``/``solve_formula`` (and
         the compilation memos) serialize on the engine's internal
@@ -416,156 +403,172 @@ class CountingEngine:
             )
         before = self.stats.copy()
         caps = self.capabilities
-        flat: list[_Flat] = []
-        #: per input problem: ("one", flat index), ("sum", flat range),
-        #: or ("ready", already-solved result) for the conditioning lane
-        shape: list[tuple] = []
+        items: list[_Flat] = []
+        #: per input problem: its item index, or its per-path item range
+        spans: list[int | range] = []
         for problem in problems:
-            if isinstance(problem, CountRequest):
-                if problem.precision == "exact" and not caps.exact:
-                    raise ValueError(
-                        f"request demands exact precision but backend "
-                        f"{self.backend_name!r} is approximate"
-                    )
-                exact_only = problem.precision == "exact"
-                if problem.strategy == "per-path":
-                    if not caps.exact:
-                        raise ValueError(
-                            f"per-path requests sum exact sub-counts but "
-                            f"backend {self.backend_name!r} is approximate; "
-                            "use strategy='conjunction'"
-                        )
-                    if caps.conditions_cubes:
-                        # Dedicated lane: the request is answered by
-                        # conditioning its base's compiled circuit, one
-                        # linear pass per cold cube — no sub-CNFs, no
-                        # per-cube result objects, no disk round-trips.
-                        shape.append(
-                            ("ready", self._condition_request(problem, exact_only))
-                        )
-                        continue
-                    start = len(flat)
-                    flat.extend(
-                        _Flat(sub, problem.budget, problem.deadline, exact_only, True)
-                        for sub in problem.expand()
-                    )
-                    shape.append(("sum", range(start, len(flat))))
-                    continue
-                flat.append(
+            if not isinstance(problem, CountRequest):
+                items.append(_Flat(problem, None, None, False, False))
+                spans.append(len(items) - 1)
+                continue
+            exact_only = problem.precision == "exact"
+            if exact_only and not caps.exact:
+                raise ValueError(
+                    f"request demands exact precision but backend "
+                    f"{self.backend_name!r} is approximate"
+                )
+            budget, deadline = problem.budget, problem.deadline
+            if problem.strategy != "per-path":
+                items.append(_Flat(problem.cnf(), budget, deadline, exact_only, False))
+                spans.append(len(items) - 1)
+                continue
+            if not caps.exact:
+                raise ValueError(
+                    f"per-path requests sum exact sub-counts but "
+                    f"backend {self.backend_name!r} is approximate; "
+                    "use strategy='conjunction'"
+                )
+            start = len(items)
+            if caps.conditions_cubes:
+                base = problem.cnf()
+                # Content-canonical and far cheaper than a packed signature
+                # per sub-CNF.  Interned, so equal bases from different
+                # requests share one object and memo probes compare it by
+                # identity.
+                identity = (base.num_vars, base.projection, frozenset(base.clauses))
+                identity = self._bases.setdefault(identity, identity)
+                items.extend(
                     _Flat(
-                        problem.cnf(), problem.budget, problem.deadline,
-                        exact_only, False,
+                        None, budget, deadline, exact_only, True, base, cube,
+                        (identity, cube),
                     )
+                    for cube in problem.cubes
                 )
             else:
-                flat.append(_Flat(problem, None, None, False, False))
-            shape.append(("one", len(flat) - 1))
+                items.extend(
+                    _Flat(sub, budget, deadline, exact_only, True)
+                    for sub in problem.expand()
+                )
+            spans.append(range(start, len(items)))
 
-        partial = self._solve_flat(flat, caps)
-        self._sync_component_stats()
-        self._sync_store_degradations()
-        stats_delta = self.stats.delta_since(before)
+        outcomes = self._solve_flat(items, caps)
+        self._mirror_tier_counters()
+        delta = self.stats.delta_since(before)
         results: list[CountResult | CountFailure] = []
         primary: CountFailure | None = None
-        for kind, ref in shape:
-            if kind == "ready":
-                # A conditioned per-path request, already summed.
-                if isinstance(ref, CountFailure):
-                    if primary is None:
-                        primary = ref
-                    results.append(ref)
-                    continue
-                results.append(replace(ref, stats_delta=stats_delta))
-                continue
-            if kind == "one":
-                r = partial[ref]
-                if isinstance(r, CountFailure):
-                    if primary is None:
-                        primary = r
-                    results.append(r)
-                    continue
-                results.append(
-                    CountResult(
-                        value=r.value,
-                        exact=r.exact,
-                        backend=r.backend,
-                        source=r.source,
-                        elapsed_seconds=r.elapsed_seconds,
-                        fallback_from=r.fallback_from,
-                        epsilon=r.epsilon,
-                        delta=r.delta,
-                        stats_delta=stats_delta,
-                    )
-                )
+        for span in spans:
+            if type(span) is range:
+                outcome = self._sum_result(outcomes[span.start:span.stop], delta)
             else:
-                subs = [partial[i] for i in ref]
-                failed = next(
-                    (s for s in subs if isinstance(s, CountFailure)), None
-                )
-                if failed is not None:
-                    if primary is None:
-                        primary = failed
-                    results.append(failed)
-                    continue
-                results.append(self._sum_result(subs, stats_delta))
+                outcome = outcomes[span]
+                if not isinstance(outcome, CountFailure):
+                    outcome = self._result(*outcome, delta)
+            if primary is None and isinstance(outcome, CountFailure):
+                primary = outcome
+            results.append(outcome)
         if primary is not None and on_failure == "raise":
             if primary.cause is not None:
                 raise primary.cause from primary
             raise primary
         return results
 
-    def _solve_flat(self, items: list[_Flat], caps: Capabilities):
-        """Solve already-expanded :class:`_Flat` problems (no delta attach).
+    def _solve_flat(self, items: list[_Flat], caps: Capabilities) -> list:
+        """Answer expanded problems: memo → store → circuit → backend → ladder.
 
-        Returns one :class:`~repro.counting.api.CountResult` or
-        :class:`~repro.counting.api.CountFailure` per item.
+        Returns one outcome per item: a ``(value, source,
+        elapsed_seconds)`` record or a
+        :class:`~repro.counting.api.CountFailure`.  Each item counts once
+        in :class:`EngineStats`: as a memo hit (duplicates inside the
+        batch included, which share the first occurrence's outcome), a
+        store hit, a circuit hit, a backend call or a failure.
         """
         from repro.counting.exact import CounterAbort
 
-        results: list[CountResult | CountFailure | None] = [None] * len(items)
+        stats = self.stats
+        counts = self._counts
+        outcomes: list = [None] * len(items)
+        #: cold key -> the batch positions it answers; the first position
+        #: holds the item that gets counted
         positions: dict[tuple, list[int]] = {}
-        order: list[tuple] = []
-        cold: dict[tuple, _Flat] = {}
+        cold: list[tuple] = []  # cold keys of CNF items
+        bases: dict[CNF, list[tuple]] = {}  # cold conditioned keys per base
+        stats.count_calls += len(items)
         for i, item in enumerate(items):
-            self.stats.count_calls += 1
-            key = item.cnf.signature()
-            cached = self._counts.get(key)
-            if cached is not None:
-                self.stats.count_hits += 1
-                results[i] = self._hit(cached, "memo")
+            key = item.key
+            if key is None:
+                key = item.cnf.signature()
+            value = counts.get(key)
+            if value is not None:
+                stats.count_hits += 1
+                outcomes[i] = (value, "memo", 0.0)
                 continue
-            if key in positions:
-                # Duplicate of a colder batch member: one backend count
-                # will serve both, exactly like a serial memo hit.
-                self.stats.count_hits += 1
-                positions[key].append(i)
+            same = positions.get(key)
+            if same is not None:
+                # Duplicate of a colder batch member: one count will serve
+                # both, exactly like a serial memo hit.
+                stats.count_hits += 1
+                same.append(i)
                 continue
             positions[key] = [i]
-            cold[key] = item
-            order.append(key)
+            if item.base is None:
+                cold.append(key)
+            else:
+                bases.setdefault(item.base, []).append(key)
 
-        missing = order
+        # The count store backs CNF items only: for conditioned items the
+        # persistent artifact is the circuit.
+        missing = cold
         hashed: dict[tuple, str] = {}
-        if self.store is not None and order:
-            hashed = {key: signature_key(key) for key in order}
-            found = self.store.get_many([hashed[key] for key in order])
+        if self.store is not None and cold:
+            hashed = {key: signature_key(key) for key in cold}
+            found = self.store.get_many(list(hashed.values()))
             missing = []
-            for key in order:
+            for key in cold:
                 value = found.get(hashed[key])
                 if value is None:
                     missing.append(key)
                     continue
-                self.stats.store_hits += 1
-                self._counts[key] = value
-                hit = self._hit(value, "store")
+                stats.store_hits += 1
+                counts[key] = value
+                record = (value, "store", 0.0)
                 for i in positions[key]:
-                    results[i] = hit
+                    outcomes[i] = record
 
+        # The circuit tier: one compilation (or circuit-store read) per
+        # request base, then one conditioning pass per cold cube.  An
+        # abort fails each of the base's cold cubes, and each still gets
+        # its shot on the ladder below.
         failed: dict[tuple, CountFailure] = {}
-        completed: dict[tuple, tuple[int, float]] = {}
+        for base, keys in bases.items():
+            first = items[positions[keys[0]][0]]
+            started = time.perf_counter()
+            try:
+                circuit = self._circuit_for(
+                    keys[0][0], base, first.budget, first.deadline
+                )
+            except CounterAbort as exc:
+                failure = CountFailure.from_exception(
+                    exc,
+                    backend=self.backend_name,
+                    elapsed_seconds=time.perf_counter() - started,
+                )
+                for key in keys:
+                    failed[key] = failure
+                continue
+            condition = circuit.condition
+            values = [condition(cube) for _, cube in keys]
+            stats.circuit_hits += len(keys)
+            seconds = (time.perf_counter() - started) / len(keys)
+            for key, value in zip(keys, values):
+                counts[key] = value
+                record = (value, "circuit", seconds)
+                for i in positions[key]:
+                    outcomes[i] = record
+
+        completed: dict[tuple, tuple] = {}
         try:
             for key in missing:
-                item = cold[key]
+                item = items[positions[key][0]]
                 started = time.perf_counter()
                 try:
                     with self._limits(item.budget, item.deadline):
@@ -580,51 +583,41 @@ class CountingEngine:
                         elapsed_seconds=time.perf_counter() - started,
                     )
                     continue
-                completed[key] = (value, time.perf_counter() - started)
+                completed[key] = (value, "backend", time.perf_counter() - started)
         finally:
             # Merge whatever completed even when a later problem raised:
             # counts already paid for must reach the memo and the disk
             # store, so a retry resumes instead of re-counting from scratch.
-            self.stats.backend_calls += len(completed)
-            fresh: list[tuple[str, int]] = []
-            for key, (value, seconds) in completed.items():
+            stats.backend_calls += len(completed)
+            for key, record in completed.items():
                 # Like inexact fallback counts, an estimate is never
                 # memoized (the store exists only for exact backends).
                 if caps.exact:
-                    self._counts[key] = value
-                result = CountResult(
-                    value=value,
-                    exact=caps.exact,
-                    backend=self.backend_name,
-                    source="backend",
-                    elapsed_seconds=seconds,
-                )
+                    counts[key] = record[0]
                 for i in positions[key]:
-                    results[i] = result
-                if self.store is not None:
-                    fresh.append((hashed[key], value))
-            if fresh:
-                self.store.put_many(fresh)
+                    outcomes[i] = record
+            if completed and self.store is not None:
+                self.store.put_many(
+                    [(hashed[key], record[0]) for key, record in completed.items()]
+                )
 
         # The degradation ladder: each failed problem gets one shot on
         # the configured fallback backend; failures the ladder cannot
         # absorb stand as the problem's typed outcome.
         for key, failure in failed.items():
             if failure.kind == "timeout":
-                self.stats.timeouts += 1
-            outcome = self._try_fallback(failure, cold[key])
-            if isinstance(outcome, CountResult):
-                if self._fallback_caps is not None and self._fallback_caps.exact:
-                    # Exact fallback counts are interchangeable with
-                    # the primary backend's; estimates are neither
-                    # memoized nor persisted.
-                    self._counts[key] = outcome.value
-                    if self.store is not None:
-                        self.store.put(hashed[key], outcome.value)
+                stats.timeouts += 1
+            outcome = self._try_fallback(failure, items[positions[key][0]])
+            if not isinstance(outcome, CountFailure) and self._fallback_caps.exact:
+                # Exact fallback counts are interchangeable with the
+                # primary backend's; estimates are neither memoized nor
+                # persisted.
+                counts[key] = outcome[0]
+                if key in hashed:
+                    self.store.put(hashed[key], outcome[0])
             for i in positions[key]:
-                results[i] = outcome
-
-        return results
+                outcomes[i] = outcome
+        return outcomes
 
     def _try_fallback(self, failure: CountFailure, item: _Flat):
         """One fallback attempt for a failed problem (or the failure itself).
@@ -639,15 +632,15 @@ class CountingEngine:
         were calibrated for — bound the fallback through its own
         construction knobs (``fallback_opts``, e.g. ``{"deadline": ...}``)
         when needed.  A fallback's own abort, or its failure to converge,
-        leaves the original failure standing.
+        leaves the original failure standing.  A rescued problem's
+        outcome is a ``(value, "fallback", elapsed_seconds)`` record.
         """
         from repro.counting.exact import CounterAbort
 
         fallback = self._fallback_counter
         if fallback is None or failure.kind == "error":
             return failure
-        fb_caps = self._fallback_caps
-        if not fb_caps.exact and (item.exact_only or item.per_path):
+        if not self._fallback_caps.exact and (item.exact_only or item.per_path):
             return failure
         started = time.perf_counter()
         try:
@@ -655,131 +648,13 @@ class CountingEngine:
         except (CounterAbort, RuntimeError):
             return failure
         self.stats.fallbacks += 1
-        return CountResult(
-            value=value,
-            exact=fb_caps.exact,
-            backend=getattr(fallback, "name", type(fallback).__name__),
-            source="fallback",
-            elapsed_seconds=time.perf_counter() - started,
-            fallback_from=self.backend_name,
-            epsilon=None if fb_caps.exact else getattr(fallback, "epsilon", None),
-            delta=None if fb_caps.exact else getattr(fallback, "delta", None),
-        )
-
-    def _condition_request(
-        self, problem: CountRequest, exact_only: bool
-    ) -> CountResult | CountFailure:
-        """Answer one per-path request by conditioning its compiled circuit.
-
-        The fast lane for ``conditions_cubes`` backends.  The request's
-        base CNF is identified by a cheap canonical key, its compiled
-        :class:`~repro.counting.circuit.Circuit` obtained once
-        (in-process memo → :class:`~repro.counting.store.CircuitStore` →
-        one compilation under the request's budget/deadline), and every
-        cold cube answered by one linear conditioning pass.  Sub-counts
-        merge into the in-process count memo — duplicate cubes inside
-        the request and across batches report as memo hits — but
-        deliberately stay out of the whole-count disk store:
-        re-conditioning a warm circuit is cheaper than a disk read, so
-        the compact persistent artifact is the circuit, not one row per
-        cube.  A compile abort sends each cold cube through the
-        degradation ladder; a failure the ladder cannot absorb fails the
-        whole request (its sum is meaningless with a term missing).
-        """
-        from repro.counting.exact import CounterAbort
-
-        stats = self.stats
-        started = time.perf_counter()
-        # Order-insensitive, content-canonical, and far cheaper than a
-        # packed signature — the circuit answers the whole request, so
-        # per-cube identity is just this prefix plus the cube.
-        identity = (
-            "cube",
-            problem.num_vars,
-            problem.projection,
-            frozenset(problem.clauses),
-        )
-        counts = self._counts
-        keys: list[tuple] = []
-        values: dict[tuple, int] = {}
-        sources: set[str] = set()
-        cold: list[tuple[tuple, tuple[int, ...]]] = []
-        seen_cold: set[tuple] = set()
-        hits = 0
-        for cube in problem.cubes:
-            key = identity + (cube,)
-            keys.append(key)
-            if key in values or key in seen_cold:
-                # Duplicate inside the request: one pass serves both,
-                # exactly like a serial memo hit.
-                hits += 1
-                continue
-            cached = counts.get(key)
-            if cached is not None:
-                hits += 1
-                values[key] = cached
-                sources.add("memo")
-                continue
-            seen_cold.add(key)
-            cold.append((key, cube))
-        stats.count_calls += len(keys)
-        stats.count_hits += hits
-
-        if cold:
-            try:
-                circuit = self._circuit_for(
-                    identity, problem.cnf(), problem.budget, problem.deadline
-                )
-            except CounterAbort as exc:
-                # One compilation serves every cold cube, so its abort
-                # is each one's failure; the degradation ladder still
-                # gets a per-cube shot.
-                failure = CountFailure.from_exception(
-                    exc,
-                    backend=self.backend_name,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
-                for key, cube in cold:
-                    if failure.kind == "timeout":
-                        stats.timeouts += 1
-                    outcome = self._try_fallback(
-                        failure,
-                        _Flat(
-                            None, problem.budget, problem.deadline,
-                            exact_only, True, problem.cnf(), cube, key,
-                        ),
-                    )
-                    if isinstance(outcome, CountFailure):
-                        return outcome
-                    values[key] = outcome.value
-                    self._counts[key] = outcome.value
-                    sources.add("fallback")
-            else:
-                for key, cube in cold:
-                    values[key] = value = circuit.condition(cube)
-                    self._counts[key] = value
-                stats.circuit_hits += len(cold)
-                sources.add("circuit")
-
-        if "fallback" in sources:
-            source = "fallback"
-        elif "circuit" in sources:
-            source = "circuit"
-        else:
-            source = "memo"
-        return CountResult(
-            value=sum(values[key] for key in keys),
-            exact=True,
-            backend=self.backend_name,
-            source=source,
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        return value, "fallback", time.perf_counter() - started
 
     def _circuit_for(self, base_identity: tuple, base: CNF, budget, deadline):
         """The compiled circuit for a per-path base (memo → store → compile).
 
-        ``base_identity`` is the composed-key prefix built in
-        ``solve_many`` — ``("cube", num_vars, projection,
+        ``base_identity`` is the first half of the conditioned memo keys
+        built in ``solve_many`` — ``(num_vars, projection,
         frozenset(clauses))`` — canonical across processes and sessions,
         so its :func:`~repro.counting.store.signature_key` is a stable
         :class:`~repro.counting.store.CircuitStore` address.
@@ -803,58 +678,87 @@ class CountingEngine:
             self.circuit_store.put(disk_key, circuit)
         return circuit
 
-    def _sum_result(self, subs: list[CountResult], delta) -> CountResult:
-        """Fold per-path sub-results into one summed result.
+    def _result(
+        self, value: int, source: str, seconds: float, delta: EngineStats
+    ) -> CountResult:
+        """The typed result of one outcome record.
 
-        Provenance reports the *coldest* tier any sub-problem touched
-        (fallback over backend over circuit over store over memo); an
-        empty cube set (a region with no paths of that label) sums to 0
-        without any work.
+        A fallback record carries the fallback backend's provenance:
+        its name and exactness, ``fallback_from`` the primary backend,
+        and its (ε, δ) when it is approximate.
         """
-        sources = {r.source for r in subs}
-        if "fallback" in sources:
-            source = "fallback"
-        elif "backend" in sources:
-            source = "backend"
-        elif "circuit" in sources:
-            source = "circuit"
-        elif "store" in sources:
-            source = "store"
-        else:
-            source = "memo"
+        if source != "fallback":
+            return CountResult(
+                value=value,
+                exact=self.capabilities.exact,
+                backend=self.backend_name,
+                source=source,
+                elapsed_seconds=seconds,
+                stats_delta=delta,
+            )
+        fallback = self._fallback_counter
+        exact = self._fallback_caps.exact
         return CountResult(
-            value=sum(r.value for r in subs),
-            exact=self.capabilities.exact,
-            backend=self.backend_name,
-            source=source,
-            elapsed_seconds=sum(r.elapsed_seconds for r in subs),
+            value=value,
+            exact=exact,
+            backend=getattr(fallback, "name", type(fallback).__name__),
+            source="fallback",
+            elapsed_seconds=seconds,
+            fallback_from=self.backend_name,
+            epsilon=None if exact else getattr(fallback, "epsilon", None),
+            delta=None if exact else getattr(fallback, "delta", None),
             stats_delta=delta,
         )
 
-    def _sync_component_stats(self) -> None:
-        """Mirror the component cache's spill promotions into EngineStats."""
-        cache = self.component_cache
-        if cache is not None and self.component_store is not None:
-            self.stats.component_spill_hits = (
-                cache.spill_hits - self._component_spill_hits_base
+    def _sum_result(self, subs: list, delta: EngineStats):
+        """Fold per-path sub-outcomes into one summed result.
+
+        The first failed sub-problem stands for the whole request (a sum
+        with a term missing is meaningless).  Provenance reports the
+        *coldest* tier any sub-problem touched (fallback over backend over
+        circuit over store over memo); an empty cube set (a region with
+        no paths of that label) sums to 0 without any work.
+        """
+        value = 0
+        seconds = 0.0
+        sources = set()
+        for sub in subs:
+            if isinstance(sub, CountFailure):
+                return sub
+            value += sub[0]
+            sources.add(sub[1])
+            seconds += sub[2]
+        return CountResult(
+            value=value,
+            exact=self.capabilities.exact,
+            backend=self.backend_name,
+            source=min(sources, key=_COLDEST_FIRST.index, default="memo"),
+            elapsed_seconds=seconds,
+            stats_delta=delta,
+        )
+
+    def _disk_tiers(self) -> list:
+        return [
+            store
+            for store in (
+                self.store,
+                self.memo_store,
+                self.component_store,
+                self.circuit_store,
             )
+            if store is not None
+        ]
 
-    def _store_degradations_total(self) -> int:
-        total = 0
-        for store in (
-            self.store,
-            self.memo_store,
-            self.component_store,
-            self.circuit_store,
-        ):
-            if store is not None:
-                total += store.degradations
-        return total
+    def _mirror_tier_counters(self) -> None:
+        """Copy the counters the component cache and disk tiers keep.
 
-    def _sync_store_degradations(self) -> None:
-        """Mirror the disk tiers' self-repair events into EngineStats."""
-        self.stats.store_degradations = (
-            self._store_degradations_total() - self._store_degradations_base
+        ``component_spill_hits`` and ``store_degradations`` are counted
+        where they happen; :meth:`clear` resets them at their source.
+        """
+        if self.component_store is not None:
+            self.stats.component_spill_hits = self.component_cache.spill_hits
+        self.stats.store_degradations = sum(
+            store.degradations for store in self._disk_tiers()
         )
 
     def solve_formula(self, formula, num_vars: int) -> CountResult:
@@ -862,9 +766,10 @@ class CountingEngine:
 
         Served only when the backend's capabilities declare
         ``counts_formulas``; keys the count memo on the formula's
-        structural hash (``Formula`` nodes hash structurally).  Formula
-        counts stay in-memory only — the disk store is keyed on CNF
-        signatures.
+        structural hash (``Formula`` nodes hash structurally).  Like the
+        batch loop, only an exact backend's count is memoized: an
+        estimate is recounted on every call.  Formula counts stay
+        in-memory only — the disk store is keyed on CNF signatures.
         """
         if not self.capabilities.counts_formulas:
             raise ValueError(
@@ -878,38 +783,18 @@ class CountingEngine:
         before = self.stats.copy()
         self.stats.count_calls += 1
         key = ("formula", formula, num_vars)
-        cached = self._counts.get(key)
-        if cached is not None:
+        value = self._counts.get(key)
+        if value is not None:
             self.stats.count_hits += 1
-            hit = self._hit(cached, "memo")
-            return CountResult(
-                value=hit.value,
-                exact=hit.exact,
-                backend=hit.backend,
-                source=hit.source,
-                stats_delta=self.stats.delta_since(before),
-            )
-        self.stats.backend_calls += 1
-        started = time.perf_counter()
-        value = self.counter.count_formula(formula, num_vars)
-        seconds = time.perf_counter() - started
-        self._counts[key] = value
-        return CountResult(
-            value=value,
-            exact=self.capabilities.exact,
-            backend=self.backend_name,
-            source="backend",
-            elapsed_seconds=seconds,
-            stats_delta=self.stats.delta_since(before),
-        )
-
-    def _hit(self, value: int, source: str) -> CountResult:
-        return CountResult(
-            value=value,
-            exact=self.capabilities.exact,
-            backend=self.backend_name,
-            source=source,
-        )
+            record = (value, "memo", 0.0)
+        else:
+            self.stats.backend_calls += 1
+            started = time.perf_counter()
+            value = self.counter.count_formula(formula, num_vars)
+            record = (value, "backend", time.perf_counter() - started)
+            if self.capabilities.exact:
+                self._counts[key] = value
+        return self._result(*record, self.stats.delta_since(before))
 
     @contextmanager
     def _limits(self, budget: int | None, deadline: float | None = None):
@@ -951,26 +836,13 @@ class CountingEngine:
         from repro.spec.translate import translate
 
         kind = symmetry.kind if symmetry is not None else None
-        key = (_prop_key(prop), scope, kind, negate)
-        with self._lock:
-            self.stats.translate_calls += 1
-            cached = self._translations.get(key)
-            if cached is not None:
-                self.stats.translate_hits += 1
-                return cached
-            problem = None
-            disk_key = None
-            if self.memo_store is not None:
-                disk_key = text_key("translate", prop, scope, kind, negate)
-                problem = self.memo_store.get(disk_key)
-                if problem is not None:
-                    self.stats.translate_store_hits += 1
-            if problem is None:
-                problem = translate(prop, scope, symmetry=symmetry, negate=negate)
-                if disk_key is not None:
-                    self.memo_store.put(disk_key, problem)
-            self._translations[key] = problem
-            return problem
+        return self._compilation(
+            "translate",
+            self._translations,
+            (_prop_key(prop), scope, kind, negate),
+            (prop, scope, kind, negate),
+            lambda: translate(prop, scope, symmetry=symmetry, negate=negate),
+        )
 
     def ground_truth(self, prop, scope: int, symmetry=None):
         """Memoized compiled ground truth for AccMC evaluation."""
@@ -999,25 +871,41 @@ class CountingEngine:
         from repro.core.tree2cnf import label_region_cnf
 
         key = (tuple(paths), label, num_features)
+        return self._compilation(
+            "region",
+            self._regions,
+            key,
+            key,
+            lambda: label_region_cnf(paths, label, num_features),
+        )
+
+    def _compilation(self, kind: str, memo: dict, key, disk_parts: tuple, build):
+        """One compilation memo: in-process dict → memo store → ``build()``.
+
+        ``kind`` names the :class:`EngineStats` counters it moves
+        (``{kind}_calls``, ``{kind}_hits``, ``{kind}_store_hits``) and
+        prefixes the memo-store key, which is the
+        :func:`~repro.counting.store.text_key` of ``(kind, *disk_parts)``.
+        """
         with self._lock:
-            self.stats.region_calls += 1
-            cached = self._regions.get(key)
-            if cached is not None:
-                self.stats.region_hits += 1
-                return cached
-            cnf = None
+            counters = vars(self.stats)
+            counters[f"{kind}_calls"] += 1
+            value = memo.get(key)
+            if value is not None:
+                counters[f"{kind}_hits"] += 1
+                return value
             disk_key = None
             if self.memo_store is not None:
-                disk_key = text_key("region", tuple(paths), label, num_features)
-                cnf = self.memo_store.get(disk_key)
-                if cnf is not None:
-                    self.stats.region_store_hits += 1
-            if cnf is None:
-                cnf = label_region_cnf(paths, label, num_features)
+                disk_key = text_key(kind, *disk_parts)
+                value = self.memo_store.get(disk_key)
+            if value is not None:
+                counters[f"{kind}_store_hits"] += 1
+            else:
+                value = build()
                 if disk_key is not None:
-                    self.memo_store.put(disk_key, cnf)
-            self._regions[key] = cnf
-            return cnf
+                    self.memo_store.put(disk_key, value)
+            memo[key] = value
+            return value
 
     # -- maintenance -----------------------------------------------------------------
 
@@ -1025,9 +913,11 @@ class CountingEngine:
         """Drop the in-memory memos and reset the statistics.
 
         The shared component cache is a memo too, so it is dropped with the
-        rest.  The disk stores (if configured) are intentionally left
-        intact — surviving resets is their purpose; use
-        ``engine.store.clear()`` / ``engine.close()`` for those.
+        rest.  The counters :class:`EngineStats` mirrors (the cache's spill
+        promotions, the disk tiers' degradations) restart from zero.  The
+        disk stores (if configured) are intentionally left intact —
+        surviving resets is their purpose; use ``engine.store.clear()`` /
+        ``engine.close()`` for those.
         """
         with self._lock:
             self._clear_locked()
@@ -1038,13 +928,12 @@ class CountingEngine:
         self._ground_truths.clear()
         self._regions.clear()
         self._circuits.clear()
+        self._bases.clear()
         if self.component_cache is not None:
             self.component_cache.clear()
-            # The cache's own counters are cumulative; re-baseline so the
-            # fresh EngineStats reports spill promotions from zero.
-            self._component_spill_hits_base = self.component_cache.spill_hits
-        # Same re-baselining for the cumulative store counters.
-        self._store_degradations_base = self._store_degradations_total()
+            self.component_cache.spill_hits = 0
+        for store in self._disk_tiers():
+            store.degradations = 0
         self.stats = EngineStats()
 
     def close(self) -> None:
@@ -1053,19 +942,13 @@ class CountingEngine:
         Counting again after a close works: the stores stay closed and
         the work falls through to the backend.
         """
-        if self.store is not None:
-            self.store.close()
-        if self.memo_store is not None:
-            self.memo_store.close()
         if self.component_store is not None:
             # A clean shutdown persists the live component entries too —
             # eviction pressure alone would leave an under-budget cache
             # entirely in memory and the next session cold.
-            if self.component_cache is not None:
-                self.component_cache.spill_all()
-            self.component_store.close()
-        if self.circuit_store is not None:
-            self.circuit_store.close()
+            self.component_cache.spill_all()
+        for store in self._disk_tiers():
+            store.close()
 
     def __enter__(self) -> "CountingEngine":
         return self

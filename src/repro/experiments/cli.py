@@ -94,27 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persist model counts and compilations to DIR so re-runs "
-        "skip the work (default: off)",
+        help="persist model counts, compilations, the component cache "
+        "and compiled circuits to DIR so re-runs skip the work "
+        "(default: off)",
     )
     parser.add_argument(
         "--component-cache-mb", type=float, default=512.0, metavar="MB",
         help="budget of the cross-call component cache shared by all "
         "counting problems of a run (default 512; 0 disables sharing)",
-    )
-    parser.add_argument(
-        "--component-spill", type=int, default=1, metavar="0|1",
-        help="spill the component cache to cache-dir/components.sqlite "
-        "(evictions and shutdown persist entries, misses consult disk) so "
-        "component work survives re-runs; needs --cache-dir "
-        "(default 1; 0 disables)",
-    )
-    parser.add_argument(
-        "--circuit-store", type=int, default=1, metavar="0|1",
-        help="persist compiled circuits to cache-dir/circuits.sqlite so a "
-        "warm restart of a conditions_cubes backend (compiled) answers "
-        "per-path region counts without recompiling; needs --cache-dir "
-        "(default 1; 0 disables)",
     )
     parser.add_argument(
         "--fallback", default=None, metavar="NAME",
@@ -204,8 +191,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         max_positives=args.max_positives,
         cache_dir=args.cache_dir,
         component_cache_mb=args.component_cache_mb,
-        component_spill=bool(args.component_spill),
-        circuit_store=bool(args.circuit_store),
         fallback=args.fallback,
         deadline=args.deadline,
         budget=args.budget,

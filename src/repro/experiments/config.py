@@ -57,12 +57,11 @@ class ExperimentConfig:
     component cache that lets overlapping counting problems (same φ,
     different tree regions) reuse each other's sub-counts (see
     :class:`repro.counting.EngineConfig`; 0 opts out).
-    ``component_spill`` additionally persists that component cache under
-    ``cache_dir`` (on by default, 0 opts out), ``circuit_store`` persists
-    the compiled circuits of a ``conditions_cubes`` backend (``mcml
-    --backend compiled``) there too so warm restarts condition without
-    recompiling, and ``region_strategy`` picks the AccMC/DiffMC region
-    route (``"conjunction"`` or ``"per-path"``).
+    ``cache_dir`` also persists that component cache and the compiled
+    circuits of a ``conditions_cubes`` backend (``mcml --backend
+    compiled``), so warm restarts condition without recompiling, and
+    ``region_strategy`` picks the AccMC/DiffMC region route
+    (``"conjunction"`` or ``"per-path"``).
     ``fallback`` names a backend the engine's degradation ladder
     re-counts failed problems on (``mcml --fallback approxmc``), and
     ``deadline``/``budget`` apply per-problem wall-clock and node limits
@@ -79,8 +78,6 @@ class ExperimentConfig:
     max_positives: int | None = 5000
     cache_dir: str | None = None
     component_cache_mb: float = 512.0
-    component_spill: bool = True
-    circuit_store: bool = True
     fallback: str | None = None
     deadline: float | None = None
     budget: int | None = None
@@ -102,8 +99,6 @@ class ExperimentConfig:
         return EngineConfig(
             cache_dir=self.cache_dir,
             component_cache_mb=self.component_cache_mb,
-            component_spill=self.component_spill,
-            circuit_store=self.circuit_store,
             fallback=self.fallback,
             fallback_opts={"seed": self.seed} if self.fallback in ("approx", "approxmc") else None,
         )

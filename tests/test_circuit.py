@@ -11,8 +11,9 @@ Four layers, mirroring the compile-once-query-forever stack:
   cell per property/scope) plus real decision-tree regions;
 * the engine — per-path requests answered by conditioning one cached
   circuit (``source="circuit"``), bit-identical to the conjunction
-  expansion, with budget/deadline aborts surfacing as typed failures and
-  the degradation ladder still applying;
+  expansion, with budget/deadline aborts surfacing as typed failures,
+  the degradation ladder still applying, and one accounting rule —
+  each sub-problem counted once — shared with the ``exact`` route;
 * the :class:`~repro.counting.store.CircuitStore` tier — a warm restart
   answers a known sweep with zero compilations and zero backend calls.
 """
@@ -298,6 +299,69 @@ class TestEngineConditioning:
         assert len(values) == 1
 
 
+class TestPerPathAccounting:
+    """One accounting rule for both per-path routes.
+
+    Every sub-problem counts exactly once: ``count_calls`` splits into
+    memo hits (in-batch duplicates included), store hits, circuit hits,
+    backend calls and failed sub-problems, and each sub-problem that
+    timed out is one ``timeouts`` — whether the backend counts sub-CNFs
+    (``exact``) or conditions a circuit whose compilation timed out
+    (``compiled``).
+    """
+
+    @pytest.mark.parametrize("backend", ("exact", "compiled"))
+    def test_each_sub_problem_counts_once(self, trees, backend):
+        first, second = trees
+        base = label_region_cnf(first.decision_paths(), 1, 8)
+        cubes = label_cubes(second.decision_paths(), 1, 8)
+        others = label_cubes(second.decision_paths(), 0, 8)
+        chain_cubes = ((1,), (-1, 2), (-1, -2, 3))
+        # The chain's sub-problems that cannot finish in time, one at a time.
+        unanswered = 0
+        for cube in chain_cubes:
+            with CountingEngine(make_backend(backend)) as alone:
+                outcome = alone.solve(
+                    _per_path_request(_CHAIN, (cube,), deadline=1e-9),
+                    on_failure="return",
+                )
+                unanswered += isinstance(outcome, CountFailure)
+        assert unanswered > 0
+        with CountingEngine(make_backend("exact")) as ref:
+            expected = [
+                ref.solve(_per_path_request(base, region)).value
+                for region in (cubes, others + others[:1], others[:1])
+            ]
+        with CountingEngine(make_backend(backend)) as engine:
+            engine.solve(_per_path_request(base, cubes))  # warms the memo
+            before = engine.stats.copy()
+            results = engine.solve_many(
+                [
+                    _per_path_request(base, cubes),  # memo hits
+                    # Cold cubes, one repeated inside the request and
+                    # once more by the next request: in-batch duplicates.
+                    _per_path_request(base, others + others[:1]),
+                    _per_path_request(base, others[:1]),
+                    _per_path_request(_CHAIN, chain_cubes, deadline=1e-9),
+                ],
+                on_failure="return",
+            )
+            delta = engine.stats.delta_since(before)
+        assert [r.value for r in results[:3]] == expected
+        assert isinstance(results[3], CountFailure)
+        assert results[3].kind == "timeout"
+        assert delta.count_calls == len(cubes) + len(others) + 2 + len(chain_cubes)
+        assert delta.count_hits == len(cubes) + 2
+        assert delta.count_calls == (
+            delta.count_hits
+            + delta.store_hits
+            + delta.circuit_hits
+            + delta.backend_calls
+            + unanswered
+        )
+        assert delta.timeouts == unanswered
+
+
 class TestCircuitStoreTier:
     def test_warm_restart_conditions_without_recompiling(self, trees, tmp_path):
         base, cubes = self._sweep(trees)
@@ -319,14 +383,6 @@ class TestCircuitStoreTier:
             assert warm.stats.backend_calls == 0
             assert warm.stats.store_hits == 0
             assert warm.stats.circuit_hits == len(set(cubes))
-
-    def test_circuit_store_knob_opts_out(self, trees, tmp_path):
-        base, cubes = self._sweep(trees)
-        config = EngineConfig(cache_dir=tmp_path, circuit_store=False)
-        with CountingEngine(make_backend("compiled"), config) as engine:
-            engine.solve(_per_path_request(base, cubes))
-            assert engine.circuit_store is None
-        assert not (tmp_path / "circuits.sqlite").exists()
 
     def test_non_conditioning_backends_get_no_circuit_store(self, tmp_path):
         with CountingEngine(

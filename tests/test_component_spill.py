@@ -9,8 +9,9 @@ Covers:
   rotates aside and reads as misses — engine construction never crashes);
 * the :class:`ComponentCache` spill tier — evict→spill→promote round trips,
   ``spill_all`` at engine close, warm-restart promotions surfacing as
-  ``EngineStats.component_spill_hits``, ``component_spill=0`` opt-out,
-  detaching the store, and counting on after the store closed;
+  ``EngineStats.component_spill_hits``, no spill without a ``cache_dir``
+  or a component cache, detaching the store, and counting on after the
+  store closed;
 * the per-path route — ``CountRequest(strategy="per-path")`` validation and
   expansion (the backend only ever sees the expanded sub-problems),
   engine-level sum correctness and sub-problem dedup, rejection
@@ -246,16 +247,6 @@ class TestEngineSpill:
         ]
         warm.close()
 
-    def test_component_spill_zero_opts_out(self, tmp_path):
-        engine = CountingEngine(
-            config=EngineConfig(cache_dir=tmp_path, component_spill=0)
-        )
-        assert engine.component_store is None
-        assert engine.component_cache is not None  # the memory tier stays
-        engine.solve(_phi())
-        engine.close()
-        assert not (tmp_path / COMPONENT_STORE_FILENAME).exists()
-
     def test_no_cache_dir_means_no_spill(self):
         engine = CountingEngine()
         assert engine.component_store is None
@@ -291,8 +282,6 @@ class TestEngineSpill:
     def test_session_exposes_component_store(self, tmp_path):
         with MCMLSession(cache_dir=tmp_path) as session:
             assert session.component_store is not None
-        with MCMLSession(cache_dir=tmp_path, component_spill=False) as session:
-            assert session.component_store is None
 
 
 # -- the per-path route --------------------------------------------------------------

@@ -13,7 +13,7 @@ Covers:
   engine counts on after a budget abort;
 * the satellite fixes — ``CountingEngine.__repr__`` reporting the backend
   and the configured tiers, ``solve_formula`` routed through the count memo
-  (or rejected on CNF-only backends), lazy ``CNF.signature()`` memoization
+  (estimates recounted, never memoized; rejected on CNF-only backends), lazy ``CNF.signature()`` memoization
   with invalidation, and ``CountStore`` write batching + WAL.
 """
 
@@ -23,6 +23,7 @@ import random
 import pytest
 
 from repro.counting import (
+    Capabilities,
     ComponentCache,
     CountingEngine,
     CountStore,
@@ -251,6 +252,39 @@ class TestSatelliteFixes:
         # A different variable space is a different counting problem.
         assert engine.solve_formula(formula, 4).value == 10
         assert engine.stats.backend_calls == 2
+
+    def test_count_formula_estimates_are_never_memoized(self):
+        """The batch loop's rule holds in the formula lane too: only an
+        exact backend's count enters the memo, so an estimate is
+        recounted on every call instead of replayed as a memo hit."""
+
+        class DriftingEstimator:
+            name = "drifting"
+            capabilities = Capabilities(exact=False, counts_formulas=True)
+
+            def __init__(self):
+                self.calls = 0
+
+            def count(self, cnf):
+                self.calls += 1
+                return 100 + self.calls
+
+            def count_formula(self, formula, num_vars):
+                return self.count(None)
+
+        engine = CountingEngine(DriftingEstimator())
+        formula = Or(And(Var(1), Var(2)), Var(3))
+        first = engine.solve_formula(formula, 3)
+        second = engine.solve_formula(formula, 3)
+        assert (first.value, second.value) == (101, 102)
+        assert first.source == second.source == "backend"
+        assert not second.exact
+        assert engine.stats.count_hits == 0
+        assert engine.stats.backend_calls == 2
+        # The same backend's CNF route recounts too.
+        cnf = translate(get_property("Reflexive"), 2).cnf
+        assert engine.solve(cnf).value == 103
+        assert engine.solve(cnf).value == 104
 
     def test_count_formula_rejected_for_cnf_only_backends(self):
         engine = CountingEngine()

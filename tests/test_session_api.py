@@ -255,6 +255,22 @@ class TestMCMLSession:
         with pytest.raises(TypeError, match="workers"):
             build(workers=2)
 
+    @pytest.mark.parametrize("keyword", ("component_spill", "circuit_store"))
+    @pytest.mark.parametrize(
+        "surface", ("EngineConfig", "MCMLSession", "ExperimentConfig")
+    )
+    def test_tier_switches_are_rejected(self, surface, keyword):
+        """The removed per-tier opt-outs fail loudly, never silently."""
+        from repro.experiments.config import ExperimentConfig
+
+        build = {
+            "EngineConfig": EngineConfig,
+            "MCMLSession": MCMLSession,
+            "ExperimentConfig": ExperimentConfig,
+        }[surface]
+        with pytest.raises(TypeError, match=keyword):
+            build(**{keyword: False})
+
 
 class TestCLISurface:
     def test_list_backends_flag(self, capsys):
@@ -287,10 +303,12 @@ class TestCLISurface:
             ["table9", "--fanout-min-vars", "4"],
             ["table9", "--counter", "brute"],
             ["table3", "--workers", "2"],
+            ["table3", "--component-spill", "0"],
+            ["table3", "--circuit-store", "0"],
         ),
         ids=(
             "cluster", "shards", "solver-threads", "fanout-min-vars", "counter",
-            "workers",
+            "workers", "component-spill", "circuit-store",
         ),
     )
     def test_parser_rejects_removed_verbs_and_flags(self, argv, capsys):

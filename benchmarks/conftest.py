@@ -1,8 +1,8 @@
 """Shared benchmark fixtures.
 
 Benchmarks regenerate every table and figure of the paper at reduced scopes
-(see EXPERIMENTS.md for the full-scale runs and the paper-vs-measured
-comparison).  Table-level benchmarks run one round — they are end-to-end
+(``tests/golden/full/`` holds the output of ``mcml all --seed 0`` at the
+default scopes).  Table-level benchmarks run one round — they are end-to-end
 experiments, not microbenchmarks — while the substrate benchmarks (solver,
 counters, translation) use pytest-benchmark's default calibration.
 """

@@ -18,8 +18,9 @@ Figure 1  Alloy spec for equivalence relations           ``figures``
 Figure 2  the 5 equivalence relations at scope 4         ``figures``
 ========  =============================================  ====================
 
-Scopes default to reduced values that run in seconds on a laptop
-(EXPERIMENTS.md records paper-vs-measured); the CLI exposes every knob.
+Scopes default to reduced values that run in seconds on a laptop; the CLI
+exposes every knob, and ``tests/golden/full/`` holds what ``mcml all
+--seed 0`` prints at those defaults.
 """
 
 from repro.experiments.config import ExperimentConfig, make_counter

@@ -10,9 +10,8 @@ from repro.spec.properties import PROPERTIES, Property, get_property
 
 #: Fast out-of-the-box-ish model settings for the experiment grids.  The
 #: library defaults mirror scikit-learn exactly; these trim iteration counts
-#: so a full table finishes in minutes of pure Python (the relative ordering
-#: of models — the thing the tables show — is unaffected; see
-#: EXPERIMENTS.md).
+#: so a full table finishes in minutes of pure Python.  Tables 2 and 4
+#: compare the models under these settings (see "Models" in docs/api.md).
 EXPERIMENT_MODEL_PARAMS: dict[str, dict] = {
     "DT": {},
     "RFT": {"n_estimators": 30},

@@ -12,9 +12,9 @@ class NotFittedError(RuntimeError):
 def check_Xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate and normalise a training pair.
 
-    ``X`` becomes a 2-D ``float64`` array (models are feature-type agnostic
-    even though the study only uses 0/1 features); ``y`` a 1-D int array of
-    0/1 labels.
+    ``X`` becomes a 2-D ``float64`` array of finite values (models are
+    feature-type agnostic even though the study only uses 0/1 features);
+    ``y`` a 1-D int array of 0/1 labels.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -29,6 +29,7 @@ def check_Xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labels = np.unique(y)
     if not np.isin(labels, (0, 1)).all():
         raise ValueError(f"labels must be 0/1, got {labels}")
+    _check_finite(X)
     return X, y.astype(np.int64)
 
 
@@ -40,7 +41,18 @@ def check_X(X: np.ndarray, n_features: int | None) -> np.ndarray:
         raise NotFittedError("model is not fitted yet")
     if X.shape[1] != n_features:
         raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
+    _check_finite(X)
     return X
+
+
+def _check_finite(X: np.ndarray) -> None:
+    """Reject NaN and infinities: no model here is defined on them."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"X must be finite, got {X[row, column]} at row {row}, column {column}"
+        )
 
 
 class BaseClassifier:

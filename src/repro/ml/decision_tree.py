@@ -12,12 +12,24 @@ on.  Thresholds are found for arbitrary numeric features anyway (midpoints
 of consecutive observed values) so the model is generally usable.
 
 Supports ``sample_weight`` (needed by AdaBoost), ``max_features`` (needed by
-random forests) and the usual depth/min-samples regularisers.
+random forests) and the usual depth/min-samples regularisers.  A node whose
+best split leaves fewer than ``min_samples_leaf`` rows on a side stays a
+leaf; the next-best split is not tried.
+
+Training is one recursion over row bitsets (Python ints, bit ``i`` = row
+``i``).  Each feature's ``x <= v`` row sets are built once per fit (one set
+per distinct value, so ``n**2`` bits for a continuous column), so a node's
+counts are ``&`` and ``int.bit_count()`` when every weight is 1.
+Other weights are summed by numpy over the node's rows in row order, since
+a float sum depends on its order.  Prediction routes all rows level by
+level through the tree flattened into arrays (:class:`TreeRouter`); a row
+goes left exactly when ``x[f] <= t``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,9 +107,8 @@ class DecisionTreeClassifier(BaseClassifier):
             if (weight < 0).any():
                 raise ValueError("sample_weight must be non-negative")
         self.n_features = X.shape[1]
-        self._rng = np.random.default_rng(self.random_state)
-        self._n_subset = self._resolve_max_features(X.shape[1])
-        self.root = self._build(X, y, weight, depth=0)
+        self.root = self._grow(X, y, weight)
+        self._router = TreeRouter(self.root, lambda node: node.label, np.int64)
         return self
 
     def _resolve_max_features(self, n_features: int) -> int:
@@ -111,88 +122,101 @@ class DecisionTreeClassifier(BaseClassifier):
             return self.max_features
         raise ValueError(f"unsupported max_features {self.max_features!r}")
 
-    def _build(
-        self, X: np.ndarray, y: np.ndarray, weight: np.ndarray, depth: int
-    ) -> TreeNode:
-        w_pos = float(weight[y == 1].sum())
-        w_neg = float(weight[y == 0].sum())
-        node = TreeNode(label=int(w_pos >= w_neg), weight=(w_neg, w_pos))
+    def _grow(self, X: np.ndarray, y: np.ndarray, weight: np.ndarray) -> TreeNode:
+        """Grow the tree in pre-order; a node is the bitset of its rows.
 
-        if (
-            w_pos == 0.0
-            or w_neg == 0.0
-            or len(y) < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
-            return node
+        ``weigh`` gives a row set's (total, positive) weight: popcounts,
+        which equal numpy's float sums of unit weights exactly, or numpy's
+        masked sums in row order.  Candidate features are drawn in
+        pre-order and ``(gini, feature, threshold)`` breaks ties.
+        """
+        n, n_features = X.shape
+        rng = np.random.default_rng(self.random_state)
+        n_subset = self._resolve_max_features(n_features)
+        columns = [_column_bitsets(column) for column in X.T]
+        positive = _bitset(y == 1)
+        negative = ((1 << n) - 1) ^ positive
+        if (weight == 1.0).all():
 
-        split = self._best_split(X, y, weight)
-        if split is None:
-            return node
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
-            return node
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], weight[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], weight[~mask], depth + 1)
-        return node
+            def weigh(rows: int) -> tuple[float, float]:
+                return float(rows.bit_count()), float((rows & positive).bit_count())
 
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, weight: np.ndarray
-    ) -> tuple[int, float] | None:
-        n_features = X.shape[1]
-        if self._n_subset < n_features:
-            candidates = self._rng.choice(n_features, size=self._n_subset, replace=False)
         else:
-            candidates = np.arange(n_features)
+            weighted_y = weight * y
 
-        total_w = weight.sum()
-        total_pos = (weight * y).sum()
-        parent_gini = _gini(total_pos, total_w)
+            def weigh(rows: int) -> tuple[float, float]:
+                mask = _mask(rows, n)
+                return weight[mask].sum(), weighted_y[mask].sum()
 
-        best: tuple[float, int, float] | None = None
-        for feature in candidates:
-            column = X[:, feature]
-            values = np.unique(column)
-            if len(values) < 2:
-                continue
-            thresholds = (values[:-1] + values[1:]) / 2.0
-            for threshold in thresholds:
-                mask = column <= threshold
-                w_left = weight[mask].sum()
-                w_right = total_w - w_left
-                if w_left == 0 or w_right == 0:
-                    continue
-                pos_left = (weight[mask] * y[mask]).sum()
-                pos_right = total_pos - pos_left
-                split_gini = (
-                    w_left * _gini(pos_left, w_left)
-                    + w_right * _gini(pos_right, w_right)
-                ) / total_w
-                gain = parent_gini - split_gini
-                if gain <= 1e-12:
-                    continue
-                key = (split_gini, int(feature), float(threshold))
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return None
-        return best[1], best[2]
+        def best_split(rows: int) -> tuple[float, int, float, int] | None:
+            if n_subset < n_features:
+                candidates = rng.choice(n_features, size=n_subset, replace=False).tolist()
+            else:
+                candidates = range(n_features)
+            total_w, total_pos = weigh(rows)
+            parent_gini = _gini(total_pos, total_w)
+            best = None
+            for feature in candidates:
+                values, below = columns[feature]
+                # The distinct values among the node's rows, in order.
+                present, seen = [], 0
+                for value, value_rows in zip(values, below):
+                    value_rows &= rows
+                    if value_rows != seen:
+                        present.append(value)
+                        seen = value_rows
+                        if seen == rows:
+                            break
+                for low, high in zip(present, present[1:]):
+                    threshold = (low + high) / 2.0
+                    at = bisect_right(values, threshold) - 1
+                    left = rows & below[at] if at >= 0 else 0
+                    w_left, pos_left = weigh(left)
+                    w_right = total_w - w_left
+                    if w_left == 0 or w_right == 0:
+                        continue
+                    pos_right = total_pos - pos_left
+                    split_gini = (
+                        w_left * _gini(pos_left, w_left)
+                        + w_right * _gini(pos_right, w_right)
+                    ) / total_w
+                    if parent_gini - split_gini <= 1e-12:
+                        continue
+                    if best is None or (split_gini, feature, threshold) < best[:3]:
+                        best = (split_gini, feature, threshold, left)
+            return best
+
+        def grow(rows: int, depth: int) -> TreeNode:
+            w_pos = float(weigh(rows & positive)[0])
+            w_neg = float(weigh(rows & negative)[0])
+            node = TreeNode(label=int(w_pos >= w_neg), weight=(w_neg, w_pos))
+            if (
+                w_pos == 0.0
+                or w_neg == 0.0
+                or rows.bit_count() < self.min_samples_split
+                or (self.max_depth is not None and depth >= self.max_depth)
+            ):
+                return node
+            split = best_split(rows)
+            if split is None:
+                return node
+            _, feature, threshold, left = split
+            right = rows ^ left
+            if min(left.bit_count(), right.bit_count()) < self.min_samples_leaf:
+                return node
+            node.feature = feature
+            node.threshold = threshold
+            node.left = grow(left, depth + 1)
+            node.right = grow(right, depth + 1)
+            return node
+
+        return grow((1 << n) - 1, 0)
 
     # -- inference ------------------------------------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = check_X(X, self.n_features)
-        assert self.root is not None
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.label
-        return out
+        return self._router.route(X)
 
     # -- structure ------------------------------------------------------------------
 
@@ -223,29 +247,69 @@ class DecisionTreeClassifier(BaseClassifier):
         return paths
 
     def n_leaves(self) -> int:
-        return len(self._leaves())
+        # Every inner node has two children, so leaves = inner nodes + 1.
+        return (len(self._fitted().value) + 1) // 2
 
     def depth(self) -> int:
-        def go(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(go(node.left), go(node.right))
+        return self._fitted().depth
 
+    def _fitted(self) -> "TreeRouter":
         if self.root is None:
             raise RuntimeError("tree is not fitted")
-        return go(self.root)
+        return self._router
 
-    def _leaves(self) -> list[TreeNode]:
-        assert self.root is not None
-        leaves = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+
+class TreeRouter:
+    """A fitted tree flattened into arrays, routing all rows level by level.
+
+    Nodes are numbered breadth first.  A row goes left exactly when
+    ``x[feature] <= threshold``.  A leaf is its own left and right child, so
+    after ``depth`` steps every row sits on its leaf.  Serves
+    :class:`DecisionTreeClassifier` and GBDT's regression trees, and through
+    them random forests and AdaBoost.
+    """
+
+    def __init__(self, root, leaf_value, dtype) -> None:
+        nodes, depths, children = [root], [0], []
+        for at, node in enumerate(nodes):
             if node.is_leaf:
-                leaves.append(node)
+                children.append((at, at))
             else:
-                stack.extend((node.left, node.right))
-        return leaves
+                children.append((len(nodes), len(nodes) + 1))
+                nodes += (node.left, node.right)
+                depths += (depths[at] + 1,) * 2
+        self.depth = max(depths)
+        self.feature = np.array([n.feature or 0 for n in nodes], dtype=np.intp)
+        self.threshold = np.array([np.inf if n.is_leaf else n.threshold for n in nodes])
+        self.left, self.right = np.array(children, dtype=np.intp).T
+        self.value = np.array([leaf_value(n) for n in nodes], dtype=dtype)
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """The leaf value each row of ``X`` reaches."""
+        rows, at = np.arange(len(X)), np.zeros(len(X), dtype=np.intp)
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            at = np.where(go_left, self.left[at], self.right[at])
+        return self.value[at]
+
+
+def _bitset(mask: np.ndarray) -> int:
+    """The rows of a boolean mask as an int: bit ``i`` is row ``i``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _mask(rows: int, n: int) -> np.ndarray:
+    """Inverse of :func:`_bitset`: the boolean mask of ``n`` rows."""
+    packed = np.frombuffer(rows.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
+
+
+def _column_bitsets(column: np.ndarray) -> tuple[list[float], list[int]]:
+    """A column's sorted distinct values and, for each value ``v``, the rows
+    with ``x <= v``."""
+    values = np.unique(column).tolist()
+    below = [_bitset(column <= value) for value in values[:-1]]
+    return values, below + [(1 << len(column)) - 1]
 
 
 def _gini(weight_pos: float, weight_total: float) -> float:

@@ -4,6 +4,12 @@ Standard binomial-deviance GBM: at each stage fit a small regression tree
 to the negative gradient (residuals) of the log-loss, then set each leaf's
 value with a one-step Newton update.  Defaults mirror scikit-learn's
 GradientBoostingClassifier: 100 stages, learning rate 0.1, depth-3 trees.
+
+Residual sums stay numpy's ``residual[mask].sum()``: a float sum depends on
+its summation order.  A two-valued column has one candidate threshold at
+every node, so it comes from a table built once per fit instead of
+``np.unique`` per node.  Prediction uses the decision tree's level-wise
+:class:`~repro.ml.decision_tree.TreeRouter`.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.base import BaseClassifier, check_X, check_Xy
+from repro.ml.decision_tree import TreeRouter
 
 
 @dataclass
@@ -37,9 +44,16 @@ class _RegressionTree:
         self.root: _RegressionNode | None = None
 
     def fit(
-        self, X: np.ndarray, residual: np.ndarray, hessian: np.ndarray
+        self,
+        X: np.ndarray,
+        residual: np.ndarray,
+        hessian: np.ndarray,
+        thresholds: list[list[float] | None],
     ) -> "_RegressionTree":
+        """``thresholds`` is :func:`_fixed_thresholds` of ``X``."""
+        self._thresholds = thresholds
         self.root = self._build(X, residual, hessian, depth=0)
+        self._router = TreeRouter(self.root, lambda node: node.value, np.float64)
         return self
 
     def _leaf_value(self, residual: np.ndarray, hessian: np.ndarray) -> float:
@@ -77,13 +91,13 @@ class _RegressionTree:
         best: tuple[float, int, float] | None = None
         for feature in range(n_features):
             column = X[:, feature]
-            values = np.unique(column)
-            if len(values) < 2:
-                continue
-            thresholds = (values[:-1] + values[1:]) / 2.0
+            thresholds = self._thresholds[feature]
+            if thresholds is None:
+                values = np.unique(column)
+                thresholds = (values[:-1] + values[1:]) / 2.0
             for threshold in thresholds:
                 mask = column <= threshold
-                n_left = int(mask.sum())
+                n_left = int(np.count_nonzero(mask))
                 n_right = n - n_left
                 if n_left == 0 or n_right == 0:
                     continue
@@ -99,14 +113,7 @@ class _RegressionTree:
         return best[1], best[2]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        assert self.root is not None
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        return self._router.route(X)
 
 
 class GradientBoostingClassifier(BaseClassifier):
@@ -139,12 +146,13 @@ class GradientBoostingClassifier(BaseClassifier):
         positive_rate = np.clip(y.mean(), 1e-9, 1 - 1e-9)
         self.base_score_ = float(np.log(positive_rate / (1 - positive_rate)))
         raw = np.full(X.shape[0], self.base_score_)
+        thresholds = _fixed_thresholds(X)
         for _ in range(self.n_estimators):
             probability = _sigmoid(raw)
             residual = y - probability
             hessian = probability * (1 - probability)
             tree = _RegressionTree(self.max_depth, self.min_samples_leaf)
-            tree.fit(X, residual, hessian)
+            tree.fit(X, residual, hessian, thresholds)
             update = tree.predict(X)
             raw += self.learning_rate * update
             self.stages_.append(tree)
@@ -165,6 +173,17 @@ class GradientBoostingClassifier(BaseClassifier):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_function(X) >= 0).astype(np.int64)
+
+
+def _fixed_thresholds(X: np.ndarray) -> list[list[float] | None]:
+    """Per feature, the thresholds every node tries if they do not depend on
+    the node: none for a constant column, one midpoint for a two-valued one.
+    ``None`` means the midpoints of the node's own distinct values."""
+    uniques = [np.unique(column) for column in X.T]
+    return [
+        None if len(values) > 2 else ((values[:-1] + values[1:]) / 2.0).tolist()
+        for values in uniques
+    ]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from repro.ml import (
     MODEL_REGISTRY,
     RandomForestClassifier,
 )
-from repro.ml.base import NotFittedError, check_Xy
+from repro.ml.base import NotFittedError, check_X, check_Xy
 
 
 def _xor_dataset(n=200, seed=0):
@@ -37,6 +37,12 @@ def _linear_dataset(n=300, seed=2):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 4))
     y = ((X @ np.array([1.0, -2.0, 0.5, 0.0])) + 0.3 > 0).astype(int)
+    return X, y
+
+
+def _short_best_split_dataset():
+    X = np.array([[1, 1]] * 2 + [[0, 1]] * 2 + [[0, 0]] * 4, dtype=float)
+    y = np.array([1, 1, 0, 0, 0, 0, 0, 0])
     return X, y
 
 
@@ -101,6 +107,23 @@ class TestCheckXy:
             check_Xy(np.zeros((3, 2)), np.zeros(4))
         with pytest.raises(ValueError):
             check_Xy(np.zeros((0, 2)), np.zeros(0))
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.zeros((3, 2))
+            X[1, 0] = bad
+            with pytest.raises(ValueError, match=f"{bad} at row 1, column 0"):
+                check_Xy(X, np.zeros(3))
+            with pytest.raises(ValueError, match=f"{bad} at row 1, column 0"):
+                check_X(X, 2)
+
+    @pytest.mark.parametrize("abbrev", sorted(MODEL_REGISTRY))
+    def test_models_reject_non_finite_features(self, abbrev):
+        X, y = _xor_dataset(n=20)
+        X[7, 1] = np.nan
+        with pytest.raises(ValueError, match="nan at row 7, column 1"):
+            MODEL_REGISTRY[abbrev](**_FAST_PARAMS[abbrev]).fit(X, y)
+        model = MODEL_REGISTRY[abbrev](**_FAST_PARAMS[abbrev]).fit(*_xor_dataset(n=20))
+        with pytest.raises(ValueError, match="nan at row 7, column 1"):
+            model.predict(X)
 
 
 class TestDecisionTree:
@@ -148,6 +171,19 @@ class TestDecisionTree:
             X, y, sample_weight=np.array([10.0, 1.0, 1.0])
         )
         assert weighted.predict(X)[0] == 1
+
+    def test_min_samples_leaf_keeps_a_leaf_when_the_best_split_is_short(self):
+        # Feature 0 isolates the two positives (gini 0), feature 1 splits
+        # 4/4 with a smaller gain.  With min_samples_leaf=3 the best split
+        # leaves 2 rows on one side, so the root stays a leaf: the next-best
+        # split is not tried (scikit-learn would split on feature 1).
+        X, y = _short_best_split_dataset()
+        tree = DecisionTreeClassifier(min_samples_leaf=3).fit(X, y)
+        assert tree.root.is_leaf
+        assert tree.predict(X).tolist() == [0] * 8
+        split = DecisionTreeClassifier(min_samples_leaf=2).fit(X, y)
+        assert (split.root.feature, split.root.threshold) == (0, 0.5)
+        assert split.n_leaves() == 2
 
     def test_min_samples_split(self):
         X, y = _xor_dataset(n=40)
@@ -238,6 +274,19 @@ class TestGradientBoosting:
         assert proba.shape == (100, 2)
         assert (proba >= 0).all() and (proba <= 1).all()
         assert np.allclose(proba.sum(axis=1), 1.0)
+
+    def test_min_samples_leaf_keeps_a_leaf_when_the_best_split_is_short(self):
+        # The first stage's residuals are 0.75 on the two positives and
+        # -0.25 elsewhere: feature 0 scores 1.5, feature 1 scores 0.5.  The
+        # best split leaves 2 rows on one side, so with min_samples_leaf=3
+        # the regression tree stays a single leaf.
+        X, y = _short_best_split_dataset()
+        model = GradientBoostingClassifier(n_estimators=1, min_samples_leaf=3).fit(X, y)
+        assert model.stages_[0].root.is_leaf
+        model = GradientBoostingClassifier(n_estimators=1, min_samples_leaf=2).fit(X, y)
+        root = model.stages_[0].root
+        assert (root.feature, root.threshold) == (0, 0.5)
+        assert root.right.is_leaf
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -8,19 +8,14 @@ translation against the naive distribution alternative it replaces.
 import numpy as np
 import pytest
 
-from benchmarks.run_bench import CONDITIONING_FRACTIONS, conditioning_sweep
-from repro.core.tree2cnf import label_cubes, label_region_cnf, tree_paths_formula
+from repro.core.tree2cnf import label_region_cnf, tree_paths_formula
 from repro.counting import (
     ApproxMCCounter,
-    CompiledCounter,
     CountingEngine,
-    EngineConfig,
     ExactCounter,
     FormulaBruteCounter,
     LegacyExactCounter,
-    make_backend,
 )
-from repro.logic.cnf import CNF
 from repro.logic.tseitin import direct_cnf, tseitin_cnf
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.spec import SymmetryBreaking, get_property, translate
@@ -39,23 +34,6 @@ def fitted_tree():
         X[:, 10].astype(int) ^ X[:, 15].astype(int)
     )
     return DecisionTreeClassifier().fit(X, y)
-
-
-@pytest.fixture(scope="module")
-def conditioned_sweep(tmp_path_factory):
-    """The ``compiled_conditioning`` ablation's scope-4 per-path sweep.
-
-    Returns ``(cache_dir, requests, values)``: the 112 per-path requests
-    (1,726 cubes over two bases), a ``cache_dir`` whose
-    ``circuits.sqlite`` one cold engine filled, and the summed counts.
-    """
-    _, requests = conditioning_sweep(4, CONDITIONING_FRACTIONS)
-    cache_dir = tmp_path_factory.mktemp("circuits")
-    with CountingEngine(
-        make_backend("compiled"), EngineConfig(cache_dir=cache_dir)
-    ) as cold:
-        values = [r.value for r in cold.solve_many(requests)]
-    return cache_dir, requests, values
 
 
 class TestSolverBench:
@@ -106,56 +84,6 @@ class TestCounterAblation:
             iterations=1,
         )
         assert exact / 1.8 <= estimate <= exact * 1.8
-
-    def test_compiled_conditioning_on_tree_region(self, benchmark, fitted_tree):
-        # The compile-once-query-forever query cost: the circuit is built
-        # outside the timed region, so the measurement is one conditioning
-        # pass — the marginal cost of each extra region on a warm circuit.
-        region = label_region_cnf(fitted_tree, 1, 16)
-        circuit = CompiledCounter().compile(region)
-        cube = label_cubes(fitted_tree, 0, 16)[0]
-        exact = ExactCounter().count(
-            CNF(
-                num_vars=region.num_vars,
-                clauses=list(region.clauses) + [(lit,) for lit in cube],
-                projection=region.projection,
-            )
-        )
-        count = benchmark(lambda: circuit.condition(cube))
-        assert count == exact
-
-    def test_engine_conditioned_sweep(self, benchmark, conditioned_sweep):
-        """The engine's work per cube on a warm restart of the sweep.
-
-        Each round gets a fresh engine on the filled ``cache_dir`` (built
-        outside the timer), so the timed part is one ``solve_many`` of the
-        sweep: two circuits read from ``circuits.sqlite``, a memo lookup
-        per cube and a conditioning pass per distinct cube.
-        """
-        cache_dir, requests, expected = conditioned_sweep
-        engines = []
-
-        def fresh_engine():
-            engine = CountingEngine(
-                make_backend("compiled"), EngineConfig(cache_dir=cache_dir)
-            )
-            engines.append(engine)
-            return (engine,), {}
-
-        try:
-            values = benchmark.pedantic(
-                lambda engine: [r.value for r in engine.solve_many(requests)],
-                setup=fresh_engine,
-                rounds=40,
-                iterations=1,
-            )
-            assert values == expected
-            last = engines[-1].stats
-            assert last.circuit_compilations == 0
-            assert last.backend_calls == 0
-        finally:
-            for engine in engines:
-                engine.close()
 
     def test_formula_brute_counter(self, benchmark):
         problem = translate(get_property("PartialOrder"), 4, symmetry=SymmetryBreaking())

@@ -30,7 +30,6 @@ COMPARISONS = (
     ("disk_cache.speedup_x", "warm_cache_speedup_x", "x", True),
     ("component_cache.speedup_x", "component_cache_speedup_x", "x", True),
     ("component_spill.speedup_x", "component_spill_speedup_x", "x", True),
-    ("compiled_conditioning.speedup_x", "compiled_conditioning_speedup_x", "x", True),
     ("store_roundtrip.puts_per_s", "store_roundtrip_puts_per_s", "/s", True),
 )
 

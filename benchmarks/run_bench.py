@@ -5,9 +5,8 @@ Runs the ``TestCounterAblation`` benchmarks of ``bench_substrates.py``
 through pytest-benchmark, extracts the per-backend median times, runs the
 counting-service ablations (warm-vs-cold disk cache on a Table 1 slice, shared
 component cache on the same-φ/many-regions AccMC ratio sweep, cold-run
-vs warm-restart component *spill* on the per-path variant of that sweep,
-cold-compile vs warm-conditioned circuit counting on a DiffMC-shaped
-ratio sweep, daemon-vs-in-process throughput plus a request-coalescing
+vs warm-restart component *spill* on that sweep, daemon-vs-in-process
+throughput plus a request-coalescing
 probe for the TCP counting service, a ``CountStore`` round-trip
 micro-bench), and writes (or updates)
 ``BENCH_counting.json`` next to this script's repository root.  The JSON
@@ -43,7 +42,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from statistics import median
 from time import perf_counter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -55,18 +53,12 @@ BACKENDS = {
     "test_legacy_exact_counter": "exact-legacy",
     "test_counting_engine_warm": "engine-warm",
     "test_approxmc_counter": "approxmc",
-    "test_compiled_conditioning_on_tree_region": "compiled-conditioning",
-    "test_engine_conditioned_sweep": "engine-conditioned-sweep",
     "test_formula_brute_counter": "formula-brute",
 }
 
 INSTANCE = (
     "PartialOrder at scope 4 with adjacent symmetry breaking "
-    "(translate(...).cnf: 290 vars, 933 clauses, 16 projected) — "
-    "except 'compiled-conditioning', which conditions a trained tree's "
-    "label region, and 'engine-conditioned-sweep', which solves the "
-    "compiled_conditioning ablation's 112 per-path requests (1,726 cubes) "
-    "on a fresh compiled engine over a filled circuits.sqlite"
+    "(translate(...).cnf: 290 vars, 933 clauses, 16 projected)"
 )
 
 
@@ -172,29 +164,28 @@ def component_cache_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
 
 
 def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
-    """Cold-run vs warm-restart on the per-path same-φ/many-regions sweep.
+    """Cold-run vs warm-restart on the same-φ/many-regions sweep.
 
     The sweep is the component-cache ablation's workload — one property's
-    φ/¬φ against the regions of a decision tree retrained per fraction —
-    but counted through the **per-path route**
-    (``CountRequest(strategy="per-path")``: one φ-plus-unit-cube problem
-    per tree path).  Three timed runs:
+    φ/¬φ conjoined with the regions of a decision tree retrained per
+    fraction.  Three timed runs:
 
-    * ``conjunction_s`` — the conjunction route, cold, for context;
-    * ``cold_s`` — the per-path route, cold, on a fresh ``cache_dir``
-      (close() spills the component cache to ``components.sqlite``);
+    * ``conjunction_s`` — the sweep, cold, on an engine without a
+      ``cache_dir``, for context and as the bit-identity reference;
+    * ``cold_s`` — the sweep, cold, on a fresh ``cache_dir`` (close()
+      spills the component cache to ``components.sqlite``);
     * ``warm_s`` — a *fresh engine on the same cache_dir* re-counting the
       sweep after ``counts.sqlite``/``memos.sqlite`` are deleted, so every
       whole count misses and the measured speedup isolates the spill tier:
       the engine performs real backend counts whose components promote
       from disk (``EngineStats.component_spill_hits``).
 
-    Bit-identity of per-path vs conjunction and of warm vs cold is
-    enforced hard.
+    Bit-identity of the cold run vs the uncached engine and of warm vs
+    cold is enforced hard.
     """
     from repro.core.pipeline import MCMLPipeline
-    from repro.core.tree2cnf import label_cubes, label_region_cnf
-    from repro.counting import CountingEngine, CountRequest, EngineConfig
+    from repro.core.tree2cnf import label_region_cnf
+    from repro.counting import CountingEngine, EngineConfig
     from repro.spec import SymmetryBreaking, get_property, translate
 
     prop = get_property("PartialOrder")
@@ -204,7 +195,6 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
     pipeline = MCMLPipeline(seed=0)
     dataset = pipeline.make_dataset(prop, scope, symmetry=symmetry)
     conjunction: list = []
-    per_path: list = []
     m = scope * scope
     for fraction in fractions:
         train, _ = dataset.split(fraction, rng=0)
@@ -213,11 +203,6 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
         for base in (phi, not_phi):
             for label in (1, 0):
                 conjunction.append(base.conjoin(label_region_cnf(paths, label, m)))
-                per_path.append(
-                    CountRequest.from_cnf(
-                        base, strategy="per-path", cubes=label_cubes(paths, label)
-                    )
-                )
 
     conjunction_engine = CountingEngine(config=EngineConfig())
     started = perf_counter()
@@ -227,7 +212,7 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
     with tempfile.TemporaryDirectory() as cache_dir:
         cold_engine = CountingEngine(config=EngineConfig(cache_dir=cache_dir))
         started = perf_counter()
-        cold_counts = [r.value for r in cold_engine.solve_many(per_path)]
+        cold_counts = [r.value for r in cold_engine.solve_many(conjunction)]
         cold_s = perf_counter() - started
         cold_engine.close()  # spills the component cache
         spilled = len(cold_engine.component_store)
@@ -238,7 +223,7 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
                 (Path(cache_dir) / (name + suffix)).unlink(missing_ok=True)
         warm_engine = CountingEngine(config=EngineConfig(cache_dir=cache_dir))
         started = perf_counter()
-        warm_counts = [r.value for r in warm_engine.solve_many(per_path)]
+        warm_counts = [r.value for r in warm_engine.solve_many(conjunction)]
         warm_s = perf_counter() - started
         spill_hits = warm_engine.stats.component_spill_hits
         warm_backend = warm_engine.stats.backend_calls
@@ -246,11 +231,11 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
 
     if cold_counts != conjunction_counts:
         raise SystemExit(
-            f"per-path counts diverge from conjunction: "
+            f"cache_dir counts diverge from the uncached engine: "
             f"{cold_counts} != {conjunction_counts}"
         )
     if warm_counts != cold_counts:
-        raise SystemExit("warm-restart per-path counts diverge from cold run")
+        raise SystemExit("warm-restart counts diverge from cold run")
     if warm_backend == 0:
         raise SystemExit(
             "warm restart performed no backend counts — the ablation is "
@@ -260,13 +245,13 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
         raise SystemExit("warm restart promoted no spilled components")
     return {
         "instance": (
-            f"per-path AccMC ratio sweep: PartialOrder scope {scope}, "
+            f"AccMC product-mode ratio sweep: PartialOrder scope {scope}, "
             f"adjacent symmetry breaking, DT retrained at {len(fractions)} "
             f"training fractions, φ/¬φ × true/false regions "
-            f"({len(per_path)} region counts; warm restart re-counts with "
+            f"({len(conjunction)} region counts; warm restart re-counts with "
             "counts.sqlite removed so only components.sqlite is warm)"
         ),
-        "problems": len(per_path),
+        "problems": len(conjunction),
         "conjunction_s": round(conjunction_s, 4),
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
@@ -275,188 +260,6 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
         "spilled_entries": spilled,
         "spill_hits": spill_hits,
         "warm_backend_counts": warm_backend,
-        "bit_identical": True,
-    }
-
-
-#: The conditioning sweep's dense 28-step ratio grid: adjacent fractions
-#: retrain nearly identical trees, so sweep regions share path cubes — the
-#: conditioning memo's favourable (and DiffMC-realistic) regime.
-CONDITIONING_FRACTIONS = tuple(round(0.80 - 0.025 * i, 3) for i in range(28))
-
-
-def conditioning_sweep(scope: int, fractions: tuple[float, ...]) -> tuple[list, list]:
-    """The same-base/many-regions sweep as ``(conjunctions, per_path)``.
-
-    A reference decision tree's true/false label regions (auxiliary-free
-    CNFs) are the two bases; a tree retrained at each training fraction
-    contributes its true and false label cubes against each base.  The
-    two lists describe the same ``4 * len(fractions)`` region counts:
-    ``conjunctions`` as base-and-region CNFs, ``per_path`` as
-    ``strategy="per-path"`` requests over the retrained tree's cubes.
-    """
-    from repro.core.pipeline import MCMLPipeline
-    from repro.core.tree2cnf import label_cubes, label_region_cnf
-    from repro.counting import CountRequest
-    from repro.spec import SymmetryBreaking, get_property
-
-    m = scope * scope
-    pipeline = MCMLPipeline(seed=0)
-    dataset = pipeline.make_dataset(
-        get_property("PartialOrder"), scope, symmetry=SymmetryBreaking()
-    )
-    reference_train, _ = dataset.split(0.8, rng=1)
-    reference_paths = pipeline.train("DT", reference_train).decision_paths()
-    bases = [label_region_cnf(reference_paths, label, m) for label in (1, 0)]
-
-    conjunctions: list = []
-    per_path: list = []
-    for fraction in fractions:
-        train, _ = dataset.split(fraction, rng=0)
-        paths = pipeline.train("DT", train).decision_paths()
-        for base in bases:
-            for label in (1, 0):
-                conjunctions.append(base.conjoin(label_region_cnf(paths, label, m)))
-                per_path.append(
-                    CountRequest.from_cnf(
-                        base, strategy="per-path", cubes=label_cubes(paths, label)
-                    )
-                )
-    return conjunctions, per_path
-
-
-def compiled_conditioning_ablation(
-    scope: int, fractions: tuple[float, ...], reps: int = 5
-) -> dict:
-    """Compile-once-query-forever vs cold per-region counting on a sweep.
-
-    The workload is a *same-base/many-regions* ratio sweep in DiffMC's
-    shape: a reference decision tree's true/false label regions
-    (auxiliary-free CNFs) queried against the label cubes of a tree
-    retrained at each training fraction.  A dense fraction grid makes
-    adjacent sweep trees share path cubes — exactly the redundancy the
-    circuit tier exploits and per-region counting cannot.  Timed legs:
-
-    * ``region_recount_s`` — **cold per-region counting** on the
-      ``compiled`` backend: every (base, sweep tree, label) region
-      conjunction compiled-and-counted from scratch, no caches — the
-      criterion denominator;
-    * ``regions_exact_s`` — the same conjunctions through a shared
-      ``exact``-backend engine (the conjunction route's realistic cost,
-      reported as context);
-    * ``cold_compile_s`` — the ``compiled`` backend on a fresh
-      ``cache_dir``: compiles the two base circuits once, answers every
-      region by unit-cube conditioning and persists the circuits to
-      ``circuits.sqlite``;
-    * ``warm_conditioned_s`` — a *fresh engine on the same cache_dir*
-      re-answering the sweep after ``counts.sqlite``/``memos.sqlite``
-      are deleted: the restart performs **zero compilations** (circuits
-      warm from the store tier) and **zero backend counts**
-      (conditioning passes only).
-
-    The recount and warm legs repeat ``reps`` times *interleaved* (one
-    recount then one warm restart per rep) and report medians:
-    single-shot timings on a noisy shared-CPU runner would swing the
-    ratio either way, and interleaving keeps slow machine phases from
-    landing on only one leg.  Bit-identity of every leg and the
-    compile-nothing/count-nothing shape of each warm restart are
-    enforced hard; the speedup is reported as measured with
-    ``cpu_count`` recorded for context.
-    """
-    from repro.counting import CountingEngine, EngineConfig, make_backend
-
-    conjunction, per_path = conditioning_sweep(scope, fractions)
-
-    exact_engine = CountingEngine(make_backend("exact"), EngineConfig())
-    started = perf_counter()
-    region_counts = [r.value for r in exact_engine.solve_many(conjunction)]
-    regions_exact_s = perf_counter() - started
-
-    recount_backend = make_backend("compiled")
-    with tempfile.TemporaryDirectory() as cache_dir:
-        cold = CountingEngine(
-            make_backend("compiled"), EngineConfig(cache_dir=cache_dir)
-        )
-        started = perf_counter()
-        cold_counts = [r.value for r in cold.solve_many(per_path)]
-        cold_compile_s = perf_counter() - started
-        compilations_cold = cold.stats.circuit_compilations
-        cold.close()
-        if cold_counts != region_counts:
-            raise SystemExit(
-                f"conditioned counts diverge from per-region counting: "
-                f"{cold_counts} != {region_counts}"
-            )
-        # Drop the whole-count and memo stores once: every warm restart
-        # must re-answer every region, so the timing isolates the
-        # circuit tier.
-        for name in ("counts.sqlite", "memos.sqlite"):
-            for suffix in ("", "-wal", "-shm"):
-                (Path(cache_dir) / (name + suffix)).unlink(missing_ok=True)
-        recount_times: list[float] = []
-        warm_times: list[float] = []
-        store_hits_warm = compilations_warm = backend_calls_warm = 0
-        conditioned_warm = 0
-        for _ in range(reps):
-            started = perf_counter()
-            recount = [recount_backend.count(c) for c in conjunction]
-            recount_times.append(perf_counter() - started)
-            if recount != region_counts:
-                raise SystemExit("per-region recount diverges from exact counts")
-            warm = CountingEngine(
-                make_backend("compiled"), EngineConfig(cache_dir=cache_dir)
-            )
-            started = perf_counter()
-            warm_counts = [r.value for r in warm.solve_many(per_path)]
-            warm_times.append(perf_counter() - started)
-            store_hits_warm = warm.stats.circuit_store_hits
-            compilations_warm = warm.stats.circuit_compilations
-            backend_calls_warm = warm.stats.backend_calls
-            conditioned_warm = warm.stats.circuit_hits
-            warm.close()
-            if warm_counts != region_counts:
-                raise SystemExit(
-                    "warm-restart conditioned counts diverge from cold run"
-                )
-            if compilations_warm != 0:
-                raise SystemExit(
-                    f"warm restart compiled {compilations_warm} circuits "
-                    "(expected 0)"
-                )
-            if backend_calls_warm != 0:
-                raise SystemExit(
-                    f"warm restart performed {backend_calls_warm} backend "
-                    "counts (expected 0: conditioning only)"
-                )
-            if store_hits_warm == 0:
-                raise SystemExit(
-                    "warm restart warmed no circuits from circuits.sqlite"
-                )
-    region_recount_s = median(recount_times)
-    warm_conditioned_s = median(warm_times)
-
-    return {
-        "instance": (
-            f"compile-once ratio sweep: PartialOrder scope {scope}, adjacent "
-            f"symmetry breaking, reference DT true/false regions as bases, "
-            f"sweep DT retrained at {len(fractions)} training fractions "
-            f"({len(per_path)} region counts; medians over {reps} interleaved "
-            "recount/warm-restart reps, warm restarts re-answer with "
-            "counts.sqlite removed so only circuits.sqlite is warm)"
-        ),
-        "problems": len(per_path),
-        "reps": reps,
-        "cpu_count": os.cpu_count(),
-        "region_recount_s": round(region_recount_s, 4),
-        "regions_exact_s": round(regions_exact_s, 4),
-        "cold_compile_s": round(cold_compile_s, 4),
-        "warm_conditioned_s": round(warm_conditioned_s, 4),
-        "speedup_x": round(region_recount_s / warm_conditioned_s, 2),
-        "warm_vs_exact_x": round(regions_exact_s / warm_conditioned_s, 2),
-        "compilations_cold": compilations_cold,
-        "circuit_store_hits_warm": store_hits_warm,
-        "warm_backend_counts": backend_calls_warm,
-        "conditioned_subcounts_warm": conditioned_warm,
         "bit_identical": True,
     }
 
@@ -722,7 +525,6 @@ def _print_ablations(
     component_result: dict | None = None,
     store_result: dict | None = None,
     spill_result: dict | None = None,
-    conditioning_result: dict | None = None,
     service_result: dict | None = None,
 ) -> None:
     print(
@@ -741,24 +543,12 @@ def _print_ablations(
         )
     if spill_result is not None:
         print(
-            f"  component spill (per-path sweep): conjunction cold "
-            f"{spill_result['conjunction_s']:.3f} s, per-path cold "
+            f"  component spill: uncached cold "
+            f"{spill_result['conjunction_s']:.3f} s, cache_dir cold "
             f"{spill_result['cold_s']:.3f} s, warm restart "
             f"{spill_result['warm_s']:.3f} s ({spill_result['speedup_x']}x "
             f"cold->warm, {spill_result['spill_hits']} promotions from "
             f"{spill_result['spilled_entries']} spilled entries), bit-identical"
-        )
-    if conditioning_result is not None:
-        print(
-            f"  compiled conditioning (compile-once sweep): per-region recount "
-            f"{conditioning_result['region_recount_s']:.3f} s, per-region exact "
-            f"{conditioning_result['regions_exact_s']:.3f} s, cold compile "
-            f"{conditioning_result['cold_compile_s']:.3f} s, warm conditioned "
-            f"{conditioning_result['warm_conditioned_s']:.3f} s "
-            f"({conditioning_result['speedup_x']}x vs per-region recount, "
-            f"{conditioning_result['compilations_cold']} compilations cold / "
-            f"{conditioning_result['warm_backend_counts']} backend counts warm, "
-            f"medians over {conditioning_result['reps']} reps), bit-identical"
         )
     if service_result is not None:
         print(
@@ -782,19 +572,15 @@ def backend_smoke(name: str, scope: int = 3) -> dict:
     """Exercise one registered backend end-to-end against ground truth.
 
     Builds the backend by registry name, picks an instance its declared
-    capabilities can serve — a translated property CNF for
-    projection-capable backends, the pre-Tseitin formula for
-    formula-counting ones, a trained tree's label region for the rest —
-    and checks the count: bit-identity against the closed form / exact
-    counter for exact backends, the (ε, δ) envelope for approximate ones.
+    capabilities can serve — the pre-Tseitin formula for formula-counting
+    backends, a translated property CNF for the rest — and checks the
+    count: bit-identity against the closed form for exact backends, the
+    (ε, δ) envelope for approximate ones.
     CI runs this for a non-default backend so registry entries cannot rot
     silently.
     """
-    from repro.core.pipeline import MCMLPipeline
-    from repro.core.tree2cnf import label_region_cnf
-    from repro.counting import ExactCounter, closed_form_count, make_backend
+    from repro.counting import closed_form_count, make_backend
     from repro.counting.api import backend_capabilities
-    from repro.counting.vector import count_formula as formula_count
     from repro.spec import get_property, translate
 
     prop = get_property("PartialOrder")
@@ -806,19 +592,9 @@ def backend_smoke(name: str, scope: int = 3) -> dict:
         value = backend.count_formula(
             translate(prop, scope).formula, scope * scope
         )
-    elif caps.supports_projection:
+    else:
         instance = f"{prop.name} CNF at scope {scope}"
         value = backend.count(translate(prop, scope).cnf)
-    else:
-        # Auxiliary-free backends (compiled) serve decision-tree regions.
-        pipeline = MCMLPipeline(seed=0)
-        dataset = pipeline.make_dataset(prop, scope)
-        train, _ = dataset.split(0.75, rng=0)
-        tree = pipeline.train("DT", train)
-        region = label_region_cnf(tree.decision_paths(), 1, scope * scope)
-        instance = f"{prop.name} scope-{scope} DT true-region CNF"
-        truth = ExactCounter().count(region)
-        value = backend.count(region)
     if caps.exact:
         if value != truth:
             raise SystemExit(
@@ -940,7 +716,7 @@ def main() -> None:
     parser.add_argument(
         "--backend", action="append", default=None, metavar="NAME",
         help="additionally smoke a registered backend by name against "
-        "ground truth; repeatable (CI smokes compiled so non-default "
+        "ground truth; repeatable (CI smokes legacy so non-default "
         "backends cannot rot)",
     )
     parser.add_argument(
@@ -968,9 +744,6 @@ def main() -> None:
             scope=3, fractions=(0.75, 0.5, 0.25)
         )
         spill_result = component_spill_ablation(scope=3, fractions=(0.75, 0.5, 0.25))
-        conditioning_result = compiled_conditioning_ablation(
-            scope=3, fractions=(0.75, 0.5, 0.25), reps=3
-        )
         service_result = service_throughput_ablation(
             scope=3, property_names=_ablation_properties()[:4],
             clients=2, coalesce_requests=4,
@@ -978,7 +751,7 @@ def main() -> None:
         store_result = store_roundtrip_bench(entries=500)
         _print_ablations(
             cache_result, component_result, store_result,
-            spill_result, conditioning_result, service_result,
+            spill_result, service_result,
         )
         for name in args.backend or ():
             backend_smoke(name)
@@ -997,7 +770,6 @@ def main() -> None:
                     "disk_cache": cache_result,
                     "component_cache": component_result,
                     "component_spill": spill_result,
-                    "compiled_conditioning": conditioning_result,
                     "service_throughput": service_result,
                     "store_roundtrip": store_result,
                 },
@@ -1024,9 +796,6 @@ def main() -> None:
         scope=4,
         fractions=(0.75, 0.65, 0.55, 0.45, 0.35, 0.25, 0.15),
     )
-    conditioning_result = compiled_conditioning_ablation(
-        scope=4, fractions=CONDITIONING_FRACTIONS
-    )
     service_result = service_throughput_ablation(
         scope=4, property_names=_ablation_properties(),
         clients=4, coalesce_requests=8,
@@ -1043,7 +812,6 @@ def main() -> None:
         "disk_cache": cache_result,
         "component_cache": component_result,
         "component_spill": spill_result,
-        "compiled_conditioning": conditioning_result,
         "service_throughput": service_result,
         "store_roundtrip": store_result,
     }
@@ -1065,15 +833,11 @@ def main() -> None:
             "capabilities": backend_capabilities("exact").as_dict(),
             "exact_median_s": backends["exact"]["median_s"],
             "approxmc_median_s": backends["approxmc"]["median_s"],
-            "engine_conditioned_sweep_median_s": backends[
-                "engine-conditioned-sweep"
-            ]["median_s"],
             "cpu_count": os.cpu_count(),
             "warm_cache_backend_counts": cache_result["warm_backend_counts"],
             "warm_cache_speedup_x": cache_result["speedup_x"],
             "component_cache_speedup_x": component_result["speedup_x"],
             "component_spill_speedup_x": spill_result["speedup_x"],
-            "compiled_conditioning_speedup_x": conditioning_result["speedup_x"],
             "service_wire_overhead_x": service_result["wire_overhead_x"],
             "service_coalesce_backend_calls": service_result["coalesce_backend_calls"],
             "store_roundtrip_puts_per_s": store_result["puts_per_s"],
@@ -1090,7 +854,7 @@ def main() -> None:
         print(f"  {label:>14}: median {stats['median_s'] * 1000:8.2f} ms")
     _print_ablations(
         cache_result, component_result, store_result,
-        spill_result, conditioning_result, service_result,
+        spill_result, service_result,
     )
 
 

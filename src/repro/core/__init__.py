@@ -17,7 +17,7 @@
 
 from repro.core.accmc import AccMC, AccMCResult
 from repro.core.diffmc import DiffMC, DiffMCResult
-from repro.core.tree2cnf import label_cubes, label_region_cnf, tree_paths_formula
+from repro.core.tree2cnf import label_region_cnf, tree_paths_formula
 from repro.core.pipeline import MCMLPipeline, PipelineResult
 from repro.core.session import MCMLSession
 
@@ -29,7 +29,6 @@ __all__ = [
     "MCMLPipeline",
     "MCMLSession",
     "PipelineResult",
-    "label_cubes",
     "label_region_cnf",
     "tree_paths_formula",
 ]

@@ -20,21 +20,10 @@ Two construction modes:
   ``fp = mc(τ) − tp``, ``tn = 2^{n²} − tp − fp − fn``.  Half the solver
   work; bit-identical results (enforced by tests).
 
-Two region-counting *routes*, orthogonal to the mode:
-
-* ``region_strategy="conjunction"`` (default) — each region count is one
-  problem, the region CNF conjoined with φ (Håstad's
-  one-clause-per-opposite-path construction).
-* ``region_strategy="per-path"`` — each region count decomposes into its
-  disjoint path cubes, ``mc(φ∧τ) = Σ_paths mc(φ∧path)``: the engine
-  expands a ``CountRequest(strategy="per-path")`` into one φ-plus-unit-cube
-  sub-problem per path.  Unit cubes propagate in one sweep, and paths
-  shared between trees (retrained models overlap heavily) produce
-  *identical* sub-problems that dedup through the engine's memo and disk
-  stores — with a warm component spill this turns repeated-φ sweeps into
-  cache assembly.  Sub-counts sum exactly, so the route needs an exact
-  backend; others fall back to the conjunction route.  Both routes are
-  bit-identical by the partition argument (and enforced by tests).
+Each region count is one problem: the region CNF (Håstad's
+one-clause-per-opposite-path construction, see
+:func:`repro.core.tree2cnf.label_region_cnf`) conjoined with φ, ¬φ or the
+evaluation space.
 """
 
 from __future__ import annotations
@@ -171,13 +160,10 @@ class AccMC:
         mode: str = "product",
         engine: CountingEngine | None = None,
         config: EngineConfig | None = None,
-        region_strategy: str = "conjunction",
         surface=None,
     ) -> None:
         if mode not in ("product", "derived"):
             raise ValueError(f"unknown mode {mode!r}")
-        if region_strategy not in ("conjunction", "per-path"):
-            raise ValueError(f"unknown region strategy {region_strategy!r}")
         # All counting goes through a shared memoizing engine: repeated
         # regions, translations and counts (across evaluate() calls, rows
         # of a table, or tables sharing a pipeline) are computed once.
@@ -188,7 +174,6 @@ class AccMC:
         #: Where the counting verbs go (compilation stays on the engine).
         self.surface = surface if surface is not None else self.engine
         self.mode = mode
-        self.region_strategy = region_strategy
         # The symmetry-reduced space size is tree- and property-independent;
         # cache it across evaluate() calls (one table = 16 properties at the
         # same scope).
@@ -235,29 +220,25 @@ class AccMC:
         if not caps.counts_formulas and not caps.supports_projection:
             # Fail at the routing layer, not deep inside the backend: the
             # CNF route conjoins Tseitin formulas with auxiliaries, which
-            # projection-incapable backends (compiled) cannot serve.
-            # ``compiled``'s cube conditioning is consumed by DiffMC and
-            # per-path region counting, whose bases are auxiliary-free.
+            # a projection-incapable backend cannot serve.  No registered
+            # backend is one, but ``register_backend`` is public.
             raise ValueError(
                 f"backend {self.engine.backend_name!r} can serve neither AccMC "
                 "route: it counts no formulas and rejects CNFs with auxiliary "
                 "variables (capabilities.counts_formulas and "
                 ".supports_projection are both False)"
             )
+        true_region = self.engine.region(paths, 1, m)
+        false_region = self.engine.region(paths, 0, m)
         if caps.counts_formulas:
             # Vectorised-sweep backend: counts the pre-Tseitin formulas
             # directly, sidestepping CNF structure sensitivity entirely.
             counts = self._evaluate_by_formula(
-                ground_truth,
-                self.engine.region(paths, 1, m),
-                self.engine.region(paths, 0, m),
-                m,
+                ground_truth, true_region, false_region, m
             )
         else:
-            # Region CNFs are compiled inside the route: the per-path
-            # branch works from the raw path cubes and never needs them.
             counts = self._evaluate_by_cnf(
-                ground_truth, m, paths, deadline=deadline, budget=budget
+                ground_truth, true_region, false_region, deadline, budget
             )
         return AccMCResult(
             property_name=ground_truth.prop.name,
@@ -278,92 +259,49 @@ class AccMC:
 
     # -- backend-specific constructions --------------------------------------------
 
-    def _use_per_path(self) -> bool:
-        """Negotiate the per-path route against the backend's contract.
-
-        Per-path sums sub-counts, which is only sound for exact backends
-        (summed (ε, δ) estimates compound their error); anything else
-        falls back to the conjunction construction.
-        """
-        return self.region_strategy == "per-path" and self.engine.capabilities.exact
-
     def _evaluate_by_cnf(
         self,
         ground_truth: GroundTruth,
-        m: int,
-        paths,
-        deadline: float | None = None,
-        budget: int | None = None,
+        true_region: CNF,
+        false_region: CNF,
+        deadline: float | None,
+        budget: int | None,
     ) -> ConfusionCounts:
         """The paper's pipeline: conjoin CNFs, hand them to the counting engine.
 
         Counting goes through the typed ``solve_many`` path, so every
         confusion count carries backend/cache provenance on the way in.
-        With the per-path route negotiated, each region problem is a
-        ``strategy="per-path"`` request over the region's path cubes and
-        no region CNF is ever compiled; otherwise the memoized region
-        compilations are conjoined as before — same values (the cubes
-        partition the region), different decomposition.
         """
-        from repro.core.tree2cnf import label_cubes
-
         phi = ground_truth.positive().cnf
-        per_path = self._use_per_path()
-        if per_path:
-            true_arg = label_cubes(paths, 1, m)
-            false_arg = label_cubes(paths, 0, m)
+        limited = deadline is not None or budget is not None
 
-            def region_problem(base: CNF, cubes) -> CountRequest:
-                return CountRequest.from_cnf(
-                    base,
-                    strategy="per-path",
-                    cubes=cubes,
-                    deadline=deadline,
-                    budget=budget,
-                )
+        def problem(cnf: CNF) -> CNF | CountRequest:
+            if not limited:
+                return cnf
+            return CountRequest.from_cnf(cnf, deadline=deadline, budget=budget)
 
-        elif deadline is None and budget is None:
-            true_arg = self.engine.region(paths, 1, m)
-            false_arg = self.engine.region(paths, 0, m)
-
-            def region_problem(base: CNF, region: CNF) -> CNF:
-                return base.conjoin(region)
-
-        else:
-            true_arg = self.engine.region(paths, 1, m)
-            false_arg = self.engine.region(paths, 0, m)
-
-            def region_problem(base: CNF, region: CNF) -> CountRequest:
-                return CountRequest.from_cnf(
-                    base.conjoin(region), deadline=deadline, budget=budget
-                )
         if self.mode == "product":
             not_phi = ground_truth.negative().cnf
             tp, fp, fn, tn = (
                 r.value
                 for r in self.surface.solve_many(
                     [
-                        region_problem(phi, true_arg),
-                        region_problem(not_phi, true_arg),
-                        region_problem(phi, false_arg),
-                        region_problem(not_phi, false_arg),
+                        problem(phi.conjoin(true_region)),
+                        problem(not_phi.conjoin(true_region)),
+                        problem(phi.conjoin(false_region)),
+                        problem(not_phi.conjoin(false_region)),
                     ]
                 )
             )
         else:
             space = ground_truth.space_cnf()
-            phi_problem = (
-                phi
-                if deadline is None and budget is None
-                else CountRequest.from_cnf(phi, deadline=deadline, budget=budget)
-            )
             tp, phi_count, tau_count = (
                 r.value
                 for r in self.surface.solve_many(
                     [
-                        region_problem(phi, true_arg),
-                        phi_problem,
-                        region_problem(space, true_arg),
+                        problem(phi.conjoin(true_region)),
+                        problem(phi),
+                        problem(space.conjoin(true_region)),
                     ]
                 )
             )

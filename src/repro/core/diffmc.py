@@ -11,15 +11,6 @@ No ground truth and no dataset are required — this is the paper's answer to
 "is this model basically the same as this other model?".  All four CNFs are
 auxiliary-free (Tree2CNF output), so conjunction is plain clause union and
 any counting backend applies.
-
-Two region constructions are negotiated against the backend, exactly as in
-:class:`repro.core.accmc.AccMC`: the default ``conjunction`` strategy
-counts the four clause-union CNFs above, while ``region_strategy=
-"per-path"`` (exact backends only) decomposes each count as
-``Σ_paths mc(region₁ ∧ path₂)`` over the second tree's path cubes.  On a
-``conditions_cubes`` backend (``compiled``) the per-path route compiles
-just *two* circuits — τ₁'s and ψ₁'s regions — and answers all four
-Table 8 counts by unit-cube conditioning.
 """
 
 from __future__ import annotations
@@ -84,18 +75,14 @@ class DiffMC:
         counter=None,
         engine: CountingEngine | None = None,
         config: EngineConfig | None = None,
-        region_strategy: str = "conjunction",
         surface=None,
     ) -> None:
-        if region_strategy not in ("conjunction", "per-path"):
-            raise ValueError(f"unknown region strategy {region_strategy!r}")
         self.engine = engine if engine is not None else shared_engine(counter, config)
         self.counter = self.engine
         # Where the counting verbs go (compilation and capability
         # negotiation stay on the local engine).  Any CountingSurface —
         # a session or a ServiceClient — slots in here.
         self.surface = surface if surface is not None else self.engine
-        self.region_strategy = region_strategy
 
     def evaluate(
         self,
@@ -124,46 +111,19 @@ class DiffMC:
         paths2 = second.decision_paths()
         true1 = self.engine.region(paths1, 1, m)
         false1 = self.engine.region(paths1, 0, m)
-
-        if self.region_strategy == "per-path" and self.engine.capabilities.exact:
-            # Decompose every count over the *second* tree's path cubes:
-            # the two first-tree region CNFs are the only bases, so a
-            # conditions_cubes backend compiles exactly two circuits and
-            # serves all four counts (and any later sweep against the
-            # same reference tree) by conditioning.
-            from repro.core.tree2cnf import label_cubes
-
-            cubes2_true = label_cubes(paths2, 1, m)
-            cubes2_false = label_cubes(paths2, 0, m)
+        true2 = self.engine.region(paths2, 1, m)
+        false2 = self.engine.region(paths2, 0, m)
+        problems = [
+            true1.conjoin(true2),
+            true1.conjoin(false2),
+            false1.conjoin(true2),
+            false1.conjoin(false2),
+        ]
+        if deadline is not None or budget is not None:
             problems = [
-                CountRequest.from_cnf(
-                    base,
-                    strategy="per-path",
-                    cubes=cubes,
-                    deadline=deadline,
-                    budget=budget,
-                )
-                for base, cubes in (
-                    (true1, cubes2_true),
-                    (true1, cubes2_false),
-                    (false1, cubes2_true),
-                    (false1, cubes2_false),
-                )
+                CountRequest.from_cnf(cnf, deadline=deadline, budget=budget)
+                for cnf in problems
             ]
-        else:
-            true2 = self.engine.region(paths2, 1, m)
-            false2 = self.engine.region(paths2, 0, m)
-            problems = [
-                true1.conjoin(true2),
-                true1.conjoin(false2),
-                false1.conjoin(true2),
-                false1.conjoin(false2),
-            ]
-            if deadline is not None or budget is not None:
-                problems = [
-                    CountRequest.from_cnf(cnf, deadline=deadline, budget=budget)
-                    for cnf in problems
-                ]
         tt, tf, ft, ff = (r.value for r in self.surface.solve_many(problems))
         result = DiffMCResult(
             tt=tt,

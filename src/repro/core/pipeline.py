@@ -61,9 +61,6 @@ class MCMLPipeline:
     config:
         :class:`EngineConfig` (disk cache, component cache) for the engine
         built when ``engine`` is not supplied.
-    region_strategy:
-        AccMC region-counting route — ``"conjunction"`` (default) or
-        ``"per-path"``; see :class:`repro.core.accmc.AccMC`.
     """
 
     def __init__(
@@ -73,14 +70,9 @@ class MCMLPipeline:
         seed: int = 0,
         engine: CountingEngine | None = None,
         config: EngineConfig | None = None,
-        region_strategy: str = "conjunction",
     ) -> None:
         self.accmc = AccMC(
-            counter=counter,
-            mode=accmc_mode,
-            engine=engine,
-            config=config,
-            region_strategy=region_strategy,
+            counter=counter, mode=accmc_mode, engine=engine, config=config
         )
         self.engine = self.accmc.engine
         self.seed = seed

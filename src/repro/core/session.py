@@ -70,17 +70,15 @@ class MCMLSession(CountingSurface):
     ----------
     backend:
         Registered backend name (``exact``, ``legacy``, ``brute``,
-        ``compiled``, ``approxmc`` or an alias); ``backend_opts``
-        are passed to the factory.  Ignored when ``engine`` is supplied.
+        ``approxmc`` or an alias); ``backend_opts`` are passed to the
+        factory.  Ignored when ``engine`` is supplied.
     engine:
         An existing :class:`CountingEngine` to adopt instead of building
         one — the session then shares (and on ``close()`` releases) it.
     cache_dir / component_cache_mb:
         The :class:`EngineConfig` scaling knobs.  ``cache_dir`` also
         persists the component cache (so component work survives session
-        restarts) and the compiled circuits of a ``conditions_cubes``
-        backend (so a warm restart conditions without a single
-        recompilation).
+        restarts).
     fallback / fallback_opts:
         The degradation ladder: a registered backend name failed problems
         (budget, deadline) are re-counted on, with explicit
@@ -91,16 +89,6 @@ class MCMLSession(CountingSurface):
     accmc_mode:
         Default AccMC construction (``"derived"`` or the paper's
         ``"product"``); overridable per :meth:`accmc` call.
-    region_strategy:
-        How AccMC and DiffMC count tree regions: ``"conjunction"``
-        (default, the paper's one-problem-per-region construction) or
-        ``"per-path"`` (``mc(φ∧τ) = Σ_paths mc(φ∧path)`` — sub-problems
-        dedup across trees and, with ``cache_dir``, across sessions).
-        On a ``conditions_cubes`` backend (``compiled``) the per-path
-        sub-problems are answered by conditioning one cached circuit per
-        base formula instead of independent counts.  Non-exact backends
-        fall back to the conjunction route; both routes are
-        bit-identical.
     seed:
         Master seed for dataset generation, splitting and training.
     """
@@ -118,7 +106,6 @@ class MCMLSession(CountingSurface):
         deadline: float | None = None,
         budget: int | None = None,
         accmc_mode: str = "derived",
-        region_strategy: str = "conjunction",
         seed: int = 0,
     ) -> None:
         if engine is None:
@@ -134,7 +121,6 @@ class MCMLSession(CountingSurface):
             )
         self.engine = engine
         self.accmc_mode = accmc_mode
-        self.region_strategy = region_strategy
         #: Session-wide default per-problem limits, applied by the metric
         #: entry points (:meth:`accmc`, :meth:`diffmc`) unless a call
         #: overrides them.
@@ -179,11 +165,6 @@ class MCMLSession(CountingSurface):
         """The component-cache disk spill, or None when not configured."""
         return self.engine.component_store
 
-    @property
-    def circuit_store(self):
-        """The compiled-circuit disk tier, or None when not configured."""
-        return self.engine.circuit_store
-
     def solve(
         self, problem: CountRequest | CNF, *, on_failure: str = "raise"
     ) -> CountResult:
@@ -210,10 +191,7 @@ class MCMLSession(CountingSurface):
             from repro.core.pipeline import MCMLPipeline
 
             self._pipeline = MCMLPipeline(
-                accmc_mode=self.accmc_mode,
-                seed=self.seed,
-                engine=self.engine,
-                region_strategy=self.region_strategy,
+                accmc_mode=self.accmc_mode, seed=self.seed, engine=self.engine
             )
         return self._pipeline
 
@@ -234,9 +212,7 @@ class MCMLSession(CountingSurface):
     def _accmc_for(self, mode: str) -> AccMC:
         accmc = self._accmc.get(mode)
         if accmc is None:
-            accmc = AccMC(
-                mode=mode, engine=self.engine, region_strategy=self.region_strategy
-            )
+            accmc = AccMC(mode=mode, engine=self.engine)
             self._accmc[mode] = accmc
         return accmc
 
@@ -273,9 +249,7 @@ class MCMLSession(CountingSurface):
     ) -> DiffMCResult:
         """Whole-space semantic difference between two decision trees."""
         if self._diffmc is None:
-            self._diffmc = DiffMC(
-                engine=self.engine, region_strategy=self.region_strategy
-            )
+            self._diffmc = DiffMC(engine=self.engine)
         return self._diffmc.evaluate(
             first,
             second,

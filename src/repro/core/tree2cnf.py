@@ -61,44 +61,6 @@ def label_region_cnf(
     return cnf
 
 
-def label_cubes(
-    tree_or_paths: DecisionTreeClassifier | Sequence[TreePath],
-    label: int,
-    num_features: int | None = None,
-) -> tuple[tuple[int, ...], ...]:
-    """The unit cubes of the paths predicting ``label``.
-
-    The paths partition the input space, so ``{x : tree(x) = label}`` is
-    the *disjoint* union of these cubes and every region count decomposes
-    as ``mc(φ ∧ region) = Σ_cubes mc(φ ∧ cube)`` — the per-path route
-    (``CountRequest(strategy="per-path", cubes=...)``).  Each cube is the
-    path's condition literals; conjoined as unit clauses they propagate in
-    one sweep, and identical paths shared by different trees produce
-    identical sub-problems that dedup in the engine's memo and stores.
-
-    ``num_features``, when given, bounds the features the paths may
-    mention — the same guard :func:`label_region_cnf` applies, so the two
-    routes reject a malformed tree identically instead of the per-path
-    sum silently counting a vacuous out-of-range unit.
-    """
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    paths = _paths_of(tree_or_paths)
-    if num_features is not None:
-        for path in paths:
-            for feature, _ in path.conditions:
-                if feature >= num_features:
-                    raise ValueError(
-                        f"path mentions feature {feature} but "
-                        f"num_features={num_features}"
-                    )
-    return tuple(
-        tuple(_condition_literal(f, v) for f, v in path.conditions)
-        for path in paths
-        if path.label == label
-    )
-
-
 def tree_paths_formula(
     tree_or_paths: DecisionTreeClassifier | Sequence[TreePath],
     label: int,

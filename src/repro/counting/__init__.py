@@ -11,14 +11,6 @@ back-ends used for validation and ablation:
   counting with random XOR hash constraints and bounded cell enumeration.
 * :mod:`repro.counting.brute` — numpy-vectorised exhaustive counting for
   small variable counts; the ground truth for differential tests.
-* :mod:`repro.counting.circuit` — the compile-once-query-forever kernel,
-  the "compilation" alternative discussed in the paper's related work:
-  :class:`CircuitBuilder` constructs a reduced d-DNNF-style DAG,
-  :class:`Circuit` answers ``model_count()`` and per-cube
-  ``condition()`` queries in one linear pass each, and
-  :class:`CompiledCounter` is the ``compiled`` backend that declares
-  ``conditions_cubes`` so the engine can answer every ``mc(φ ∧ path)``
-  sub-problem of a per-path request from one cached circuit.
 * :mod:`repro.counting.oracles` — closed-form combinatorial counts for the
   16 relational properties (Bell numbers, labeled posets, …), used to check
   Table 1 at paper scopes without running a counter.
@@ -40,10 +32,8 @@ back-ends used for validation and ablation:
   and is shared engine-wide.
 * :mod:`repro.counting.store` — the disk tiers, all subclasses of one
   ``_SqliteStore`` base: :class:`CountStore` (whole counts keyed on
-  canonical CNF signatures), :class:`BlobStore` (compilation memos),
-  :class:`ComponentStore` (the component-cache spill) and
-  :class:`CircuitStore` (pickled compiled circuits, so a warm restart
-  conditions without recompiling).
+  canonical CNF signatures), :class:`BlobStore` (compilation memos) and
+  :class:`ComponentStore` (the component-cache spill).
 * :mod:`repro.counting.faults` — the fault-injection harness the chaos
   suites drive the robustness layer with (corrupt stores, full disks,
   hostile service clients).
@@ -70,13 +60,6 @@ from repro.counting.api import (
 )
 from repro.counting.approxmc import ApproxMCCounter, approx_count
 from repro.counting.brute import brute_force_count, brute_force_models
-from repro.counting.circuit import (
-    Circuit,
-    CircuitBuilder,
-    CompiledCounter,
-    compile_cnf,
-    compiled_count,
-)
 from repro.counting.component_cache import ComponentCache
 from repro.counting.engine import CountingEngine, EngineConfig, shared_engine
 from repro.counting.exact import (
@@ -90,7 +73,6 @@ from repro.counting.legacy import LegacyExactCounter
 from repro.counting.oracles import closed_form_count
 from repro.counting.store import (
     BlobStore,
-    CircuitStore,
     ComponentStore,
     CountStore,
     signature_key,
@@ -102,10 +84,6 @@ __all__ = [
     "ApproxMCCounter",
     "BlobStore",
     "Capabilities",
-    "Circuit",
-    "CircuitBuilder",
-    "CircuitStore",
-    "CompiledCounter",
     "ComponentCache",
     "ComponentStore",
     "CountFailure",
@@ -129,8 +107,6 @@ __all__ = [
     "brute_force_models",
     "capabilities_of",
     "closed_form_count",
-    "compile_cnf",
-    "compiled_count",
     "count_formula",
     "exact_count",
     "make_backend",

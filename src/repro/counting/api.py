@@ -16,14 +16,14 @@ This module makes the contract explicit:
   a dataclass instead of being sniffed per call site: exactness (counts
   portable across backends/sessions), formula counting (AccMC's
   vectorised fast path), projection support (Tseitin auxiliaries allowed
-  in clauses), component-cache ownership (the engine may install a shared
-  cache) and cube conditioning (compiled circuits).  Engine routing, store
-  gating and consumer fast paths all negotiate through these flags only.
+  in clauses) and component-cache ownership (the engine may install a
+  shared cache).  Engine routing, store gating and consumer fast paths all
+  negotiate through these flags only.
 * :class:`CounterBackend` — the structural protocol every backend
   satisfies: ``name``, ``capabilities``, ``count(cnf) -> int``.
 * the **backend registry** — every backend is constructible by name via
-  :func:`make_backend` (``exact``, ``legacy``, ``brute``, ``compiled``,
-  ``approxmc``, plus aliases) and enumerable via
+  :func:`make_backend` (``exact``, ``legacy``, ``brute``, ``approxmc``,
+  plus aliases) and enumerable via
   :func:`available_backends`, which is what ``mcml --backend NAME`` and
   the conformance suite iterate over.  A new backend is a registry entry
   plus a conformance-suite run.
@@ -79,28 +79,18 @@ class Capabilities:
         ``solve_formula`` negotiate on this flag.
     supports_projection:
         Clauses may mention variables outside the projection (Tseitin
-        auxiliaries); backends without it (brute sweep, compiled) reject such
+        auxiliaries); backends without it (the brute sweep) reject such
         CNFs, so they only serve auxiliary-free problems like tree
         regions.
     owns_component_cache:
         The backend exposes a ``component_cache`` attribute the engine may
         replace with a shared :class:`~repro.counting.component_cache.ComponentCache`.
-    conditions_cubes:
-        The backend exposes ``compile(cnf) ->``
-        :class:`~repro.counting.circuit.Circuit`: the engine compiles a
-        per-path base formula once (persisting it in the circuit disk
-        tier) and answers every ``mc(φ∧path)`` sub-problem by unit-cube
-        conditioning on the cached circuit instead of independent counts.
-        Implies ``exact`` — conditioning results carry
-        ``source="circuit"`` provenance and are memoized like any exact
-        count; the circuit, not each sub-count, is what persists.
     """
 
     exact: bool
     counts_formulas: bool = False
     supports_projection: bool = False
     owns_component_cache: bool = False
-    conditions_cubes: bool = False
 
     def as_dict(self) -> dict[str, bool]:
         """Flag mapping, e.g. for benchmark/CLI provenance records."""
@@ -222,24 +212,12 @@ class CountRequest:
         is applied per problem and restored afterwards.
     ``deadline``
         Per-problem wall-clock seconds.  Deadlines are cooperative:
-        backends with a ``deadline`` knob (the exact, approxmc and
-        compiled counters) enforce it and raise
+        backends with a ``deadline`` knob (the exact and approxmc
+        counters) enforce it and raise
         :class:`~repro.counting.exact.CounterTimeout`; a backend without
-        the knob ignores it.  For per-path requests the deadline applies
-        to each sub-problem.  Like ``budget`` it never changes a count's
+        the knob ignores it.  Like ``budget`` it never changes a count's
         value — only whether the count finishes — so it is excluded from
         the request's :meth:`signature`.
-    ``strategy`` / ``cubes``
-        How the problem is decomposed.  ``"conjunction"`` (default) counts
-        the CNF as-is — the paper's construction.  ``"per-path"`` declares
-        that the requested value is ``Σ_cubes mc(clauses ∧ cube)`` over
-        the *disjoint* unit ``cubes`` (tuples of DIMACS literals —
-        decision-tree path conditions, see
-        :func:`repro.core.tree2cnf.label_cubes`): the engine expands the
-        request into one sub-problem per cube and sums.  Summing estimates
-        compounds their error, so per-path requests require an exact
-        backend; consumers negotiate on ``capabilities.exact`` and fall
-        back to the conjunction route.
     """
 
     clauses: tuple[Clause, ...]
@@ -249,8 +227,6 @@ class CountRequest:
     precision: str = "any"
     budget: int | None = None
     deadline: float | None = None
-    strategy: str = "conjunction"
-    cubes: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.precision not in ("any", "exact"):
@@ -259,15 +235,6 @@ class CountRequest:
             )
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be positive, got {self.deadline!r}")
-        if self.strategy not in ("conjunction", "per-path"):
-            raise ValueError(
-                f"strategy must be 'conjunction' or 'per-path', "
-                f"got {self.strategy!r}"
-            )
-        if self.strategy == "per-path" and self.cubes is None:
-            raise ValueError("strategy='per-path' requires cubes")
-        if self.strategy == "conjunction" and self.cubes is not None:
-            raise ValueError("cubes are only meaningful with strategy='per-path'")
 
     @classmethod
     def from_cnf(
@@ -277,8 +244,6 @@ class CountRequest:
         precision: str = "any",
         budget: int | None = None,
         deadline: float | None = None,
-        strategy: str = "conjunction",
-        cubes: tuple[tuple[int, ...], ...] | None = None,
     ) -> "CountRequest":
         """Freeze a :class:`CNF` into a request."""
         projection = (
@@ -292,21 +257,17 @@ class CountRequest:
             precision=precision,
             budget=budget,
             deadline=deadline,
-            strategy=strategy,
-            cubes=cubes,
         )
 
     def cnf(self) -> CNF:
         """Rebuild the CNF this request describes (clauses are normalised).
 
-        For per-path requests this is the *base* CNF (φ without any cube);
-        :meth:`expand` materialises the sub-problems.
-
         Memoized on the request: repeated calls return the *same* CNF
-        object, so its signature memo survives across the engine's uses
-        (per-path conditioning consults it per cube) — treat the returned
-        CNF as frozen.  The memo never travels in pickles (an unpickled
-        request rebuilds it on first use).
+        object, so its signature memo survives across uses (the counting
+        daemon's coalescing key and the engine's memo key are one
+        signature, computed once) — treat the returned CNF as frozen.  The
+        memo never travels in pickles (an unpickled request rebuilds it on
+        first use).
         """
         memo = self.__dict__.get("_cnf_memo")
         if memo is not None:
@@ -325,35 +286,13 @@ class CountRequest:
         state.pop("_cnf_memo", None)
         return state
 
-    def expand(self) -> list[CNF]:
-        """The per-path sub-problems: base CNF plus one unit clause per literal.
-
-        Only meaningful for ``strategy="per-path"``.  Each cube's literals
-        land as unit clauses, which the counter's first propagation pass
-        absorbs wholesale — a sub-problem is φ restricted to one path.
-        """
-        if self.cubes is None:
-            raise ValueError("expand() needs a per-path request with cubes")
-        base = self.cnf()
-        out: list[CNF] = []
-        for cube in self.cubes:
-            sub = base.copy()
-            for literal in cube:
-                sub.add_clause((literal,))
-            out.append(sub)
-        return out
-
     def signature(self) -> tuple:
         """The canonical counting identity (see :meth:`CNF.signature`).
 
         Deliberately excludes ``precision``, ``budget`` and ``deadline``:
         they control *how* the count is produced, never its value, so
-        requests differing only in them share memo/store entries.  A per-path request's
-        identity *does* include its cubes (they define the counted region);
-        the engine never memoizes the summed parent, only the sub-problems.
+        requests differing only in them share memo/store entries.
         """
-        if self.strategy == "per-path":
-            return ("per-path", self.cnf().signature(), tuple(sorted(self.cubes)))
         return self.cnf().signature()
 
     def to_dict(self) -> dict:
@@ -361,8 +300,8 @@ class CountRequest:
 
         The counting service's wire format: every field of the request,
         as plain JSON values so requests cross machine (and language)
-        boundaries.  :meth:`from_dict` inverts it exactly — limits,
-        strategy and cubes included.
+        boundaries.  :meth:`from_dict` inverts it exactly, limits
+        included.
         """
         out: dict = {
             "clauses": [list(clause) for clause in self.clauses],
@@ -378,16 +317,20 @@ class CountRequest:
             out["budget"] = self.budget
         if self.deadline is not None:
             out["deadline"] = self.deadline
-        if self.strategy != "conjunction":
-            out["strategy"] = self.strategy
-        if self.cubes is not None:
-            out["cubes"] = [list(cube) for cube in self.cubes]
         return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CountRequest":
-        """Rebuild a request from :meth:`to_dict` output (validates afresh)."""
-        cubes = payload.get("cubes")
+        """Rebuild a request from :meth:`to_dict` output (validates afresh).
+
+        The payload is input from outside the program (the daemon's wire
+        format), so a key :meth:`to_dict` never writes raises
+        ``ValueError`` naming it: a misspelled limit, or a field an older
+        client still sends, must not be counted as the bare CNF.
+        """
+        unknown = sorted(set(payload) - _REQUEST_KEYS)
+        if unknown:
+            raise ValueError(f"unknown CountRequest keys: {', '.join(unknown)}")
         projection = payload.get("projection")
         return cls(
             clauses=tuple(tuple(clause) for clause in payload["clauses"]),
@@ -397,9 +340,11 @@ class CountRequest:
             precision=payload.get("precision", "any"),
             budget=payload.get("budget"),
             deadline=payload.get("deadline"),
-            strategy=payload.get("strategy", "conjunction"),
-            cubes=tuple(tuple(cube) for cube in cubes) if cubes is not None else None,
         )
+
+
+#: The keys :meth:`CountRequest.to_dict` writes — all :meth:`from_dict` reads.
+_REQUEST_KEYS = frozenset(f.name for f in fields(CountRequest))
 
 
 @dataclass(frozen=True)
@@ -409,10 +354,7 @@ class CountResult:
     ``value`` is the projected model count; ``exact`` whether the backend
     guarantees it bit-exactly; ``backend`` the producing backend's
     registered name; ``source`` where the answer came from (``"memo"``,
-    ``"store"``, ``"circuit"``, ``"backend"`` or ``"fallback"``);
-    ``source == "circuit"`` marks a count answered by conditioning a
-    compiled circuit on a cube (a ``conditions_cubes`` backend) rather
-    than by a fresh backend invocation; ``elapsed_seconds`` the
+    ``"store"``, ``"backend"`` or ``"fallback"``); ``elapsed_seconds`` the
     wall time this problem cost (≈0 for cache hits); ``stats_delta`` the
     :class:`EngineStats` movement the solving call caused (per batch for
     ``solve_many``).  ``int(result)`` returns the bare count.
@@ -444,12 +386,8 @@ class CountResult:
 
     @property
     def cached(self) -> bool:
-        """True when no backend work was performed for this problem.
-
-        Conditioning a compiled circuit (``source == "circuit"``) counts
-        as work: the pass is linear in the circuit, not a table lookup.
-        """
-        return self.source not in ("backend", "fallback", "circuit")
+        """True when no backend work was performed for this problem."""
+        return self.source not in ("backend", "fallback")
 
     @property
     def exactness(self) -> str:
@@ -629,21 +567,12 @@ class CountFailure(Exception):
 class EngineStats:
     """Cache telemetry: calls vs hits per memo table.
 
-    ``count_calls`` counts every (sub-)problem once and splits exactly
-    into ``count_hits`` (in-memory memo, duplicates inside a batch
-    included), ``store_hits`` (disk store), ``circuit_hits`` (answered by
-    conditioning a compiled circuit on a cube), ``backend_calls`` (actual
-    counting work) and the problems that failed (budget or deadline;
-    those that timed out are ``timeouts``) — a warm re-run shows
-    ``backend_calls == 0``.
+    ``count_calls`` counts every problem once and splits exactly into
+    ``count_hits`` (in-memory memo, duplicates inside a batch included),
+    ``store_hits`` (disk store), ``backend_calls`` (actual counting work)
+    and the problems that failed (budget or deadline; those that timed out
+    are ``timeouts``) — a warm re-run shows ``backend_calls == 0``.
 
-    The circuit tier has its own counters: ``circuit_compilations``
-    counts base formulas compiled to a circuit this session (compiling is
-    *not* a ``backend_call`` — it produces a reusable artifact, not a
-    count), and ``circuit_store_hits`` counts circuits warmed from the
-    disk-persistent :class:`~repro.counting.store.CircuitStore` instead
-    of recompiled — a warm restart sweeping known bases shows
-    ``circuit_store_hits > 0`` and ``circuit_compilations == 0``.
     ``translate_store_hits``/``region_store_hits`` count compilations
     warmed from the disk-persistent memo store rather than recompiled.
     ``component_spill_hits`` counts *sub-problem* components promoted from
@@ -654,22 +583,17 @@ class EngineStats:
 
     The failure-path counters observe the robustness layer:
     ``timeouts`` counts problems aborted by a wall-clock deadline
-    (cooperative ``CounterTimeout``), one per sub-problem of a per-path
-    request — a circuit compilation that times out fails each cold cube
-    of its base; ``fallbacks`` problems the
+    (cooperative ``CounterTimeout``); ``fallbacks`` problems the
     degradation ladder re-routed to the configured fallback backend;
     ``store_degradations`` disk-tier degradation events (corrupt database
     rotated aside, unreadable row read as a miss, swallowed write
-    failure) across all four disk tiers.
+    failure) across all three disk tiers.
     """
 
     count_calls: int = 0
     count_hits: int = 0
     store_hits: int = 0
-    circuit_hits: int = 0
     backend_calls: int = 0
-    circuit_compilations: int = 0
-    circuit_store_hits: int = 0
     component_spill_hits: int = 0
     translate_calls: int = 0
     translate_hits: int = 0
@@ -805,19 +729,10 @@ def _approxmc_factory(**opts):
     return ApproxMCCounter(**opts)
 
 
-def _compiled_factory(**opts):
-    from repro.counting.circuit import CompiledCounter
-
-    return CompiledCounter(**opts)
-
-
 register_backend("exact", _exact_factory)
 register_backend("legacy", _legacy_factory, aliases=("exact-legacy",))
 # "brute" is the numpy whole-space sweep over formulas and aux-free CNFs
 # (repro.counting.vector); "vector" is its descriptive alias.
 register_backend("brute", _brute_factory, aliases=("vector",))
 register_backend("approxmc", _approxmc_factory, aliases=("approx",))
-# "compiled" keeps the circuit: compile once, answer per-path queries by
-# unit-cube conditioning (conditions_cubes=True); "circuit" is its alias.
-register_backend("compiled", _compiled_factory, aliases=("circuit",))
 

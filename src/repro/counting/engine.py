@@ -11,7 +11,7 @@ process and across sessions:
   :class:`~repro.counting.api.CountRequest` (or a raw CNF) and return
   :class:`~repro.counting.api.CountResult` objects carrying the count plus
   provenance — exactness, backend name, wall time, which tier answered
-  (memo, disk store, circuit, backend or fallback), and the
+  (memo, disk store, backend or fallback), and the
   :class:`~repro.counting.api.EngineStats` delta the call caused;
 * results are memoized keyed on the CNF's canonical packed signature
   (:meth:`repro.logic.cnf.CNF.signature`), so a cache hit is bit-identical
@@ -21,21 +21,8 @@ process and across sessions:
   *compilation* memos (translations, tree regions) by a
   :class:`repro.counting.store.BlobStore`, so a table re-run in a fresh
   process performs zero backend counts and zero recompilations;
-* requests with ``strategy="per-path"`` decompose a tree-region count into
-  one sub-problem per disjoint path cube (``mc(φ∧τ) = Σ_paths mc(φ∧path)``)
-  — the cubes are unit clauses that propagate hard, deduping shared paths
-  across trees and sessions.  When the backend declares
-  ``conditions_cubes`` (the ``compiled`` backend) a sub-problem is keyed
-  on its base formula and cube instead of a materialized CNF: the base is
-  compiled *once* into a :class:`~repro.counting.circuit.Circuit` and
-  every cold ``mc(φ∧path)`` is answered by unit-cube conditioning — a
-  linear DAG pass — with ``source="circuit"`` provenance.  Compiled
-  circuits are memoized in-process and, with ``cache_dir``, persisted in
-  a fourth disk tier (:class:`repro.counting.store.CircuitStore`), so a
-  warm restart performs zero compilations
-  (``EngineStats.circuit_store_hits``);
-* every ``solve_many`` batch runs one chain over its expanded
-  sub-problems: memo → count store → circuit → backend → fallback ladder.
+* every ``solve_many`` batch runs one chain over its problems, one item
+  per problem: memo → count store → backend → fallback ladder.
   Duplicates inside the batch collapse onto one count, and each tier
   sees only what the tiers before it left cold;
 * the engine owns a bounded LRU
@@ -61,15 +48,15 @@ process and across sessions:
   objects built on those translations;
 * ``region`` memoizes decision-tree label-region CNFs keyed on the paths.
 
-Routing decisions — disk persistence, component-cache installation,
-circuit conditioning, the ``solve_formula`` fast path — are negotiated
-purely through the backend's declared
-:class:`~repro.counting.api.Capabilities` (``engine.capabilities``); the
-engine never sniffs attributes.  Backends are constructible by registered
-name via :func:`repro.counting.api.make_backend`; the wrapped backend
-itself is ``engine.counter`` and its registered name
-``engine.backend_name``.  One engine is meant to be shared across every
-``AccMC``, ``DiffMC`` and pipeline in a process — or owned by one
+Routing decisions — disk persistence, component-cache installation, the
+``solve_formula`` fast path — are negotiated purely through the backend's
+declared :class:`~repro.counting.api.Capabilities`
+(``engine.capabilities``); the engine never sniffs attributes.  Backends
+are constructible by registered name via
+:func:`repro.counting.api.make_backend`; the wrapped backend itself is
+``engine.counter`` and its registered name ``engine.backend_name``.  One
+engine is meant to be shared across every ``AccMC``, ``DiffMC`` and
+pipeline in a process — or owned by one
 :class:`repro.core.session.MCMLSession`, the facade over the whole
 pipeline; ``clear()`` resets the in-memory memos (the disk stores, if any,
 survive — that is their point).
@@ -96,7 +83,6 @@ from repro.counting.api import (
 from repro.counting.component_cache import ComponentCache
 from repro.counting.store import (
     BlobStore,
-    CircuitStore,
     ComponentStore,
     CountStore,
     signature_key,
@@ -106,10 +92,6 @@ from repro.logic.cnf import CNF
 
 #: Attribute-absence sentinel for budget overrides (no ``hasattr`` here).
 _MISSING = object()
-
-#: Result sources, coldest first: a summed per-path result reports the
-#: coldest tier any of its sub-problems touched.
-_COLDEST_FIRST = ("fallback", "backend", "circuit", "store", "memo")
 
 
 @dataclass(frozen=True)
@@ -128,11 +110,7 @@ class EngineConfig:
         spill tier (:class:`~repro.counting.store.ComponentStore`, whenever
         the component cache is on: LRU evictions and ``close()`` persist
         entries, and a later engine's misses consult it before recounting —
-        ``EngineStats.component_spill_hits`` reports the promotions) and,
-        for a ``conditions_cubes`` backend, the compiled circuits
-        (:class:`~repro.counting.store.CircuitStore`: a warm restart
-        answers conditioning queries with *zero* recompilations —
-        ``EngineStats.circuit_store_hits``).
+        ``EngineStats.component_spill_hits`` reports the promotions).
     component_cache_mb:
         Approximate byte budget (in MiB) of the engine-owned
         :class:`~repro.counting.component_cache.ComponentCache` shared
@@ -151,8 +129,7 @@ class EngineConfig:
         disables the ladder.  The fallback result carries explicit provenance
         (``source="fallback"``, ``fallback_from``, ``exact``/(ε, δ)), and
         an inexact fallback (e.g. ``"approxmc"``) is never used for
-        requests demanding exact precision nor for per-path sub-problems
-        (summing estimates compounds their error) — those failures stand.
+        requests demanding exact precision — those failures stand.
         Inexact fallback counts are never memoized or persisted.
     fallback_opts:
         Keyword options for constructing the fallback backend (e.g.
@@ -187,42 +164,12 @@ def _prop_key(prop) -> object:
 
 
 class _Flat(NamedTuple):
-    """One already-expanded problem of a ``solve_many`` batch."""
+    """One problem of a ``solve_many`` batch, with its request's limits."""
 
-    #: The sub-problem CNF — ``None`` for conditioned sub-problems, which
-    #: are identified by ``(base, cube)`` and never materialized unless
-    #: the degradation ladder needs a formula to recount
-    #: (:meth:`materialize`).
-    cnf: CNF | None
+    cnf: CNF
     budget: int | None
     deadline: float | None
     exact_only: bool  #: request demanded exact precision
-    per_path: bool  #: sub-problem of a per-path decomposition
-    #: With a ``conditions_cubes`` backend: the per-path request's base
-    #: CNF and this sub-problem's unit cube, so a cold miss conditions the
-    #: base's compiled circuit instead of counting a sub-CNF.
-    base: CNF | None = None
-    cube: tuple[int, ...] | None = None
-    #: Memo key of a conditioned sub-problem: ``(identity, cube)``, where
-    #: ``identity`` is the base's ``(num_vars, projection,
-    #: frozenset(clauses))``.  Composing the base identity with the cube
-    #: skips packing and hashing a fresh sub-CNF per cube — the
-    #: difference between microsecond and millisecond query cost on a
-    #: warm circuit.
-    key: tuple | None = None
-
-    def materialize(self) -> CNF:
-        """The sub-problem CNF, built on demand for conditioned subs.
-
-        Bit-identical to :meth:`repro.counting.api.CountRequest.expand`'s
-        construction: the base plus one unit clause per cube literal.
-        """
-        if self.cnf is not None:
-            return self.cnf
-        sub = self.base.copy()
-        for literal in self.cube:
-            sub.add_clause((literal,))
-        return sub
 
 
 class CountingEngine:
@@ -284,18 +231,6 @@ class CountingEngine:
         if self.component_cache is not None and cache_dir is not None:
             self.component_store = ComponentStore(cache_dir)
             self.component_cache.attach_spill(self.component_store)
-        # The circuit tier rides on the backend's conditions_cubes
-        # declaration: only a compiling backend produces circuits worth
-        # keeping, and only per-path conditioning consumes them.
-        self.circuit_store: CircuitStore | None = (
-            CircuitStore(cache_dir)
-            if caps.conditions_cubes and cache_dir is not None
-            else None
-        )
-        #: In-process circuit memo: base identity -> compiled Circuit.
-        self._circuits: dict[tuple, object] = {}
-        #: Interned base identities of conditioned sub-problems.
-        self._bases: dict[tuple, tuple] = {}
         # The degradation ladder's fallback backend, built eagerly so a
         # misconfigured name fails at construction, not at the first
         # failure it was supposed to absorb.
@@ -334,35 +269,15 @@ class CountingEngine:
         """Solve a batch of problems, reusing every cache layer.
 
         Accepts :class:`~repro.counting.api.CountRequest` objects or raw
-        CNFs (frozen into requests with default precision/budget).  Each
-        request expands into sub-problems — one for a conjunction, one per
-        cube for ``strategy="per-path"`` — and the whole batch runs one
+        CNFs (counted with default precision and the backend's own
+        limits).  Each problem is one item, and the whole batch runs one
         chain: the in-memory memo answers first (duplicates inside the
         batch collapse onto the first occurrence and report as memo
-        hits), then the disk count store, then the circuit tier, then the
-        backend, one cold problem after another, and finally the
-        degradation ladder.  New counts merge back into the memo and the
-        disk store.  Each result records its provenance;
-        ``stats_delta`` is the whole batch's telemetry movement (shared by
-        the batch's results).
-
-        Per-path requests are *decomposed*: the region they describe is a
-        disjoint union of path cubes, so the request expands into one
-        sub-problem per cube (the base CNF plus unit clauses, which
-        propagate hard) and the result is the sum of the sub-counts, with
-        the coldest tier any sub-problem touched as its source.  Shared
-        paths dedup across trees, batches and sessions.  On a
-        ``conditions_cubes`` backend the sub-problems are keyed on
-        ``(base, cube)`` instead — never materialized, never store-backed
-        (the persistent artifact is the base's compiled circuit, and
-        re-conditioning it is cheaper than a disk read) — and the circuit
-        tier answers the cold ones: each request base is compiled (or
-        read from the circuit store) once under the request's
-        budget/deadline, then conditioned once per cold cube.  Summing
-        estimates would compound their error, so per-path requests
-        require an exact backend (consumers negotiate via
-        ``capabilities.exact`` and fall back to the conjunction route —
-        see :class:`repro.core.accmc.AccMC`).
+        hits), then the disk count store, then the backend, one cold
+        problem after another, and finally the degradation ladder.  New
+        counts merge back into the memo and the disk store.  Each result
+        records its provenance; ``stats_delta`` is the whole batch's
+        telemetry movement (shared by the batch's results).
 
         Failure semantics.  A problem can fail without poisoning the
         batch: a node-budget exhaustion
@@ -372,8 +287,7 @@ class CountingEngine:
         :class:`~repro.counting.api.CountFailure` for *that position* —
         every other problem still completes, and completed counts always
         reach the memo and the disk store (a retry resumes, it does not
-        recount).  A circuit compilation that aborts fails every cold
-        cube of its base.  Each failed sub-problem counts once in
+        recount).  Each failed problem counts once in
         ``EngineStats.timeouts`` when it timed out.  Deadlines are
         cooperative: they are enforced by the backend's own ``deadline``
         knob, so a backend without one ignores them.  With
@@ -383,8 +297,7 @@ class CountingEngine:
         that remain: ``"raise"`` (the default) re-raises the first
         failure's original exception after the batch completes;
         ``"return"`` returns the ``CountFailure`` objects in their batch
-        positions alongside the successes (a failed per-path request is
-        represented by its first failed sub-problem).
+        positions alongside the successes.
 
         Thread safety.  ``solve``/``solve_many``/``solve_formula`` (and
         the compilation memos) serialize on the engine's internal
@@ -404,12 +317,9 @@ class CountingEngine:
         before = self.stats.copy()
         caps = self.capabilities
         items: list[_Flat] = []
-        #: per input problem: its item index, or its per-path item range
-        spans: list[int | range] = []
         for problem in problems:
             if not isinstance(problem, CountRequest):
-                items.append(_Flat(problem, None, None, False, False))
-                spans.append(len(items) - 1)
+                items.append(_Flat(problem, None, None, False))
                 continue
             exact_only = problem.precision == "exact"
             if exact_only and not caps.exact:
@@ -417,54 +327,21 @@ class CountingEngine:
                     f"request demands exact precision but backend "
                     f"{self.backend_name!r} is approximate"
                 )
-            budget, deadline = problem.budget, problem.deadline
-            if problem.strategy != "per-path":
-                items.append(_Flat(problem.cnf(), budget, deadline, exact_only, False))
-                spans.append(len(items) - 1)
-                continue
-            if not caps.exact:
-                raise ValueError(
-                    f"per-path requests sum exact sub-counts but "
-                    f"backend {self.backend_name!r} is approximate; "
-                    "use strategy='conjunction'"
-                )
-            start = len(items)
-            if caps.conditions_cubes:
-                base = problem.cnf()
-                # Content-canonical and far cheaper than a packed signature
-                # per sub-CNF.  Interned, so equal bases from different
-                # requests share one object and memo probes compare it by
-                # identity.
-                identity = (base.num_vars, base.projection, frozenset(base.clauses))
-                identity = self._bases.setdefault(identity, identity)
-                items.extend(
-                    _Flat(
-                        None, budget, deadline, exact_only, True, base, cube,
-                        (identity, cube),
-                    )
-                    for cube in problem.cubes
-                )
-            else:
-                items.extend(
-                    _Flat(sub, budget, deadline, exact_only, True)
-                    for sub in problem.expand()
-                )
-            spans.append(range(start, len(items)))
+            items.append(
+                _Flat(problem.cnf(), problem.budget, problem.deadline, exact_only)
+            )
 
         outcomes = self._solve_flat(items, caps)
         self._mirror_tier_counters()
         delta = self.stats.delta_since(before)
         results: list[CountResult | CountFailure] = []
         primary: CountFailure | None = None
-        for span in spans:
-            if type(span) is range:
-                outcome = self._sum_result(outcomes[span.start:span.stop], delta)
+        for outcome in outcomes:
+            if isinstance(outcome, CountFailure):
+                if primary is None:
+                    primary = outcome
             else:
-                outcome = outcomes[span]
-                if not isinstance(outcome, CountFailure):
-                    outcome = self._result(*outcome, delta)
-            if primary is None and isinstance(outcome, CountFailure):
-                primary = outcome
+                outcome = self._result(*outcome, delta)
             results.append(outcome)
         if primary is not None and on_failure == "raise":
             if primary.cause is not None:
@@ -473,14 +350,14 @@ class CountingEngine:
         return results
 
     def _solve_flat(self, items: list[_Flat], caps: Capabilities) -> list:
-        """Answer expanded problems: memo → store → circuit → backend → ladder.
+        """Answer a batch's problems: memo → store → backend → ladder.
 
         Returns one outcome per item: a ``(value, source,
         elapsed_seconds)`` record or a
         :class:`~repro.counting.api.CountFailure`.  Each item counts once
         in :class:`EngineStats`: as a memo hit (duplicates inside the
         batch included, which share the first occurrence's outcome), a
-        store hit, a circuit hit, a backend call or a failure.
+        store hit, a backend call or a failure.
         """
         from repro.counting.exact import CounterAbort
 
@@ -490,13 +367,10 @@ class CountingEngine:
         #: cold key -> the batch positions it answers; the first position
         #: holds the item that gets counted
         positions: dict[tuple, list[int]] = {}
-        cold: list[tuple] = []  # cold keys of CNF items
-        bases: dict[CNF, list[tuple]] = {}  # cold conditioned keys per base
+        cold: list[tuple] = []
         stats.count_calls += len(items)
         for i, item in enumerate(items):
-            key = item.key
-            if key is None:
-                key = item.cnf.signature()
+            key = item.cnf.signature()
             value = counts.get(key)
             if value is not None:
                 stats.count_hits += 1
@@ -510,13 +384,8 @@ class CountingEngine:
                 same.append(i)
                 continue
             positions[key] = [i]
-            if item.base is None:
-                cold.append(key)
-            else:
-                bases.setdefault(item.base, []).append(key)
+            cold.append(key)
 
-        # The count store backs CNF items only: for conditioned items the
-        # persistent artifact is the circuit.
         missing = cold
         hashed: dict[tuple, str] = {}
         if self.store is not None and cold:
@@ -534,37 +403,7 @@ class CountingEngine:
                 for i in positions[key]:
                     outcomes[i] = record
 
-        # The circuit tier: one compilation (or circuit-store read) per
-        # request base, then one conditioning pass per cold cube.  An
-        # abort fails each of the base's cold cubes, and each still gets
-        # its shot on the ladder below.
         failed: dict[tuple, CountFailure] = {}
-        for base, keys in bases.items():
-            first = items[positions[keys[0]][0]]
-            started = time.perf_counter()
-            try:
-                circuit = self._circuit_for(
-                    keys[0][0], base, first.budget, first.deadline
-                )
-            except CounterAbort as exc:
-                failure = CountFailure.from_exception(
-                    exc,
-                    backend=self.backend_name,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
-                for key in keys:
-                    failed[key] = failure
-                continue
-            condition = circuit.condition
-            values = [condition(cube) for _, cube in keys]
-            stats.circuit_hits += len(keys)
-            seconds = (time.perf_counter() - started) / len(keys)
-            for key, value in zip(keys, values):
-                counts[key] = value
-                record = (value, "circuit", seconds)
-                for i in positions[key]:
-                    outcomes[i] = record
-
         completed: dict[tuple, tuple] = {}
         try:
             for key in missing:
@@ -624,14 +463,13 @@ class CountingEngine:
 
         The ladder only absorbs *resource* failures (timeout, budget) —
         a genuine backend error would fail on any backend.
-        An inexact fallback is refused for exact-precision requests and
-        per-path sub-problems.  The fallback does *not* inherit the
-        request's budget/deadline limits: the ladder exists to still
-        produce an answer after those limits already failed, and a
-        fallback algorithm's cost profile is unrelated to the one they
-        were calibrated for — bound the fallback through its own
-        construction knobs (``fallback_opts``, e.g. ``{"deadline": ...}``)
-        when needed.  A fallback's own abort, or its failure to converge,
+        An inexact fallback is refused for exact-precision requests.  The
+        fallback does *not* inherit the request's budget/deadline limits:
+        the ladder exists to still produce an answer after those limits
+        already failed, and a fallback algorithm's cost profile is
+        unrelated to the one they were calibrated for — bound the
+        fallback through its own construction knobs (``fallback_opts``,
+        e.g. ``{"deadline": ...}``) when needed.  A fallback's own abort, or its failure to converge,
         leaves the original failure standing.  A rescued problem's
         outcome is a ``(value, "fallback", elapsed_seconds)`` record.
         """
@@ -640,43 +478,15 @@ class CountingEngine:
         fallback = self._fallback_counter
         if fallback is None or failure.kind == "error":
             return failure
-        if not self._fallback_caps.exact and (item.exact_only or item.per_path):
+        if not self._fallback_caps.exact and item.exact_only:
             return failure
         started = time.perf_counter()
         try:
-            value = fallback.count(item.materialize())
+            value = fallback.count(item.cnf)
         except (CounterAbort, RuntimeError):
             return failure
         self.stats.fallbacks += 1
         return value, "fallback", time.perf_counter() - started
-
-    def _circuit_for(self, base_identity: tuple, base: CNF, budget, deadline):
-        """The compiled circuit for a per-path base (memo → store → compile).
-
-        ``base_identity`` is the first half of the conditioned memo keys
-        built in ``solve_many`` — ``(num_vars, projection,
-        frozenset(clauses))`` — canonical across processes and sessions,
-        so its :func:`~repro.counting.store.signature_key` is a stable
-        :class:`~repro.counting.store.CircuitStore` address.
-        """
-        circuit = self._circuits.get(base_identity)
-        if circuit is not None:
-            return circuit
-        disk_key = None
-        if self.circuit_store is not None:
-            disk_key = signature_key(base_identity)
-            circuit = self.circuit_store.get(disk_key)
-            if circuit is not None:
-                self.stats.circuit_store_hits += 1
-                self._circuits[base_identity] = circuit
-                return circuit
-        with self._limits(budget, deadline):
-            circuit = self.counter.compile(base)
-        self.stats.circuit_compilations += 1
-        self._circuits[base_identity] = circuit
-        if disk_key is not None:
-            self.circuit_store.put(disk_key, circuit)
-        return circuit
 
     def _result(
         self, value: int, source: str, seconds: float, delta: EngineStats
@@ -710,42 +520,10 @@ class CountingEngine:
             stats_delta=delta,
         )
 
-    def _sum_result(self, subs: list, delta: EngineStats):
-        """Fold per-path sub-outcomes into one summed result.
-
-        The first failed sub-problem stands for the whole request (a sum
-        with a term missing is meaningless).  Provenance reports the
-        *coldest* tier any sub-problem touched (fallback over backend over
-        circuit over store over memo); an empty cube set (a region with
-        no paths of that label) sums to 0 without any work.
-        """
-        value = 0
-        seconds = 0.0
-        sources = set()
-        for sub in subs:
-            if isinstance(sub, CountFailure):
-                return sub
-            value += sub[0]
-            sources.add(sub[1])
-            seconds += sub[2]
-        return CountResult(
-            value=value,
-            exact=self.capabilities.exact,
-            backend=self.backend_name,
-            source=min(sources, key=_COLDEST_FIRST.index, default="memo"),
-            elapsed_seconds=seconds,
-            stats_delta=delta,
-        )
-
     def _disk_tiers(self) -> list:
         return [
             store
-            for store in (
-                self.store,
-                self.memo_store,
-                self.component_store,
-                self.circuit_store,
-            )
+            for store in (self.store, self.memo_store, self.component_store)
             if store is not None
         ]
 
@@ -927,8 +705,6 @@ class CountingEngine:
         self._translations.clear()
         self._ground_truths.clear()
         self._regions.clear()
-        self._circuits.clear()
-        self._bases.clear()
         if self.component_cache is not None:
             self.component_cache.clear()
             self.component_cache.spill_hits = 0
@@ -964,9 +740,6 @@ class CountingEngine:
             extras += f", components={len(self.component_cache)}{spill}"
         if self.store is not None:
             extras += f", store={str(self.store.path)!r}"
-        if self.capabilities.conditions_cubes:
-            spelled = "+store" if self.circuit_store is not None else ""
-            extras += f", circuits={len(self._circuits)}{spelled}"
         if self.config.fallback is not None:
             extras += f", fallback={self.config.fallback!r}"
         return (

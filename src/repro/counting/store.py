@@ -44,14 +44,6 @@ counter's hottest loop, the store keeps the set of present key digests in
 memory: a miss against an absent key costs one digest + one set probe,
 never a query.
 
-:class:`CircuitStore` is the fourth tier: compiled
-:class:`~repro.counting.circuit.Circuit` objects keyed on the
-:func:`signature_key` of the CNF they were compiled from.  A circuit is a
-pure function of its CNF signature, so a warm restart loads the pickle
-and performs *zero* recompilations (``EngineStats.circuit_store_hits``);
-circuits are few and large, so the tier writes through like the blob
-store.  It is only active for backends declaring ``conditions_cubes``.
-
 All tiers share one implementation, :class:`_SqliteStore`: a subclass is a
 file name, a table name, a value codec and a buffering policy — the WAL
 discipline, rotation, degradation accounting and buffer semantics are
@@ -91,9 +83,6 @@ BLOB_STORE_FILENAME = "memos.sqlite"
 
 #: File name of the component-cache spill database inside the cache directory.
 COMPONENT_STORE_FILENAME = "components.sqlite"
-
-#: File name of the compiled-circuit database inside the cache directory.
-CIRCUIT_STORE_FILENAME = "circuits.sqlite"
 
 #: Single ``put`` calls buffered before one transaction writes them out.
 AUTOFLUSH_PUTS = 256
@@ -482,24 +471,6 @@ class BlobStore(_SqliteStore):
 
     def _decode(self, raw):
         return pickle.loads(raw)
-
-
-class CircuitStore(BlobStore):
-    """Persistent ``signature key -> compiled Circuit`` map under ``cache_dir``.
-
-    The compile-once-query-forever tier: values are pickled
-    :class:`~repro.counting.circuit.Circuit` objects keyed on
-    :func:`signature_key` of the source CNF's canonical signature, so a
-    circuit compiled in one session answers conditioning queries in every
-    later one — a warm engine restart performs zero compilations.  The
-    codec, write-through policy and degrade-don't-fail contract are the
-    blob store's; only the file lives apart, because circuit blobs dwarf
-    compilation memos and a cache wipe of one tier must not take the
-    other with it.
-    """
-
-    FILENAME = CIRCUIT_STORE_FILENAME
-    TABLE = "circuits"
 
 
 class ComponentStore(_SqliteStore):

@@ -37,6 +37,20 @@ ARTIFACTS = (
 )
 
 
+def _registered_backend(name: str) -> str:
+    """``--backend``/``--fallback`` type: a registered backend name or alias.
+
+    Checked at parse time, so an unknown name is a usage error (exit 2,
+    listing the registered names) instead of a traceback from
+    :func:`repro.counting.api.make_backend` once the session is built.
+    """
+    try:
+        backend_aliases(name)  # resolves aliases; raises for unknown names
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcml",
@@ -61,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
+        type=_registered_backend,
         default="exact",
         metavar="NAME",
         help="counting backend by registered name "
@@ -94,9 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persist model counts, compilations, the component cache "
-        "and compiled circuits to DIR so re-runs skip the work "
-        "(default: off)",
+        help="persist model counts, compilations and the component cache "
+        "to DIR so re-runs skip the work (default: off)",
     )
     parser.add_argument(
         "--component-cache-mb", type=float, default=512.0, metavar="MB",
@@ -104,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "counting problems of a run (default 512; 0 disables sharing)",
     )
     parser.add_argument(
-        "--fallback", default=None, metavar="NAME",
+        "--fallback", type=_registered_backend, default=None, metavar="NAME",
         help="degradation ladder: registered backend failed counts "
         "(budget/deadline) are re-counted on, with explicit "
         "fallback provenance on the results (e.g. approxmc; default: off)",
@@ -118,16 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None, metavar="NODES",
         help="per-problem search-node budget on every metric count "
         "(CounterBudgetExceeded past it; default: none)",
-    )
-    parser.add_argument(
-        "--region-strategy", choices=("conjunction", "per-path"),
-        default="conjunction",
-        help="AccMC/DiffMC region route: per-path decomposes each "
-        "tree-region count into its disjoint path cubes (mc(phi&tau) = "
-        "sum over paths of mc(phi&path)), deduping shared paths across "
-        "trees and cached sessions — on a conditions_cubes backend "
-        "(compiled) the sub-counts come from conditioning one cached "
-        "circuit; conjunction is the paper's construction (default)",
     )
     parser.add_argument(
         "--stats", action="store_true",
@@ -194,7 +198,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         fallback=args.fallback,
         deadline=args.deadline,
         budget=args.budget,
-        region_strategy=args.region_strategy,
     )
     if args.properties:
         kwargs["properties"] = tuple(args.properties)
@@ -207,7 +210,6 @@ _CAPABILITY_COLUMNS = {
     "counts_formulas": "formulas",
     "supports_projection": "projection",
     "owns_component_cache": "components",
-    "conditions_cubes": "cubes",
 }
 
 

@@ -34,7 +34,7 @@ def make_counter(name: str, seed: int = 0):
     Kept as the experiments-layer spelling: it threads the experiment seed
     into backends that take one (the approximate counter) and accepts any
     registry name or alias (``exact``, ``legacy``, ``brute``/``vector``,
-    ``compiled``/``circuit``, ``approxmc``/``approx``).
+    ``approxmc``/``approx``).
     """
     if name in ("approx", "approxmc"):
         return make_backend(name, seed=seed)
@@ -56,11 +56,7 @@ class ExperimentConfig:
     component cache that lets overlapping counting problems (same φ,
     different tree regions) reuse each other's sub-counts (see
     :class:`repro.counting.EngineConfig`; 0 opts out).
-    ``cache_dir`` also persists that component cache and the compiled
-    circuits of a ``conditions_cubes`` backend (``mcml --backend
-    compiled``), so warm restarts condition without recompiling, and
-    ``region_strategy`` picks the AccMC/DiffMC region route
-    (``"conjunction"`` or ``"per-path"``).
+    ``cache_dir`` also persists that component cache.
     ``fallback`` names a backend the engine's degradation ladder
     re-counts failed problems on (``mcml --fallback approxmc``), and
     ``deadline``/``budget`` apply per-problem wall-clock and node limits
@@ -71,7 +67,6 @@ class ExperimentConfig:
     scope: int | None = None
     counter: str = "exact"
     accmc_mode: str = "derived"
-    region_strategy: str = "conjunction"
     seed: int = 0
     train_fraction: float = 0.10
     max_positives: int | None = 5000
@@ -116,7 +111,6 @@ class ExperimentConfig:
         return MCMLSession(
             engine=self.build_engine(),
             accmc_mode=self.accmc_mode,
-            region_strategy=self.region_strategy,
             deadline=self.deadline,
             budget=self.budget,
             seed=self.seed,

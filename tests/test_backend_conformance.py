@@ -8,8 +8,8 @@ exact backends against the closed-form oracles, the (ε, δ) envelope for
 approximate ones,
 and — flag by flag — that the declared :class:`Capabilities` match actual
 behaviour: formula counting, auxiliary-variable support, component-cache
-ownership, cube conditioning, engine store gating; and that every backend's
-counts reproduce across fresh instances.
+ownership, engine store gating; and that every backend's counts reproduce
+across fresh instances.
 
 A new backend is a registry entry plus a green run of this module; a
 capability flag that lies fails here before it can mis-route the engine.
@@ -52,17 +52,14 @@ _MISSING = object()
 
 def _count_via_capabilities(backend, problem, num_primary):
     """Count a translated problem through the backend's declared surface."""
-    caps = backend.capabilities
-    if caps.counts_formulas:
+    if backend.capabilities.counts_formulas:
         return backend.count_formula(problem.formula, num_primary)
-    if caps.supports_projection:
-        return backend.count(problem.cnf)
-    return None  # auxiliary-free backends are covered by the region tests
+    return backend.count(problem.cnf)
 
 
 class TestRegistry:
     def test_lists_the_expected_backends(self):
-        assert BACKENDS == ["approxmc", "brute", "compiled", "exact", "legacy"]
+        assert BACKENDS == ["approxmc", "brute", "exact", "legacy"]
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_constructs_and_declares(self, name):
@@ -93,8 +90,6 @@ class TestMatrixConformance:
     @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
     def test_against_closed_forms(self, name, scope, prop):
         caps = backend_capabilities(name)
-        if not caps.counts_formulas and not caps.supports_projection:
-            pytest.skip("auxiliary-free backend: covered by the region suite")
         if name == "approxmc" and scope > 3:
             pytest.skip("approximate envelope is pinned at scopes 2-3 (runtime)")
         backend = make_backend(name)
@@ -113,14 +108,11 @@ class TestMatrixConformance:
     @pytest.mark.parametrize("name", [n for n in BACKENDS if backend_capabilities(n).exact])
     def test_symmetry_broken_slice_agrees_across_exact_backends(self, name):
         """Exact backends are interchangeable on symmetry-constrained φ too."""
-        caps = backend_capabilities(name)
         backend = make_backend(name)
         reference = ExactCounter()
         for prop_name in ("Reflexive", "Antisymmetric", "PartialOrder"):
             problem = translate(get_property(prop_name), 3, symmetry=SymmetryBreaking())
             value = _count_via_capabilities(backend, problem, 9)
-            if value is None:
-                pytest.skip("auxiliary-free backend")
             assert value == reference.count(problem.cnf)
 
 
@@ -139,10 +131,10 @@ def _truth_table_cnf(prop, scope):
 class TestAuxFreeMatrix:
     """16 properties × scopes 2–3 as auxiliary-free CNFs, every backend.
 
-    The Tseitin matrix above carries auxiliaries, so it skips the
-    ``compiled`` column entirely; this matrix gives every backend's CNF
-    path — the one AccMC's tree regions take — the same property coverage,
-    counted through the engine's typed ``solve``.
+    The Tseitin matrix above counts formulas on formula-counting backends;
+    this matrix gives every backend's CNF path — the one AccMC's tree
+    regions take — the same property coverage, counted through the
+    engine's typed ``solve``.
     """
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -218,21 +210,6 @@ class TestCapabilityFlagsMatchBehaviour:
             assert recount == counts[::-1]
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_conditions_cubes_flag(self, name, tree_regions):
-        """Flag on: ``compile`` yields a circuit whose conditioning is
-        bit-identical to conjunction counting.  Off: no ``compile``."""
-        backend = make_backend(name)
-        caps = backend.capabilities
-        compile_attr = getattr(backend, "compile", _MISSING)
-        assert caps.conditions_cubes == (compile_attr is not _MISSING)
-        if not caps.conditions_cubes:
-            return
-        assert caps.exact  # conditioned sub-counts are summed and persisted
-        for region in tree_regions:
-            circuit = backend.compile(region)
-            assert circuit.condition(()) == ExactCounter().count(region)
-
-    @pytest.mark.parametrize("name", BACKENDS)
     def test_owns_component_cache_flag(self, name):
         backend = make_backend(name)
         has_attr = getattr(backend, "component_cache", _MISSING) is not _MISSING
@@ -242,6 +219,16 @@ class TestCapabilityFlagsMatchBehaviour:
     def test_exact_flag_matches_historical_attr(self, name):
         backend = make_backend(name)
         assert backend.capabilities.exact == bool(getattr(backend, "exact", False))
+
+
+class _AuxFreeStub:
+    """An exact backend declaring neither formula counting nor projection."""
+
+    name = "aux-free-stub"
+    capabilities = Capabilities(exact=True)
+
+    def count(self, cnf):
+        return ExactCounter().count(cnf)
 
 
 class TestEngineNegotiatesThroughCapabilities:
@@ -270,14 +257,16 @@ class TestEngineNegotiatesThroughCapabilities:
             with pytest.raises(ValueError, match="count formulas"):
                 engine.solve_formula(problem.formula, 4)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", [*BACKENDS, "aux-free-stub"])
     def test_accmc_rejects_unroutable_backends_at_the_routing_layer(self, name):
         """Backends serving neither AccMC route fail with a capability error,
-        not a deep backend exception (e.g. ``mcml table9 --backend compiled``)."""
+        not a deep backend exception.  No registered backend is one, but
+        ``register_backend`` is public, so a stub stands in for one."""
         from repro.core.accmc import AccMC
 
-        caps = backend_capabilities(name)
-        accmc = AccMC(counter=make_backend(name))
+        backend = _AuxFreeStub() if name == "aux-free-stub" else make_backend(name)
+        caps = backend.capabilities
+        accmc = AccMC(counter=backend)
         prop = get_property("Reflexive")
         ground_truth = accmc.ground_truth(prop, 3)
         pipeline = MCMLPipeline(seed=0)

@@ -360,30 +360,3 @@ class TestStoreDegradations:
         assert engine.stats.store_degradations >= 1
         engine.close()
 
-
-# -- decomposition agreement under failure --------------------------------------------
-
-
-class TestPerPathAgreementUnderFailure:
-    def test_per_path_sum_survives_a_failed_sibling(self):
-        engine = CountingEngine(ExactCounter())
-        cnf = property_cnf("Transitive", 3)
-        # Branching on variable 1 partitions the space, so the per-path
-        # sum must equal the plain conjunction count exactly.
-        per_path = CountRequest.from_cnf(cnf, strategy="per-path", cubes=((1,), (-1,)))
-        doomed = CountRequest.from_cnf(property_cnf("Transitive", 5), budget=10)
-        results = engine.solve_many([per_path, doomed], on_failure="return")
-        assert isinstance(results[0], CountResult)
-        assert results[0].value == TRANSITIVE_3
-        assert isinstance(results[1], CountFailure)
-        assert results[1].kind == "budget"
-
-    def test_per_path_failure_is_represented_by_its_first_sub_failure(self):
-        engine = CountingEngine(ExactCounter())
-        cnf = property_cnf("Transitive", 5)
-        per_path = CountRequest.from_cnf(
-            cnf, strategy="per-path", cubes=((1,), (-1,)), budget=10
-        )
-        [outcome] = engine.solve_many([per_path], on_failure="return")
-        assert isinstance(outcome, CountFailure)
-        assert outcome.kind == "budget"

@@ -5,13 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import AccMC, DiffMC
+from repro.core import AccMC, DiffMC, MCMLPipeline
 from repro.core.accmc import GroundTruth
-from repro.counting import ApproxMCCounter, CompiledCounter
+from repro.counting import ApproxMCCounter, make_backend
 from repro.data import generate_dataset
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.spec import SymmetryBreaking, get_property
 from repro.spec.evaluate import evaluate_bits
+from repro.spec.properties import PROPERTIES
 
 
 def _tree_for(prop_name: str, scope: int, symmetry=None, seed=0, train_fraction=0.5):
@@ -117,17 +118,27 @@ class TestAccMC:
         row = AccMC().evaluate(tree, GroundTruth(prop, 2)).as_row()
         assert set(row) == {"accuracy", "precision", "recall", "f1", "time"}
 
-    def test_compiled_backend_agrees_in_derived_mode(self):
-        """The compiled (OBDD) backend gives identical derived-mode counts on
-        the aux-free region CNFs... via DiffMC-style region counting."""
-        tree, prop = _tree_for("Function", 2)
-        exact = AccMC(mode="product").evaluate(tree, GroundTruth(prop, 2))
-        # Compilation can't take Tseitin aux vars, so compare region counts only.
-        from repro.core.tree2cnf import label_region_cnf
 
-        compiled = CompiledCounter()
-        region = label_region_cnf(tree, 1, 4)
-        assert compiled.count(region) == exact.counts.tp + exact.counts.fp
+
+class TestAccMCMatrix:
+    """The CNF route against the numpy formula sweep, which shares no code
+    with it: 16 properties × scopes 2–4, adjacent symmetry breaking."""
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("scope", (2, 3, 4))
+    def test_cnf_route_matches_formula_sweep(self, prop, scope):
+        pipeline = MCMLPipeline(seed=0)
+        sym = SymmetryBreaking()
+        dataset = pipeline.make_dataset(prop, scope, symmetry=sym, max_positives=500)
+        train, _ = dataset.split(0.5, rng=0)
+        tree = pipeline.train("DT", train)
+        cnf_route = AccMC(counter=make_backend("exact"), mode="product")
+        sweep = AccMC(counter=make_backend("brute"), mode="product")
+        expected = sweep.evaluate(tree, sweep.ground_truth(prop, scope, symmetry=sym))
+        actual = cnf_route.evaluate(
+            tree, cnf_route.ground_truth(prop, scope, symmetry=sym)
+        )
+        assert actual.counts == expected.counts
 
 
 class TestDiffMC:

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 
 from repro.counting import (
     ApproxMCCounter,
-    CompiledCounter,
     ExactCounter,
     approx_count,
     brute_force_count,
     brute_force_models,
     closed_form_count,
-    compiled_count,
     exact_count,
 )
 from repro.counting.approxmc import (
@@ -116,33 +114,6 @@ class TestBruteForce:
         # 19 vars spans multiple evaluation blocks; empty CNF counts all.
         cnf = CNF(num_vars=19, projection=range(1, 20))
         assert brute_force_count(cnf) == 1 << 19
-
-
-class TestCompiledCounter:
-    def test_simple(self):
-        assert compiled_count(CNF([[1, 2]], projection=[1, 2])) == 3
-
-    def test_unsat(self):
-        assert compiled_count(CNF([[1], [-1]], projection=[1])) == 0
-
-    def test_free_vars(self):
-        assert compiled_count(CNF([[2]], projection=[1, 2, 3])) == 4
-
-    def test_rejects_aux(self):
-        with pytest.raises(ValueError):
-            compiled_count(CNF([[1, 3]], projection=[1, 2]))
-
-    def test_budget(self):
-        clauses = [[i, i + 1] for i in range(1, 12)]
-        with pytest.raises(CounterBudgetExceeded):
-            CompiledCounter(max_nodes=2).count(CNF(clauses, projection=range(1, 13)))
-
-    @given(random_cnf(max_vars=8, max_clauses=16))
-    @settings(max_examples=100, deadline=None)
-    def test_agrees_with_brute_force(self, instance):
-        num_vars, clauses = instance
-        cnf = CNF(clauses, num_vars=num_vars, projection=range(1, num_vars + 1))
-        assert compiled_count(cnf) == brute_force_count(cnf)
 
 
 class TestXorEncoding:

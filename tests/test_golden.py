@@ -7,13 +7,8 @@ Each file under ``tests/golden/`` is the text one artifact of
 
 prints.  The test regenerates every artifact in-process through one
 session (as ``mcml all`` does) and compares it byte for byte, with the
-``Time[s]`` column masked because it is the only wall-clock cell.  The
-per-path region routes must render the same tables, so the region-count
-artifacts are also rendered with ``--region-strategy per-path`` on
-``exact`` (sub-CNFs counted one by one) and Table 8 with ``--backend
-compiled`` (sub-problems answered by conditioning circuits), each
-against the same golden file.  A change that alters a table on purpose
-regenerates the files (from the default route) with
+``Time[s]`` column masked because it is the only wall-clock cell.  A
+change that alters a table on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -36,27 +31,12 @@ TIME_HEADER = "Time[s]"
 TIME_MASK = "<time>"
 
 
-#: route id -> (ExperimentConfig overrides, artifacts rendered on it).
-ROUTES = {
-    "conjunction": ({}, GOLDEN_ARTIFACTS),
-    "per-path": (
-        {"region_strategy": "per-path"},
-        ("table3", "table5", "table6", "table7", "table8", "table9"),
-    ),
-    "compiled-per-path": (
-        {"counter": "compiled", "region_strategy": "per-path"},
-        ("table8",),
-    ),
-}
-
-
-def golden_config(**overrides) -> ExperimentConfig:
+def golden_config() -> ExperimentConfig:
     return ExperimentConfig(
         properties=("Function", "PartialOrder"),
         scope=3,
         max_positives=200,
         seed=0,
-        **overrides,
     )
 
 
@@ -74,19 +54,18 @@ def mask_time(text: str) -> str:
     return "\n".join(lines)
 
 
-def render_all(route: str = "conjunction") -> dict[str, str]:
-    overrides, artifacts = ROUTES[route]
-    config = golden_config(**overrides)
+def render_all() -> dict[str, str]:
+    config = golden_config()
     with config.session() as session:
         return {
             artifact: run_artifact(artifact, config, session=session)
-            for artifact in artifacts
+            for artifact in GOLDEN_ARTIFACTS
         }
 
 
 @pytest.fixture(scope="module")
-def rendered() -> dict[str, dict[str, str]]:
-    return {route: render_all(route) for route in ROUTES}
+def rendered() -> dict[str, str]:
+    return render_all()
 
 
 def test_mask_time_cuts_only_the_time_column():
@@ -94,21 +73,10 @@ def test_mask_time_cuts_only_the_time_column():
     assert mask_time(table) == "T\nA  <time>\n---<time>\n1  <time>\n\nB\n2"
 
 
-@pytest.mark.parametrize(
-    ("route", "artifact"),
-    [
-        pytest.param(
-            route,
-            artifact,
-            id=artifact if route == "conjunction" else f"{route}-{artifact}",
-        )
-        for route, (_, artifacts) in ROUTES.items()
-        for artifact in artifacts
-    ],
-)
-def test_artifact_matches_golden(rendered, route, artifact):
+@pytest.mark.parametrize("artifact", GOLDEN_ARTIFACTS)
+def test_artifact_matches_golden(rendered, artifact):
     expected = mask_time((GOLDEN_DIR / f"{artifact}.txt").read_text())
-    actual = mask_time(rendered[route][artifact] + "\n")
+    actual = mask_time(rendered[artifact] + "\n")
     if actual != expected:
         diff = difflib.unified_diff(
             expected.splitlines(keepends=True),

@@ -129,14 +129,17 @@ class TestWireSerialization:
         assert again == request
         assert again.signature() == request.signature()
 
-    def test_per_path_request_round_trip(self):
-        request = CountRequest.from_cnf(
-            CNF(num_vars=4, clauses=[(1, 2)]),
-            strategy="per-path",
-            cubes=((3,), (-3, 4)),
-        )
-        again = CountRequest.from_dict(request.to_dict())
-        assert again == request
+    def test_unknown_request_keys_are_rejected(self):
+        """A misspelled or retired field must not be counted as the bare CNF."""
+        payload = {
+            "clauses": [[1, 2]],
+            "num_vars": 2,
+            "projection": [1, 2],
+            "strategy_typo": "per-path",
+            "cubez": [[1]],
+        }
+        with pytest.raises(ValueError, match="cubez, strategy_typo"):
+            CountRequest.from_dict(payload)
 
     def test_count_result_round_trip_preserves_big_counts(self):
         result = CountResult(
@@ -272,6 +275,18 @@ class TestSolveVerbs:
             with pytest.raises(ServiceError) as excinfo:
                 client._call("solve", {"request": {"clauses": "nope"}})
             assert excinfo.value.code == "invalid"
+            # A per-path request from an older client is refused, not
+            # answered with its base CNF's count.
+            retired = {
+                "clauses": [[1, 2]],
+                "num_vars": 2,
+                "strategy": "per-path",
+                "cubes": [[1]],
+            }
+            with pytest.raises(ServiceError) as excinfo:
+                client._call("solve", {"request": retired})
+            assert excinfo.value.code == "invalid"
+            assert "cubes, strategy" in str(excinfo.value)
             # The connection survives typed rejections.
             assert client.count(CNF(num_vars=1, clauses=[(1,)])) == 1
 

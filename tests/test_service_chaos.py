@@ -20,10 +20,7 @@ As subprocesses, the drain guarantees of ``mcml serve``:
 * SIGTERM mid-batch finishes the in-flight work, answers the client, and
   exits 0 with a clean ``drained`` event;
 * the drain leaves ``components.sqlite`` warm — a restarted daemon
-  re-counts a spilled workload with ``component_spill_hits > 0``;
-* the drain leaves ``circuits.sqlite`` warm — a restarted daemon answers
-  the same per-path workload with ``circuit_store_hits > 0``, zero
-  recompilations and zero backend calls.
+  re-counts a spilled workload with ``component_spill_hits > 0``.
 
 Every test disarms the fault registry on the way out, and anything that
 could hang carries a SIGALRM hard timeout.
@@ -43,7 +40,6 @@ import pytest
 
 from repro.core.session import MCMLSession
 from repro.counting import faults
-from repro.counting.api import CountRequest
 from repro.counting.engine import CountingEngine
 from repro.counting.exact import ExactCounter
 from repro.counting.service import ServiceClient, ServiceError
@@ -302,48 +298,3 @@ class TestDrainSemantics:
             assert result.value == expected
             assert result.source == "backend"
             assert stats["engine"]["component_spill_hits"] > 0
-
-    def test_drain_leaves_circuit_store_warm(self, tmp_path):
-        import numpy as np
-
-        from repro.core.tree2cnf import label_cubes, label_region_cnf
-        from repro.ml.decision_tree import DecisionTreeClassifier
-
-        rng = np.random.default_rng(19)
-        X = rng.integers(0, 2, size=(120, 8))
-        first = DecisionTreeClassifier(max_depth=4, random_state=0).fit(
-            X, ((X[:, 0] & X[:, 1]) | X[:, 2]).astype(int)
-        )
-        second = DecisionTreeClassifier(max_depth=4, random_state=0).fit(
-            X, (X[:, 0] | (X[:, 3] & X[:, 4])).astype(int)
-        )
-        base = label_region_cnf(first.decision_paths(), 1, 8)
-        cubes = label_cubes(second.decision_paths(), 1, 8)
-        request = CountRequest.from_cnf(base, strategy="per-path", cubes=cubes)
-        with hard_timeout(180):
-            proc, host, port = _spawn_daemon(tmp_path, "--backend", "compiled")
-            try:
-                with ServiceClient(host, port, request_timeout=120) as client:
-                    expected = client.solve(request).value
-                    stats = client.stats()
-                    assert stats["engine"]["circuit_compilations"] == 1
-                _terminate(proc)
-            finally:
-                if proc.poll() is None:
-                    proc.kill()
-            assert (tmp_path / "circuits.sqlite").exists()
-            proc, host, port = _spawn_daemon(tmp_path, "--backend", "compiled")
-            try:
-                with ServiceClient(host, port, request_timeout=120) as client:
-                    result = client.solve(request)
-                    stats = client.stats()
-                _terminate(proc)
-            finally:
-                if proc.poll() is None:
-                    proc.kill()
-            assert result.value == expected
-            # Warm restart: the circuit came off disk — no recompilation,
-            # no backend call, for a previously-answered signature.
-            assert stats["engine"]["circuit_store_hits"] >= 1
-            assert stats["engine"]["circuit_compilations"] == 0
-            assert stats["engine"]["backend_calls"] == 0

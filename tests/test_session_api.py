@@ -255,12 +255,15 @@ class TestMCMLSession:
         with pytest.raises(TypeError, match="workers"):
             build(workers=2)
 
-    @pytest.mark.parametrize("keyword", ("component_spill", "circuit_store"))
+    @pytest.mark.parametrize(
+        "keyword", ("component_spill", "circuit_store", "region_strategy")
+    )
     @pytest.mark.parametrize(
         "surface", ("EngineConfig", "MCMLSession", "ExperimentConfig")
     )
     def test_tier_switches_are_rejected(self, surface, keyword):
-        """The removed per-tier opt-outs fail loudly, never silently."""
+        """The removed per-tier opt-outs and the removed region route
+        fail loudly, never silently."""
         from repro.experiments.config import ExperimentConfig
 
         build = {
@@ -279,13 +282,12 @@ class TestCLISurface:
         # A title line, the header, then exactly one row per backend.
         rows = out.splitlines()[2:]
         assert [row.split()[0] for row in rows] == [
-            "approxmc", "brute", "compiled", "exact", "legacy",
+            "approxmc", "brute", "exact", "legacy",
         ]
         # One column per declared capability flag.
-        for column in (
-            "exact", "formulas", "projection", "components", "cubes",
-        ):
-            assert column in out
+        assert out.splitlines()[1].split() == [
+            "backend", "exact", "formulas", "projection", "components", "aliases",
+        ]
 
     def test_backend_flag_flows_into_config(self):
         args = build_parser().parse_args(["table9", "--backend", "legacy"])
@@ -293,6 +295,18 @@ class TestCLISurface:
         args = build_parser().parse_args(["table9", "--backend", "brute"])
         assert config_from_args(args).counter == "brute"
         assert config_from_args(build_parser().parse_args(["table9"])).counter == "exact"
+        # Aliases pass the parse-time registry check unchanged.
+        args = build_parser().parse_args(["table9", "--fallback", "approx"])
+        assert config_from_args(args).fallback == "approx"
+
+    @pytest.mark.parametrize("flag", ("--backend", "--fallback"))
+    def test_unknown_backend_name_lists_the_registry(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["table9", flag, "nope"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: unknown counter 'nope'" in err
+        assert "approxmc, brute, exact, legacy" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -305,10 +319,17 @@ class TestCLISurface:
             ["table3", "--workers", "2"],
             ["table3", "--component-spill", "0"],
             ["table3", "--circuit-store", "0"],
+            ["table8", "--region-strategy", "per-path"],
+            ["table8", "--backend", "compiled"],
+            ["table8", "--backend", "circuit"],
+            ["table8", "--fallback", "nope"],
+            ["serve", "--backend", "nope"],
         ),
         ids=(
             "cluster", "shards", "solver-threads", "fanout-min-vars", "counter",
-            "workers", "component-spill", "circuit-store",
+            "workers", "component-spill", "circuit-store", "region-strategy",
+            "backend-compiled", "backend-circuit", "fallback-nope",
+            "serve-backend-nope",
         ),
     )
     def test_parser_rejects_removed_verbs_and_flags(self, argv, capsys):
@@ -327,23 +348,23 @@ class TestCLISurface:
 
     def test_listing_renders_every_backend(self):
         text = list_backends()
-        assert "vector" in text and "approx" in text and "circuit" in text
-        # The compiled row declares cube conditioning; exact has no alias.
-        compiled_row = next(l for l in text.splitlines() if "compiled" in l)
-        exact_row = next(l for l in text.splitlines() if l.split()[:1] == ["exact"])
-        assert compiled_row.split()[1:-1].count("yes") >= 2
-        assert exact_row.rstrip().endswith("-")
+        assert "vector" in text and "approx" in text
+        # Four capability cells per row; exact declares all but formulas
+        # and has no alias.
+        rows = text.splitlines()[2:]
+        assert [len(row.split()) for row in rows] == [6, 6, 6, 6]
+        exact_row = next(l for l in rows if l.split()[:1] == ["exact"])
+        assert exact_row.split()[1:] == ["yes", "no", "yes", "yes", "-"]
 
     def test_backend_runs_end_to_end(self, capsys):
         # Fast end-to-end runs for non-default backends: the legacy exact
-        # counter drives Table 9, the compiled backend drives Table 8 (its
-        # region CNFs are auxiliary-free, the one shape compiled serves).
+        # counter drives Table 9, the numpy formula sweep drives Table 8.
         assert main(["table9", "--scope", "3", "--backend", "legacy"]) == 0
         assert "Table 9" in capsys.readouterr().out
         assert (
             main(
                 [
-                    "table8", "--scope", "3", "--backend", "compiled",
+                    "table8", "--scope", "3", "--backend", "brute",
                     "--properties", "Reflexive",
                 ]
             )

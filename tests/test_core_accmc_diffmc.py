@@ -1,5 +1,6 @@
 """AccMC and DiffMC tests: whole-space metrics against brute-force truth."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -119,6 +120,35 @@ class TestAccMC:
         assert set(row) == {"accuracy", "precision", "recall", "f1", "time"}
 
 
+@functools.lru_cache(maxsize=None)
+def _matrix_tree(prop_name: str, scope: int, fraction: float = 0.5, rng: int = 0):
+    """A DT of one cell of the 16 properties × scopes 2–4 matrix, trained the
+    way the tables train: seed 0, at most 500 positives, adjacent symmetry
+    breaking, a ``fraction`` split."""
+    pipeline = MCMLPipeline(seed=0)
+    dataset = pipeline.make_dataset(
+        get_property(prop_name), scope, symmetry=SymmetryBreaking(), max_positives=500
+    )
+    train, _ = dataset.split(fraction, rng=rng)
+    return pipeline.train("DT", train)
+
+
+@functools.lru_cache(maxsize=None)
+def _formula_sweep_counts(prop_name: str, scope: int):
+    """The cell DT's confusion counts from the numpy formula sweep
+    (``brute``), which shares no code with the CNF route."""
+    sweep = AccMC(counter=make_backend("brute"), mode="product")
+    ground_truth = sweep.ground_truth(
+        get_property(prop_name), scope, symmetry=SymmetryBreaking()
+    )
+    return sweep.evaluate(_matrix_tree(prop_name, scope), ground_truth).counts
+
+
+def _predictions(tree, num_features: int):
+    """The tree's verdict (``True`` for label 1) on all 2^num_features inputs."""
+    bits = (np.arange(1 << num_features)[:, None] >> np.arange(num_features)) & 1
+    return tree.predict(bits.astype(float)) == 1
+
 
 class TestAccMCMatrix:
     """The CNF route against the numpy formula sweep, which shares no code
@@ -127,18 +157,25 @@ class TestAccMCMatrix:
     @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
     @pytest.mark.parametrize("scope", (2, 3, 4))
     def test_cnf_route_matches_formula_sweep(self, prop, scope):
-        pipeline = MCMLPipeline(seed=0)
-        sym = SymmetryBreaking()
-        dataset = pipeline.make_dataset(prop, scope, symmetry=sym, max_positives=500)
-        train, _ = dataset.split(0.5, rng=0)
-        tree = pipeline.train("DT", train)
         cnf_route = AccMC(counter=make_backend("exact"), mode="product")
-        sweep = AccMC(counter=make_backend("brute"), mode="product")
-        expected = sweep.evaluate(tree, sweep.ground_truth(prop, scope, symmetry=sym))
         actual = cnf_route.evaluate(
-            tree, cnf_route.ground_truth(prop, scope, symmetry=sym)
+            _matrix_tree(prop.name, scope),
+            cnf_route.ground_truth(prop, scope, symmetry=SymmetryBreaking()),
         )
-        assert actual.counts == expected.counts
+        assert actual.counts == _formula_sweep_counts(prop.name, scope)
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("scope", (2, 3, 4))
+    def test_derived_mode_matches_formula_sweep(self, prop, scope):
+        """``mode="derived"`` counts φ∧τ, φ, τ and the symmetry-reduced space
+        on the CNF route and derives fp, fn and tn from the partition
+        identities; they must equal the sweep's four product counts."""
+        derived = AccMC(counter=make_backend("exact"), mode="derived")
+        actual = derived.evaluate(
+            _matrix_tree(prop.name, scope),
+            derived.ground_truth(prop, scope, symmetry=SymmetryBreaking()),
+        )
+        assert actual.counts == _formula_sweep_counts(prop.name, scope)
 
 
 class TestDiffMC:
@@ -194,6 +231,27 @@ class TestDiffMC:
         tree2, _ = _tree_for("Irreflexive", 2, seed=5)
         row = DiffMC().evaluate(tree1, tree2).as_row()
         assert 0.0 <= row["diff_percent"] <= 100.0
+
+
+class TestDiffMCMatrix:
+    """DiffMC's four region conjunctions against both trees' predictions on
+    every input: 16 properties × scopes 2–4, the cell's DT against a DT
+    trained on another split of the same dataset."""
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("scope", (2, 3, 4))
+    def test_counts_match_prediction_sweep(self, prop, scope):
+        first = _matrix_tree(prop.name, scope)
+        second = _matrix_tree(prop.name, scope, fraction=0.3, rng=1)
+        result = DiffMC(counter=make_backend("exact")).evaluate(first, second)
+        a = _predictions(first, scope * scope)
+        b = _predictions(second, scope * scope)
+        assert (result.tt, result.tf, result.ft, result.ff) == (
+            int(np.sum(a & b)),
+            int(np.sum(a & ~b)),
+            int(np.sum(~a & b)),
+            int(np.sum(~a & ~b)),
+        )
 
 
 class TestApproxBackend:

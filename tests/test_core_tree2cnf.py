@@ -5,9 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.pipeline import MCMLPipeline
 from repro.core.tree2cnf import label_region_cnf, path_count, tree_paths_formula
 from repro.counting import brute_force_count, exact_count
 from repro.ml.decision_tree import DecisionTreeClassifier, TreePath
+from repro.spec import SymmetryBreaking
+from repro.spec.properties import PROPERTIES
 
 
 def _fit_tree(num_features: int, label_fn, seed=0, n=400):
@@ -103,3 +106,28 @@ class TestConstructionProperties:
             )
             cnf = label_region_cnf(tree, 1, 6)
             assert exact_count(cnf) == brute_force_count(cnf)
+
+
+class TestRegionMatrix:
+    """Section 4's construction on the trees the tables train: 16 properties
+    × scopes 2–4 (seed 0, at most 500 positives, adjacent symmetry breaking,
+    half the data), each region against the tree's own predictions on all
+    2^(scope²) inputs."""
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("scope", (2, 3, 4))
+    def test_regions_match_tree_predictions(self, prop, scope):
+        pipeline = MCMLPipeline(seed=0)
+        dataset = pipeline.make_dataset(
+            prop, scope, symmetry=SymmetryBreaking(), max_positives=500
+        )
+        train, _ = dataset.split(0.5, rng=0)
+        tree = pipeline.train("DT", train)
+        m = scope * scope
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+        predicted = tree.predict(bits.astype(float))
+        for label in (0, 1):
+            cnf = label_region_cnf(tree, label, m)
+            assert cnf.variables() <= set(range(1, m + 1))
+            assert len(cnf.clauses) == path_count(tree, 1 - label)
+            assert exact_count(cnf) == int(np.sum(predicted == label))

@@ -5,9 +5,9 @@ variables.  They exist for two reasons:
 
 * **differential testing** — every other counter in this package is checked
   against brute force on small instances;
-* **fast bounded-exhaustive generation** — at the reduced scopes the default
-  experiments use (n ≤ 4, i.e. ≤ 16 relation bits) sweeping the full space
-  with numpy is faster than SAT enumeration.
+* **whole-space sweeps** — the ``brute`` backend and :mod:`repro.spec.scopes`
+  sweep the full space at small scopes (positive datasets do not: they grow
+  one atom at a time, :func:`repro.data.enumerate_positive_bits`).
 
 Assignments are materialised in blocks so memory stays bounded even at the
 upper end of the supported range (~2^24 assignments).
@@ -15,7 +15,7 @@ upper end of the supported range (~2^24 assignments).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -110,20 +110,3 @@ def brute_force_models(cnf: CNF) -> np.ndarray:
     if not chunks:
         return np.zeros((0, k), dtype=bool)
     return np.concatenate(chunks, axis=0)
-
-
-def brute_force_count_predicate(
-    num_vars: int, predicate: Callable[[np.ndarray], np.ndarray]
-) -> int:
-    """Count assignments satisfying a vectorised predicate.
-
-    ``predicate`` receives a (rows, num_vars) boolean block and must return a
-    boolean mask of rows.  Used to count relational properties directly from
-    their matrix semantics (cross-checking the CNF translation).
-    """
-    if num_vars > MAX_BRUTE_VARS:
-        raise ValueError(f"{num_vars} variables exceeds brute-force limit {MAX_BRUTE_VARS}")
-    count = 0
-    for block in iter_assignment_blocks(num_vars):
-        count += int(np.asarray(predicate(block)).sum())
-    return count

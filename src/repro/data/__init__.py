@@ -4,10 +4,8 @@ Reproduces Section 5's "Generation of positive and negative samples":
 
 * **positives** — bounded-exhaustive: *every* solution of the property at
   the chosen scope (optionally up to Alloy-style partial symmetry
-  breaking).  Small scopes sweep the full ``2^{n²}`` space with the
-  vectorised evaluators; larger scopes fall back to projected AllSAT
-  enumeration — the same solution set, as the paper notes, regardless of
-  which enumerator produced it.
+  breaking), grown one atom at a time with the vectorised evaluators and
+  returned in increasing integer order.
 * **negatives** — rejection sampling: uniform random matrices screened by
   the concrete evaluator (no constraint solving), exactly the paper's
   Alloy-Evaluator procedure.

@@ -4,68 +4,55 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.counting.brute import MAX_BRUTE_VARS, iter_assignment_blocks
 from repro.data.dataset import Dataset
-from repro.sat.enumerate import enumerate_as_bits
-from repro.spec.matrices import bits_to_matrices, property_mask
+from repro.spec.matrices import bits_to_matrices, growth_mask, property_mask
 from repro.spec.properties import Property
 from repro.spec.symmetry import SymmetryBreaking
-from repro.spec.translate import translate
+
+_BLOCK_ROWS = 1 << 18  # candidates screened per numpy block
 
 
 def enumerate_positive_bits(
-    prop: Property,
-    scope: int,
-    symmetry: SymmetryBreaking | None = None,
-    limit: int | None = None,
-    method: str = "auto",
+    prop: Property, scope: int, symmetry: SymmetryBreaking | None = None
 ) -> np.ndarray:
     """All positive samples at the scope, as a (count, scope²) uint8 array.
 
-    ``method`` selects the enumerator: ``"brute"`` sweeps the whole space
-    with the vectorised evaluators (scopes with ≤ ``MAX_BRUTE_VARS`` bits),
-    ``"sat"`` runs projected AllSAT on the compiled CNF, ``"auto"`` picks
-    brute force whenever legal.  Both produce the identical set (tested);
-    order is the numeric sweep order or solver order respectively — callers
-    must not rely on it, mirroring the paper's remark that solution order is
-    irrelevant because training rows are sampled randomly.
+    Positives grow one atom at a time from the empty relation: at scope
+    ``n`` each survivor is extended by the ``2^(2n−1)`` choices of its new
+    row and column, and the candidates the property's growth mask accepts
+    survive (:data:`repro.spec.matrices.GROWTH_MASKS`: Function and
+    Surjective grow under Functional, Injective under co-functional,
+    Bijective under both, the other twelve under their own mask).  The
+    property's mask, then ``symmetry``, filter the survivors at ``scope``,
+    so the cost follows the positive set without symmetry breaking.
+
+    Rows come in increasing integer order, bit ``j`` of a row being its
+    row-major position ``j``.  This order is a contract: the seeded
+    subsample in :func:`generate_dataset` draws row indices from it.
     """
-    m = scope * scope
-    if method == "auto":
-        method = "brute" if m <= MAX_BRUTE_VARS else "sat"
-    if method == "brute":
-        if m > MAX_BRUTE_VARS:
-            raise ValueError(f"scope {scope} too large for brute-force enumeration")
-        mask_fn = property_mask(prop.oracle)
-        chunks: list[np.ndarray] = []
-        found = 0
-        for block in iter_assignment_blocks(m):
-            keep = mask_fn(bits_to_matrices(block, scope))
-            if symmetry is not None:
-                keep &= symmetry.mask(block, scope)
-            if keep.any():
-                rows = block[keep]
-                if limit is not None and found + len(rows) > limit:
-                    rows = rows[: limit - found]
-                chunks.append(rows.astype(np.uint8))
-                found += len(rows)
-                if limit is not None and found >= limit:
-                    break
-        if not chunks:
-            return np.zeros((0, m), dtype=np.uint8)
-        return np.concatenate(chunks, axis=0)
-    if method == "sat":
-        problem = translate(prop, scope, symmetry=symmetry)
-        rows = [
-            bits
-            for bits in enumerate_as_bits(
-                problem.cnf, problem.primary_vars, limit=limit
-            )
-        ]
-        if not rows:
-            return np.zeros((0, m), dtype=np.uint8)
-        return np.array(rows, dtype=np.uint8)
-    raise ValueError(f"unknown enumeration method {method!r}")
+    if scope < 1:
+        raise ValueError(f"scope must be >= 1, got {scope}")
+    accepts = growth_mask(prop.oracle)
+    relations = np.zeros((1, 0, 0), dtype=bool)
+    for n in range(1, scope + 1):
+        # Candidate i extends survivor i >> (2n−1) by the low 2n−1 bits of
+        # i: the first n−1 fill the new column, the other n the new row.
+        shifts = np.arange(2 * n - 1)
+        total = len(relations) << len(shifts)
+        kept = [np.zeros((0, n, n), dtype=bool)]
+        for start in range(0, total, _BLOCK_ROWS):
+            index = np.arange(start, min(start + _BLOCK_ROWS, total))
+            new = (index[:, None] >> shifts & 1).astype(bool)
+            block = np.empty((len(index), n, n), dtype=bool)
+            block[:, :-1, :-1] = relations[index >> len(shifts)]
+            block[:, :-1, -1] = new[:, : n - 1]
+            block[:, -1] = new[:, n - 1 :]
+            kept.append(block[accepts(block)])
+        relations = np.concatenate(kept)
+    relations = relations[property_mask(prop.oracle)(relations)]
+    bits = relations.reshape(len(relations), scope * scope).astype(np.uint8)
+    bits = bits[np.lexsort(bits.T)]  # lexsort's last key, the last column, ranks highest
+    return bits if symmetry is None else bits[symmetry.mask(bits, scope)]
 
 
 def sample_negative_bits(
@@ -83,8 +70,12 @@ def sample_negative_bits(
     ``exclude`` and duplicates are dropped so the dataset never contains a
     mislabelled or repeated sample.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     m = scope * scope
+    if count == 0:
+        return np.zeros((0, m), dtype=np.uint8)
+    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     mask_fn = property_mask(prop.oracle)
     # Dedup state is kept bit-packed: np.unique over packed rows replaces
     # the per-row Python loop + tobytes() set, and seeding ``seen`` with the
@@ -135,19 +126,21 @@ def generate_dataset(
     negative_ratio: float = 1.0,
     max_positives: int | None = None,
     rng: np.random.Generator | int | None = 0,
-    method: str = "auto",
 ) -> Dataset:
     """Build a labelled dataset for one property.
 
     ``negative_ratio`` is #negatives / #positives — 1.0 reproduces the
     paper's balanced sets; Table 9's class-ratio sweep varies it.
-    ``max_positives`` caps the bounded-exhaustive set (stratified subsample)
-    to keep the pure-Python pipeline fast at larger scopes.
+    ``max_positives`` caps the bounded-exhaustive set with a seeded uniform
+    subsample, drawn by row index from the enumeration order, to keep the
+    pure-Python pipeline fast at larger scopes.
     """
     if negative_ratio <= 0:
         raise ValueError("negative_ratio must be positive")
+    if max_positives is not None and max_positives < 1:
+        raise ValueError(f"max_positives must be >= 1, got {max_positives}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    positives = enumerate_positive_bits(prop, scope, symmetry=symmetry, method=method)
+    positives = enumerate_positive_bits(prop, scope, symmetry=symmetry)
     if len(positives) == 0:
         raise RuntimeError(f"{prop.name} has no solutions at scope {scope}")
     if max_positives is not None and len(positives) > max_positives:

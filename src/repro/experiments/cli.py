@@ -51,6 +51,26 @@ def _registered_backend(name: str) -> str:
     return name
 
 
+def _at_least_one(text: str) -> int:
+    """``--scope``/``--max-positives`` type: an integer >= 1, checked at
+    parse time like :func:`_registered_backend` (exit 2, not a traceback)."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _open_fraction(text: str) -> float:
+    """``--train-fraction`` type: a number strictly between 0 and 1."""
+    try:
+        if 0.0 < float(text) < 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a number strictly between 0 and 1, got {text!r}"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcml",
@@ -71,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"subset of properties (default: all 16); choices: {', '.join(property_names())}",
     )
     parser.add_argument(
-        "--scope", type=int, default=None, help="override the scope for every property"
+        "--scope", type=_at_least_one, default=None,
+        help="override the scope for every property",
     )
     parser.add_argument(
         "--backend",
@@ -96,11 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--train-fraction", type=float, default=0.10,
+        "--train-fraction", type=_open_fraction, default=0.10,
         help="training fraction for the generalization tables (default 0.10)",
     )
     parser.add_argument(
-        "--max-positives", type=int, default=5000,
+        "--max-positives", type=_at_least_one, default=5000,
         help="cap on bounded-exhaustive positive sets (default 5000)",
     )
     parser.add_argument(

@@ -1,8 +1,8 @@
 """SAT solving substrate.
 
 The paper generates its positive datasets by letting Alloy's enumerating SAT
-back-end list every solution of a property within scope, and both model
-counters are SAT-solver driven.  This package supplies that substrate:
+back-end list every solution of a property within scope (here numpy grows
+them, :mod:`repro.data`), and both model counters are SAT-solver driven:
 
 * :mod:`repro.sat.solver` — a CDCL solver (two-watched-literal propagation,
   VSIDS branching, Luby restarts, first-UIP clause learning with recursive

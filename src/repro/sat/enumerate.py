@@ -9,7 +9,7 @@ only in auxiliary variables count once).
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator
 
 from repro.logic.cnf import CNF
 from repro.sat.solver import SatResult, Solver
@@ -24,8 +24,8 @@ def enumerate_models(
 
     Each yielded dict maps projected variable ids to booleans; each distinct
     projected assignment is produced exactly once.  ``limit`` caps the number
-    of models (used to bound cell sizes in the ApproxMC loop and to guard
-    runaway enumerations in dataset generation).
+    of models (ApproxMC bounds its cell sizes this way; positive datasets
+    grow in numpy instead, :func:`repro.data.enumerate_positive_bits`).
     """
     proj = sorted(cnf.projected_vars() if projection is None else projection)
     yield from _allsat(cnf, proj, limit, ())
@@ -90,17 +90,3 @@ def count_models(
         if known is not None:
             known.add(sum(1 << i for i, v in enumerate(proj) if model[v]))
     return count
-
-
-def enumerate_as_bits(
-    cnf: CNF,
-    variable_order: Sequence[int],
-    limit: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield models as 0/1 tuples in a fixed variable order.
-
-    Convenience used by dataset generation: the variable order is the
-    flattened adjacency matrix, so each tuple is directly a feature vector.
-    """
-    for model in enumerate_models(cnf, projection=variable_order, limit=limit):
-        yield tuple(1 if model[v] else 0 for v in variable_order)

@@ -6,9 +6,9 @@ They serve three purposes:
 
 * **independent semantics check** — the AST evaluator, the CNF translation
   and these hand-written implementations are tested against each other;
-* **fast bounded-exhaustive generation** — at small scopes, sweeping all
-  ``2^(n²)`` matrices through these masks beats SAT enumeration by orders of
-  magnitude;
+* **bounded-exhaustive generation** — positives grow one atom at a time,
+  each scope's candidates screened by a *growth mask* (below), so only
+  extensions of the previous scope's survivors are ever evaluated;
 * **fast negative sampling** — rejection sampling screens thousands of
   random matrices per call.
 """
@@ -122,12 +122,33 @@ PROPERTY_MASKS: dict[str, Callable[[Batch], Mask]] = {
 }
 
 
+def co_functional(batch: Batch) -> Mask:
+    # At most one pre-image per atom.
+    return functional(batch.transpose(0, 2, 1))
+
+
+#: The hereditary superset each non-hereditary property grows under: it
+#: contains the property, and deleting the last atom of a relation it
+#: accepts leaves one it accepts.  The other twelve grow under their own mask.
+GROWTH_MASKS: dict[str, Callable[[Batch], Mask]] = {
+    "bijective": lambda batch: functional(batch) & co_functional(batch),
+    "function": functional,
+    "injective": co_functional,
+    "surjective": functional,
+}
+
+
 def property_mask(name: str) -> Callable[[Batch], Mask]:
     """The vectorised evaluator for a property, by (case-insensitive) name."""
     try:
         return PROPERTY_MASKS[name.lower()]
     except KeyError:
         raise KeyError(f"no vectorised evaluator for property {name!r}") from None
+
+
+def growth_mask(name: str) -> Callable[[Batch], Mask]:
+    """The mask a property's positives grow under (``GROWTH_MASKS``)."""
+    return GROWTH_MASKS.get(name.lower()) or property_mask(name)
 
 
 def bits_to_matrices(bits: np.ndarray, n: int) -> Batch:

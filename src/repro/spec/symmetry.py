@@ -112,8 +112,8 @@ class SymmetryBreaking:
         """Vectorised filter: which rows of a (batch, n²) bit block are
         lex-minimal under every generator?
 
-        Matches :meth:`formula` exactly (differentially tested); used by the
-        fast bounded-exhaustive generator.
+        Matches :meth:`formula` exactly (differentially tested); the
+        positive enumerator applies it to its last survivors.
         """
         if bits.shape[1] != n * n:
             raise ValueError(f"expected {n * n} columns, got {bits.shape[1]}")
@@ -140,10 +140,6 @@ class SymmetryBreaking:
         n = len(matrix)
         flat = np.array([[cell for row in matrix for cell in row]], dtype=bool)
         return bool(self.mask(flat, n)[0])
-
-    def canonical_orbit_count(self, masks: np.ndarray, n: int) -> int:
-        """Count survivors of symmetry breaking among given bit rows."""
-        return int(self.mask(masks, n).sum())
 
 
 def iter_orbit(matrix: np.ndarray) -> Iterator[np.ndarray]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.counting import closed_form_count
+from repro.counting.brute import iter_assignment_blocks
 from repro.data import (
     Dataset,
     enumerate_positive_bits,
@@ -11,8 +12,34 @@ from repro.data import (
     sample_negative_bits,
 )
 from repro.data.dataset import PAPER_SPLIT_RATIOS
-from repro.spec import SymmetryBreaking, get_property
+from repro.spec import PROPERTIES, SymmetryBreaking, get_property
 from repro.spec.evaluate import evaluate_bits
+from repro.spec.matrices import (
+    GROWTH_MASKS,
+    bits_to_matrices,
+    growth_mask,
+    property_mask,
+)
+
+
+def _sweep(prop, scope, symmetry):
+    """The oracle: every relation at the scope in increasing integer order
+    (bit j = row-major position j), filtered by the property's mask and
+    then by symmetry breaking."""
+    mask_fn = property_mask(prop.oracle)
+    chunks = []
+    for block in iter_assignment_blocks(scope * scope):
+        keep = mask_fn(bits_to_matrices(block, scope))
+        if symmetry is not None:
+            keep &= symmetry.mask(block, scope)
+        chunks.append(block[keep].astype(np.uint8))
+    return np.concatenate(chunks)
+
+
+def _all_relations(scope):
+    return np.concatenate(
+        [bits_to_matrices(block, scope) for block in iter_assignment_blocks(scope * scope)]
+    )
 
 
 class TestPositiveEnumeration:
@@ -29,28 +56,47 @@ class TestPositiveEnumeration:
         for row in bits[:50]:
             assert evaluate_bits(prop.formula, row.tolist(), 3)
 
-    def test_brute_and_sat_enumerate_same_set(self):
-        prop = get_property("PreOrder")
-        brute = enumerate_positive_bits(prop, 3, method="brute")
-        sat = enumerate_positive_bits(prop, 3, method="sat")
-        assert {r.tobytes() for r in brute} == {r.tobytes() for r in sat}
+    @pytest.mark.parametrize("symmetric", (False, True), ids=("nosymbr", "symbr"))
+    @pytest.mark.parametrize("scope", (1, 2, 3, 4))
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    def test_rows_equal_the_sweep(self, prop, scope, symmetric):
+        symmetry = SymmetryBreaking() if symmetric else None
+        bits = enumerate_positive_bits(prop, scope, symmetry=symmetry)
+        expected = _sweep(prop, scope, symmetry)
+        assert bits.dtype == np.uint8
+        assert bits.shape == expected.shape
+        assert np.array_equal(bits, expected)
 
-    def test_brute_and_sat_agree_with_symmetry(self):
-        prop = get_property("Equivalence")
-        sb = SymmetryBreaking("adjacent")
-        brute = enumerate_positive_bits(prop, 3, symmetry=sb, method="brute")
-        sat = enumerate_positive_bits(prop, 3, symmetry=sb, method="sat")
-        assert {r.tobytes() for r in brute} == {r.tobytes() for r in sat}
-        assert len(brute) == 3  # F(4)
+    @pytest.mark.parametrize("scope", (2, 3, 4))
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    def test_growth_mask_is_a_hereditary_superset(self, prop, scope):
+        relations = _all_relations(scope)
+        grows = growth_mask(prop.oracle)
+        accepted = grows(relations)
+        own = property_mask(prop.oracle)
+        positive = own(relations)
+        assert not (positive & ~accepted).any()
+        # Deleting the last atom of an accepted relation leaves an
+        # accepted relation.
+        assert grows(relations[accepted][:, :-1, :-1]).all()
+        # The table lists exactly the properties that are not hereditary.
+        own_hereditary = own(relations[positive][:, :-1, :-1]).all()
+        assert own_hereditary == (prop.oracle not in GROWTH_MASKS)
 
-    def test_limit(self):
-        prop = get_property("Reflexive")
-        bits = enumerate_positive_bits(prop, 3, limit=10)
-        assert len(bits) == 10
+    @pytest.mark.parametrize("name", ["Equivalence", "TotalOrder"])
+    def test_past_the_sweep_ceiling(self, name):
+        # Scope 6 has 36 bits, beyond any whole-space sweep.
+        prop = get_property(name)
+        bits = enumerate_positive_bits(prop, 6)
+        assert len(bits) == closed_form_count(prop.oracle, 6)
+        assert property_mask(prop.oracle)(bits_to_matrices(bits, 6)).all()
+        keys = bits.astype(np.int64) @ (1 << np.arange(36, dtype=np.int64))
+        assert (np.diff(keys) > 0).all()
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            enumerate_positive_bits(get_property("Reflexive"), 3, method="psychic")
+    @pytest.mark.parametrize("scope", (0, -1))
+    def test_bad_scope(self, scope):
+        with pytest.raises(ValueError, match="scope"):
+            enumerate_positive_bits(get_property("Reflexive"), scope)
 
 
 class TestNegativeSampling:
@@ -71,6 +117,15 @@ class TestNegativeSampling:
         second = sample_negative_bits(prop, 2, 4, rng=2, exclude=first)
         overlap = {r.tobytes() for r in first} & {r.tobytes() for r in second}
         assert not overlap
+
+    def test_zero_count_is_empty(self):
+        negatives = sample_negative_bits(get_property("Reflexive"), 3, 0)
+        assert negatives.shape == (0, 9)
+        assert negatives.dtype == np.uint8
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="count"):
+            sample_negative_bits(get_property("Reflexive"), 3, -1)
 
     def test_impossible_request_raises(self):
         # Scope 2 has only 16 matrices; 9 are reflexive-negative... asking
@@ -113,6 +168,11 @@ class TestGenerateDataset:
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             generate_dataset(get_property("Reflexive"), 3, negative_ratio=0)
+
+    @pytest.mark.parametrize("cap", (0, -5))
+    def test_invalid_max_positives(self, cap):
+        with pytest.raises(ValueError, match="max_positives"):
+            generate_dataset(get_property("Reflexive"), 3, max_positives=cap)
 
 
 class TestDatasetContainer:

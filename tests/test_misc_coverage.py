@@ -7,7 +7,6 @@ import pytest
 from repro.counting import exact_count
 from repro.logic import CNF, Var, tseitin_cnf
 from repro.logic.formula import dag_size, fold, semantically_equal
-from repro.sat.enumerate import enumerate_as_bits
 from repro.spec import SymmetryBreaking, get_property, translate
 from repro.spec.ast import Iden, ReflClosure, RelRef
 from repro.spec.evaluate import evaluate_concrete
@@ -64,18 +63,6 @@ class TestFormulaHelpers:
 
     def test_semantically_equal_negative_case(self):
         assert not semantically_equal(Var(1), Var(2))
-
-
-class TestEnumerateAsBits:
-    def test_order_respected(self):
-        cnf = CNF([[1], [-2]], projection=[1, 2])
-        rows = list(enumerate_as_bits(cnf, [2, 1]))
-        assert rows == [(0, 1)]  # order [var2, var1]
-
-    def test_limit(self):
-        cnf = CNF(num_vars=3, projection=[1, 2, 3])
-        rows = list(enumerate_as_bits(cnf, [1, 2, 3], limit=4))
-        assert len(rows) == 4
 
 
 class TestSpecOddsAndEnds:

@@ -338,6 +338,23 @@ class TestCLISurface:
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        (
+            (["table3", "--properties", "Reflexive", "--scope", "3",
+              "--max-positives", "0"], "--max-positives"),
+            (["table3", "--properties", "Reflexive", "--scope", "0"], "--scope"),
+            (["table3", "--properties", "Reflexive", "--train-fraction", "1.5"],
+             "--train-fraction"),
+        ),
+        ids=("max-positives-0", "scope-0", "train-fraction-1.5"),
+    )
+    def test_parser_rejects_out_of_range_numbers(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"error: argument {flag}:" in capsys.readouterr().err
+
     def test_parser_rejects_unknown_property_names(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["table3", "--properties", "Foo"])

@@ -203,9 +203,8 @@ class AccMC:
         count becomes a limited :class:`~repro.counting.api.CountRequest`,
         so an intractable region raises
         :class:`~repro.counting.exact.CounterTimeout` /
-        :class:`~repro.counting.exact.CounterBudgetExceeded` (or degrades
-        to the engine's configured fallback backend) instead of running
-        unbounded.  The formula-sweep route has no search loop to
+        :class:`~repro.counting.exact.CounterBudgetExceeded` instead of
+        running unbounded.  The formula-sweep route has no search loop to
         interrupt and ignores both knobs.
         """
         started = time.perf_counter()

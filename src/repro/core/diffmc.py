@@ -96,8 +96,7 @@ class DiffMC:
 
         ``deadline`` (wall-clock seconds) and ``budget`` (search nodes)
         bound each of the four counting problems individually; past a
-        limit the count raises its typed abort (or degrades to the
-        engine's configured fallback backend).
+        limit the count raises its typed abort.
         """
         if first.n_features is None or second.n_features is None:
             raise RuntimeError("both trees must be fitted")

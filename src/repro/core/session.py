@@ -49,7 +49,7 @@ from repro.counting.api import (
     CountingSurface,
     CountRequest,
     CountResult,
-    make_backend,
+    make_counter,
 )
 from repro.counting.engine import CountingEngine, EngineConfig
 from repro.logic.cnf import CNF
@@ -70,8 +70,9 @@ class MCMLSession(CountingSurface):
     ----------
     backend:
         Registered backend name (``exact``, ``legacy``, ``brute``,
-        ``approxmc`` or an alias); ``backend_opts`` are passed to the
-        factory.  Ignored when ``engine`` is supplied.
+        ``approxmc`` or an alias), built by
+        :func:`~repro.counting.api.make_counter` with the session ``seed``.
+        Ignored when ``engine`` is supplied.
     engine:
         An existing :class:`CountingEngine` to adopt instead of building
         one — the session then shares (and on ``close()`` releases) it.
@@ -79,18 +80,12 @@ class MCMLSession(CountingSurface):
         The :class:`EngineConfig` scaling knobs.  ``cache_dir`` also
         persists the component cache (so component work survives session
         restarts).
-    fallback / fallback_opts:
-        The degradation ladder: a registered backend name failed problems
-        (budget, deadline) are re-counted on, with explicit
-        ``source="fallback"`` provenance on the results — e.g.
-        ``fallback="approxmc"`` trades exactness for an answer when the
-        exact backend cannot finish in budget.  ``None`` (default)
-        disables it.  See :class:`EngineConfig`.
     accmc_mode:
         Default AccMC construction (``"derived"`` or the paper's
         ``"product"``); overridable per :meth:`accmc` call.
     seed:
-        Master seed for dataset generation, splitting and training.
+        Master seed for dataset generation, splitting and training, and
+        for the approximate backend's hashes.
     """
 
     def __init__(
@@ -98,25 +93,18 @@ class MCMLSession(CountingSurface):
         backend: str = "exact",
         *,
         engine: CountingEngine | None = None,
-        backend_opts: dict | None = None,
         cache_dir=None,
         component_cache_mb: float = 512.0,
-        fallback: str | None = None,
-        fallback_opts: dict | None = None,
         deadline: float | None = None,
         budget: int | None = None,
         accmc_mode: str = "derived",
         seed: int = 0,
     ) -> None:
         if engine is None:
-            counter = make_backend(backend, **(backend_opts or {}))
             engine = CountingEngine(
-                counter,
+                make_counter(backend, seed=seed),
                 config=EngineConfig(
-                    cache_dir=cache_dir,
-                    component_cache_mb=component_cache_mb,
-                    fallback=fallback,
-                    fallback_opts=fallback_opts,
+                    cache_dir=cache_dir, component_cache_mb=component_cache_mb
                 ),
             )
         self.engine = engine

@@ -25,8 +25,7 @@ back-ends used for validation and ablation:
 * :mod:`repro.counting.engine` — :class:`CountingEngine`, the shared,
   memoizing facade AccMC/DiffMC and the experiment drivers count through,
   configured by :class:`EngineConfig` (disk cache, shared component
-  cache, fallback ladder); ``solve``/``solve_many`` return typed
-  :class:`CountResult`\\ s.
+  cache); ``solve``/``solve_many`` return typed :class:`CountResult`\\ s.
 * :mod:`repro.counting.component_cache` — :class:`ComponentCache`, the
   bounded LRU of counted components that persists across counting calls
   and is shared engine-wide.

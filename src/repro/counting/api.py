@@ -35,6 +35,7 @@ concrete backend factories are imported lazily inside the registry.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from typing import Protocol, runtime_checkable
@@ -53,6 +54,7 @@ __all__ = [
     "backend_capabilities",
     "capabilities_of",
     "make_backend",
+    "make_counter",
     "register_backend",
 ]
 
@@ -207,13 +209,13 @@ class CountRequest:
         raises otherwise); ``"any"`` (default) accepts whatever the
         configured backend produces.
     ``budget``
-        Per-problem search-node budget overriding the backend's default
-        (``max_nodes``); ``None`` keeps the backend's own.  The override
-        is applied per problem and restored afterwards.
+        Per-problem search-node budget (an integer ≥ 1) overriding the
+        backend's default (``max_nodes``); ``None`` keeps the backend's
+        own.  The override is applied per problem and restored afterwards.
     ``deadline``
-        Per-problem wall-clock seconds.  Deadlines are cooperative:
-        backends with a ``deadline`` knob (the exact and approxmc
-        counters) enforce it and raise
+        Per-problem wall-clock seconds (a finite number > 0).  Deadlines
+        are cooperative: backends with a ``deadline`` knob (the exact and
+        approxmc counters) enforce it and raise
         :class:`~repro.counting.exact.CounterTimeout`; a backend without
         the knob ignores it.  Like ``budget`` it never changes a count's
         value — only whether the count finishes — so it is excluded from
@@ -233,8 +235,22 @@ class CountRequest:
             raise ValueError(
                 f"precision must be 'any' or 'exact', got {self.precision!r}"
             )
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline!r}")
+        # Limits arrive from outside the program (the daemon's wire format,
+        # the CLI), so a malformed one is refused here rather than reaching
+        # the backend's knobs.  ``bool`` is an ``int`` subclass, not a limit.
+        budget, deadline = self.budget, self.deadline
+        if budget is not None and (
+            not isinstance(budget, int) or isinstance(budget, bool) or budget < 1
+        ):
+            raise ValueError(f"budget must be None or an integer >= 1, got {budget!r}")
+        if deadline is not None and (
+            not isinstance(deadline, (int, float))
+            or isinstance(deadline, bool)
+            or not 0 < deadline < math.inf
+        ):
+            raise ValueError(
+                f"deadline must be None or a finite number > 0, got {deadline!r}"
+            )
 
     @classmethod
     def from_cnf(
@@ -354,18 +370,10 @@ class CountResult:
     ``value`` is the projected model count; ``exact`` whether the backend
     guarantees it bit-exactly; ``backend`` the producing backend's
     registered name; ``source`` where the answer came from (``"memo"``,
-    ``"store"``, ``"backend"`` or ``"fallback"``); ``elapsed_seconds`` the
-    wall time this problem cost (≈0 for cache hits); ``stats_delta`` the
+    ``"store"`` or ``"backend"``); ``elapsed_seconds`` the wall time this
+    problem cost (≈0 for cache hits); ``stats_delta`` the
     :class:`EngineStats` movement the solving call caused (per batch for
     ``solve_many``).  ``int(result)`` returns the bare count.
-
-    A result produced by the engine's degradation ladder (the primary
-    backend timed out or blew its budget and ``EngineConfig(fallback=…)``
-    re-routed the problem) carries explicit provenance so an estimate can
-    never masquerade as exact: ``source == "fallback"``,
-    ``fallback_from`` names the backend that failed, ``exact`` reflects
-    the *fallback* backend's guarantee, and ``epsilon``/``delta`` carry
-    its (ε, δ) tolerance when it is approximate.
     """
 
     value: int
@@ -373,9 +381,6 @@ class CountResult:
     backend: str
     source: str
     elapsed_seconds: float = 0.0
-    fallback_from: str | None = None
-    epsilon: float | None = None
-    delta: float | None = None
     stats_delta: "EngineStats | None" = field(default=None, compare=False)
 
     def __int__(self) -> int:
@@ -387,16 +392,7 @@ class CountResult:
     @property
     def cached(self) -> bool:
         """True when no backend work was performed for this problem."""
-        return self.source not in ("backend", "fallback")
-
-    @property
-    def exactness(self) -> str:
-        """Human-readable exactness: ``"exact"`` or ``"approximate(ε,δ)"``."""
-        if self.exact:
-            return "exact"
-        if self.epsilon is not None and self.delta is not None:
-            return f"approximate(ε={self.epsilon:g}, δ={self.delta:g})"
-        return "approximate"
+        return self.source != "backend"
 
     def to_dict(self) -> dict:
         """JSON-safe encoding with full provenance.
@@ -414,12 +410,6 @@ class CountResult:
             "source": self.source,
             "elapsed_seconds": self.elapsed_seconds,
         }
-        if self.fallback_from is not None:
-            out["fallback_from"] = self.fallback_from
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        if self.delta is not None:
-            out["delta"] = self.delta
         if self.stats_delta is not None:
             out["stats_delta"] = self.stats_delta.as_dict()
         return out
@@ -434,9 +424,6 @@ class CountResult:
             backend=payload["backend"],
             source=payload["source"],
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            fallback_from=payload.get("fallback_from"),
-            epsilon=payload.get("epsilon"),
-            delta=payload.get("delta"),
             stats_delta=EngineStats(**delta) if delta is not None else None,
         )
 
@@ -445,9 +432,9 @@ class CountFailure(Exception):
     """A counting problem that could not be answered, as a typed outcome.
 
     Raised (or returned, with ``solve_many(..., on_failure="return")``)
-    by the engine when a problem exhausts its budget or deadline with no
-    configured fallback, or when the backend itself raised.  Carries
-    enough provenance for the caller to decide what to do next:
+    by the engine when a problem exhausts its budget or deadline, or when
+    the backend itself raised.  Carries enough provenance for the caller
+    to decide what to do next:
 
     ``kind``
         ``"timeout"`` (wall-clock deadline), ``"budget"`` (node budget) or
@@ -583,11 +570,9 @@ class EngineStats:
 
     The failure-path counters observe the robustness layer:
     ``timeouts`` counts problems aborted by a wall-clock deadline
-    (cooperative ``CounterTimeout``); ``fallbacks`` problems the
-    degradation ladder re-routed to the configured fallback backend;
-    ``store_degradations`` disk-tier degradation events (corrupt database
-    rotated aside, unreadable row read as a miss, swallowed write
-    failure) across all three disk tiers.
+    (cooperative ``CounterTimeout``); ``store_degradations`` disk-tier
+    degradation events (corrupt database rotated aside, unreadable row
+    read as a miss, swallowed write failure) across all three disk tiers.
     """
 
     count_calls: int = 0
@@ -602,7 +587,6 @@ class EngineStats:
     region_hits: int = 0
     region_store_hits: int = 0
     timeouts: int = 0
-    fallbacks: int = 0
     store_degradations: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -663,6 +647,19 @@ def _resolve(name: str) -> str:
 def make_backend(name: str, **opts):
     """Construct a registered backend by (canonical or alias) name."""
     return _REGISTRY[_resolve(name)].factory(**opts)
+
+
+def make_counter(name: str, seed: int = 0):
+    """A registered backend by name, seeded when it draws random numbers.
+
+    The one place a run's seed reaches its backend: the approximate
+    counter's hashes take ``seed``, the exact backends take none.
+    :class:`~repro.core.session.MCMLSession` and
+    ``repro.experiments.make_counter`` both build through this.
+    """
+    if _resolve(name) == "approxmc":
+        return make_backend(name, seed=seed)
+    return make_backend(name)
 
 
 def available_backends() -> list[str]:

@@ -11,7 +11,7 @@ process and across sessions:
   :class:`~repro.counting.api.CountRequest` (or a raw CNF) and return
   :class:`~repro.counting.api.CountResult` objects carrying the count plus
   provenance — exactness, backend name, wall time, which tier answered
-  (memo, disk store, backend or fallback), and the
+  (memo, disk store or backend), and the
   :class:`~repro.counting.api.EngineStats` delta the call caused;
 * results are memoized keyed on the CNF's canonical packed signature
   (:meth:`repro.logic.cnf.CNF.signature`), so a cache hit is bit-identical
@@ -22,7 +22,7 @@ process and across sessions:
   :class:`repro.counting.store.BlobStore`, so a table re-run in a fresh
   process performs zero backend counts and zero recompilations;
 * every ``solve_many`` batch runs one chain over its problems, one item
-  per problem: memo → count store → backend → fallback ladder.
+  per problem: memo → count store → backend.
   Duplicates inside the batch collapse onto one count, and each tier
   sees only what the tiers before it left cold;
 * the engine owns a bounded LRU
@@ -36,11 +36,9 @@ process and across sessions:
 * failures are *typed and contained*: budget exhaustions and wall-clock
   deadline overruns (``CountRequest(deadline=...)``) become per-problem
   :class:`~repro.counting.api.CountFailure` outcomes instead of batch
-  aborts — completed counts always merge into the caches, and with
-  ``EngineConfig(fallback="approxmc")`` the *degradation ladder* re-counts
-  failed problems on an explicitly-provenanced fallback backend
-  (``solve_many(..., on_failure="return")`` surfaces the remaining
-  failures; the default re-raises the first original exception);
+  aborts — completed counts always merge into the caches, and
+  ``solve_many(..., on_failure="return")`` returns the failures in their
+  batch positions (the default re-raises the first original exception);
 * ``translate`` memoizes grounded-property compilations (property × scope ×
   symmetry × polarity), keyed on the property's *structural* identity —
   two distinct properties sharing a name never collide;
@@ -78,7 +76,6 @@ from repro.counting.api import (
     CountResult,
     EngineStats,
     capabilities_of,
-    make_backend,
 )
 from repro.counting.component_cache import ComponentCache
 from repro.counting.store import (
@@ -120,26 +117,10 @@ class EngineConfig:
         per-call component caching).  Warm hits are bit-identical to cold
         recounts by construction; only backends declaring
         ``owns_component_cache`` (the exact counter) participate.
-    fallback:
-        Registered backend name (see
-        :func:`repro.counting.api.make_backend`) the *degradation ladder*
-        re-routes failed problems to — a problem that exhausts its node
-        budget or exceeds its wall-clock deadline is re-counted once on
-        this backend instead of failing the batch.  ``None`` (the default)
-        disables the ladder.  The fallback result carries explicit provenance
-        (``source="fallback"``, ``fallback_from``, ``exact``/(ε, δ)), and
-        an inexact fallback (e.g. ``"approxmc"``) is never used for
-        requests demanding exact precision — those failures stand.
-        Inexact fallback counts are never memoized or persisted.
-    fallback_opts:
-        Keyword options for constructing the fallback backend (e.g.
-        ``{"epsilon": 0.8, "rounds": 1}``).
     """
 
     cache_dir: str | Path | None = None
     component_cache_mb: float = 512.0
-    fallback: str | None = None
-    fallback_opts: dict | None = None
 
 
 def _prop_key(prop) -> object:
@@ -169,7 +150,6 @@ class _Flat(NamedTuple):
     cnf: CNF
     budget: int | None
     deadline: float | None
-    exact_only: bool  #: request demanded exact precision
 
 
 class CountingEngine:
@@ -184,7 +164,7 @@ class CountingEngine:
         :func:`repro.counting.api.make_backend`.  Passing an engine
         returns its backend wrapped afresh — engines do not nest.
     config:
-        :class:`EngineConfig` with the persistence and fallback knobs.
+        :class:`EngineConfig` with the persistence and component-cache knobs.
     """
 
     def __init__(self, counter=None, config: EngineConfig | None = None) -> None:
@@ -231,16 +211,6 @@ class CountingEngine:
         if self.component_cache is not None and cache_dir is not None:
             self.component_store = ComponentStore(cache_dir)
             self.component_cache.attach_spill(self.component_store)
-        # The degradation ladder's fallback backend, built eagerly so a
-        # misconfigured name fails at construction, not at the first
-        # failure it was supposed to absorb.
-        self._fallback_counter = None
-        self._fallback_caps: Capabilities | None = None
-        if self.config.fallback is not None:
-            self._fallback_counter = make_backend(
-                self.config.fallback, **(self.config.fallback_opts or {})
-            )
-            self._fallback_caps = capabilities_of(self._fallback_counter)
         self.stats = EngineStats()
         self._counts: dict[tuple, int] = {}
         self._translations: dict[tuple, object] = {}
@@ -274,10 +244,10 @@ class CountingEngine:
         chain: the in-memory memo answers first (duplicates inside the
         batch collapse onto the first occurrence and report as memo
         hits), then the disk count store, then the backend, one cold
-        problem after another, and finally the degradation ladder.  New
-        counts merge back into the memo and the disk store.  Each result
-        records its provenance; ``stats_delta`` is the whole batch's
-        telemetry movement (shared by the batch's results).
+        problem after another.  New counts merge back into the memo and
+        the disk store.  Each result records its provenance;
+        ``stats_delta`` is the whole batch's telemetry movement (shared
+        by the batch's results).
 
         Failure semantics.  A problem can fail without poisoning the
         batch: a node-budget exhaustion
@@ -290,14 +260,11 @@ class CountingEngine:
         recount).  Each failed problem counts once in
         ``EngineStats.timeouts`` when it timed out.  Deadlines are
         cooperative: they are enforced by the backend's own ``deadline``
-        knob, so a backend without one ignores them.  With
-        ``config.fallback`` set, failed problems are re-counted once on
-        the fallback backend first (results carry ``source="fallback"``
-        provenance).  ``on_failure`` selects what happens to failures
-        that remain: ``"raise"`` (the default) re-raises the first
-        failure's original exception after the batch completes;
-        ``"return"`` returns the ``CountFailure`` objects in their batch
-        positions alongside the successes.
+        knob, so a backend without one ignores them.  ``on_failure``
+        selects what happens to the failures: ``"raise"`` (the default)
+        re-raises the first failure's original exception after the batch
+        completes; ``"return"`` returns the ``CountFailure`` objects in
+        their batch positions alongside the successes.
 
         Thread safety.  ``solve``/``solve_many``/``solve_formula`` (and
         the compilation memos) serialize on the engine's internal
@@ -319,17 +286,14 @@ class CountingEngine:
         items: list[_Flat] = []
         for problem in problems:
             if not isinstance(problem, CountRequest):
-                items.append(_Flat(problem, None, None, False))
+                items.append(_Flat(problem, None, None))
                 continue
-            exact_only = problem.precision == "exact"
-            if exact_only and not caps.exact:
+            if problem.precision == "exact" and not caps.exact:
                 raise ValueError(
                     f"request demands exact precision but backend "
                     f"{self.backend_name!r} is approximate"
                 )
-            items.append(
-                _Flat(problem.cnf(), problem.budget, problem.deadline, exact_only)
-            )
+            items.append(_Flat(problem.cnf(), problem.budget, problem.deadline))
 
         outcomes = self._solve_flat(items, caps)
         self._mirror_tier_counters()
@@ -350,7 +314,7 @@ class CountingEngine:
         return results
 
     def _solve_flat(self, items: list[_Flat], caps: Capabilities) -> list:
-        """Answer a batch's problems: memo → store → backend → ladder.
+        """Answer a batch's problems: memo → store → backend.
 
         Returns one outcome per item: a ``(value, source,
         elapsed_seconds)`` record or a
@@ -403,7 +367,6 @@ class CountingEngine:
                 for i in positions[key]:
                     outcomes[i] = record
 
-        failed: dict[tuple, CountFailure] = {}
         completed: dict[tuple, tuple] = {}
         try:
             for key in missing:
@@ -416,11 +379,15 @@ class CountingEngine:
                     # Budget/deadline aborts are per-problem outcomes, not
                     # batch aborts: record and keep counting — the rest of
                     # the batch is still worth paying for.
-                    failed[key] = CountFailure.from_exception(
+                    failure = CountFailure.from_exception(
                         exc,
                         backend=self.backend_name,
                         elapsed_seconds=time.perf_counter() - started,
                     )
+                    if failure.kind == "timeout":
+                        stats.timeouts += 1
+                    for i in positions[key]:
+                        outcomes[i] = failure
                     continue
                 completed[key] = (value, "backend", time.perf_counter() - started)
         finally:
@@ -429,8 +396,8 @@ class CountingEngine:
             # store, so a retry resumes instead of re-counting from scratch.
             stats.backend_calls += len(completed)
             for key, record in completed.items():
-                # Like inexact fallback counts, an estimate is never
-                # memoized (the store exists only for exact backends).
+                # An estimate is never memoized (the store exists only
+                # for exact backends).
                 if caps.exact:
                     counts[key] = record[0]
                 for i in positions[key]:
@@ -439,84 +406,18 @@ class CountingEngine:
                 self.store.put_many(
                     [(hashed[key], record[0]) for key, record in completed.items()]
                 )
-
-        # The degradation ladder: each failed problem gets one shot on
-        # the configured fallback backend; failures the ladder cannot
-        # absorb stand as the problem's typed outcome.
-        for key, failure in failed.items():
-            if failure.kind == "timeout":
-                stats.timeouts += 1
-            outcome = self._try_fallback(failure, items[positions[key][0]])
-            if not isinstance(outcome, CountFailure) and self._fallback_caps.exact:
-                # Exact fallback counts are interchangeable with the
-                # primary backend's; estimates are neither memoized nor
-                # persisted.
-                counts[key] = outcome[0]
-                if key in hashed:
-                    self.store.put(hashed[key], outcome[0])
-            for i in positions[key]:
-                outcomes[i] = outcome
         return outcomes
-
-    def _try_fallback(self, failure: CountFailure, item: _Flat):
-        """One fallback attempt for a failed problem (or the failure itself).
-
-        The ladder only absorbs *resource* failures (timeout, budget) —
-        a genuine backend error would fail on any backend.
-        An inexact fallback is refused for exact-precision requests.  The
-        fallback does *not* inherit the request's budget/deadline limits:
-        the ladder exists to still produce an answer after those limits
-        already failed, and a fallback algorithm's cost profile is
-        unrelated to the one they were calibrated for — bound the
-        fallback through its own construction knobs (``fallback_opts``,
-        e.g. ``{"deadline": ...}``) when needed.  A fallback's own abort, or its failure to converge,
-        leaves the original failure standing.  A rescued problem's
-        outcome is a ``(value, "fallback", elapsed_seconds)`` record.
-        """
-        from repro.counting.exact import CounterAbort
-
-        fallback = self._fallback_counter
-        if fallback is None or failure.kind == "error":
-            return failure
-        if not self._fallback_caps.exact and item.exact_only:
-            return failure
-        started = time.perf_counter()
-        try:
-            value = fallback.count(item.cnf)
-        except (CounterAbort, RuntimeError):
-            return failure
-        self.stats.fallbacks += 1
-        return value, "fallback", time.perf_counter() - started
 
     def _result(
         self, value: int, source: str, seconds: float, delta: EngineStats
     ) -> CountResult:
-        """The typed result of one outcome record.
-
-        A fallback record carries the fallback backend's provenance:
-        its name and exactness, ``fallback_from`` the primary backend,
-        and its (ε, δ) when it is approximate.
-        """
-        if source != "fallback":
-            return CountResult(
-                value=value,
-                exact=self.capabilities.exact,
-                backend=self.backend_name,
-                source=source,
-                elapsed_seconds=seconds,
-                stats_delta=delta,
-            )
-        fallback = self._fallback_counter
-        exact = self._fallback_caps.exact
+        """The typed result of one outcome record."""
         return CountResult(
             value=value,
-            exact=exact,
-            backend=getattr(fallback, "name", type(fallback).__name__),
-            source="fallback",
+            exact=self.capabilities.exact,
+            backend=self.backend_name,
+            source=source,
             elapsed_seconds=seconds,
-            fallback_from=self.backend_name,
-            epsilon=None if exact else getattr(fallback, "epsilon", None),
-            delta=None if exact else getattr(fallback, "delta", None),
             stats_delta=delta,
         )
 
@@ -740,8 +641,6 @@ class CountingEngine:
             extras += f", components={len(self.component_cache)}{spill}"
         if self.store is not None:
             extras += f", store={str(self.store.path)!r}"
-        if self.config.fallback is not None:
-            extras += f", fallback={self.config.fallback!r}"
         return (
             f"CountingEngine(backend={self.backend_name!r}, counts={len(self._counts)}, "
             f"hits={s.count_hits}/{s.count_calls}{extras})"

@@ -66,8 +66,8 @@ class CounterAbort(Exception):
     """A count was abandoned before producing a value (budget or deadline).
 
     The common base of the two resource-limit aborts, so callers that
-    treat "the counter gave up" uniformly — the engine's degradation
-    ladder, retry loops — can catch one type.  Partial work (component
+    treat "the counter gave up" uniformly — the engine's per-problem
+    failures, retry loops — can catch one type.  Partial work (component
     cache entries, elimination memos) survives the abort, which is what
     makes a retried count resume warm instead of starting over.
 

@@ -567,9 +567,7 @@ class CountingServer:
                 for conn, _ in waiters:
                     conn.inflight -= 1
             for conn, msg_id in waiters:
-                if self._send(conn, responder(msg_id)):
-                    conn.stats["served"] += 1
-                    self._bump("served")
+                self._reply(conn, responder(msg_id))
 
     def _execute(self, job: _Job):
         """Run one job; return ``msg_id -> response envelope``."""
@@ -684,6 +682,24 @@ class CountingServer:
         except OSError:
             self._drop(conn)
             return False
+
+    def _reply(self, conn: _Connection, envelope: dict) -> None:
+        """Send a job's reply, counted as served before it is sent.
+
+        The client may ask for ``stats`` the moment the reply lands, so
+        the count cannot trail the send; a send that fails takes it back.
+        """
+        with self._counters_lock:
+            conn.stats["served"] += 1
+            self._counters["served"] += 1
+        if self._send(conn, envelope):
+            return
+        with self._counters_lock:
+            self._counters["served"] -= 1
+            if conn.stats["served"]:
+                conn.stats["served"] -= 1
+            else:  # the failed send's _drop already merged it
+                self._client_stats[conn.name]["served"] -= 1
 
     def _drop(self, conn: _Connection) -> None:
         with conn.send_lock:

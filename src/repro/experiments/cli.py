@@ -19,6 +19,7 @@ session, and successive artifacts of an ``mcml all`` run share its memos.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.counting.api import (
@@ -38,7 +39,7 @@ ARTIFACTS = (
 
 
 def _registered_backend(name: str) -> str:
-    """``--backend``/``--fallback`` type: a registered backend name or alias.
+    """``--backend`` type: a registered backend name or alias.
 
     Checked at parse time, so an unknown name is a usage error (exit 2,
     listing the registered names) instead of a traceback from
@@ -52,23 +53,35 @@ def _registered_backend(name: str) -> str:
 
 
 def _at_least_one(text: str) -> int:
-    """``--scope``/``--max-positives`` type: an integer >= 1, checked at
-    parse time like :func:`_registered_backend` (exit 2, not a traceback)."""
+    """``--scope``/``--max-positives``/``--budget``/``--max-budget`` type:
+    an integer >= 1, checked at parse time like :func:`_registered_backend`
+    (exit 2, not a traceback)."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 
 
-def _open_fraction(text: str) -> float:
-    """``--train-fraction`` type: a number strictly between 0 and 1."""
-    try:
-        if 0.0 < float(text) < 1.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a number strictly between 0 and 1, got {text!r}"
-    )
+def _finite(accepts, expected: str):
+    """An argparse type: a finite number ``accepts`` holds for."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and accepts(value):
+            return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+#: ``--train-fraction``.
+_open_fraction = _finite(lambda v: 0 < v < 1, "a number strictly between 0 and 1")
+#: ``--deadline``/``--max-deadline``.
+_positive = _finite(lambda v: v > 0, "a finite number > 0")
+#: ``--component-cache-mb``.
+_non_negative = _finite(lambda v: v >= 0, "a finite number >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,23 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
         "to DIR so re-runs skip the work (default: off)",
     )
     parser.add_argument(
-        "--component-cache-mb", type=float, default=512.0, metavar="MB",
+        "--component-cache-mb", type=_non_negative, default=512.0, metavar="MB",
         help="budget of the cross-call component cache shared by all "
         "counting problems of a run (default 512; 0 disables sharing)",
     )
     parser.add_argument(
-        "--fallback", type=_registered_backend, default=None, metavar="NAME",
-        help="degradation ladder: registered backend failed counts "
-        "(budget/deadline) are re-counted on, with explicit "
-        "fallback provenance on the results (e.g. approxmc; default: off)",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+        "--deadline", type=_positive, default=None, metavar="SECONDS",
         help="per-problem wall-clock deadline on every metric count "
         "(CounterTimeout past it; default: none)",
     )
     parser.add_argument(
-        "--budget", type=int, default=None, metavar="NODES",
+        "--budget", type=_at_least_one, default=None, metavar="NODES",
         help="per-problem search-node budget on every metric count "
         "(CounterBudgetExceeded past it; default: none)",
     )
@@ -187,13 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(slow loris) is dropped past it (default 300)",
     )
     serve.add_argument(
-        "--max-deadline", type=float, default=None, metavar="SECONDS",
+        "--max-deadline", type=_positive, default=None, metavar="SECONDS",
         help="clamp every request's wall-clock deadline to at most this "
         "(default: no clamp; --deadline is the default injected into "
         "requests that carry none)",
     )
     serve.add_argument(
-        "--max-budget", type=int, default=None, metavar="NODES",
+        "--max-budget", type=_at_least_one, default=None, metavar="NODES",
         help="clamp every request's node budget to at most this "
         "(default: no clamp)",
     )
@@ -216,7 +223,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         max_positives=args.max_positives,
         cache_dir=args.cache_dir,
         component_cache_mb=args.component_cache_mb,
-        fallback=args.fallback,
         deadline=args.deadline,
         budget=args.budget,
     )

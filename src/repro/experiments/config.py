@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.session import MCMLSession
-from repro.counting import CountingEngine, EngineConfig, make_backend
+from repro.counting import EngineConfig
+from repro.counting.api import make_counter  # noqa: F401 (re-exported)
 from repro.spec.properties import PROPERTIES, Property, get_property
 
 #: Fast out-of-the-box-ish model settings for the experiment grids.  The
@@ -28,19 +29,6 @@ PAPER_RATIOS = (0.75, 0.50, 0.25, 0.10, 0.01)
 PRINTED_RATIOS = (0.75, 0.25, 0.01)
 
 
-def make_counter(name: str, seed: int = 0):
-    """Counting backend by registered name (see :func:`repro.counting.make_backend`).
-
-    Kept as the experiments-layer spelling: it threads the experiment seed
-    into backends that take one (the approximate counter) and accepts any
-    registry name or alias (``exact``, ``legacy``, ``brute``/``vector``,
-    ``approxmc``/``approx``).
-    """
-    if name in ("approx", "approxmc"):
-        return make_backend(name, seed=seed)
-    return make_backend(name)
-
-
 @dataclass
 class ExperimentConfig:
     """Knobs shared by all drivers.
@@ -57,8 +45,6 @@ class ExperimentConfig:
     different tree regions) reuse each other's sub-counts (see
     :class:`repro.counting.EngineConfig`; 0 opts out).
     ``cache_dir`` also persists that component cache.
-    ``fallback`` names a backend the engine's degradation ladder
-    re-counts failed problems on (``mcml --fallback approxmc``), and
     ``deadline``/``budget`` apply per-problem wall-clock and node limits
     to every metric count made through drivers that accept them.
     """
@@ -72,7 +58,6 @@ class ExperimentConfig:
     max_positives: int | None = 5000
     cache_dir: str | None = None
     component_cache_mb: float = 512.0
-    fallback: str | None = None
     deadline: float | None = None
     budget: int | None = None
     model_params: dict[str, dict] = field(
@@ -85,21 +70,11 @@ class ExperimentConfig:
     def selected_properties(self) -> list[Property]:
         return [get_property(name) for name in self.properties]
 
-    def build_counter(self):
-        return make_counter(self.counter, seed=self.seed)
-
     def engine_config(self) -> EngineConfig:
         """The counting-engine scaling knobs this experiment asked for."""
         return EngineConfig(
-            cache_dir=self.cache_dir,
-            component_cache_mb=self.component_cache_mb,
-            fallback=self.fallback,
-            fallback_opts={"seed": self.seed} if self.fallback in ("approx", "approxmc") else None,
+            cache_dir=self.cache_dir, component_cache_mb=self.component_cache_mb
         )
-
-    def build_engine(self) -> CountingEngine:
-        """A fresh engine over ``build_counter()`` with the scaling knobs."""
-        return CountingEngine(self.build_counter(), config=self.engine_config())
 
     def session(self) -> MCMLSession:
         """An :class:`MCMLSession` owning this configuration's substrate.
@@ -109,7 +84,9 @@ class ExperimentConfig:
         together, and closing the session flushes the disk stores.
         """
         return MCMLSession(
-            engine=self.build_engine(),
+            backend=self.counter,
+            cache_dir=self.cache_dir,
+            component_cache_mb=self.component_cache_mb,
             accmc_mode=self.accmc_mode,
             deadline=self.deadline,
             budget=self.budget,

@@ -8,15 +8,13 @@ Table 1 can be *derived* rather than hard-coded:
 * without symmetry breaking the solution counts come from the closed forms
   (:mod:`repro.counting.oracles`) — instant at any scope;
 * with symmetry breaking the count requires counting lex-minimal solutions,
-  which we do exactly at small scopes (vectorised sweep) and otherwise via
-  SAT enumeration with a cutoff.
+  which we do exactly at small scopes (the dataset's positive-set
+  enumerator) and otherwise via SAT enumeration with a cutoff.
 """
 
 from __future__ import annotations
 
-from repro.counting.brute import MAX_BRUTE_VARS, iter_assignment_blocks
 from repro.counting.oracles import closed_form_count
-from repro.spec.matrices import bits_to_matrices, property_mask
 from repro.spec.properties import Property
 from repro.spec.symmetry import SymmetryBreaking
 
@@ -34,28 +32,26 @@ def positive_count(
     """Number of positive solutions at ``scope``, capped at ``limit`` if given.
 
     Without symmetry breaking the closed form answers exactly.  With it,
-    small scopes are counted exactly by sweep; larger scopes enumerate with
-    the SAT back-end up to ``limit`` (enough for threshold queries).
+    scopes up to 5 are counted exactly by
+    :func:`~repro.data.generation.enumerate_positive_bits`, whose cost
+    follows the positive set before symmetry breaking; larger scopes, where
+    that set can outgrow memory (Reflexive has 2^30 positives at scope 6),
+    enumerate with the SAT back-end up to ``limit`` (enough for threshold
+    queries).
     """
     if symmetry is None:
         total = closed_form_count(prop.oracle, scope)
-        return total if limit is None else min(total, limit)
-    m = scope * scope
-    if m <= MAX_BRUTE_VARS:
-        mask_fn = property_mask(prop.oracle)
-        total = 0
-        for block in iter_assignment_blocks(m):
-            keep = mask_fn(bits_to_matrices(block, scope))
-            keep &= symmetry.mask(block, scope)
-            total += int(keep.sum())
-            if limit is not None and total >= limit:
-                return limit
-        return total
-    from repro.sat.enumerate import count_models
-    from repro.spec.translate import translate
+    elif scope <= 5:
+        from repro.data.generation import enumerate_positive_bits
 
-    problem = translate(prop, scope, symmetry=symmetry)
-    return count_models(problem.cnf, limit=limit)
+        total = len(enumerate_positive_bits(prop, scope, symmetry=symmetry))
+    else:
+        from repro.sat.enumerate import count_models
+        from repro.spec.translate import translate
+
+        problem = translate(prop, scope, symmetry=symmetry)
+        return count_models(problem.cnf, limit=limit)
+    return total if limit is None else min(total, limit)
 
 
 def choose_scope(

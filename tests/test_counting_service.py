@@ -304,6 +304,15 @@ class TestDiskPersistentEngine:
         assert exact_engine.stats.backend_calls == 1
         exact_engine.close()
 
+    def test_estimates_are_never_memoized(self):
+        # Nor does the in-memory memo replay an estimate as if it were
+        # exact: every solve of an approximate engine recounts.
+        cnf = translate(get_property("Transitive"), 3).cnf
+        engine = CountingEngine(ApproxMCCounter(seed=0))
+        first, second = engine.solve(cnf), engine.solve(cnf)
+        assert first.source == second.source == "backend"
+        assert engine.stats.backend_calls == 2
+
     def test_seeded_approximate_batch_draws_in_batch_order(self):
         # A seeded approximate backend draws every estimate from one random
         # stream, so a batch must consume it in submission order (limited

@@ -232,13 +232,12 @@ class TestSatelliteFixes:
         plain = repr(CountingEngine())
         assert plain.startswith("CountingEngine(backend='exact', counts=0")
         assert "components=0" in plain and "store=" not in plain
-        config = EngineConfig(cache_dir=tmp_path, fallback="exact")
+        config = EngineConfig(cache_dir=tmp_path)
         with CountingEngine(config=config) as engine:
             engine.solve(translate(get_property("Reflexive"), 2).cnf)
             text = repr(engine)
         assert "counts=1" in text and "hits=0/1" in text
         assert "+spill" in text and "store=" in text
-        assert "fallback='exact'" in text
 
     def test_count_formula_memoized_through_engine(self):
         engine = CountingEngine(FormulaBruteCounter())

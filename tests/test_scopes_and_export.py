@@ -6,7 +6,9 @@ import pytest
 from repro.counting import closed_form_count
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.export import export_dot, export_rules, export_text, matrix_feature_names
-from repro.spec import SymmetryBreaking, get_property
+from repro.sat.enumerate import count_models
+from repro.spec import SymmetryBreaking, get_property, translate
+from repro.spec.properties import PROPERTIES
 from repro.spec.scopes import (
     PAPER_MIN_POSITIVES_NOSYMBR,
     choose_scope,
@@ -24,6 +26,15 @@ class TestPositiveCount:
     def test_symmetry_path_small_scope(self):
         prop = get_property("Equivalence")
         assert positive_count(prop, 4, symmetry=SymmetryBreaking()) == 5
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda prop: prop.name)
+    def test_small_scopes_match_the_sat_route(self, prop):
+        """Up to scope 5 the positive-set enumerator counts; past it, SAT
+        enumeration does.  Both agree where both run."""
+        symmetry = SymmetryBreaking()
+        for scope in (2, 3):
+            cnf = translate(prop, scope, symmetry=symmetry).cnf
+            assert positive_count(prop, scope, symmetry=symmetry) == count_models(cnf)
 
     def test_limit_short_circuits(self):
         prop = get_property("Reflexive")

@@ -52,24 +52,11 @@ from repro.counting.exact import (
 from repro.counting.service import CountingServer, ServiceClient, ServiceError
 from repro.counting.service import protocol
 from repro.counting.service.client import ServiceOverloaded
+from repro.counting.service.server import _Connection
 from repro.logic import CNF
 from repro.spec import SymmetryBreaking, get_property, translate
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-
-
-def wait_until(predicate, timeout: float = 5.0) -> bool:
-    """Poll for a condition that trails the response by a GIL slice.
-
-    Counters bump *after* the response line is written, so a client can
-    observe its answer a hair before the server finishes bookkeeping.
-    """
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return predicate()
 
 
 def property_cnf(name: str, scope: int) -> CNF:
@@ -287,6 +274,13 @@ class TestSolveVerbs:
                 client._call("solve", {"request": retired})
             assert excinfo.value.code == "invalid"
             assert "cubes, strategy" in str(excinfo.value)
+            # Out-of-range limits are refused, not handed to the backend.
+            for limits in ({"budget": -5}, {"budget": "abc"}, {"deadline": 0}):
+                request = {"clauses": [[1]], "num_vars": 1, **limits}
+                with pytest.raises(ServiceError) as excinfo:
+                    client._call("solve", {"request": request})
+                assert excinfo.value.code == "invalid"
+                assert next(iter(limits)) in str(excinfo.value)
             # The connection survives typed rejections.
             assert client.count(CNF(num_vars=1, clauses=[(1,)])) == 1
 
@@ -399,7 +393,7 @@ class TestCoalescing:
                 assert values == [4, 4, 4, 4]
                 assert session.engine.stats.backend_calls == 1
                 assert server._counters["coalesced"] == 3
-                assert wait_until(lambda: server._counters["served"] == 4)
+                assert server._counters["served"] == 4
 
     def test_queue_full_is_a_typed_overloaded_rejection(self):
         engine = CountingEngine(DelayCounter(0.8))
@@ -477,9 +471,35 @@ class TestStats:
         service = payload["service"]
         assert service["queue_depth"] == 0
         assert service["active_connections"] == 1
-        assert service["counters"]["served"] >= 1
+        assert service["counters"]["served"] == 1
         (client_stats,) = service["clients"].values()
         assert client_stats["requests"] >= 2  # the solve + the stats call
+
+    def test_served_is_counted_before_the_reply(self, exact_service):
+        """Each reply is counted before it is sent, so the client's next
+        ``stats`` always sees it."""
+        _, _, host, port = exact_service
+        cnf = CNF(num_vars=2, clauses=[(1, 2)])
+        with ServiceClient(host, port) as client:
+            for i in range(1, 51):
+                client.count(cnf)
+                service = client.stats()["service"]
+                assert service["counters"]["served"] == i
+                (client_stats,) = service["clients"].values()
+                assert client_stats["served"] == i
+
+    def test_a_reply_that_cannot_be_sent_is_not_served(self):
+        """A send that fails drops the connection, which merges its
+        counters; the served count is taken back from the merged record."""
+        with MCMLSession(backend="exact") as session:
+            server = CountingServer(session)
+            sock, peer = socket.socketpair()
+            peer.close()
+            sock.close()  # sendall raises OSError, as on a reset peer
+            server._reply(_Connection(sock, "gone"), protocol.ok_response(1, {}))
+            service = server.stats_payload()["service"]
+        assert service["counters"]["served"] == 0
+        assert service["clients"]["gone"]["served"] == 0
 
     def test_service_block_has_the_single_solver_shape(self, exact_service):
         session, server, host, port = exact_service
@@ -509,14 +529,13 @@ class TestStats:
             outcome = client.solve(hard, on_failure="return")
             assert isinstance(outcome, CountFailure)
             assert outcome.kind == "budget"
-            assert wait_until(lambda: server._counters["served"] >= 2)
             payload = client.stats()
         counters = payload["service"]["counters"]
         # A typed count failure is a served answer, not an abort or crash.
         assert counters["failures"] == 1
         assert counters["aborts"] == 0
         assert counters["internal_errors"] == 0
-        assert counters["served"] >= 2
+        assert counters["served"] == 2
         assert payload["engine"]["backend_calls"] >= 1
 
 
@@ -586,7 +605,7 @@ class TestEngineLock:
                 for t in threads:
                     t.join(timeout=120)
                 assert not errors
-                assert wait_until(lambda: server._counters["served"] >= len(batch))
+                assert server._counters["served"] == len(batch)
             assert session.engine.stats.backend_calls == len(
                 {cnf.signature() for cnf in batch}
             )

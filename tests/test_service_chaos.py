@@ -47,7 +47,7 @@ from repro.counting.service.client import ServiceUnavailable
 from repro.logic import CNF
 from repro.spec import SymmetryBreaking, get_property, translate
 
-from test_service import DelayCounter, running_server, wait_until
+from test_service import DelayCounter, running_server
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -99,7 +99,7 @@ class TestNetworkFaults:
         cnf = _phi()
         with hard_timeout(60):
             with MCMLSession(backend="exact") as session:
-                with running_server(session) as (_, host, port):
+                with running_server(session) as (server, host, port):
                     with faults.injected("service-reset-mid-response"):
                         client = ServiceClient(
                             host, port, retries=2, backoff_base=0.01, backoff_cap=0.1
@@ -114,6 +114,10 @@ class TestNetworkFaults:
                     clean.close()
                     assert result.cached
                     assert session.engine.stats.backend_calls == 1
+                    # A reply cut off mid-send is not counted as served.
+                    assert server._counters["served"] == 1
+                    clients = server.stats_payload()["service"]["clients"]
+                    assert sum(c["served"] for c in clients.values()) == 1
 
     def test_slow_loris_is_dropped_by_the_read_deadline(self):
         tiny = CNF(num_vars=2, clauses=[(1,), (2,)])

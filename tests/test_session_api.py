@@ -23,7 +23,7 @@ from repro.counting import (
 )
 from repro.counting.exact import CounterBudgetExceeded, ExactCounter
 from repro.experiments.cli import build_parser, config_from_args, list_backends, main
-from repro.spec import get_property, translate
+from repro.spec import SymmetryBreaking, get_property, translate
 
 
 def _cnf(prop="Transitive", scope=3, **kwargs):
@@ -225,6 +225,20 @@ class TestMCMLSession:
             assert session.count(cnf) == 4
             assert session.solve(cnf).source == "memo"  # warmed by count()
 
+    @pytest.mark.parametrize("seed", (0, 5))
+    def test_backend_seed_matches_experiment_config(self, seed):
+        """Both ways of building a session seed the approximate backend
+        alike: the session ``seed`` reaches its hashes."""
+        from repro.experiments.config import ExperimentConfig
+
+        # Seeds 0 and 5 estimate this CNF differently (92 and 96).
+        cnf = _cnf("Connex", 4, symmetry=SymmetryBreaking())
+        with MCMLSession(backend="approxmc", seed=seed) as session:
+            direct = session.count(cnf)
+        config = ExperimentConfig(counter="approxmc", seed=seed)
+        with config.session() as session:
+            assert session.count(cnf) == direct
+
     def test_table_dispatch(self):
         from repro.experiments.config import ExperimentConfig
 
@@ -256,14 +270,14 @@ class TestMCMLSession:
             build(workers=2)
 
     @pytest.mark.parametrize(
-        "keyword", ("component_spill", "circuit_store", "region_strategy")
+        "keyword", ("component_spill", "circuit_store", "region_strategy", "fallback")
     )
     @pytest.mark.parametrize(
         "surface", ("EngineConfig", "MCMLSession", "ExperimentConfig")
     )
     def test_tier_switches_are_rejected(self, surface, keyword):
-        """The removed per-tier opt-outs and the removed region route
-        fail loudly, never silently."""
+        """The removed per-tier opt-outs, the removed region route and the
+        removed fallback backend fail loudly, never silently."""
         from repro.experiments.config import ExperimentConfig
 
         build = {
@@ -296,10 +310,23 @@ class TestCLISurface:
         assert config_from_args(args).counter == "brute"
         assert config_from_args(build_parser().parse_args(["table9"])).counter == "exact"
         # Aliases pass the parse-time registry check unchanged.
-        args = build_parser().parse_args(["table9", "--fallback", "approx"])
-        assert config_from_args(args).fallback == "approx"
+        args = build_parser().parse_args(["table9", "--backend", "approx"])
+        assert config_from_args(args).counter == "approx"
 
-    @pytest.mark.parametrize("flag", ("--backend", "--fallback"))
+    def test_limit_flags_flow_into_config(self):
+        args = build_parser().parse_args([
+            "table9", "--deadline", "2.5", "--budget", "100",
+            "--component-cache-mb", "0",  # 0 opts out of the shared cache
+        ])
+        config = config_from_args(args)
+        assert (config.deadline, config.budget) == (2.5, 100)
+        assert config.component_cache_mb == 0.0
+        args = build_parser().parse_args(
+            ["serve", "--max-deadline", "1e-3", "--max-budget", "7"]
+        )
+        assert (args.max_deadline, args.max_budget) == (0.001, 7)
+
+    @pytest.mark.parametrize("flag", ("--backend",))
     def test_unknown_backend_name_lists_the_registry(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["table9", flag, "nope"])
@@ -323,13 +350,14 @@ class TestCLISurface:
             ["table8", "--backend", "compiled"],
             ["table8", "--backend", "circuit"],
             ["table8", "--fallback", "nope"],
+            ["table9", "--fallback", "approxmc"],
             ["serve", "--backend", "nope"],
         ),
         ids=(
             "cluster", "shards", "solver-threads", "fanout-min-vars", "counter",
             "workers", "component-spill", "circuit-store", "region-strategy",
             "backend-compiled", "backend-circuit", "fallback-nope",
-            "serve-backend-nope",
+            "fallback-approxmc", "serve-backend-nope",
         ),
     )
     def test_parser_rejects_removed_verbs_and_flags(self, argv, capsys):
@@ -346,8 +374,21 @@ class TestCLISurface:
             (["table3", "--properties", "Reflexive", "--scope", "0"], "--scope"),
             (["table3", "--properties", "Reflexive", "--train-fraction", "1.5"],
              "--train-fraction"),
+            (["table9", "--scope", "3", "--budget", "-5"], "--budget"),
+            (["table9", "--scope", "3", "--budget", "0"], "--budget"),
+            (["table9", "--scope", "3", "--deadline", "0"], "--deadline"),
+            (["table9", "--scope", "3", "--deadline", "inf"], "--deadline"),
+            (["serve", "--max-budget", "0"], "--max-budget"),
+            (["serve", "--max-deadline", "-1"], "--max-deadline"),
+            (["table9", "--component-cache-mb", "-1"], "--component-cache-mb"),
+            (["table9", "--component-cache-mb", "nan"], "--component-cache-mb"),
         ),
-        ids=("max-positives-0", "scope-0", "train-fraction-1.5"),
+        ids=(
+            "max-positives-0", "scope-0", "train-fraction-1.5", "budget-neg5",
+            "budget-0", "deadline-0", "deadline-inf", "max-budget-0",
+            "max-deadline-neg1", "component-cache-mb-neg1",
+            "component-cache-mb-nan",
+        ),
     )
     def test_parser_rejects_out_of_range_numbers(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -132,6 +132,14 @@ class CountingServer:
         max_budget: int | None = None,
         drain_grace: float = 5.0,
     ) -> None:
+        # queue.Queue(maxsize=0) is unbounded: a zero would switch
+        # admission control off instead of refusing every request.
+        if max_queue < 1:
+            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
+        if max_inflight_per_client < 1:
+            raise ValueError(
+                f"max_inflight_per_client must be >= 1, got {max_inflight_per_client}"
+            )
         self.session = session
         self.host = host
         self.port = port

@@ -52,13 +52,16 @@ def _registered_backend(name: str) -> str:
     return name
 
 
-def _at_least_one(text: str) -> int:
-    """``--scope``/``--max-positives``/``--budget``/``--max-budget`` type:
-    an integer >= 1, checked at parse time like :func:`_registered_backend`
-    (exit 2, not a traceback)."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _integer_at_least(low: int):
+    """An argparse type: an integer >= ``low``, checked at parse time like
+    :func:`_registered_backend` (exit 2, not a traceback)."""
+
+    def parse(text: str) -> int:
+        if text.isdecimal() and int(text) >= low:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
 
 
 def _finite(accepts, expected: str):
@@ -76,11 +79,16 @@ def _finite(accepts, expected: str):
     return parse
 
 
+#: ``--scope``/``--max-positives``/``--budget``/``--max-budget``/
+#: ``--max-queue``/``--max-inflight``.
+_at_least_one = _integer_at_least(1)
+#: ``--seed`` (numpy's seeding takes no negative integer).
+_at_least_zero = _integer_at_least(0)
 #: ``--train-fraction``.
 _open_fraction = _finite(lambda v: 0 < v < 1, "a number strictly between 0 and 1")
-#: ``--deadline``/``--max-deadline``.
+#: ``--deadline``/``--max-deadline``/``--read-timeout``.
 _positive = _finite(lambda v: v > 0, "a finite number > 0")
-#: ``--component-cache-mb``.
+#: ``--component-cache-mb``/``--drain-grace``.
 _non_negative = _finite(lambda v: v >= 0, "a finite number >= 0")
 
 
@@ -128,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="derived",
         help="AccMC construction (product = the paper's four counting problems)",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_at_least_zero, default=0)
     parser.add_argument(
         "--train-fraction", type=_open_fraction, default=0.10,
         help="training fraction for the generalization tables (default 0.10)",
@@ -179,17 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
         "is printed on stdout as a JSON 'listening' event)",
     )
     serve.add_argument(
-        "--max-queue", type=int, default=64, metavar="N",
+        "--max-queue", type=_at_least_one, default=64, metavar="N",
         help="request-queue depth before admission control answers "
         "'overloaded' (default 64)",
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=8, metavar="N",
+        "--max-inflight", type=_at_least_one, default=8, metavar="N",
         help="per-client budget of unanswered counting requests "
         "(default 8)",
     )
     serve.add_argument(
-        "--read-timeout", type=float, default=300.0, metavar="SECONDS",
+        "--read-timeout", type=_positive, default=300.0, metavar="SECONDS",
         help="idle-connection deadline; a client that stalls mid-line "
         "(slow loris) is dropped past it (default 300)",
     )
@@ -205,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: no clamp)",
     )
     serve.add_argument(
-        "--drain-grace", type=float, default=5.0, metavar="SECONDS",
+        "--drain-grace", type=_non_negative, default=5.0, metavar="SECONDS",
         help="extra wall-clock the SIGTERM drain grants past the largest "
         "in-flight deadline before answering leftovers with "
         "'shutting-down' (default 5)",

@@ -5,11 +5,20 @@ solutions enumerated with symmetry breaking (the "Valid-SymBr (Alloy)"
 column), the ApproxMC estimates with and without symmetry breaking, and the
 exact counts with and without symmetry breaking ("ProjMC" columns).
 
-At reduced scopes every cell is computed live.  With ``paper_scopes=True``
-the no-symmetry-breaking exact column is checked against the closed forms
-instead of run (a pure-Python counter cannot finish scope 20; the closed
-forms are how DESIGN.md §2 verified the published numbers), and live
-counting is skipped — mirroring the "-" time-outs in the paper.
+At reduced scopes every cell is computed live.  The positive sets are
+enumerated once, without symmetry breaking and then filtered by it, and
+they double as the ApproxMC columns' model sets: each hash cell's size is
+a popcount filter over them (``ApproxMCCounter.count(cnf, models=…)``),
+with no SAT search.  The estimates are those of sizing every cell by
+projected AllSAT.  When the exact counts finish, each set's size must
+equal its exact count (a mismatch raises ``RuntimeError``); when they hit
+their budget, the sets are used unchecked, as the enumerated column is.
+
+With ``paper_scopes=True`` the no-symmetry-breaking exact column is
+checked against the closed forms instead of run (a pure-Python counter
+cannot finish scope 20; the closed forms are how DESIGN.md §2 verified the
+published numbers), and live counting is skipped — mirroring the "-"
+time-outs in the paper.
 """
 
 from __future__ import annotations
@@ -96,7 +105,8 @@ def _table1_rows(engine, config: ExperimentConfig, paper_scopes: bool) -> list[T
             )
             continue
 
-        enumerated = enumerate_positive_bits(prop, scope, symmetry=symmetry)
+        plain = enumerate_positive_bits(prop, scope)
+        enumerated = plain[symmetry.mask(plain, scope)]
         problem_symbr = engine.translate(prop, scope, symmetry=symmetry)
         problem_plain = engine.translate(prop, scope)
         approx = ApproxMCCounter(seed=config.seed)
@@ -109,8 +119,18 @@ def _table1_rows(engine, config: ExperimentConfig, paper_scopes: bool) -> list[T
             )
         except CounterBudgetExceeded:
             exact_symbr = exact_plain = None
-        est_symbr = approx.count(problem_symbr.cnf)
-        est_plain = approx.count(problem_plain.cnf)
+        # The positive sets are the CNFs' complete projected model sets
+        # (column j is variable j + 1), so ApproxMC sizes its cells from
+        # them; the exact counts, when they finished, confirm the sizes.
+        sizes = (len(enumerated), len(plain))
+        if exact_symbr is not None and sizes != (exact_symbr, exact_plain):
+            raise RuntimeError(
+                f"{prop.name} at scope {scope}: enumerated {len(enumerated)} "
+                f"symmetry-broken and {len(plain)} plain positives, but the "
+                f"exact counts are {exact_symbr} and {exact_plain}"
+            )
+        est_symbr = approx.count(problem_symbr.cnf, models=enumerated)
+        est_plain = approx.count(problem_plain.cnf, models=plain)
         stats = problem_symbr.stats()
         rows.append(
             Table1Row(

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -24,6 +25,7 @@ from repro.counting.approxmc import (
 from repro.counting import approxmc as approxmc_module
 from repro.counting.exact import CounterBudgetExceeded
 from repro.counting.oracles import bell_number, fibonacci
+from repro.data.generation import enumerate_positive_bits
 from repro.logic import CNF, Var, tseitin_cnf
 from repro.logic.formula import iter_assignments
 from repro.sat import SatResult, Solver, count_models
@@ -188,17 +190,22 @@ class TestApproxMC:
         assert truth / (1 + epsilon) <= estimate <= truth * (1 + epsilon)
 
 
-def _estimates(problems, seeds):
+def _estimates(problems, seeds, model_sets=None):
     """ApproxMC estimates, one counter per property and seed, as Table 1 counts.
 
     Each counter counts the property's symmetry-broken CNF and then its
     plain one, so the second count draws from the RNG state the first left.
+    With ``model_sets`` (:func:`_table1_model_sets`) the cells are sized
+    from the CNFs' model sets instead of by AllSAT.
     """
     estimates = {}
     for name, cnfs in problems:
+        models = model_sets[name] if model_sets else (None,) * len(cnfs)
         for seed in seeds:
             counter = ApproxMCCounter(seed=seed)
-            estimates[name, seed] = [counter.count(cnf) for cnf in cnfs]
+            estimates[name, seed] = [
+                counter.count(cnf, models=rows) for cnf, rows in zip(cnfs, models)
+            ]
     return estimates
 
 
@@ -214,6 +221,16 @@ def _table1_problems(names, scope):
         )
         for name in names
     ]
+
+
+def _table1_model_sets(names, scope):
+    """The positive sets Table 1 hands ApproxMC, keyed as in _table1_problems."""
+    symmetry = SymmetryBreaking("adjacent")
+    model_sets = {}
+    for name in names:
+        plain = enumerate_positive_bits(get_property(name), scope)
+        model_sets[f"{name}@{scope}"] = (plain[symmetry.mask(plain, scope)], plain)
+    return model_sets
 
 
 class TestApproxMCReuse:
@@ -255,6 +272,59 @@ class TestApproxMCReuse:
         # SAT solves here.
         assert counter.count(cnf) >= counter.threshold
         assert len(found) == len(set(found)) == models
+
+
+#: The properties whose AllSAT route is slowest at scope 4 (1.8–5.9 s each
+#: on 2 CPUs); tests/golden/full/table1.txt pins their model-set estimates.
+_SLOW_AT_SCOPE_4 = ("Antisymmetric", "Irreflexive", "PartialOrder", "Transitive")
+
+
+class TestApproxMCModelSet:
+    """Cells sized from the complete model set give the AllSAT estimates."""
+
+    @pytest.mark.parametrize(
+        "scope, names, seeds",
+        [
+            (2, property_names(), range(5)),
+            (3, property_names(), range(5)),
+            (4, [n for n in property_names() if n not in _SLOW_AT_SCOPE_4], range(1)),
+        ],
+        ids=("scope2", "scope3", "scope4"),
+    )
+    def test_estimates_match_the_allsat_route(self, scope, names, seeds):
+        problems = _table1_problems(names, scope)
+        model_sets = _table1_model_sets(names, scope)
+        assert _estimates(problems, seeds, model_sets) == _estimates(problems, seeds)
+
+    @pytest.mark.parametrize(
+        "k, free",
+        [(64, range(56, 64)), (130, (0, 63, 64, 65, 100, 127, 128, 129))],
+        ids=("top-byte-of-one-word", "across-three-words"),
+    )
+    def test_every_column_reaches_the_hashes(self, k, free):
+        # Eight free columns and the rest false, with one of the first four
+        # free columns true and not both of the next two: 180 models, above
+        # the pivot, so hashing rounds run over every word the rows fill.
+        # The set is not affine, so its cell sizes follow each hash's exact
+        # columns.
+        v = [c + 1 for c in free]
+        clauses = [(-x,) for x in range(1, k + 1) if x not in v]
+        clauses += [tuple(v[:4]), (-v[4], -v[5])]
+        cnf = CNF(clauses, num_vars=k, projection=range(1, k + 1))
+        bits = np.arange(256)[:, None] >> np.arange(8) & 1
+        bits = bits[bits[:, :4].any(axis=1) & (bits[:, 4] & bits[:, 5] == 0)]
+        rows = np.zeros((len(bits), k), dtype=np.uint8)
+        rows[:, list(free)] = bits
+        assert len(rows) == count_models(cnf) == 180
+        for seed in range(5):
+            by_models = ApproxMCCounter(seed=seed).count(cnf, models=rows)
+            assert by_models == ApproxMCCounter(seed=seed).count(cnf)
+
+    def test_rows_must_match_the_projection(self):
+        cnf = translate(get_property("Function"), 3).cnf
+        rows = enumerate_positive_bits(get_property("Function"), 3)
+        with pytest.raises(ValueError, match="one column per projected variable"):
+            ApproxMCCounter(seed=0).count(cnf, models=rows[:, :-1])
 
 
 class TestOracles:

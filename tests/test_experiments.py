@@ -3,7 +3,9 @@ structure and reproduces the paper's qualitative claims at reduced scopes."""
 
 import pytest
 
-from repro.counting import closed_form_count
+from repro.counting import CountingEngine, ExactCounter, closed_form_count
+from repro.data.generation import enumerate_positive_bits
+from repro.experiments import table1 as table1_module
 from repro.experiments.classification import classification_table
 from repro.experiments.classification import render as render_classification
 from repro.experiments.config import ExperimentConfig, make_counter
@@ -17,6 +19,7 @@ from repro.experiments.table8 import render as render_table8
 from repro.experiments.table8 import table8
 from repro.experiments.table9 import render as render_table9
 from repro.experiments.table9 import table9
+from repro.sat import Solver
 
 
 def fast_config(*properties, scope=3, counter="brute", **kwargs):
@@ -95,6 +98,56 @@ class TestTable1:
     def test_render(self):
         text = render_table1(table1(fast_config("Reflexive")))
         assert "Reflexive" in text and "2^9" in text
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    original = Solver.solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve", counting)
+    return calls
+
+
+def _estimates(rows):
+    return [(r.est_valid_symbr, r.est_valid_nosymbr) for r in rows]
+
+
+class TestTable1ModelSets:
+    """ApproxMC sizes Table 1's cells from the enumerated positive sets."""
+
+    def test_no_sat_search(self, monkeypatch):
+        solves = _count_solves(monkeypatch)
+        rows = table1(ExperimentConfig(properties=("Function", "StrictOrder")))
+        # Both counts run hashing rounds (256 and 219 models > pivot 72);
+        # sizing their cells by AllSAT makes 588 solves.
+        assert all(r.valid_nosymbr_exact > 72 for r in rows)
+        assert solves == []
+
+    def test_a_budget_hit_still_sizes_cells_from_the_sets(self, monkeypatch):
+        # 216 positives without symmetry breaking: that count runs hashing
+        # rounds.
+        config = ExperimentConfig(properties=("Antisymmetric",), scope=3)
+        expected = table1(config)
+        solves = _count_solves(monkeypatch)
+        with CountingEngine(ExactCounter(max_nodes=1)) as engine:
+            rows = table1_module._table1_rows(engine, config, paper_scopes=False)
+        assert [(r.valid_symbr_exact, r.valid_nosymbr_exact) for r in rows] == [
+            (None, None)
+        ]
+        assert solves == []
+        assert _estimates(rows) == _estimates(expected)
+
+    def test_enumeration_disagreeing_with_the_exact_count_raises(self, monkeypatch):
+        def one_short(prop, scope, symmetry=None):
+            return enumerate_positive_bits(prop, scope, symmetry)[1:]
+
+        monkeypatch.setattr(table1_module, "enumerate_positive_bits", one_short)
+        with pytest.raises(RuntimeError, match="Function at scope 3: .* 26 plain"):
+            table1(ExperimentConfig(properties=("Function",), scope=3))
 
 
 class TestClassification:

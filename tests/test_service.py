@@ -454,6 +454,18 @@ class TestCoalescing:
                 finally:
                     sock.close()
 
+    @pytest.mark.parametrize(
+        "limits",
+        ({"max_queue": 0}, {"max_inflight_per_client": 0}),
+        ids=("max-queue-0", "max-inflight-0"),
+    )
+    def test_admission_limits_below_one_are_refused(self, limits):
+        # queue.Queue(maxsize=0) is unbounded, so a zero would turn
+        # admission control off.
+        with MCMLSession(backend="exact") as session:
+            with pytest.raises(ValueError, match=next(iter(limits))):
+                CountingServer(session, **limits)
+
 
 # -- stats verb ----------------------------------------------------------------------
 

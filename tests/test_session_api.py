@@ -382,12 +382,21 @@ class TestCLISurface:
             (["serve", "--max-deadline", "-1"], "--max-deadline"),
             (["table9", "--component-cache-mb", "-1"], "--component-cache-mb"),
             (["table9", "--component-cache-mb", "nan"], "--component-cache-mb"),
+            (["table9", "--scope", "3", "--seed", "-1"], "--seed"),
+            (["serve", "--max-queue", "0"], "--max-queue"),
+            (["serve", "--max-inflight", "0"], "--max-inflight"),
+            (["serve", "--read-timeout", "0"], "--read-timeout"),
+            (["serve", "--read-timeout", "inf"], "--read-timeout"),
+            (["serve", "--drain-grace", "-1"], "--drain-grace"),
+            (["serve", "--drain-grace", "nan"], "--drain-grace"),
         ),
         ids=(
             "max-positives-0", "scope-0", "train-fraction-1.5", "budget-neg5",
             "budget-0", "deadline-0", "deadline-inf", "max-budget-0",
             "max-deadline-neg1", "component-cache-mb-neg1",
-            "component-cache-mb-nan",
+            "component-cache-mb-nan", "seed-neg1", "max-queue-0",
+            "max-inflight-0", "read-timeout-0", "read-timeout-inf",
+            "drain-grace-neg1", "drain-grace-nan",
         ),
     )
     def test_parser_rejects_out_of_range_numbers(self, argv, flag, capsys):

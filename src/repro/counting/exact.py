@@ -20,11 +20,13 @@ sharpSAT/ProjMC lineage:
   every problem of a batch (pass ``component_cache=None`` to restore the
   old per-call behaviour);
 * branching restricted to *projection* variables (the ``n²`` relation
-  bits), choosing the most-occurring one; auxiliary Tseitin variables are
-  never decision variables — they are fixed by propagation, and a residual
-  component containing no projection variable only needs a satisfiability
-  check (each projected model is counted once regardless of how many
-  auxiliary extensions it has).
+  bits), chosen by :func:`_branch_bit`: along the lex-leader chains while
+  a component still has auxiliaries, by a weighted occurrence score once
+  it has none; auxiliary Tseitin variables are never decision variables —
+  they are fixed by propagation, and a residual component containing no
+  projection variable only needs a satisfiability check (each projected
+  model is counted once regardless of how many auxiliary extensions it
+  has).
 
 Representation.  The hot path never manipulates tuple clauses: ``count``
 renumbers the occurring variables into a dense ``0..k-1`` index
@@ -357,7 +359,7 @@ class ExactCounter:
             total = 1 if self._satisfiable(clauses) else 0
             self._cache_put(key, total)
             return total
-        bit = _most_frequent_bit(clauses, projected)
+        bit = _branch_bit(clauses, projected, component_vars & ~projected)
         residual_projected = projected & ~bit
         total = 0
         for positive in (True, False):
@@ -414,38 +416,47 @@ def _eliminate(
 ) -> list[MaskClause] | None:
     """Bounded Davis-Putnam elimination of non-projected variables.
 
-    Repeatedly resolves an auxiliary variable out of the formula whenever
-    the resolvent set is no larger than the clauses it replaces (the NiVER
-    bound), which keeps the clause count monotonically non-increasing.
-    Because the variable is existentially quantified in projected counting,
-    each elimination preserves the projected model count exactly; pure
-    auxiliary literals fall out as the special case of an empty resolvent
-    set.  Returns the reduced clause list, or ``None`` when an empty
-    resolvent proves the formula unsatisfiable.
+    Each pass visits the auxiliary variables in increasing order and
+    resolves one out of the formula whenever the resolvent set is no larger
+    than the clauses it replaces (the NiVER bound), which keeps the clause
+    count monotonically non-increasing.  Because the variable is
+    existentially quantified in projected counting, each elimination
+    preserves the projected model count exactly; pure auxiliary literals
+    fall out as the special case of an empty resolvent set.  Passes repeat
+    until one eliminates nothing.
+
+    An occurrence index finds each auxiliary's clauses without a scan of
+    the others.  Every clause has an id, ids only grow, and resolvents take
+    fresh ids, so the insertion-ordered dicts list clauses in working-list
+    order, which the result keeps: replaced clauses drop out, and the
+    resolvents, de-duplicated among themselves, follow the survivors.
+    Returns the reduced clause list, or ``None`` when an empty resolvent
+    proves the formula unsatisfiable.
     """
-    work = list(dict.fromkeys(clauses))
-    for _ in range(max_passes):
-        changed = False
-        all_vars = 0
-        for pos, neg in work:
-            all_vars |= pos | neg
-        aux = all_vars & ~proj
+    work: dict[int, MaskClause] = dict(enumerate(dict.fromkeys(clauses)))
+    occurs: dict[int, dict[int, None]] = {}
+    for cid, (pos, neg) in work.items():
+        aux = (pos | neg) & ~proj
         while aux:
             bit = aux & -aux
             aux ^= bit
+            occurs.setdefault(bit, {})[cid] = None
+    next_id = len(work)
+    for _ in range(max_passes):
+        changed = False
+        for bit in sorted(bit for bit, ids in occurs.items() if ids):
+            ids = occurs[bit]
+            if not ids:
+                continue  # every clause of ``bit`` resolved away this pass
             with_pos: list[MaskClause] = []
             with_neg: list[MaskClause] = []
-            rest: list[MaskClause] = []
-            for pos, neg in work:
-                if pos & bit:
-                    with_pos.append((pos, neg))
-                elif neg & bit:
-                    with_neg.append((pos, neg))
+            for cid in ids:
+                clause = work[cid]
+                if clause[0] & bit:
+                    with_pos.append(clause)
                 else:
-                    rest.append((pos, neg))
-            if not with_pos and not with_neg:
-                continue
-            limit = len(with_pos) + len(with_neg)
+                    with_neg.append(clause)
+            limit = len(ids)
             clear = ~bit
             resolvents: list[MaskClause] = []
             bounded = True
@@ -466,11 +477,25 @@ def _eliminate(
                     break
             if not bounded:
                 continue
-            work = rest + list(dict.fromkeys(resolvents))
+            for cid in list(ids):
+                pos, neg = work.pop(cid)
+                aux = (pos | neg) & ~proj
+                while aux:
+                    other = aux & -aux
+                    aux ^= other
+                    del occurs[other][cid]
+            for clause in dict.fromkeys(resolvents):
+                work[next_id] = clause
+                aux = (clause[0] | clause[1]) & ~proj
+                while aux:
+                    other = aux & -aux
+                    aux ^= other
+                    occurs[other][next_id] = None
+                next_id += 1
             changed = True
         if not changed:
             break
-    return work
+    return list(work.values())
 
 
 def _repack(
@@ -664,21 +689,43 @@ def _split_components(
     return list(zip(masks, buckets))
 
 
-def _most_frequent_bit(clauses: list[MaskClause], candidates: int) -> int:
-    """The packed variable (a power of two) within ``candidates`` with the
-    highest occurrence score.
+def _branch_bit(clauses: list[MaskClause], projected: int, aux: int) -> int:
+    """The projection variable (a power of two within ``projected``) that a
+    component with auxiliaries ``aux`` branches on.
 
-    Occurrences in short clauses are weighted up (16× for binary, 4× for
-    ternary): assigning such a variable immediately creates units, so the
-    branch collapses further under propagation.
+    While auxiliaries remain — in the symmetry-broken spaces these are the
+    lex-leader chains ``leq_k`` of :func:`repro.spec.symmetry.lex_leq` that
+    elimination leaves — the choice is the lowest projection variable
+    sharing a clause with one of them, the chain's next row-major position.
+    ``lex_leq``'s recurrence ``leq_k = (¬a_k ∧ b_k) ∨ ((a_k ↔ b_k) ∧
+    leq_{k+1})`` settles ``leq_k`` or hands it on to ``leq_{k+1}`` once the
+    positions of link ``k`` are fixed, so branching front to back leaves the
+    tail of the same chain in every branch, and those tails repeat across
+    branches and hit the component cache.  Branching on a later position
+    leaves every link before it open.
+
+    A component with no auxiliary takes the variable with the highest
+    occurrence score, occurrences in short clauses weighted up (16× for
+    binary, 4× for ternary): assigning such a variable immediately creates
+    units, so the branch collapses further under propagation.  Row-major
+    order there costs nodes: in one perfbench ``whole_space`` round, Tables
+    8 and 9 took 3,487 and 1,450 nodes that way instead of 404 and 415.
     """
+    if aux:
+        touching = 0
+        for pos, neg in clauses:
+            mask = pos | neg
+            if mask & aux:
+                touching |= mask
+        touching &= projected
+        return touching & -touching
     counts: dict[int, int] = {}
     get = counts.get
     for pos, neg in clauses:
         mask = pos | neg
         size = mask.bit_count()
         weight = 16 if size == 2 else (4 if size == 3 else 1)
-        mask &= candidates
+        mask &= projected
         while mask:
             bit = mask & -mask
             counts[bit] = get(bit, 0) + weight

@@ -10,8 +10,9 @@ oracles:
 * :func:`brute_force_count` on randomized aux-free CNFs.
 
 Plus regression tests that :class:`CountingEngine` cache hits return
-bit-identical counts to cold calls, and unit tests for the packed clause
-representation itself.
+bit-identical counts to cold calls, unit tests for the packed clause
+representation itself, the search's node counts pinned per problem, and the
+indexed auxiliary elimination against the list scan it replaced.
 """
 
 import numpy as np
@@ -25,6 +26,9 @@ from repro.counting import (
     brute_force_count,
     shared_engine,
 )
+from repro.core.pipeline import MCMLPipeline
+from repro.core.tree2cnf import label_region_cnf
+from repro.counting.exact import _branch_bit, _eliminate, _propagate
 from repro.counting.vector import FormulaBruteCounter
 from repro.logic import CNF, Var, tseitin_cnf
 from repro.logic.cnf import pack_clauses
@@ -232,3 +236,186 @@ class TestPackedRepresentation:
         flagged = ExactCounter().count(cnf)
         cnf.aux_unique = False
         assert ExactCounter().count(cnf) == flagged == 7
+
+
+def _eliminate_by_scan(clauses, proj, max_passes=50):
+    """The oracle: elimination re-partitioning the whole clause list for
+    every auxiliary, as the counter did before its occurrence index."""
+    work = list(dict.fromkeys(clauses))
+    for _ in range(max_passes):
+        changed = False
+        all_vars = 0
+        for pos, neg in work:
+            all_vars |= pos | neg
+        aux = all_vars & ~proj
+        while aux:
+            bit = aux & -aux
+            aux ^= bit
+            with_pos, with_neg, rest = [], [], []
+            for pos, neg in work:
+                if pos & bit:
+                    with_pos.append((pos, neg))
+                elif neg & bit:
+                    with_neg.append((pos, neg))
+                else:
+                    rest.append((pos, neg))
+            if not with_pos and not with_neg:
+                continue
+            limit = len(with_pos) + len(with_neg)
+            clear = ~bit
+            resolvents = []
+            bounded = True
+            for pos_a, neg_a in with_pos:
+                pos_a &= clear
+                for pos_b, neg_b in with_neg:
+                    res_pos = pos_a | pos_b
+                    res_neg = neg_a | (neg_b & clear)
+                    if res_pos & res_neg:
+                        continue
+                    if not (res_pos | res_neg):
+                        return None
+                    resolvents.append((res_pos, res_neg))
+                    if len(resolvents) > limit:
+                        bounded = False
+                        break
+                if not bounded:
+                    break
+            if not bounded:
+                continue
+            work = rest + list(dict.fromkeys(resolvents))
+            changed = True
+        if not changed:
+            break
+    return work
+
+
+def _top_level_residual(cnf):
+    """The clauses and projection mask ``ExactCounter.count`` eliminates on:
+    the packed clauses after one propagation pass."""
+    packed = cnf.packed_view()
+    proj = 0
+    for var in cnf.projected_vars():
+        if var in packed.index:
+            proj |= 1 << packed.index[var]
+    simplified = _propagate(packed.clauses)
+    return ([] if simplified is None else simplified[0]), proj
+
+
+def _nodes(cnf) -> int:
+    """Search nodes of one count with no component cache carried over."""
+    counter = ExactCounter(component_cache=None)
+    counter.count(cnf)
+    return counter._nodes
+
+
+@pytest.fixture(scope="module")
+def tree_conjunctions():
+    """φ and ¬φ conjoined with a decision tree's two label regions, for
+    every property at scope 3 in the symmetry-broken space (Table 3's
+    problems, reduced)."""
+    pipeline = MCMLPipeline(seed=0)
+    symmetry = SymmetryBreaking()
+    cases = []
+    for prop in PROPERTIES:
+        dataset = pipeline.make_dataset(prop, 3, symmetry=symmetry)
+        train, _ = dataset.split(0.75, rng=0)
+        paths = pipeline.train("DT", train).decision_paths()
+        for negate in (False, True):
+            phi = translate(prop, 3, symmetry=symmetry, negate=negate).cnf
+            for label in (1, 0):
+                cases.append(phi.conjoin(label_region_cnf(paths, label, 9)))
+    return cases
+
+
+class TestIndexedElimination:
+    """The occurrence-indexed ``_eliminate`` returns the scan's list, in its order."""
+
+    @pytest.mark.parametrize(
+        "case", [c for c in ALL_CASES if c[1] >= 3], ids=_case_id
+    )
+    def test_property_residuals(self, case):
+        prop, scope, symmetry = case
+        residual, proj = _top_level_residual(
+            translate(prop, scope, symmetry=symmetry).cnf
+        )
+        assert _eliminate(residual, proj) == _eliminate_by_scan(residual, proj)
+
+    def test_tree_region_conjunctions(self, tree_conjunctions):
+        assert len(tree_conjunctions) == 4 * len(PROPERTIES)
+        for cnf in tree_conjunctions:
+            residual, proj = _top_level_residual(cnf)
+            assert _eliminate(residual, proj) == _eliminate_by_scan(residual, proj)
+
+    @given(random_cnf(max_vars=10, max_clauses=24))
+    @settings(max_examples=80, deadline=None)
+    def test_random_cnfs_with_half_the_variables_projected(self, instance):
+        # Unit clauses, resolvents equal to a surviving clause and empty
+        # resolvents all occur here; the translated problems rarely reach
+        # them.
+        num_vars, clauses = instance
+        packed = pack_clauses(CNF(clauses, num_vars=num_vars).clauses)
+        proj = sum(1 << i for i in range(0, packed.num_vars, 2))
+        assert _eliminate(packed.clauses, proj) == _eliminate_by_scan(
+            packed.clauses, proj
+        )
+
+
+class TestSearchNodes:
+    """Node counts of the search, pinned: counts are exact either way, so
+    these are what show a change of branching rule."""
+
+    #: Nodes at scopes 3 and 4 in the plain space, where elimination leaves
+    #: no auxiliary and the weighted occurrence score picks every branch.
+    PLAIN_NODES = {
+        "Antisymmetric": (4, 7),
+        "Bijective": (11, 49),
+        "Connex": (4, 7),
+        "Equivalence": (9, 27),
+        "Function": (13, 25),
+        "Functional": (10, 21),
+        "Injective": (13, 25),
+        "Irreflexive": (0, 0),
+        "NonStrictOrder": (14, 99),
+        "PartialOrder": (14, 99),
+        "PreOrder": (17, 146),
+        "Reflexive": (0, 0),
+        "StrictOrder": (14, 99),
+        "Surjective": (11, 47),
+        "TotalOrder": (9, 29),
+        "Transitive": (29, 213),
+    }
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    def test_plain_spaces_keep_the_occurrence_order(self, prop):
+        nodes = tuple(_nodes(translate(prop, scope).cnf) for scope in (3, 4))
+        assert nodes == self.PLAIN_NODES[prop.name]
+
+    def test_lex_leader_space_branches_along_its_chains(self):
+        # The scope-4 adjacent lex-leader constraints alone; branching by
+        # occurrence score took 2,944 nodes.
+        cnf = tseitin_cnf(SymmetryBreaking().formula(4), num_input_vars=16)
+        assert _nodes(cnf) <= 1_430
+
+    @pytest.mark.parametrize(
+        "name, bound, by_occurrence",
+        [("PartialOrder", 325, 478), ("Transitive", 368, 601), ("Antisymmetric", 562, 1_012)],
+    )
+    def test_symmetry_broken_spaces(self, name, bound, by_occurrence):
+        cnf = translate(get_property(name), 4, symmetry=SymmetryBreaking()).cnf
+        assert _nodes(cnf) <= bound < by_occurrence
+
+
+class TestBranchBit:
+    # Variables 0-2 are projected.  Variable 1 has the highest weighted
+    # occurrence score; variable 2 is the only one beside an auxiliary.
+    CLAUSES = [(0b1100, 0), (0b0011, 0), (0b0001, 0b0010), (0b0110, 0)]
+
+    def test_a_component_with_auxiliaries_follows_them(self):
+        assert _branch_bit(self.CLAUSES, 0b0111, 0b1000) == 0b0100
+
+    def test_the_lowest_projection_variable_beside_an_auxiliary_wins(self):
+        clauses = self.CLAUSES + [(0b1001, 0)]
+        assert _branch_bit(clauses, 0b0111, 0b1000) == 0b0001
+
+    def test_an_auxiliary_free_component_takes_the_occurrence_score(self):
+        assert _branch_bit(self.CLAUSES, 0b1111, 0) == 0b0010

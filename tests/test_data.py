@@ -134,6 +134,92 @@ class TestNegativeSampling:
             sample_negative_bits(get_property("Reflexive"), 2, 50, rng=0, max_batches=20)
 
 
+def _sample_by_packed_rows(prop, scope, count, rng=0, exclude=None, max_batches=10_000):
+    """The oracle: the sampler as it was before integer keys, de-duplicating
+    with ``np.unique(axis=0)`` over the packed rows of ``seen`` plus each
+    batch."""
+    m = scope * scope
+    rng = np.random.default_rng(rng)
+    mask_fn = property_mask(prop.oracle)
+    if exclude is not None:
+        seen = np.packbits(np.asarray(exclude, dtype=np.uint8), axis=1)
+    else:
+        seen = np.zeros((0, (m + 7) // 8), dtype=np.uint8)
+    collected = []
+    remaining = count
+    batch_size = max(256, 2 * count)
+    for _ in range(max_batches):
+        if remaining <= 0:
+            break
+        candidates = (rng.random((batch_size, m)) < 0.5).astype(np.uint8)
+        negatives = candidates[~mask_fn(bits_to_matrices(candidates, scope))]
+        if len(negatives) == 0:
+            continue
+        packed = np.packbits(negatives, axis=1)
+        _, first_index = np.unique(
+            np.concatenate([seen, packed], axis=0), axis=0, return_index=True
+        )
+        new_index = np.sort(first_index[first_index >= len(seen)] - len(seen))
+        new_index = new_index[:remaining]
+        if len(new_index) == 0:
+            continue
+        collected.append(negatives[new_index])
+        seen = np.concatenate([seen, packed[new_index]], axis=0)
+        remaining -= len(new_index)
+    assert remaining <= 0, "the oracle ran out of batches"
+    return np.concatenate(collected, axis=0)
+
+
+SAMPLED = ("Antisymmetric", "Bijective", "Equivalence", "Function", "PartialOrder", "Transitive")
+
+
+class TestNegativeSamplingMatchesPackedRows:
+    """The integer-key sampler returns the oracle's rows, in its order."""
+
+    @pytest.mark.parametrize("name", SAMPLED)
+    @pytest.mark.parametrize(
+        "scope, count",
+        # Scope 3 has about 500 negatives, so it takes no larger counts.
+        [(3, 10), (3, 200), (4, 10), (4, 300), (4, 2000), (5, 10), (5, 300), (5, 2000)],
+    )
+    def test_same_rows(self, name, scope, count):
+        prop = get_property(name)
+        for seed in (0, 1):
+            expected = _sample_by_packed_rows(prop, scope, count, rng=seed)
+            np.testing.assert_array_equal(
+                sample_negative_bits(prop, scope, count, rng=seed), expected
+            )
+
+    @pytest.mark.parametrize("name", SAMPLED)
+    def test_same_rows_with_exclude(self, name):
+        prop = get_property(name)
+        exclude = _sample_by_packed_rows(prop, 4, 150, rng=3)
+        expected = _sample_by_packed_rows(prop, 4, 300, rng=4, exclude=exclude)
+        np.testing.assert_array_equal(
+            sample_negative_bits(prop, 4, 300, rng=4, exclude=exclude), expected
+        )
+
+    def test_duplicates_across_many_batches(self):
+        # 400 of scope 3's 448 non-reflexive relations: later batches are
+        # mostly rows already taken.
+        prop = get_property("Reflexive")
+        expected = _sample_by_packed_rows(prop, 3, 400, rng=5)
+        np.testing.assert_array_equal(
+            sample_negative_bits(prop, 3, 400, rng=5), expected
+        )
+
+    @pytest.mark.parametrize("scope", (8, 9))
+    def test_rows_of_one_and_two_words(self, scope):
+        # Scope 8 fills one 64-bit key exactly; scope 9's 81 columns take
+        # the byte-string keys of two words.
+        prop = get_property("PartialOrder")
+        exclude = _sample_by_packed_rows(prop, scope, 40, rng=6)
+        expected = _sample_by_packed_rows(prop, scope, 200, rng=7, exclude=exclude)
+        np.testing.assert_array_equal(
+            sample_negative_bits(prop, scope, 200, rng=7, exclude=exclude), expected
+        )
+
+
 class TestGenerateDataset:
     def test_balanced_by_default(self):
         dataset = generate_dataset(get_property("Function"), 3, rng=0)

@@ -3,12 +3,10 @@
 
 Runs the ``TestCounterAblation`` benchmarks of ``bench_substrates.py``
 through pytest-benchmark, extracts the per-backend median times, runs the
-counting-service ablations (warm-vs-cold disk cache on a Table 1 slice, shared
-component cache on the same-φ/many-regions AccMC ratio sweep, cold-run
-vs warm-restart component *spill* on that sweep, daemon-vs-in-process
-throughput plus a request-coalescing
-probe for the TCP counting service, a ``CountStore`` round-trip
-micro-bench), and writes (or updates)
+counting-substrate ablations (warm-vs-cold disk cache on a Table 1 slice,
+shared component cache on the same-φ/many-regions AccMC ratio sweep,
+cold-run vs warm-restart component *spill* on that sweep, a
+``CountStore`` round-trip micro-bench), and writes (or updates)
 ``BENCH_counting.json`` next to this script's repository root.  The JSON
 keeps a ``history`` list so successive PRs append their numbers instead of
 overwriting the trajectory::
@@ -95,7 +93,7 @@ def run_benchmarks() -> dict[str, dict[str, float]]:
     return backends
 
 
-# -- counting-service ablations ---------------------------------------------------------
+# -- counting-substrate ablations -------------------------------------------------------
 
 
 def component_cache_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
@@ -264,175 +262,6 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
     }
 
 
-def service_throughput_ablation(
-    scope: int,
-    property_names: tuple[str, ...],
-    clients: int = 4,
-    coalesce_requests: int = 6,
-) -> dict:
-    """Daemon-vs-in-process throughput plus a deterministic coalescing probe.
-
-    Two legs:
-
-    * **throughput sweep** — a Table-1-shaped batch (each property's
-      symbr + plain CNF at ``scope``) counted twice: sequentially through
-      an in-process :class:`~repro.core.session.MCMLSession`, then through
-      a live :class:`~repro.counting.service.CountingServer` by
-      ``clients`` concurrent :class:`ServiceClient` threads splitting the
-      batch round-robin.  The engine lock serializes the actual counting
-      either way, so the ratio measures what the wire costs — JSON
-      framing, loopback TCP, scheduling — not a parallelism win;
-      ``cpu_count`` is recorded so the number stays interpretable.
-      Bit-identity between the two legs is enforced hard.
-
-    * **coalescing probe** — one raw connection pipelines a *pin* request
-      (a slower, distinct problem that occupies the single solver thread)
-      followed by ``coalesce_requests`` identical-φ requests in one write.
-      While the pin computes, every φ request after the first coalesces
-      onto the queued φ job, so the batch costs exactly **two** backend
-      calls (pin + one φ) no matter how many φ requests rode the wire —
-      enforced hard via the server's stats payload, which is the
-      same-φ-costs-one-computation claim made measurable.
-    """
-    import socket as socket_mod
-    import threading
-
-    from repro.core.session import MCMLSession
-    from repro.counting.api import CountRequest, CountResult
-    from repro.counting.service import CountingServer, ServiceClient, protocol
-    from repro.spec import SymmetryBreaking, get_property, translate
-
-    symmetry = SymmetryBreaking()
-    batch = []
-    for name in property_names:
-        prop = get_property(name)
-        batch.append(translate(prop, scope, symmetry=symmetry).cnf)
-        batch.append(translate(prop, scope).cnf)
-
-    with MCMLSession(backend="exact") as session:
-        started = perf_counter()
-        inprocess = [session.solve(problem).value for problem in batch]
-        inprocess_s = perf_counter() - started
-
-    # -- throughput sweep: N concurrent clients against one warm daemon.
-    server = CountingServer(
-        MCMLSession(backend="exact"),
-        host="127.0.0.1",
-        port=0,
-        max_queue=len(batch) + 8,
-        max_inflight_per_client=len(batch) + 8,
-    )
-    host, port = server.start()
-    remote: list[int | None] = [None] * len(batch)
-    worker_errors: list[str] = []
-
-    def _worker(offset: int) -> None:
-        client = ServiceClient(host, port, retries=2)
-        try:
-            for index in range(offset, len(batch), clients):
-                remote[index] = client.solve(batch[index]).value
-        except Exception as exc:  # noqa: BLE001 - surfaced as a hard bench failure
-            worker_errors.append(f"client {offset}: {type(exc).__name__}: {exc}")
-        finally:
-            client.close()
-
-    threads = [
-        threading.Thread(target=_worker, args=(offset,), name=f"bench-client-{offset}")
-        for offset in range(clients)
-    ]
-    started = perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    service_s = perf_counter() - started
-    server.drain()
-    if worker_errors:
-        raise SystemExit(f"service sweep clients failed: {worker_errors}")
-    if remote != inprocess:
-        raise SystemExit(
-            f"service counts diverge from in-process: {remote} != {inprocess}"
-        )
-
-    # -- coalescing probe: pin the solver, pipeline identical requests.
-    server = CountingServer(
-        MCMLSession(backend="exact"),
-        host="127.0.0.1",
-        port=0,
-        max_queue=coalesce_requests + 4,
-        max_inflight_per_client=coalesce_requests + 4,
-    )
-    host, port = server.start()
-    # The pin must outlast the reader's dispatch of the pipelined lines
-    # (milliseconds): the scope-5 symbr instance takes over a second of
-    # real search on any machine, so the margin is ~three orders.
-    pin = CountRequest.from_cnf(
-        translate(get_property("PartialOrder"), 5, symmetry=symmetry).cnf
-    )
-    phi = CountRequest.from_cnf(batch[0])
-    lines = [protocol.encode_line({"id": 0, "verb": "solve", "request": pin.to_dict()})]
-    lines += [
-        protocol.encode_line({"id": i, "verb": "solve", "request": phi.to_dict()})
-        for i in range(1, coalesce_requests + 1)
-    ]
-    sock = socket_mod.create_connection((host, port), timeout=30)
-    try:
-        sock.settimeout(300)
-        sock.sendall(b"".join(lines))
-        reader = protocol.LineReader(sock)
-        responses = [
-            protocol.decode_line(reader.readline())
-            for _ in range(coalesce_requests + 1)
-        ]
-    finally:
-        sock.close()
-    bad = [r for r in responses if not r.get("ok")]
-    if bad:
-        raise SystemExit(f"coalescing probe got error responses: {bad}")
-    phi_values = {
-        CountResult.from_dict(r["result"]).value for r in responses if r["id"] != 0
-    }
-    stats = server.stats_payload()
-    server.drain()
-    backend_calls = stats["engine"]["backend_calls"]
-    coalesced = stats["service"]["counters"]["coalesced"]
-    if phi_values != {inprocess[0]}:
-        raise SystemExit(
-            f"coalesced responses diverge: {phi_values} != {{{inprocess[0]}}}"
-        )
-    if backend_calls != 2:
-        raise SystemExit(
-            f"coalescing probe cost {backend_calls} backend calls "
-            f"(expected 2: the pin plus one shared φ computation)"
-        )
-    if coalesced != coalesce_requests - 1:
-        raise SystemExit(
-            f"coalescing probe coalesced {coalesced} requests "
-            f"(expected {coalesce_requests - 1})"
-        )
-
-    return {
-        "instance": (
-            f"counting-service sweep: symbr + plain CNFs for "
-            f"{len(property_names)} properties at scope {scope} "
-            f"({len(batch)} problems) served to {clients} concurrent "
-            f"clients over loopback TCP vs one in-process session; "
-            f"coalescing probe pipelines {coalesce_requests} identical-φ "
-            "requests behind a solver-pinning request"
-        ),
-        "problems": len(batch),
-        "clients": clients,
-        "cpu_count": os.cpu_count(),
-        "inprocess_s": round(inprocess_s, 4),
-        "service_s": round(service_s, 4),
-        "wire_overhead_x": round(service_s / inprocess_s, 2),
-        "coalesce_requests": coalesce_requests,
-        "coalesced": coalesced,
-        "coalesce_backend_calls": backend_calls,
-        "bit_identical": True,
-    }
-
-
 def store_roundtrip_bench(entries: int = 2000) -> dict:
     """CountStore micro-bench: buffered single puts, then a batch read-back.
 
@@ -525,7 +354,6 @@ def _print_ablations(
     component_result: dict | None = None,
     store_result: dict | None = None,
     spill_result: dict | None = None,
-    service_result: dict | None = None,
 ) -> None:
     print(
         f"  disk cache: cold {cache_result['cold_s']:.3f} s "
@@ -549,17 +377,6 @@ def _print_ablations(
             f"{spill_result['warm_s']:.3f} s ({spill_result['speedup_x']}x "
             f"cold->warm, {spill_result['spill_hits']} promotions from "
             f"{spill_result['spilled_entries']} spilled entries), bit-identical"
-        )
-    if service_result is not None:
-        print(
-            f"  service throughput: in-process {service_result['inprocess_s']:.3f} s, "
-            f"{service_result['clients']} clients over TCP "
-            f"{service_result['service_s']:.3f} s "
-            f"({service_result['wire_overhead_x']}x wire overhead on "
-            f"{service_result['cpu_count']} cpu(s)); coalescing: "
-            f"{service_result['coalesce_requests']} same-φ requests -> "
-            f"{service_result['coalesce_backend_calls']} backend calls "
-            f"({service_result['coalesced']} coalesced), bit-identical"
         )
     if store_result is not None:
         print(
@@ -738,21 +555,14 @@ def main() -> None:
         return
 
     if args.quick:
-        print("quick smoke: counting-service ablations on reduced instances")
+        print("quick smoke: counting-substrate ablations on reduced instances")
         cache_result = cache_ablation(scope=3, property_names=_ablation_properties()[:4])
         component_result = component_cache_ablation(
             scope=3, fractions=(0.75, 0.5, 0.25)
         )
         spill_result = component_spill_ablation(scope=3, fractions=(0.75, 0.5, 0.25))
-        service_result = service_throughput_ablation(
-            scope=3, property_names=_ablation_properties()[:4],
-            clients=2, coalesce_requests=4,
-        )
         store_result = store_roundtrip_bench(entries=500)
-        _print_ablations(
-            cache_result, component_result, store_result,
-            spill_result, service_result,
-        )
+        _print_ablations(cache_result, component_result, store_result, spill_result)
         for name in args.backend or ():
             backend_smoke(name)
         exact_median, gate_failure = perf_regression_smoke(args.output)
@@ -770,7 +580,6 @@ def main() -> None:
                     "disk_cache": cache_result,
                     "component_cache": component_result,
                     "component_spill": spill_result,
-                    "service_throughput": service_result,
                     "store_roundtrip": store_result,
                 },
             }
@@ -796,10 +605,6 @@ def main() -> None:
         scope=4,
         fractions=(0.75, 0.65, 0.55, 0.45, 0.35, 0.25, 0.15),
     )
-    service_result = service_throughput_ablation(
-        scope=4, property_names=_ablation_properties(),
-        clients=4, coalesce_requests=8,
-    )
     store_result = store_roundtrip_bench()
 
     document = {"instance": INSTANCE, "unit": "seconds", "history": []}
@@ -812,7 +617,6 @@ def main() -> None:
         "disk_cache": cache_result,
         "component_cache": component_result,
         "component_spill": spill_result,
-        "service_throughput": service_result,
         "store_roundtrip": store_result,
     }
     for name in args.backend or ():
@@ -838,8 +642,6 @@ def main() -> None:
             "warm_cache_speedup_x": cache_result["speedup_x"],
             "component_cache_speedup_x": component_result["speedup_x"],
             "component_spill_speedup_x": spill_result["speedup_x"],
-            "service_wire_overhead_x": service_result["wire_overhead_x"],
-            "service_coalesce_backend_calls": service_result["coalesce_backend_calls"],
             "store_roundtrip_puts_per_s": store_result["puts_per_s"],
         }
     )
@@ -852,10 +654,7 @@ def main() -> None:
     print(f"wrote {args.output}")
     for label, stats in sorted(backends.items()):
         print(f"  {label:>14}: median {stats['median_s'] * 1000:8.2f} ms")
-    _print_ablations(
-        cache_result, component_result, store_result,
-        spill_result, service_result,
-    )
+    _print_ablations(cache_result, component_result, store_result, spill_result)
 
 
 if __name__ == "__main__":

@@ -146,12 +146,6 @@ class AccMC:
     ProjMC stand-in, is the default).  The backend's declared capabilities
     pick the evaluation route: formula-counting backends take the
     vectorised sweep, the rest the paper's CNF construction.
-
-    ``surface`` routes the *counting* verbs (``solve``/``solve_many``)
-    through any :class:`~repro.counting.api.CountingSurface` — e.g. a
-    remote :class:`~repro.counting.service.client.ServiceClient` — while
-    compilation (translation, region CNFs, capability negotiation) stays
-    on the local engine.  Default: the engine itself.
     """
 
     def __init__(
@@ -160,7 +154,6 @@ class AccMC:
         mode: str = "product",
         engine: CountingEngine | None = None,
         config: EngineConfig | None = None,
-        surface=None,
     ) -> None:
         if mode not in ("product", "derived"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -171,8 +164,6 @@ class AccMC:
         # engine is built here; a passed-in engine keeps its own.
         self.engine = engine if engine is not None else shared_engine(counter, config)
         self.counter = self.engine
-        #: Where the counting verbs go (compilation stays on the engine).
-        self.surface = surface if surface is not None else self.engine
         self.mode = mode
         # The symmetry-reduced space size is tree- and property-independent;
         # cache it across evaluate() calls (one table = 16 properties at the
@@ -283,7 +274,7 @@ class AccMC:
             not_phi = ground_truth.negative().cnf
             tp, fp, fn, tn = (
                 r.value
-                for r in self.surface.solve_many(
+                for r in self.engine.solve_many(
                     [
                         problem(phi.conjoin(true_region)),
                         problem(not_phi.conjoin(true_region)),
@@ -296,7 +287,7 @@ class AccMC:
             space = ground_truth.space_cnf()
             tp, phi_count, tau_count = (
                 r.value
-                for r in self.surface.solve_many(
+                for r in self.engine.solve_many(
                     [
                         problem(phi.conjoin(true_region)),
                         problem(phi),
@@ -305,7 +296,7 @@ class AccMC:
                 )
             )
             space_count = self._space_count(
-                ground_truth, lambda: self.surface.solve(space).value
+                ground_truth, lambda: self.engine.solve(space).value
             )
             fn = phi_count - tp
             fp = tau_count - tp

@@ -75,14 +75,9 @@ class DiffMC:
         counter=None,
         engine: CountingEngine | None = None,
         config: EngineConfig | None = None,
-        surface=None,
     ) -> None:
         self.engine = engine if engine is not None else shared_engine(counter, config)
         self.counter = self.engine
-        # Where the counting verbs go (compilation and capability
-        # negotiation stay on the local engine).  Any CountingSurface —
-        # a session or a ServiceClient — slots in here.
-        self.surface = surface if surface is not None else self.engine
 
     def evaluate(
         self,
@@ -123,7 +118,7 @@ class DiffMC:
                 CountRequest.from_cnf(cnf, deadline=deadline, budget=budget)
                 for cnf in problems
             ]
-        tt, tf, ft, ff = (r.value for r in self.surface.solve_many(problems))
+        tt, tf, ft, ff = (r.value for r in self.engine.solve_many(problems))
         result = DiffMCResult(
             tt=tt,
             tf=tf,

@@ -33,38 +33,32 @@ is the point.
 
 Thread-safety: the session is as thread-safe as its engine — ``solve``,
 ``solve_many``, ``count`` and the metric entry points may be called from
-multiple threads concurrently (the counting service daemon does exactly
-this), because :class:`~repro.counting.engine.CountingEngine` serializes
-every solve under one re-entrant lock.  Concurrent callers get
-bit-identical counts and a consistent
-:class:`~repro.counting.api.EngineStats`; they do not get parallelism.
+multiple threads concurrently, because
+:class:`~repro.counting.engine.CountingEngine` serializes every solve
+under one re-entrant lock.  Concurrent callers get bit-identical counts
+and a consistent :class:`~repro.counting.api.EngineStats`; they do not
+get parallelism.  Processes share warm counts through a common
+``cache_dir`` instead.
 """
 
 from __future__ import annotations
 
 from repro.core.accmc import AccMC, AccMCResult, GroundTruth
 from repro.core.diffmc import DiffMC, DiffMCResult
-from repro.counting.api import (
-    Capabilities,
-    CountingSurface,
-    CountRequest,
-    CountResult,
-    make_counter,
-)
+from repro.counting.api import Capabilities, CountRequest, CountResult, make_counter
 from repro.counting.engine import CountingEngine, EngineConfig
 from repro.logic.cnf import CNF
 from repro.spec.properties import Property, get_property
 from repro.spec.symmetry import SymmetryBreaking
 
 
-class MCMLSession(CountingSurface):
+class MCMLSession:
     """Owns one engine + config + stores; fronts every MCML workflow.
 
-    The session is the *in-process* implementation of
-    :class:`~repro.counting.api.CountingSurface` — the counting surface
-    drivers program against.  The remote implementation,
-    :class:`~repro.counting.service.client.ServiceClient`, is a drop-in
-    replacement for the counting verbs; pick by deployment, not by API.
+    Its counting verbs — :meth:`solve`/:meth:`solve_many` (typed, with the
+    engine's ``on_failure`` contract), :meth:`count`/:meth:`count_many`
+    (bare ints), :meth:`stats` and an idempotent :meth:`close` — go
+    straight to the session's engine.
 
     Parameters
     ----------
@@ -130,11 +124,11 @@ class MCMLSession(CountingSurface):
         return self.engine.capabilities
 
     def stats(self) -> dict:
-        """JSON-safe telemetry payload (the :class:`CountingSurface` verb).
+        """JSON-safe telemetry payload, the one ``mcml --stats`` prints.
 
-        Nests the engine counters under ``"engine"`` — the same shape
-        ``mcml --stats`` and the service daemon's ``stats`` verb render.
-        For the live :class:`~repro.counting.api.EngineStats` object use
+        The backend name, its capability flags, and the engine counters
+        nested under ``"engine"``.  For the live
+        :class:`~repro.counting.api.EngineStats` object use
         ``session.engine.stats``.
         """
         return {

@@ -16,7 +16,7 @@ back-ends used for validation and ablation:
   Table 1 at paper scopes without running a counter.
 * :mod:`repro.counting.legacy` — the tuple-based predecessor of the packed
   exact counter, kept as a differential baseline.
-* :mod:`repro.counting.api` — the typed service contract: frozen
+* :mod:`repro.counting.api` — the typed counting contract: frozen
   :class:`CountRequest`/:class:`CountResult` objects, the
   :class:`Capabilities` declaration every backend carries, the
   :class:`CounterBackend` protocol, and the backend registry
@@ -34,8 +34,7 @@ back-ends used for validation and ablation:
   canonical CNF signatures), :class:`BlobStore` (compilation memos) and
   :class:`ComponentStore` (the component-cache spill).
 * :mod:`repro.counting.faults` — the fault-injection harness the chaos
-  suites drive the robustness layer with (corrupt stores, full disks,
-  hostile service clients).
+  suites drive the robustness layer with (corrupt stores, full disks).
 
 Failure taxonomy: :class:`CounterAbort` is the base of the cooperative
 resource aborts (:class:`CounterBudgetExceeded` for node budgets,

@@ -1,4 +1,4 @@
-"""Counting service API v2: typed requests/results, capabilities, registry.
+"""The counting API: typed requests/results, capabilities, registry.
 
 MCML's substrate serves many consumers — AccMC confusion counts, DiffMC
 model diffs, BNN quantification — and before this module their contract
@@ -48,7 +48,6 @@ __all__ = [
     "CountRequest",
     "CountResult",
     "CounterBackend",
-    "CountingSurface",
     "EngineStats",
     "available_backends",
     "backend_capabilities",
@@ -113,61 +112,6 @@ class CounterBackend(Protocol):
 
     def count(self, cnf: CNF) -> int:  # pragma: no cover - protocol stub
         ...
-
-
-@runtime_checkable
-class CountingSurface(Protocol):
-    """The one client surface every counting front end speaks.
-
-    :class:`~repro.core.session.MCMLSession` (in-process) and
-    :class:`~repro.counting.service.client.ServiceClient` (a daemon over
-    TCP) both declare this protocol, so drivers (AccMC, DiffMC, the table
-    runners, the CLI) accept either interchangeably — where the counts
-    are produced is a deployment decision, not an API one.
-
-    The contract:
-
-    * ``solve(problem, *, on_failure="raise")`` /
-      ``solve_many(problems, *, on_failure="raise")`` — the typed front
-      door.  ``problem`` is a :class:`CountRequest` or a raw CNF; returns
-      :class:`CountResult` objects.  ``on_failure="raise"`` re-raises a
-      failed problem's original exception (:class:`~repro.counting.exact.CounterAbort`
-      subclasses included, in-process and over the wire alike);
-      ``on_failure="return"`` yields the typed :class:`CountFailure` in
-      the problem's batch position instead.
-    * ``count(problem) -> int`` / ``count_many(problems) -> list[int]`` —
-      bare-int conveniences over the typed path (always ``raise``
-      semantics).
-    * ``stats() -> dict`` — a JSON-safe telemetry payload.  Every
-      implementation nests the engine counters under an ``"engine"`` key;
-      other keys are implementation-specific.
-    * ``close()`` + context manager — releases sockets and disk store
-      handles; closing twice is safe.
-    """
-
-    def solve(self, problem, *, on_failure: str = "raise") -> "CountResult":
-        ...  # pragma: no cover - protocol stub
-
-    def solve_many(self, problems, *, on_failure: str = "raise") -> list:
-        ...  # pragma: no cover - protocol stub
-
-    def count(self, problem) -> int:
-        ...  # pragma: no cover - protocol stub
-
-    def count_many(self, problems) -> list[int]:
-        ...  # pragma: no cover - protocol stub
-
-    def stats(self) -> dict:
-        ...  # pragma: no cover - protocol stub
-
-    def close(self) -> None:
-        ...  # pragma: no cover - protocol stub
-
-    def __enter__(self):
-        ...  # pragma: no cover - protocol stub
-
-    def __exit__(self, *exc_info) -> None:
-        ...  # pragma: no cover - protocol stub
 
 
 def capabilities_of(counter) -> Capabilities:
@@ -235,8 +179,8 @@ class CountRequest:
             raise ValueError(
                 f"precision must be 'any' or 'exact', got {self.precision!r}"
             )
-        # Limits arrive from outside the program (the daemon's wire format,
-        # the CLI), so a malformed one is refused here rather than reaching
+        # Limits arrive from outside the program (the CLI, library
+        # callers), so a malformed one is refused here rather than reaching
         # the backend's knobs.  ``bool`` is an ``int`` subclass, not a limit.
         budget, deadline = self.budget, self.deadline
         if budget is not None and (
@@ -279,11 +223,10 @@ class CountRequest:
         """Rebuild the CNF this request describes (clauses are normalised).
 
         Memoized on the request: repeated calls return the *same* CNF
-        object, so its signature memo survives across uses (the counting
-        daemon's coalescing key and the engine's memo key are one
-        signature, computed once) — treat the returned CNF as frozen.  The
-        memo never travels in pickles (an unpickled request rebuilds it on
-        first use).
+        object, so its signature memo survives across uses (the engine's
+        memo and store keys are one signature, computed once) — treat the
+        returned CNF as frozen.  The memo never travels in pickles (an
+        unpickled request rebuilds it on first use).
         """
         memo = self.__dict__.get("_cnf_memo")
         if memo is not None:
@@ -310,57 +253,6 @@ class CountRequest:
         requests differing only in them share memo/store entries.
         """
         return self.cnf().signature()
-
-    def to_dict(self) -> dict:
-        """JSON-safe encoding of this request (tuples become lists).
-
-        The counting service's wire format: every field of the request,
-        as plain JSON values so requests cross machine (and language)
-        boundaries.  :meth:`from_dict` inverts it exactly, limits
-        included.
-        """
-        out: dict = {
-            "clauses": [list(clause) for clause in self.clauses],
-            "num_vars": self.num_vars,
-        }
-        if self.projection is not None:
-            out["projection"] = list(self.projection)
-        if self.aux_unique:
-            out["aux_unique"] = True
-        if self.precision != "any":
-            out["precision"] = self.precision
-        if self.budget is not None:
-            out["budget"] = self.budget
-        if self.deadline is not None:
-            out["deadline"] = self.deadline
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CountRequest":
-        """Rebuild a request from :meth:`to_dict` output (validates afresh).
-
-        The payload is input from outside the program (the daemon's wire
-        format), so a key :meth:`to_dict` never writes raises
-        ``ValueError`` naming it: a misspelled limit, or a field an older
-        client still sends, must not be counted as the bare CNF.
-        """
-        unknown = sorted(set(payload) - _REQUEST_KEYS)
-        if unknown:
-            raise ValueError(f"unknown CountRequest keys: {', '.join(unknown)}")
-        projection = payload.get("projection")
-        return cls(
-            clauses=tuple(tuple(clause) for clause in payload["clauses"]),
-            num_vars=int(payload["num_vars"]),
-            projection=tuple(projection) if projection is not None else None,
-            aux_unique=bool(payload.get("aux_unique", False)),
-            precision=payload.get("precision", "any"),
-            budget=payload.get("budget"),
-            deadline=payload.get("deadline"),
-        )
-
-
-#: The keys :meth:`CountRequest.to_dict` writes — all :meth:`from_dict` reads.
-_REQUEST_KEYS = frozenset(f.name for f in fields(CountRequest))
 
 
 @dataclass(frozen=True)
@@ -393,39 +285,6 @@ class CountResult:
     def cached(self) -> bool:
         """True when no backend work was performed for this problem."""
         return self.source != "backend"
-
-    def to_dict(self) -> dict:
-        """JSON-safe encoding with full provenance.
-
-        ``value`` is rendered as a decimal string — projected counts
-        overflow IEEE doubles long before they overflow Python ints, and
-        a JSON number would silently round through a double on the far
-        side of the wire.  ``stats_delta`` flattens via
-        :meth:`EngineStats.as_dict`.
-        """
-        out: dict = {
-            "value": str(self.value),
-            "exact": self.exact,
-            "backend": self.backend,
-            "source": self.source,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-        if self.stats_delta is not None:
-            out["stats_delta"] = self.stats_delta.as_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CountResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        delta = payload.get("stats_delta")
-        return cls(
-            value=int(payload["value"]),
-            exact=bool(payload["exact"]),
-            backend=payload["backend"],
-            source=payload["source"],
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            stats_delta=EngineStats(**delta) if delta is not None else None,
-        )
 
 
 class CountFailure(Exception):
@@ -487,60 +346,6 @@ class CountFailure(Exception):
             backend=backend,
             cause=exc,
             elapsed_seconds=elapsed_seconds,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-safe encoding of this failure (``cause`` flattened to a string).
-
-        The counting service serializes failures through this: kind,
-        backend and elapsed survive verbatim, and the original exception
-        is flattened to ``"TypeName: message"`` — enough for triage
-        without shipping arbitrary picklable state.
-        :meth:`from_dict` rehydrates the cause as the matching typed abort
-        (:class:`~repro.counting.exact.CounterTimeout` /
-        :class:`~repro.counting.exact.CounterBudgetExceeded`) so client
-        code catching the taxonomy behaves identically on either side of
-        the wire.
-        """
-        return {
-            "kind": self.kind,
-            "message": str(self.args[0]) if self.args else "",
-            "backend": self.backend,
-            "cause": (
-                f"{type(self.cause).__name__}: {self.cause}"
-                if self.cause is not None
-                else None
-            ),
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CountFailure":
-        """Rebuild a failure from :meth:`to_dict` output.
-
-        The flattened ``cause`` string is rehydrated as the typed abort
-        matching ``kind`` (timeout → ``CounterTimeout``, budget →
-        ``CounterBudgetExceeded``, error → ``RuntimeError``); a failure
-        sent without a cause stays ``cause=None``.
-        """
-        from repro.counting.exact import CounterBudgetExceeded, CounterTimeout
-
-        kind = payload["kind"]
-        cause_text = payload.get("cause")
-        cause: BaseException | None = None
-        if cause_text is not None:
-            if kind == "timeout":
-                cause = CounterTimeout(cause_text)
-            elif kind == "budget":
-                cause = CounterBudgetExceeded(cause_text)
-            else:
-                cause = RuntimeError(cause_text)
-        return cls(
-            kind,
-            payload.get("message", ""),
-            backend=payload.get("backend", "?"),
-            cause=cause,
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
         )
 
     def __repr__(self) -> str:

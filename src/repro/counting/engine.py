@@ -220,10 +220,9 @@ class CountingEngine:
         #: is single-threaded by design — memo dicts, EngineStats and the
         #: backend's knob overrides (``_limits``) all assume one caller at
         #: a time.  ``solve*`` and the compilation memos serialize on this
-        #: reentrant lock so a multi-threaded *caller* (the counting
-        #: service's solver executor is the only sanctioned one) gets
-        #: bit-identical counts and consistent stats, never racing threads
-        #: into one backend.
+        #: reentrant lock so a multi-threaded caller gets bit-identical
+        #: counts and consistent stats, never racing threads into one
+        #: backend.
         self._lock = threading.RLock()
         self._mirror_tier_counters()
 
@@ -268,8 +267,7 @@ class CountingEngine:
 
         Thread safety.  ``solve``/``solve_many``/``solve_formula`` (and
         the compilation memos) serialize on the engine's internal
-        reentrant lock: concurrent callers — the counting service's
-        solver thread is the only sanctioned one — get bit-identical
+        reentrant lock: a multi-threaded caller gets bit-identical
         counts and consistent :class:`EngineStats`, never interleaved
         memo/knob state.
         """

@@ -72,40 +72,11 @@ class CounterAbort(Exception):
     failures, retry loops — can catch one type.  Partial work (component
     cache entries, elimination memos) survives the abort, which is what
     makes a retried count resume warm instead of starting over.
-
-    The family round-trips through JSON (:meth:`to_dict` /
-    :meth:`from_dict`): the counting service serializes an abort across
-    the socket and the client rehydrates the *same subclass*, so
-    ``except CounterTimeout`` behaves identically in-process and over the
-    wire.
     """
-
-    #: Stable wire tag; subclasses override (also the CountFailure kind).
-    kind = "abort"
-
-    def to_dict(self) -> dict:
-        """JSON-safe encoding: the wire ``kind`` tag plus the message."""
-        return {"kind": self.kind, "message": str(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CounterAbort":
-        """Rehydrate the matching subclass from :meth:`to_dict` output.
-
-        An unknown ``kind`` (a newer server talking to an older client)
-        degrades to the base :class:`CounterAbort` instead of failing the
-        decode — the caller still catches the family.
-        """
-        kind = payload.get("kind", "abort")
-        for klass in (CounterTimeout, CounterBudgetExceeded, CounterAbort):
-            if klass.kind == kind:
-                return klass(payload.get("message", ""))
-        return CounterAbort(payload.get("message", ""))
 
 
 class CounterBudgetExceeded(CounterAbort):
     """Raised when the counter exceeds its node budget (a portable timeout)."""
-
-    kind = "budget"
 
 
 class CounterTimeout(CounterAbort):
@@ -115,8 +86,6 @@ class CounterTimeout(CounterAbort):
     probes ``time.monotonic()`` every :data:`_DEADLINE_CHECK_MASK` + 1
     nodes, so the abort lands within the deadline plus one probe interval.
     """
-
-    kind = "timeout"
 
 
 class ExactCounter:

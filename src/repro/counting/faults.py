@@ -1,18 +1,17 @@
 """Fault-injection harness for the counting stack's chaos tests.
 
-The robustness layer — corrupt-store rotation, disk-full degradation,
-the counting service's handling of hostile networks — exists to survive
-events that are hard to produce on demand.  This module makes them
-producible: named *injection points* scattered through the stores and the
-service consult a tiny activation registry and misbehave on purpose when
-their point is armed.
+The robustness layer — corrupt-store rotation and disk-full degradation —
+exists to survive events that are hard to produce on demand.  This module
+makes them producible: named *injection points* in the stores consult a
+tiny activation registry and misbehave on purpose when their point is
+armed.
 
 Activation is either programmatic (:func:`inject` / the :func:`injected`
 context manager, what the chaos suites use) or environmental: the
 ``REPRO_FAULTS`` variable holds a comma-separated spec like
-``"store-read-corrupt,service-accept-drop:2"`` and is parsed at import.
-Armed points are mirrored back into ``os.environ`` so subprocesses (an
-``mcml serve`` daemon, say) observe them too.
+``"store-read-corrupt,store-disk-full"`` and is parsed at import.  Armed
+points are mirrored back into ``os.environ`` so subprocesses (an ``mcml``
+run, say) observe them too.
 
 Injection points currently wired in:
 
@@ -25,27 +24,6 @@ Injection points currently wired in:
 ``store-disk-full``
     Store writes/flushes raise ``sqlite3.OperationalError`` ("disk full"),
     exercising the swallow-and-degrade write path.
-
-Network points, consulted by the counting service
-(:mod:`repro.counting.service`) and its client:
-
-``service-accept-drop`` (value: N)
-    The server closes the first N accepted connections before reading a
-    byte — the transient listen-queue/SYN-flood stand-in.  Clients see a
-    reset and must retry with backoff.
-``service-reset-mid-response``
-    The server writes roughly half of each response line and then aborts
-    the connection with an RST (``SO_LINGER`` 0), exercising the client's
-    partial-read detection and idempotent retry.
-``service-slow-loris``
-    :class:`~repro.counting.service.client.ServiceClient` dribbles its
-    request bytes one at a time with delays, wedging the connection the
-    way a slow-loris client would — the server's read deadline must drop
-    it without affecting other clients.
-``service-oversize-payload``
-    The client pads its request envelope past the server's
-    ``max_line_bytes``, exercising the typed ``oversized`` rejection
-    (never an unbounded buffer).
 
 The registry check is one dict lookup; with nothing armed (the default,
 always, outside chaos tests) the hooks cost nothing measurable.

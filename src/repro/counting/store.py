@@ -98,9 +98,9 @@ def _open_cache_db(path: Path, schema: str) -> sqlite3.Connection:
     fine — but "file is not a database" must escape so the caller can
     rotate the wreck aside.
 
-    ``check_same_thread=False``: the counting service daemon constructs
-    its engine on the main thread and solves on solver threads, and the
-    engine serializes every store access under its solve lock — sqlite's
+    ``check_same_thread=False``: a multi-threaded caller may construct
+    its engine on one thread and solve on others, and the engine
+    serializes every store access under its solve lock — sqlite's
     per-thread affinity check would turn each cross-thread read into a
     spurious degradation.
     """

@@ -34,7 +34,6 @@ from repro.spec.properties import property_names
 ARTIFACTS = (
     "table1", "table2", "table3", "table4", "table5",
     "table6", "table7", "table8", "table9", "figure1", "figure2", "all",
-    "serve",
 )
 
 
@@ -79,16 +78,15 @@ def _finite(accepts, expected: str):
     return parse
 
 
-#: ``--scope``/``--max-positives``/``--budget``/``--max-budget``/
-#: ``--max-queue``/``--max-inflight``.
+#: ``--scope``/``--max-positives``/``--budget``.
 _at_least_one = _integer_at_least(1)
 #: ``--seed`` (numpy's seeding takes no negative integer).
 _at_least_zero = _integer_at_least(0)
 #: ``--train-fraction``.
 _open_fraction = _finite(lambda v: 0 < v < 1, "a number strictly between 0 and 1")
-#: ``--deadline``/``--max-deadline``/``--read-timeout``.
+#: ``--deadline``.
 _positive = _finite(lambda v: v > 0, "a finite number > 0")
-#: ``--component-cache-mb``/``--drain-grace``.
+#: ``--component-cache-mb``.
 _non_negative = _finite(lambda v: v >= 0, "a finite number >= 0")
 
 
@@ -171,52 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--stats", action="store_true",
-        help="after the artifact(s), print the session's engine stats as "
-        "JSON — the same payload the serve daemon's stats verb returns",
-    )
-    serve = parser.add_argument_group(
-        "serve", "options of the counting service daemon (mcml serve)"
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address of the daemon (default 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=0, metavar="PORT",
-        help="listen port (default 0 = pick a free port; the bound port "
-        "is printed on stdout as a JSON 'listening' event)",
-    )
-    serve.add_argument(
-        "--max-queue", type=_at_least_one, default=64, metavar="N",
-        help="request-queue depth before admission control answers "
-        "'overloaded' (default 64)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=_at_least_one, default=8, metavar="N",
-        help="per-client budget of unanswered counting requests "
-        "(default 8)",
-    )
-    serve.add_argument(
-        "--read-timeout", type=_positive, default=300.0, metavar="SECONDS",
-        help="idle-connection deadline; a client that stalls mid-line "
-        "(slow loris) is dropped past it (default 300)",
-    )
-    serve.add_argument(
-        "--max-deadline", type=_positive, default=None, metavar="SECONDS",
-        help="clamp every request's wall-clock deadline to at most this "
-        "(default: no clamp; --deadline is the default injected into "
-        "requests that carry none)",
-    )
-    serve.add_argument(
-        "--max-budget", type=_at_least_one, default=None, metavar="NODES",
-        help="clamp every request's node budget to at most this "
-        "(default: no clamp)",
-    )
-    serve.add_argument(
-        "--drain-grace", type=_non_negative, default=5.0, metavar="SECONDS",
-        help="extra wall-clock the SIGTERM drain grants past the largest "
-        "in-flight deadline before answering leftovers with "
-        "'shutting-down' (default 5)",
+        help="after the artifact(s), print the session's backend, "
+        "capabilities and engine counters as JSON",
     )
     return parser
 
@@ -308,53 +262,6 @@ def run_artifact(
     raise ValueError(f"unknown artifact {artifact!r}")
 
 
-def serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    """``mcml serve``: run the counting service daemon until drained.
-
-    Emits JSON events on stdout (``listening`` with the bound host/port,
-    ``drained`` on exit) so supervisors and tests can parse its lifecycle;
-    everything else goes to the log on stderr.  SIGTERM/SIGINT initiate a
-    graceful drain: stop accepting, finish the backlog within
-    deadline+grace, spill the disk tiers, exit 0.
-    """
-    import json
-    import logging
-    import signal
-
-    from repro.counting.service.server import CountingServer
-
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
-    with config.session() as session:
-        server = CountingServer(
-            session,
-            host=args.host,
-            port=args.port,
-            max_queue=args.max_queue,
-            max_inflight_per_client=args.max_inflight,
-            read_timeout=args.read_timeout,
-            default_deadline=args.deadline,
-            default_budget=args.budget,
-            max_deadline=args.max_deadline,
-            max_budget=args.max_budget,
-            drain_grace=args.drain_grace,
-        )
-        host, port = server.start()
-
-        def _drain_signal(signum, frame):
-            server.initiate_drain(signal.Signals(signum).name)
-
-        signal.signal(signal.SIGTERM, _drain_signal)
-        signal.signal(signal.SIGINT, _drain_signal)
-        print(json.dumps({"event": "listening", "host": host, "port": port}), flush=True)
-        clean = server.serve_until_drained()
-        print(json.dumps({"event": "drained", "clean": clean}), flush=True)
-        return 0 if clean else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -364,10 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.artifact is None:
         parser.error("an artifact is required (or --list-backends)")
     config = config_from_args(args)
-    if args.artifact == "serve":
-        return serve(args, config)
     artifacts = (
-        [a for a in ARTIFACTS if a not in ("all", "serve")]
+        [a for a in ARTIFACTS if a != "all"]
         if args.artifact == "all"
         else [args.artifact]
     )
@@ -381,9 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.stats:
             import json
 
-            from repro.counting.service.protocol import engine_stats_payload
-
-            print(json.dumps(engine_stats_payload(session), indent=2, sort_keys=True))
+            print(json.dumps(session.stats(), indent=2, sort_keys=True))
     return 0
 
 

@@ -7,6 +7,7 @@ and asserts the PR's acceptance criteria:
   hanging — and a backend without a ``deadline`` knob ignores them;
 * a timeout or budget failure stays a typed, per-problem ``CountFailure``
   (raised or returned) while the rest of its batch completes and caches;
+  each abort the backend raises keeps its kind and re-raises as itself;
 * the disk tiers degrade (rotate, miss, swallow) instead of failing, and
   every such event is visible as ``store_degradations``.
 
@@ -84,6 +85,21 @@ class NoKnobCounter:
         return ExactCounter().count(cnf)
 
 
+class AbortingCounter:
+    """An exact backend whose every count raises one given abort."""
+
+    name = "aborting"
+    exact = True
+
+    def __init__(self, abort: CounterAbort) -> None:
+        self.abort = abort
+        self.calls = 0
+
+    def count(self, cnf):
+        self.calls += 1
+        raise self.abort
+
+
 # -- taxonomy and request validation --------------------------------------------------
 
 
@@ -103,6 +119,33 @@ class TestFailureTaxonomy:
         assert budget.kind == "budget"
         assert error.kind == "error"
         assert isinstance(error.cause, ValueError)
+
+    @pytest.mark.parametrize(
+        "abort, kind",
+        [
+            (CounterTimeout("past 2.0s"), "timeout"),
+            (CounterBudgetExceeded("past 10 nodes"), "budget"),
+            (CounterAbort("stop"), "error"),
+        ],
+        ids=("timeout", "budget", "abort"),
+    )
+    def test_engine_types_each_abort_by_kind(self, abort, kind):
+        """Each abort the backend raises reaches the caller typed by its
+        kind, and re-raises as itself; a failure is never memoized."""
+        counter = AbortingCounter(abort)
+        engine = CountingEngine(counter)
+        cnf = CNF([[1]], num_vars=1)
+        failure = engine.solve(cnf, on_failure="return")
+        assert isinstance(failure, CountFailure)
+        assert failure.kind == kind
+        assert failure.backend == "aborting"
+        assert failure.cause is abort
+        with pytest.raises(CounterAbort) as excinfo:
+            engine.solve(cnf)
+        assert excinfo.value is abort
+        assert counter.calls == 2
+        assert engine.stats.backend_calls == 0
+        assert engine.stats.timeouts == (2 if kind == "timeout" else 0)
 
     def test_deadline_must_be_positive(self):
         cnf = CNF([[1]], num_vars=1)
@@ -127,21 +170,21 @@ class TestFailureTaxonomy:
 class TestFaultHarness:
     def test_env_round_trip(self):
         faults.inject("store-read-corrupt")
-        faults.inject("service-accept-drop", 2)
-        assert os.environ[faults.ENV_VAR] == "service-accept-drop:2,store-read-corrupt"
-        assert faults.active("service-accept-drop") == 2
+        faults.inject("store-disk-full", 2)
+        assert os.environ[faults.ENV_VAR] == "store-disk-full:2,store-read-corrupt"
+        assert faults.active("store-disk-full") == 2
         assert faults.active("store-read-corrupt") is True
         assert faults.active("not-armed") is None
-        faults.clear("service-accept-drop")
+        faults.clear("store-disk-full")
         assert os.environ[faults.ENV_VAR] == "store-read-corrupt"
         faults.clear()
         assert faults.ENV_VAR not in os.environ
         assert faults.active("store-read-corrupt") is None
 
     def test_injected_context_manager(self):
-        with faults.injected("service-accept-drop", 3):
-            assert faults.active("service-accept-drop") == 3
-        assert faults.active("service-accept-drop") is None
+        with faults.injected("store-disk-full", 3):
+            assert faults.active("store-disk-full") == 3
+        assert faults.active("store-disk-full") is None
 
 
 # -- cooperative deadlines ------------------------------------------------------------

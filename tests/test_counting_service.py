@@ -15,13 +15,28 @@ Covers:
   properties sharing a name must not collide;
 * the ApproxMC ``m = 1`` frontier — no duplicated cell enumeration;
 * the closed-form oracle audit — all 16 closed forms pinned to the exact
-  counter at scopes 2–4 (the Injective = n^n reading included).
+  counter at scopes 2–4 (the Injective = n^n reading included);
+* the engine lock — two threads hammering ``solve_many`` on one session
+  get bit-identical counts and a consistent ``EngineStats``, and three
+  threads splitting the 16-property matrix get the single-threaded values;
+* a shared ``cache_dir`` — how warm counts cross sessions and processes:
+  a fresh session reads each matrix count from a directory another
+  session filled, sessions on concurrent threads share one directory, and
+  concurrent ``mcml`` runs over one ``--cache-dir`` print the same table
+  while a third run counts nothing.
 """
 
+import json
+import os
 import sqlite3
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+from repro.core.session import MCMLSession
 from repro.counting import (
     ApproxMCCounter,
     CountingEngine,
@@ -36,6 +51,15 @@ from repro.counting.store import STORE_FILENAME
 from repro.logic import CNF
 from repro.spec import SymmetryBreaking, get_property, translate
 from repro.spec.properties import PROPERTIES, Property
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def property_cnf(name: str, scope: int) -> CNF:
+    return translate(
+        get_property(name), scope, symmetry=SymmetryBreaking()
+    ).cnf
+
 
 #: The differential matrix at the cheap scopes: batching does not change
 #: the counter, so this pins plumbing (dedup, memo, shared cache), not search.
@@ -430,3 +454,153 @@ class TestClosedFormAudit:
         injective_partial_functions_n2 = 7  # Σ_k C(2,k)²·k! = 1 + 4 + 2
         assert closed_form_count("injective", 2) == 4
         assert closed_form_count("injective", 2) != injective_partial_functions_n2
+
+
+class TestEngineLock:
+    def test_two_threads_hammering_solve_many_stay_bit_identical(self):
+        problems = [property_cnf(name, 3) for name in ("Reflexive", "Transitive", "Antisymmetric")]
+        with CountingEngine(ExactCounter()) as reference:
+            expected = [r.value for r in reference.solve_many(problems)]
+        with MCMLSession(backend="exact") as session:
+            results: dict[int, list[int]] = {}
+            errors: list[Exception] = []
+
+            def hammer(slot):
+                try:
+                    mine = []
+                    for _ in range(5):
+                        mine = [r.value for r in session.solve_many(problems)]
+                    results[slot] = mine
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not errors
+            assert results[0] == expected
+            assert results[1] == expected
+            # One consistent EngineStats: every problem hit the backend
+            # exactly once; every other call was a memo hit.
+            assert session.engine.stats.backend_calls == len(problems)
+            assert session.engine.stats.count_calls == len(problems) * 10
+            assert session.engine.stats.count_hits == session.engine.stats.count_calls - len(problems)
+
+    def test_three_threads_matrix_bit_identical_to_in_process(self, tmp_path):
+        """16 properties x scopes 2-4 split over three threads of one
+        session: the values may not move, and each problem is counted once.
+        The store is read and written from threads other than the one that
+        opened it."""
+        batch = [translate(prop, scope).cnf for prop in PROPERTIES for scope in (2, 3, 4)]
+        with MCMLSession(backend="exact") as local:
+            expected = [r.value for r in local.solve_many(batch)]
+        answered: list[int | None] = [None] * len(batch)
+        errors: list[Exception] = []
+        with MCMLSession(backend="exact", cache_dir=str(tmp_path)) as session:
+
+            def worker(offset: int) -> None:
+                try:
+                    for index in range(offset, len(batch), 3):
+                        answered[index] = session.solve(batch[index]).value
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not errors
+            assert session.engine.stats.backend_calls == len(
+                {cnf.signature() for cnf in batch}
+            )
+        assert answered == expected
+
+
+def _table_and_engine(stdout: str) -> tuple[list[str], dict]:
+    """Split ``mcml ... --stats`` output into its table rows, without the
+    trailing ``Time[s]`` column, and the engine counters."""
+    split = stdout.index("\n{")
+    rows = [line.rsplit(maxsplit=1)[0] for line in stdout[:split].splitlines() if line.strip()]
+    return rows, json.loads(stdout[split + 1:])["engine"]
+
+
+class TestSharedCacheDir:
+    """Warm counts cross session and process boundaries through one
+    ``cache_dir``: every session pointed at it reads what any other wrote."""
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("scope", (2, 3, 4))
+    def test_fresh_session_reads_the_count_another_session_wrote(
+        self, tmp_path, prop, scope
+    ):
+        cnf = translate(prop, scope).cnf
+        with MCMLSession(backend="exact", cache_dir=str(tmp_path)) as producer:
+            written = producer.solve(cnf)
+        assert written.source == "backend"
+        with MCMLSession(backend="exact", cache_dir=str(tmp_path)) as consumer:
+            read = consumer.solve(cnf)
+            assert consumer.engine.stats.backend_calls == 0
+        assert read.source == "store"
+        assert read.value == written.value == closed_form_count(prop.oracle, scope)
+
+    def test_sessions_on_concurrent_threads_share_one_cache_dir(self, tmp_path):
+        names = ("PartialOrder", "Equivalence", "Function", "Transitive")
+        batch = [translate(get_property(name), 3).cnf for name in names]
+        expected = [ExactCounter().count(cnf) for cnf in batch]
+        answers: dict[int, list[int]] = {}
+        errors: list[Exception] = []
+
+        def worker(slot: int) -> None:
+            try:
+                with MCMLSession(backend="exact", cache_dir=str(tmp_path)) as session:
+                    answers[slot] = [r.value for r in session.solve_many(batch)]
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not errors
+        assert [answers[slot] for slot in range(3)] == [expected] * 3
+        with MCMLSession(backend="exact", cache_dir=str(tmp_path)) as reader:
+            assert [r.value for r in reader.solve_many(batch)] == expected
+            assert reader.engine.stats.backend_calls == 0
+            assert reader.engine.stats.store_degradations == 0
+
+    def test_concurrent_cli_runs_share_one_cache_dir(self, tmp_path):
+        argv = [
+            sys.executable, "-m", "repro.experiments.cli", "table8",
+            "--scope", "3", "--properties", "Reflexive", "PartialOrder",
+            "--cache-dir", str(tmp_path), "--stats",
+        ]
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": SRC_DIR + (os.pathsep + path if path else "")}
+        runs = [
+            subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+            for _ in range(2)
+        ]
+        outputs = []
+        try:
+            for proc in runs:
+                out, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, err
+                outputs.append(out)
+        finally:
+            for proc in runs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        third = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert third.returncode == 0, third.stderr
+        outputs.append(third.stdout)
+        (first, _), (second, _), (warm, engine) = map(_table_and_engine, outputs)
+        assert "Table 8" in first[0]
+        assert first == second == warm
+        # The third run found every count the concurrent pair wrote.
+        assert engine["backend_calls"] == 0
+        assert engine["store_hits"] == engine["count_calls"] > 0

@@ -310,8 +310,8 @@ class TestCli:
             main(["table42"])
 
     def test_cli_all_expands_to_artifacts_only(self, monkeypatch, capsys):
-        # "all" must never reach run_artifact with the pseudo-artifacts
-        # ("all" itself, "serve") — the daemon is not a table to render.
+        # "all" expands to every other artifact, in order, and never
+        # reaches run_artifact itself.
         from repro.experiments import cli
 
         seen = []
@@ -323,6 +323,6 @@ class TestCli:
             ),
         )
         assert cli.main(["all"]) == 0
-        assert seen == [a for a in cli.ARTIFACTS if a not in ("all", "serve")]
+        assert seen == [a for a in cli.ARTIFACTS if a != "all"]
         out = capsys.readouterr().out
         assert "<table1>" in out and "<figure2>" in out

@@ -26,7 +26,7 @@ from repro.experiments.cli import ARTIFACTS, run_artifact
 from repro.experiments.config import ExperimentConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_ARTIFACTS = tuple(a for a in ARTIFACTS if a not in ("all", "serve"))
+GOLDEN_ARTIFACTS = tuple(a for a in ARTIFACTS if a != "all")
 TIME_HEADER = "Time[s]"
 TIME_MASK = "<time>"
 

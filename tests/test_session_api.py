@@ -3,10 +3,16 @@
 Covers the typed request/result layer (`CountRequest`/`CountResult`
 round-trips, provenance, precision/budget semantics), the engine's typed
 ``solve``/``solve_many``/``solve_formula`` path,
-the disk-persistent compilation memos, the `MCMLSession` facade, and the
-CLI surface (``--backend``, ``--list-backends``).
+the disk-persistent compilation memos, the `MCMLSession` facade (its
+session-wide limits reaching ``accmc``/``diffmc``, and one conformance
+battery over each deployment -- in memory, a fresh ``cache_dir``, a
+``cache_dir`` another session filled: counting verbs bit-identical to a
+bare `ExactCounter`, the ``on_failure`` contract, ``stats()``, memo-hit
+retries and an idempotent ``close()``), and the CLI surface
+(``--backend``, ``--list-backends``, ``--stats``).
 """
 
+import json
 import pickle
 
 import pytest
@@ -14,6 +20,7 @@ import pytest
 from repro.core import AccMC, DiffMC, MCMLSession
 from repro.counting import (
     ApproxMCCounter,
+    CountFailure,
     CountingEngine,
     CountRequest,
     CountResult,
@@ -249,10 +256,43 @@ class TestMCMLSession:
             with pytest.raises(ValueError, match="unknown table"):
                 session.table(12)
 
-    def test_close_is_idempotent(self):
-        session = MCMLSession()
-        session.close()
-        session.close()
+    def test_session_limits_reach_accmc(self):
+        """``MCMLSession(budget=...)`` bounds every count behind ``accmc``;
+        a per-call limit overrides the session default."""
+        with MCMLSession(seed=0) as free:
+            dataset = free.pipeline.make_dataset("PartialOrder", 4)
+            train, _ = dataset.split(0.10, rng=1)
+            tree = free.pipeline.train("DT", train)
+            expected = free.accmc(tree, "PartialOrder", 4)
+        with MCMLSession(seed=0, budget=5) as limited:
+            with pytest.raises(CounterBudgetExceeded):
+                limited.accmc(tree, "PartialOrder", 4)
+            overridden = limited.accmc(tree, "PartialOrder", 4, budget=10**9)
+        assert overridden.counts == expected.counts
+
+    def test_session_limits_reach_diffmc(self):
+        with MCMLSession(seed=0) as free:
+            dataset = free.pipeline.make_dataset("Reflexive", 3)
+            train, _ = dataset.split(0.5, rng=0)
+            first = free.pipeline.train("DT", train)
+            second = free.pipeline.train("DT", train, max_depth=2)
+            expected = free.diffmc(first, second)
+        with MCMLSession(seed=0, budget=1) as limited:
+            with pytest.raises(CounterBudgetExceeded):
+                limited.diffmc(first, second)
+            overridden = limited.diffmc(first, second, budget=10**9)
+        assert (overridden.tt, overridden.tf, overridden.ft, overridden.ff) == (
+            expected.tt, expected.tf, expected.ft, expected.ff,
+        )
+
+    def test_unknown_property_names_the_known_ones(self):
+        with MCMLSession(seed=0) as session:
+            dataset = session.pipeline.make_dataset("Reflexive", 3)
+            tree = session.pipeline.train("DT", dataset)
+            with pytest.raises(KeyError, match="known: .*Reflexive"):
+                session.accmc(tree, "NoSuchProperty", 3)
+            # The lookup failed before any counting; the session still counts.
+            assert session.accmc(tree, "Reflexive", 3).counter == "exact"
 
     @pytest.mark.parametrize(
         "surface", ("EngineConfig", "MCMLSession", "ExperimentConfig")
@@ -289,6 +329,118 @@ class TestMCMLSession:
             build(**{keyword: False})
 
 
+#: The conformance battery's problems: four scope-3 properties with
+#: symmetry breaking, and one request whose node budget is too small.
+CONFORMANCE_NAMES = ("Reflexive", "Transitive", "Antisymmetric", "PartialOrder")
+
+
+def _conformance_problems():
+    return [_cnf(name, symmetry=SymmetryBreaking()) for name in CONFORMANCE_NAMES]
+
+
+def _over_budget():
+    return CountRequest.from_cnf(_cnf("PartialOrder", 4), budget=10)
+
+
+@pytest.fixture(params=("memory", "cache_dir", "warm_cache_dir"))
+def deployment(request):
+    return request.param
+
+
+@pytest.fixture
+def session(deployment, tmp_path):
+    """A ready-to-count exact session of one in-process deployment.
+
+    ``memory`` keeps counts in the session, ``cache_dir`` persists them to
+    a fresh directory, and ``warm_cache_dir`` opens a directory another
+    session already filled with the battery's counts (and failed the
+    over-budget request in) -- the way separate processes share warm
+    counts.
+    """
+    cache_dir = None if deployment == "memory" else str(tmp_path)
+    if deployment == "warm_cache_dir":
+        with MCMLSession(backend="exact", cache_dir=cache_dir) as producer:
+            producer.solve_many(_conformance_problems())
+            producer.solve(_over_budget(), on_failure="return")
+    opened = MCMLSession(backend="exact", cache_dir=cache_dir)
+    yield opened
+    opened.close()
+
+
+class TestSessionConformance:
+    """One battery over every deployment of :class:`MCMLSession`."""
+
+    def test_counting_verbs_bit_identical_and_ordered(self, session, deployment):
+        problems = _conformance_problems()
+        truths = [ExactCounter().count(p) for p in problems]
+        warm = deployment == "warm_cache_dir"
+        result = session.solve(problems[0])
+        assert isinstance(result, CountResult)
+        assert result.value == truths[0]
+        assert result.source == ("store" if warm else "backend")
+        many = session.solve_many(problems)
+        assert [r.value for r in many] == truths
+        assert all(isinstance(r, CountResult) for r in many)
+        assert session.count(problems[1]) == truths[1]
+        assert session.count_many(problems) == truths
+        # Each problem is counted at most once, and not at all when warm.
+        assert session.engine.stats.backend_calls == (0 if warm else len(problems))
+
+    def test_on_failure_contract(self, session):
+        hard = _over_budget()
+        # ``"raise"`` re-raises the failure's original typed abort.  A
+        # failure is never stored, so a warm directory fails it again.
+        with pytest.raises(CounterBudgetExceeded):
+            session.solve(hard)
+        returned = session.solve(hard, on_failure="return")
+        assert isinstance(returned, CountFailure)
+        assert returned.kind == "budget"
+        assert returned.backend == "exact"
+        assert isinstance(returned.cause, CounterBudgetExceeded)
+        # solve_many keeps positions: the failure sits where its problem was.
+        easy = _conformance_problems()[0]
+        mixed = session.solve_many([easy, hard], on_failure="return")
+        assert isinstance(mixed[0], CountResult)
+        assert isinstance(mixed[1], CountFailure)
+
+    def test_stats_exposes_the_engine_block(self, session):
+        session.count(_conformance_problems()[0])
+        payload = session.stats()
+        assert payload["backend"] == "exact"
+        assert payload["capabilities"] == session.capabilities.as_dict()
+        assert payload["engine"] == session.engine.stats.as_dict()
+        assert payload["engine"]["count_calls"] == 1
+        # JSON-safe: this is the payload ``mcml --stats`` prints.
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_close_is_idempotent(self, session):
+        session.count(_conformance_problems()[0])
+        session.close()
+        session.close()  # a second close must be a no-op, not an error
+
+    def test_retry_is_a_memo_hit_not_a_recount(self, session):
+        cnf = _conformance_problems()[0]
+        first = session.solve(cnf)
+        again = session.solve(cnf)
+        assert again.value == first.value
+        assert again.cached and again.source == "memo"
+        assert session.engine.stats.backend_calls == int(first.source == "backend")
+
+    def test_count_calls_split_into_hits_backend_and_failures(self, session):
+        """Every problem lands in exactly one counter: the memo, the store,
+        the backend, or the failures."""
+        problems = _conformance_problems()
+        session.solve_many(problems)
+        session.solve(problems[0])
+        failure = session.solve(_over_budget(), on_failure="return")
+        assert isinstance(failure, CountFailure)
+        stats = session.engine.stats
+        assert stats.count_calls == len(problems) + 2
+        assert stats.count_hits == 1
+        assert stats.store_hits + stats.backend_calls == len(problems)
+        assert stats.timeouts == 0
+
+
 class TestCLISurface:
     def test_list_backends_flag(self, capsys):
         assert main(["--list-backends"]) == 0
@@ -321,10 +473,6 @@ class TestCLISurface:
         config = config_from_args(args)
         assert (config.deadline, config.budget) == (2.5, 100)
         assert config.component_cache_mb == 0.0
-        args = build_parser().parse_args(
-            ["serve", "--max-deadline", "1e-3", "--max-budget", "7"]
-        )
-        assert (args.max_deadline, args.max_budget) == (0.001, 7)
 
     @pytest.mark.parametrize("flag", ("--backend",))
     def test_unknown_backend_name_lists_the_registry(self, flag, capsys):
@@ -339,8 +487,9 @@ class TestCLISurface:
         "argv",
         (
             ["cluster"],
-            ["serve", "--shards", "2"],
-            ["serve", "--solver-threads", "2"],
+            ["serve"],
+            ["table9", "--shards", "2"],
+            ["table9", "--solver-threads", "2"],
             ["table9", "--fanout-min-vars", "4"],
             ["table9", "--counter", "brute"],
             ["table3", "--workers", "2"],
@@ -351,13 +500,22 @@ class TestCLISurface:
             ["table8", "--backend", "circuit"],
             ["table8", "--fallback", "nope"],
             ["table9", "--fallback", "approxmc"],
-            ["serve", "--backend", "nope"],
+            ["table9", "--host", "127.0.0.1"],
+            ["table9", "--port", "7697"],
+            ["table9", "--max-queue", "8"],
+            ["table9", "--max-inflight", "8"],
+            ["table9", "--read-timeout", "5"],
+            ["table9", "--max-deadline", "5"],
+            ["table9", "--max-budget", "7"],
+            ["table9", "--drain-grace", "5"],
         ),
         ids=(
-            "cluster", "shards", "solver-threads", "fanout-min-vars", "counter",
-            "workers", "component-spill", "circuit-store", "region-strategy",
-            "backend-compiled", "backend-circuit", "fallback-nope",
-            "fallback-approxmc", "serve-backend-nope",
+            "cluster", "serve", "shards", "solver-threads", "fanout-min-vars",
+            "counter", "workers", "component-spill", "circuit-store",
+            "region-strategy", "backend-compiled", "backend-circuit",
+            "fallback-nope", "fallback-approxmc", "host", "port", "max-queue",
+            "max-inflight", "read-timeout", "max-deadline", "max-budget",
+            "drain-grace",
         ),
     )
     def test_parser_rejects_removed_verbs_and_flags(self, argv, capsys):
@@ -378,25 +536,14 @@ class TestCLISurface:
             (["table9", "--scope", "3", "--budget", "0"], "--budget"),
             (["table9", "--scope", "3", "--deadline", "0"], "--deadline"),
             (["table9", "--scope", "3", "--deadline", "inf"], "--deadline"),
-            (["serve", "--max-budget", "0"], "--max-budget"),
-            (["serve", "--max-deadline", "-1"], "--max-deadline"),
             (["table9", "--component-cache-mb", "-1"], "--component-cache-mb"),
             (["table9", "--component-cache-mb", "nan"], "--component-cache-mb"),
             (["table9", "--scope", "3", "--seed", "-1"], "--seed"),
-            (["serve", "--max-queue", "0"], "--max-queue"),
-            (["serve", "--max-inflight", "0"], "--max-inflight"),
-            (["serve", "--read-timeout", "0"], "--read-timeout"),
-            (["serve", "--read-timeout", "inf"], "--read-timeout"),
-            (["serve", "--drain-grace", "-1"], "--drain-grace"),
-            (["serve", "--drain-grace", "nan"], "--drain-grace"),
         ),
         ids=(
             "max-positives-0", "scope-0", "train-fraction-1.5", "budget-neg5",
-            "budget-0", "deadline-0", "deadline-inf", "max-budget-0",
-            "max-deadline-neg1", "component-cache-mb-neg1",
-            "component-cache-mb-nan", "seed-neg1", "max-queue-0",
-            "max-inflight-0", "read-timeout-0", "read-timeout-inf",
-            "drain-grace-neg1", "drain-grace-nan",
+            "budget-0", "deadline-0", "deadline-inf", "component-cache-mb-neg1",
+            "component-cache-mb-nan", "seed-neg1",
         ),
     )
     def test_parser_rejects_out_of_range_numbers(self, argv, flag, capsys):
@@ -412,6 +559,17 @@ class TestCLISurface:
         assert "invalid choice: 'Foo'" in capsys.readouterr().err
         args = build_parser().parse_args(["table3", "--properties", "Function"])
         assert config_from_args(args).properties == ("Function",)
+
+    def test_stats_flag_prints_the_session_payload(self, capsys):
+        assert main(["table8", "--scope", "3", "--properties", "Reflexive", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 8" in out
+        payload = json.loads(out[out.index("\n{") + 1:])
+        engine = payload["engine"]
+        assert engine["count_calls"] == (
+            engine["count_hits"] + engine["store_hits"] + engine["backend_calls"]
+        )
+        assert engine["backend_calls"] > 0
 
     def test_listing_renders_every_backend(self):
         text = list_backends()

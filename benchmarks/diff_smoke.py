@@ -28,7 +28,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 COMPARISONS = (
     ("exact_median_s", "exact_median_s", "s", False),
     ("disk_cache.speedup_x", "warm_cache_speedup_x", "x", True),
-    ("component_cache.speedup_x", "component_cache_speedup_x", "x", True),
     ("component_spill.speedup_x", "component_spill_speedup_x", "x", True),
     ("store_roundtrip.puts_per_s", "store_roundtrip_puts_per_s", "/s", True),
 )

@@ -4,9 +4,9 @@
 Runs the ``TestCounterAblation`` benchmarks of ``bench_substrates.py``
 through pytest-benchmark, extracts the per-backend median times, runs the
 counting-substrate ablations (warm-vs-cold disk cache on a Table 1 slice,
-shared component cache on the same-φ/many-regions AccMC ratio sweep,
-cold-run vs warm-restart component *spill* on that sweep, a
-``CountStore`` round-trip micro-bench), and writes (or updates)
+cold-run vs warm-restart component *spill* on the same-φ/many-regions
+AccMC ratio sweep, a ``CountStore`` round-trip micro-bench), and writes
+(or updates)
 ``BENCH_counting.json`` next to this script's repository root.  The JSON
 keeps a ``history`` list so successive PRs append their numbers instead of
 overwriting the trajectory::
@@ -96,77 +96,13 @@ def run_benchmarks() -> dict[str, dict[str, float]]:
 # -- counting-substrate ablations -------------------------------------------------------
 
 
-def component_cache_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
-    """Shared-vs-per-call component cache on a same-φ/many-regions batch.
-
-    The batch is an AccMC product-mode *training-ratio sweep*: one
-    property's φ/¬φ conjoined with the true/false regions of a decision
-    tree retrained at each fraction — the exact shape Tables 3–7 and 9
-    produce, where successive trees overlap heavily.  Every problem is
-    unique (the engine's count memo never hits), so the measured speedup
-    isolates the cross-call component cache: the per-call run uses
-    ``component_cache_mb=0``, the shared run the default budget.
-    Bit-identity between the two runs is enforced hard.
-    """
-    from repro.core.pipeline import MCMLPipeline
-    from repro.core.tree2cnf import label_region_cnf
-    from repro.counting import CountingEngine, EngineConfig
-    from repro.spec import SymmetryBreaking, get_property, translate
-
-    prop = get_property("PartialOrder")
-    symmetry = SymmetryBreaking()
-    m = scope * scope
-    phi = translate(prop, scope, symmetry=symmetry).cnf
-    not_phi = translate(prop, scope, symmetry=symmetry, negate=True).cnf
-    pipeline = MCMLPipeline(seed=0)
-    dataset = pipeline.make_dataset(prop, scope, symmetry=symmetry)
-    problems = []
-    for fraction in fractions:
-        train, _ = dataset.split(fraction, rng=0)
-        tree = pipeline.train("DT", train)
-        paths = tree.decision_paths()
-        for region in (label_region_cnf(paths, 1, m), label_region_cnf(paths, 0, m)):
-            problems.append(phi.conjoin(region))
-            problems.append(not_phi.conjoin(region))
-
-    per_call_engine = CountingEngine(config=EngineConfig(component_cache_mb=0))
-    started = perf_counter()
-    per_call = [r.value for r in per_call_engine.solve_many(problems)]
-    per_call_s = perf_counter() - started
-    shared_engine = CountingEngine(config=EngineConfig())
-    started = perf_counter()
-    shared = [r.value for r in shared_engine.solve_many(problems)]
-    shared_s = perf_counter() - started
-    if shared != per_call:
-        raise SystemExit(
-            f"shared-cache counts diverge from per-call: {shared} != {per_call}"
-        )
-    cache = shared_engine.component_cache
-    return {
-        "instance": (
-            f"AccMC product-mode ratio sweep: PartialOrder scope {scope}, "
-            f"adjacent symmetry breaking, DT retrained at {len(fractions)} "
-            f"training fractions, φ/¬φ × true/false regions "
-            f"({len(problems)} unique counting problems)"
-        ),
-        "problems": len(problems),
-        "per_call_s": round(per_call_s, 4),
-        "shared_s": round(shared_s, 4),
-        "speedup_x": round(per_call_s / shared_s, 2),
-        "cache_entries": len(cache),
-        "cache_hits": cache.hits,
-        "cache_evictions": cache.evictions,
-        "cache_approx_mb": round(cache.approximate_bytes() / (1 << 20), 1),
-        "bit_identical": True,
-    }
-
-
 def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
     """Cold-run vs warm-restart on the same-φ/many-regions sweep.
 
-    The sweep is the component-cache ablation's workload — one property's
-    φ/¬φ conjoined with the regions of a decision tree retrained per
-    fraction.  Three timed runs:
+    The sweep is an AccMC product-mode *training-ratio sweep*: one
+    property's φ/¬φ conjoined with the true/false regions of a decision
+    tree retrained at each fraction — the shape Tables 3–7 and 9 produce.
+    Three timed runs:
 
     * ``conjunction_s`` — the sweep, cold, on an engine without a
       ``cache_dir``, for context and as the bit-identity reference;
@@ -183,7 +119,7 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
     """
     from repro.core.pipeline import MCMLPipeline
     from repro.core.tree2cnf import label_region_cnf
-    from repro.counting import CountingEngine, EngineConfig
+    from repro.counting import CountingEngine
     from repro.spec import SymmetryBreaking, get_property, translate
 
     prop = get_property("PartialOrder")
@@ -202,13 +138,13 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
             for label in (1, 0):
                 conjunction.append(base.conjoin(label_region_cnf(paths, label, m)))
 
-    conjunction_engine = CountingEngine(config=EngineConfig())
+    conjunction_engine = CountingEngine()
     started = perf_counter()
     conjunction_counts = [r.value for r in conjunction_engine.solve_many(conjunction)]
     conjunction_s = perf_counter() - started
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        cold_engine = CountingEngine(config=EngineConfig(cache_dir=cache_dir))
+        cold_engine = CountingEngine(cache_dir=cache_dir)
         started = perf_counter()
         cold_counts = [r.value for r in cold_engine.solve_many(conjunction)]
         cold_s = perf_counter() - started
@@ -219,7 +155,7 @@ def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
         for name in ("counts.sqlite", "memos.sqlite"):
             for suffix in ("", "-wal", "-shm"):
                 (Path(cache_dir) / (name + suffix)).unlink(missing_ok=True)
-        warm_engine = CountingEngine(config=EngineConfig(cache_dir=cache_dir))
+        warm_engine = CountingEngine(cache_dir=cache_dir)
         started = perf_counter()
         warm_counts = [r.value for r in warm_engine.solve_many(conjunction)]
         warm_s = perf_counter() - started
@@ -303,7 +239,7 @@ def cache_ablation(scope: int, property_names: tuple[str, ...]) -> dict:
     directory; it must perform zero backend counts — enforced hard, since
     that criterion is hardware-independent.
     """
-    from repro.counting import CountingEngine, EngineConfig
+    from repro.counting import CountingEngine
     from repro.spec import SymmetryBreaking, get_property, translate
 
     symmetry = SymmetryBreaking()
@@ -314,15 +250,14 @@ def cache_ablation(scope: int, property_names: tuple[str, ...]) -> dict:
         batch.append(translate(prop, scope).cnf)
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        config = EngineConfig(cache_dir=cache_dir)
-        cold_engine = CountingEngine(config=config)
+        cold_engine = CountingEngine(cache_dir=cache_dir)
         started = perf_counter()
         cold_counts = [r.value for r in cold_engine.solve_many(batch)]
         cold_s = perf_counter() - started
         cold_backend = cold_engine.stats.backend_calls
         cold_engine.close()
 
-        warm_engine = CountingEngine(config=config)
+        warm_engine = CountingEngine(cache_dir=cache_dir)
         started = perf_counter()
         warm_counts = [r.value for r in warm_engine.solve_many(batch)]
         warm_s = perf_counter() - started
@@ -351,7 +286,6 @@ def cache_ablation(scope: int, property_names: tuple[str, ...]) -> dict:
 
 def _print_ablations(
     cache_result: dict,
-    component_result: dict | None = None,
     store_result: dict | None = None,
     spill_result: dict | None = None,
 ) -> None:
@@ -361,14 +295,6 @@ def _print_ablations(
         f"warm {cache_result['warm_s']:.3f} s "
         f"({cache_result['warm_backend_counts']} backend counts)"
     )
-    if component_result is not None:
-        print(
-            f"  component cache: per-call {component_result['per_call_s']:.3f} s, "
-            f"shared {component_result['shared_s']:.3f} s "
-            f"({component_result['speedup_x']}x over "
-            f"{component_result['problems']} unique problems, "
-            f"{component_result['cache_hits']} component hits), bit-identical"
-        )
     if spill_result is not None:
         print(
             f"  component spill: uncached cold "
@@ -496,7 +422,7 @@ def profile_hot_path(scope: int = 5) -> None:
     cnf = translate(
         get_property("PartialOrder"), scope, symmetry=SymmetryBreaking()
     ).cnf
-    counter = ExactCounter(max_nodes=50_000_000, component_cache=None)
+    counter = ExactCounter(max_nodes=50_000_000)
     print(f"profiling ExactCounter on PartialOrder scope {scope} ({cnf!r})")
     profile = cProfile.Profile()
     profile.enable()
@@ -557,12 +483,9 @@ def main() -> None:
     if args.quick:
         print("quick smoke: counting-substrate ablations on reduced instances")
         cache_result = cache_ablation(scope=3, property_names=_ablation_properties()[:4])
-        component_result = component_cache_ablation(
-            scope=3, fractions=(0.75, 0.5, 0.25)
-        )
         spill_result = component_spill_ablation(scope=3, fractions=(0.75, 0.5, 0.25))
         store_result = store_roundtrip_bench(entries=500)
-        _print_ablations(cache_result, component_result, store_result, spill_result)
+        _print_ablations(cache_result, store_result, spill_result)
         for name in args.backend or ():
             backend_smoke(name)
         exact_median, gate_failure = perf_regression_smoke(args.output)
@@ -578,7 +501,6 @@ def main() -> None:
                 "gate_failure": gate_failure,
                 "ablations": {
                     "disk_cache": cache_result,
-                    "component_cache": component_result,
                     "component_spill": spill_result,
                     "store_roundtrip": store_result,
                 },
@@ -594,13 +516,6 @@ def main() -> None:
     if "exact" not in backends:
         raise SystemExit("no exact-counter benchmark result found")
     cache_result = cache_ablation(scope=4, property_names=_ablation_properties())
-    component_result = component_cache_ablation(
-        scope=4,
-        fractions=(
-            0.75, 0.7, 0.65, 0.6, 0.55, 0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2,
-            0.15, 0.1,
-        ),
-    )
     spill_result = component_spill_ablation(
         scope=4,
         fractions=(0.75, 0.65, 0.55, 0.45, 0.35, 0.25, 0.15),
@@ -615,7 +530,6 @@ def main() -> None:
     document["backends"] = backends
     document["ablations"] = {
         "disk_cache": cache_result,
-        "component_cache": component_result,
         "component_spill": spill_result,
         "store_roundtrip": store_result,
     }
@@ -640,7 +554,6 @@ def main() -> None:
             "cpu_count": os.cpu_count(),
             "warm_cache_backend_counts": cache_result["warm_backend_counts"],
             "warm_cache_speedup_x": cache_result["speedup_x"],
-            "component_cache_speedup_x": component_result["speedup_x"],
             "component_spill_speedup_x": spill_result["speedup_x"],
             "store_roundtrip_puts_per_s": store_result["puts_per_s"],
         }
@@ -654,7 +567,7 @@ def main() -> None:
     print(f"wrote {args.output}")
     for label, stats in sorted(backends.items()):
         print(f"  {label:>14}: median {stats['median_s'] * 1000:8.2f} ms")
-    _print_ablations(cache_result, component_result, store_result, spill_result)
+    _print_ablations(cache_result, store_result, spill_result)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 
 from repro.counting.api import CountRequest
-from repro.counting.engine import CountingEngine, EngineConfig, shared_engine
+from repro.counting.engine import CountingEngine
 from repro.logic.cnf import CNF
 from repro.logic.formula import Formula, TRUE
 from repro.logic.tseitin import tseitin_cnf
@@ -140,30 +140,23 @@ class GroundTruth:
 class AccMC:
     """Quantify a decision tree against a ground truth, via model counting.
 
-    ``counter`` is any backend satisfying
-    :class:`repro.counting.api.CounterBackend` — build one by registered
-    name with :func:`repro.counting.api.make_backend` (``"exact"``, the
-    ProjMC stand-in, is the default).  The backend's declared capabilities
-    pick the evaluation route: formula-counting backends take the
-    vectorised sweep, the rest the paper's CNF construction.
+    ``engine`` is the :class:`~repro.counting.engine.CountingEngine` every
+    count goes through (default: a fresh one over the exact counter, the
+    ProjMC stand-in); wrap any backend built with
+    :func:`repro.counting.api.make_backend` in one.  The backend's declared
+    capabilities pick the evaluation route: formula-counting backends take
+    the vectorised sweep, the rest the paper's CNF construction.
     """
 
     def __init__(
-        self,
-        counter=None,
-        mode: str = "product",
-        engine: CountingEngine | None = None,
-        config: EngineConfig | None = None,
+        self, mode: str = "product", engine: CountingEngine | None = None
     ) -> None:
         if mode not in ("product", "derived"):
             raise ValueError(f"unknown mode {mode!r}")
         # All counting goes through a shared memoizing engine: repeated
         # regions, translations and counts (across evaluate() calls, rows
         # of a table, or tables sharing a pipeline) are computed once.
-        # ``config`` (disk cache, component cache) applies only when a new
-        # engine is built here; a passed-in engine keeps its own.
-        self.engine = engine if engine is not None else shared_engine(counter, config)
-        self.counter = self.engine
+        self.engine = engine if engine is not None else CountingEngine()
         self.mode = mode
         # The symmetry-reduced space size is tree- and property-independent;
         # cache it across evaluate() calls (one table = 16 properties at the

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.counting.api import CountRequest
-from repro.counting.engine import CountingEngine, EngineConfig, shared_engine
+from repro.counting.engine import CountingEngine
 from repro.ml.decision_tree import DecisionTreeClassifier
 
 
@@ -70,14 +70,8 @@ class DiffMCResult:
 class DiffMC:
     """Quantify the semantic difference between two decision trees."""
 
-    def __init__(
-        self,
-        counter=None,
-        engine: CountingEngine | None = None,
-        config: EngineConfig | None = None,
-    ) -> None:
-        self.engine = engine if engine is not None else shared_engine(counter, config)
-        self.counter = self.engine
+    def __init__(self, engine: CountingEngine | None = None) -> None:
+        self.engine = engine if engine is not None else CountingEngine()
 
     def evaluate(
         self,

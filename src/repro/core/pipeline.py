@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.accmc import AccMC, AccMCResult
-from repro.counting.engine import CountingEngine, EngineConfig
+from repro.counting.engine import CountingEngine
 from repro.data.dataset import Dataset
 from repro.data.generation import generate_dataset
 from repro.ml import MODEL_REGISTRY
@@ -48,8 +48,6 @@ class MCMLPipeline:
 
     Parameters
     ----------
-    counter:
-        Counting backend handed to AccMC (default: the exact counter).
     accmc_mode:
         ``"product"`` (the paper's four-problem construction) or
         ``"derived"`` (algebraic shortcut); see :mod:`repro.core.accmc`.
@@ -57,23 +55,17 @@ class MCMLPipeline:
         Master seed for data generation, splitting and model training.
     engine:
         An existing :class:`CountingEngine` to share memoized counts,
-        translations and tree regions with other pipelines/evaluators.
-    config:
-        :class:`EngineConfig` (disk cache, component cache) for the engine
-        built when ``engine`` is not supplied.
+        translations and tree regions with other pipelines/evaluators
+        (default: a fresh one over the exact counter).
     """
 
     def __init__(
         self,
-        counter=None,
         accmc_mode: str = "product",
         seed: int = 0,
         engine: CountingEngine | None = None,
-        config: EngineConfig | None = None,
     ) -> None:
-        self.accmc = AccMC(
-            counter=counter, mode=accmc_mode, engine=engine, config=config
-        )
+        self.accmc = AccMC(mode=accmc_mode, engine=engine)
         self.engine = self.accmc.engine
         self.seed = seed
 

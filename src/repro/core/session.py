@@ -6,9 +6,9 @@ paper's table drivers.  Before this facade each consumer wired its own
 engine/config/store plumbing by hand; a session owns that plumbing once:
 
 * one :class:`~repro.counting.engine.CountingEngine` over a backend chosen
-  by registered name (:func:`repro.counting.api.make_backend`), carrying
-  the scaling knobs (disk-persistent count and compilation stores, shared
-  component cache);
+  by registered name (:func:`repro.counting.api.make_backend`), with its
+  memos, the backend's component cache and, given a ``cache_dir``, the
+  disk-persistent stores;
 * one :class:`~repro.core.pipeline.MCMLPipeline` for dataset generation
   and model training, sharing the session seed;
 * the metric entry points — :meth:`accmc`, :meth:`diffmc`, :meth:`bnnmc`,
@@ -46,7 +46,7 @@ from __future__ import annotations
 from repro.core.accmc import AccMC, AccMCResult, GroundTruth
 from repro.core.diffmc import DiffMC, DiffMCResult
 from repro.counting.api import Capabilities, CountRequest, CountResult, make_counter
-from repro.counting.engine import CountingEngine, EngineConfig
+from repro.counting.engine import CountingEngine
 from repro.logic.cnf import CNF
 from repro.spec.properties import Property, get_property
 from repro.spec.symmetry import SymmetryBreaking
@@ -70,10 +70,9 @@ class MCMLSession:
     engine:
         An existing :class:`CountingEngine` to adopt instead of building
         one — the session then shares (and on ``close()`` releases) it.
-    cache_dir / component_cache_mb:
-        The :class:`EngineConfig` scaling knobs.  ``cache_dir`` also
-        persists the component cache (so component work survives session
-        restarts).
+    cache_dir:
+        Directory of the engine's disk-persistent counts, compilations and
+        component-cache spill (so work survives session restarts).
     accmc_mode:
         Default AccMC construction (``"derived"`` or the paper's
         ``"product"``); overridable per :meth:`accmc` call.
@@ -88,7 +87,6 @@ class MCMLSession:
         *,
         engine: CountingEngine | None = None,
         cache_dir=None,
-        component_cache_mb: float = 512.0,
         deadline: float | None = None,
         budget: int | None = None,
         accmc_mode: str = "derived",
@@ -96,10 +94,7 @@ class MCMLSession:
     ) -> None:
         if engine is None:
             engine = CountingEngine(
-                make_counter(backend, seed=seed),
-                config=EngineConfig(
-                    cache_dir=cache_dir, component_cache_mb=component_cache_mb
-                ),
+                make_counter(backend, seed=seed), cache_dir=cache_dir
             )
         self.engine = engine
         self.accmc_mode = accmc_mode

@@ -23,12 +23,12 @@ back-ends used for validation and ablation:
   (:func:`make_backend`, :func:`available_backends`) that ``mcml
   --backend NAME`` and the conformance suite iterate over.
 * :mod:`repro.counting.engine` — :class:`CountingEngine`, the shared,
-  memoizing facade AccMC/DiffMC and the experiment drivers count through,
-  configured by :class:`EngineConfig` (disk cache, shared component
-  cache); ``solve``/``solve_many`` return typed :class:`CountResult`\\ s.
+  memoizing facade AccMC/DiffMC and the experiment drivers count through
+  (optionally over a ``cache_dir``); ``solve``/``solve_many`` return
+  typed :class:`CountResult`\\ s.
 * :mod:`repro.counting.component_cache` — :class:`ComponentCache`, the
-  bounded LRU of counted components that persists across counting calls
-  and is shared engine-wide.
+  bounded LRU of counted components the exact counter owns; it persists
+  across counting calls, so every problem an engine counts shares it.
 * :mod:`repro.counting.store` — the disk tiers, all subclasses of one
   ``_SqliteStore`` base: :class:`CountStore` (whole counts keyed on
   canonical CNF signatures), :class:`BlobStore` (compilation memos) and
@@ -52,14 +52,13 @@ from repro.counting.api import (
     EngineStats,
     available_backends,
     backend_capabilities,
-    capabilities_of,
     make_backend,
     register_backend,
 )
 from repro.counting.approxmc import ApproxMCCounter, approx_count
 from repro.counting.brute import brute_force_count, brute_force_models
 from repro.counting.component_cache import ComponentCache
-from repro.counting.engine import CountingEngine, EngineConfig, shared_engine
+from repro.counting.engine import CountingEngine
 from repro.counting.exact import (
     CounterAbort,
     CounterBudgetExceeded,
@@ -93,7 +92,6 @@ __all__ = [
     "CounterBudgetExceeded",
     "CounterTimeout",
     "CountingEngine",
-    "EngineConfig",
     "EngineStats",
     "ExactCounter",
     "FormulaBruteCounter",
@@ -103,13 +101,11 @@ __all__ = [
     "backend_capabilities",
     "brute_force_count",
     "brute_force_models",
-    "capabilities_of",
     "closed_form_count",
     "count_formula",
     "exact_count",
     "make_backend",
     "register_backend",
-    "shared_engine",
     "signature_key",
     "text_key",
 ]

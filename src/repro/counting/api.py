@@ -16,9 +16,9 @@ This module makes the contract explicit:
   a dataclass instead of being sniffed per call site: exactness (counts
   portable across backends/sessions), formula counting (AccMC's
   vectorised fast path), projection support (Tseitin auxiliaries allowed
-  in clauses) and component-cache ownership (the engine may install a
-  shared cache).  Engine routing, store gating and consumer fast paths all
-  negotiate through these flags only.
+  in clauses) and component-cache ownership (the backend counts through
+  a cache the engine reports and spills).  Engine routing, store gating
+  and consumer fast paths all negotiate through these flags only.
 * :class:`CounterBackend` — the structural protocol every backend
   satisfies: ``name``, ``capabilities``, ``count(cnf) -> int``.
 * the **backend registry** — every backend is constructible by name via
@@ -51,15 +51,10 @@ __all__ = [
     "EngineStats",
     "available_backends",
     "backend_capabilities",
-    "capabilities_of",
     "make_backend",
     "make_counter",
     "register_backend",
 ]
-
-#: Attribute-absence sentinel (capability inference never uses ``hasattr``).
-_MISSING = object()
-
 
 # -- capabilities ---------------------------------------------------------------------
 
@@ -84,8 +79,10 @@ class Capabilities:
         CNFs, so they only serve auxiliary-free problems like tree
         regions.
     owns_component_cache:
-        The backend exposes a ``component_cache`` attribute the engine may
-        replace with a shared :class:`~repro.counting.component_cache.ComponentCache`.
+        The backend counts through the
+        :class:`~repro.counting.component_cache.ComponentCache` on its
+        ``component_cache`` attribute, which the engine exposes as
+        ``engine.component_cache`` and spills to its ``cache_dir``.
     """
 
     exact: bool
@@ -112,30 +109,6 @@ class CounterBackend(Protocol):
 
     def count(self, cnf: CNF) -> int:  # pragma: no cover - protocol stub
         ...
-
-
-def capabilities_of(counter) -> Capabilities:
-    """The backend's declared capabilities, inferred for foreign objects.
-
-    Registered backends declare a ``capabilities`` class attribute and get
-    it back verbatim.  Duck-typed third-party counters (anything with a
-    ``count`` method handed straight to an engine) are profiled
-    conservatively from their public surface: an ``exact = True``
-    attribute in the historical convention, a callable ``count_formula``,
-    a ``component_cache`` attribute.  Projection support is assumed — a
-    foreign counter that cannot handle auxiliaries should declare
-    capabilities itself.
-    """
-    declared = getattr(counter, "capabilities", None)
-    if isinstance(declared, Capabilities):
-        return declared
-    return Capabilities(
-        exact=bool(getattr(counter, "exact", False)),
-        counts_formulas=callable(getattr(counter, "count_formula", None)),
-        supports_projection=True,
-        owns_component_cache=getattr(counter, "component_cache", _MISSING)
-        is not _MISSING,
-    )
 
 
 # -- typed request / result -----------------------------------------------------------
@@ -498,7 +471,7 @@ def backend_capabilities(name: str) -> Capabilities:
     caps = (
         declared
         if isinstance(declared, Capabilities)
-        else capabilities_of(entry.factory())
+        else entry.factory().capabilities
     )
     _CAPABILITY_CACHE[canonical] = caps
     return caps

@@ -31,8 +31,8 @@ reuse is its natural extension once an engine owns the batch).
   Because every value is a pure function of its key, a promoted entry is
   bit-identical to a cold recount.
 
-Thread-safety: none — the cache is meant to be owned by one engine in one
-process; the spill tier is what carries its work across processes.
+Thread-safety: none — the cache is meant to be owned by one counter in
+one process; the spill tier is what carries its work across processes.
 """
 
 from __future__ import annotations

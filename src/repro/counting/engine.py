@@ -16,7 +16,7 @@ process and across sessions:
 * results are memoized keyed on the CNF's canonical packed signature
   (:meth:`repro.logic.cnf.CNF.signature`), so a cache hit is bit-identical
   to the cold call by construction;
-* with ``EngineConfig(cache_dir=...)`` the count memo is backed by a
+* with ``cache_dir`` set the count memo is backed by a
   disk-persistent :class:`repro.counting.store.CountStore` and the
   *compilation* memos (translations, tree regions) by a
   :class:`repro.counting.store.BlobStore`, so a table re-run in a fresh
@@ -25,14 +25,14 @@ process and across sessions:
   per problem: memo → count store → backend.
   Duplicates inside the batch collapse onto one count, and each tier
   sees only what the tiers before it left cold;
-* the engine owns a bounded LRU
-  :class:`repro.counting.component_cache.ComponentCache` installed on
-  backends that declare ``owns_component_cache``, so the *sub-problems* of
-  different counting calls share work too (``EngineConfig(component_cache_mb=…)``,
-  0 to opt out); with ``cache_dir`` configured the cache additionally
-  *spills to disk*: evictions and ``close()`` persist entries into a
-  :class:`repro.counting.store.ComponentStore` and misses consult it
-  before recounting, so component work survives engine restarts;
+* a backend declaring ``owns_component_cache`` counts every problem
+  through its own bounded LRU
+  :class:`repro.counting.component_cache.ComponentCache`
+  (``engine.component_cache``), so the *sub-problems* of different
+  counting calls share work too; with ``cache_dir`` configured that cache
+  additionally *spills to disk*: evictions and ``close()`` persist entries
+  into a :class:`repro.counting.store.ComponentStore` and misses consult
+  it before recounting, so component work survives engine restarts;
 * failures are *typed and contained*: budget exhaustions and wall-clock
   deadline overruns (``CountRequest(deadline=...)``) become per-problem
   :class:`~repro.counting.api.CountFailure` outcomes instead of batch
@@ -46,13 +46,13 @@ process and across sessions:
   objects built on those translations;
 * ``region`` memoizes decision-tree label-region CNFs keyed on the paths.
 
-Routing decisions — disk persistence, component-cache installation, the
-``solve_formula`` fast path — are negotiated purely through the backend's
-declared :class:`~repro.counting.api.Capabilities`
+Routing decisions — disk persistence, the component cache and its spill,
+the ``solve_formula`` fast path — are negotiated purely through the
+backend's declared :class:`~repro.counting.api.Capabilities`
 (``engine.capabilities``); the engine never sniffs attributes.  Backends
 are constructible by registered name via
 :func:`repro.counting.api.make_backend`; the wrapped backend itself is
-``engine.counter`` and its registered name ``engine.backend_name``.  One
+``engine.counter`` and its declared name ``engine.backend_name``.  One
 engine is meant to be shared across every ``AccMC``, ``DiffMC`` and
 pipeline in a process — or owned by one
 :class:`repro.core.session.MCMLSession`, the facade over the whole
@@ -65,7 +65,6 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -75,7 +74,6 @@ from repro.counting.api import (
     CountRequest,
     CountResult,
     EngineStats,
-    capabilities_of,
 )
 from repro.counting.component_cache import ComponentCache
 from repro.counting.store import (
@@ -89,38 +87,6 @@ from repro.logic.cnf import CNF
 
 #: Attribute-absence sentinel for budget overrides (no ``hasattr`` here).
 _MISSING = object()
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Scaling knobs for a :class:`CountingEngine`.
-
-    Parameters
-    ----------
-    cache_dir:
-        Directory for the disk-persistent caches.  ``None`` disables
-        persistence; any path makes counts *and compilations* survive (and
-        warm) across processes and sessions.  Counts persist only for
-        backends whose capabilities declare ``exact`` (estimates are not
-        portable); compilations are backend-independent and persist for
-        every backend.  The same directory holds the component cache's
-        spill tier (:class:`~repro.counting.store.ComponentStore`, whenever
-        the component cache is on: LRU evictions and ``close()`` persist
-        entries, and a later engine's misses consult it before recounting —
-        ``EngineStats.component_spill_hits`` reports the promotions).
-    component_cache_mb:
-        Approximate byte budget (in MiB) of the engine-owned
-        :class:`~repro.counting.component_cache.ComponentCache` shared
-        across every counting call — conjunctions of the same φ with
-        different tree regions hit components the previous problems
-        already solved.  ``0`` opts out (the backend falls back to
-        per-call component caching).  Warm hits are bit-identical to cold
-        recounts by construction; only backends declaring
-        ``owns_component_cache`` (the exact counter) participate.
-    """
-
-    cache_dir: str | Path | None = None
-    component_cache_mb: float = 512.0
 
 
 def _prop_key(prop) -> object:
@@ -161,26 +127,35 @@ class CountingEngine:
         Any object satisfying :class:`repro.counting.api.CounterBackend`
         (default: :class:`repro.counting.exact.ExactCounter`); build one
         by registered name with
-        :func:`repro.counting.api.make_backend`.  Passing an engine
-        returns its backend wrapped afresh — engines do not nest.
-    config:
-        :class:`EngineConfig` with the persistence and component-cache knobs.
+        :func:`repro.counting.api.make_backend`.  Engines do not nest:
+        passing an engine raises ``TypeError``.
+    cache_dir:
+        Directory for the disk-persistent caches.  ``None`` (default)
+        disables persistence; any path makes counts *and compilations*
+        survive (and warm) across processes and sessions.  Counts persist
+        only for backends whose capabilities declare ``exact`` (estimates
+        are not portable); compilations are backend-independent and
+        persist for every backend.  The same directory holds the
+        component cache's spill tier
+        (:class:`~repro.counting.store.ComponentStore`): LRU evictions and
+        ``close()`` persist entries, and a later engine's misses consult
+        it before recounting — ``EngineStats.component_spill_hits``
+        reports the promotions.
     """
 
-    def __init__(self, counter=None, config: EngineConfig | None = None) -> None:
+    def __init__(self, counter=None, *, cache_dir: str | Path | None = None) -> None:
         if isinstance(counter, CountingEngine):
-            counter = counter.counter
+            raise TypeError(
+                "CountingEngine wraps a backend, not another engine; "
+                "share the engine itself instead"
+            )
         from repro.counting.exact import ExactCounter
 
         self.counter = counter if counter is not None else ExactCounter()
-        self.config = config if config is not None else EngineConfig()
         #: The backend's declared contract — the only thing routing reads.
-        self.capabilities: Capabilities = capabilities_of(self.counter)
-        self.backend_name: str = getattr(
-            self.counter, "name", type(self.counter).__name__
-        )
+        self.capabilities: Capabilities = self.counter.capabilities
+        self.backend_name: str = self.counter.name
         caps = self.capabilities
-        cache_dir = self.config.cache_dir
         # Count persistence is reserved for exact backends: exact counts
         # are interchangeable across backends and sessions, whereas an
         # (ε, δ) estimate persisted to a shared cache_dir would silently
@@ -192,20 +167,16 @@ class CountingEngine:
         self.memo_store: BlobStore | None = (
             BlobStore(cache_dir) if cache_dir is not None else None
         )
-        # The engine owns the component cache and installs it on backends
-        # declaring ``owns_component_cache``, so every count of every batch
-        # warms one shared cache.  ``component_cache_mb=0`` opts out: the
-        # backend reverts to per-call caching.
-        self.component_cache: ComponentCache | None = None
-        if caps.exact and caps.owns_component_cache:
-            mb = self.config.component_cache_mb
-            if mb and mb > 0:
-                self.component_cache = ComponentCache(max_bytes=int(mb * (1 << 20)))
-                self.counter.component_cache = self.component_cache
-            else:
-                self.counter.component_cache = None
+        # The backend's own component cache, which every count of every
+        # batch warms.  Like whole counts, its entries spill to disk only
+        # for exact backends.
+        self.component_cache: ComponentCache | None = (
+            self.counter.component_cache
+            if caps.exact and caps.owns_component_cache
+            else None
+        )
         # The spill tier needs a component cache to spill and a cache_dir
-        # to spill into.  Attached to the shared cache, so evictions and
+        # to spill into.  Attached to the cache, so evictions and
         # close-time spills both reach disk.
         self.component_store: ComponentStore | None = None
         if self.component_cache is not None and cache_dir is not None:
@@ -589,10 +560,10 @@ class CountingEngine:
     def clear(self) -> None:
         """Drop the in-memory memos and reset the statistics.
 
-        The shared component cache is a memo too, so it is dropped with the
-        rest.  The counters :class:`EngineStats` mirrors (the cache's spill
-        promotions, the disk tiers' degradations) restart from zero.  The
-        disk stores (if configured) are intentionally left intact —
+        The backend's component cache is a memo too, so it is dropped with
+        the rest.  The counters :class:`EngineStats` mirrors (the cache's
+        spill promotions, the disk tiers' degradations) restart from zero.
+        The disk stores (if configured) are intentionally left intact —
         surviving resets is their purpose; use ``engine.store.clear()`` /
         ``engine.close()`` for those.
         """
@@ -644,14 +615,3 @@ class CountingEngine:
             f"hits={s.count_hits}/{s.count_calls}{extras})"
         )
 
-
-def shared_engine(counter=None, config: EngineConfig | None = None) -> CountingEngine:
-    """Wrap ``counter`` in an engine unless it already is one.
-
-    When ``counter`` is already an engine it is returned as-is and
-    ``config`` is ignored — the existing engine's configuration (and its
-    caches, which are the point of sharing) win.
-    """
-    if isinstance(counter, CountingEngine):
-        return counter
-    return CountingEngine(counter, config=config)

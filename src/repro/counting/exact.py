@@ -11,14 +11,12 @@ sharpSAT/ProjMC lineage:
   counter — see ``benchmarks/run_bench.py --profile``);
 * decomposition of the residual formula into connected components (on the
   clause/variable incidence graph), counted independently and multiplied;
-* component caching keyed on packed clause signatures.  The cache is a
-  bounded LRU (:class:`repro.counting.component_cache.ComponentCache`) that
-  *persists across* ``count()`` calls — every cached count is a pure
+* component caching keyed on packed clause signatures.  The counter owns
+  one bounded LRU (:class:`repro.counting.component_cache.ComponentCache`)
+  that *persists across* ``count()`` calls — every cached count is a pure
   function of its key, so warm hits are bit-identical to cold recounts —
-  and it can be injected, which is how
-  :class:`repro.counting.engine.CountingEngine` shares one cache across
-  every problem of a batch (pass ``component_cache=None`` to restore the
-  old per-call behaviour);
+  and :class:`repro.counting.engine.CountingEngine` counts every problem
+  of every batch through it;
 * branching restricted to *projection* variables (the ``n²`` relation
   bits), chosen by :func:`_branch_bit`: along the lex-leader chains while
   a component still has auxiliaries, by a weighted occurrence score once
@@ -53,9 +51,6 @@ from time import monotonic
 from repro.counting.api import Capabilities
 from repro.counting.component_cache import ComponentCache
 from repro.logic.cnf import CNF, MaskClause
-
-#: Sentinel: "build me a private persistent cache" (the default).
-_FRESH_CACHE = object()
 
 #: Search nodes between wall-clock probes when a deadline is armed: the
 #: monotonic() call stays off the per-node path, and at Python node rates
@@ -106,22 +101,19 @@ class ExactCounter:
         node budget, a deadline is machine-dependent — counts themselves
         remain bit-identical; only *whether a count finishes* varies.
     component_cache:
-        The component cache counted through.  By default the counter owns a
-        private bounded :class:`ComponentCache` that survives across
-        ``count()`` calls; pass a shared instance to pool components across
-        counters (what :class:`repro.counting.engine.CountingEngine` does),
-        or ``None`` to restore the historical per-call scratch dict.
-        Cached counts are pure functions of their keys, so any of the three
-        modes produces bit-identical counts.
+        The component cache counted through, surviving across ``count()``
+        calls: a fresh bounded :class:`ComponentCache` by default, or a
+        given instance to pool components across counters.  Cached counts
+        are pure functions of their keys, so either way produces
+        bit-identical counts.
     """
 
     name = "exact"
     #: Counts are exact, hence portable across backends and safe to persist.
     exact = True
     #: Declared contract (see :class:`repro.counting.api.Capabilities`):
-    #: projected DPLL search handles auxiliaries, and the engine may
-    #: install a shared component cache on the ``component_cache``
-    #: attribute.
+    #: projected DPLL search handles auxiliaries, and every count goes
+    #: through the ``component_cache`` attribute.
     capabilities = Capabilities(
         exact=True,
         counts_formulas=False,
@@ -132,16 +124,16 @@ class ExactCounter:
     def __init__(
         self,
         max_nodes: int = 5_000_000,
-        component_cache: ComponentCache | None | object = _FRESH_CACHE,
+        component_cache: ComponentCache | None = None,
         deadline: float | None = None,
     ) -> None:
         self.max_nodes = max_nodes
         self.deadline = deadline
         self._nodes = 0
         self._deadline_at: float | None = None
-        if component_cache is _FRESH_CACHE:
-            component_cache = ComponentCache()
-        self.component_cache: ComponentCache | None = component_cache
+        self.component_cache = (
+            component_cache if component_cache is not None else ComponentCache()
+        )
 
     # -- public API ---------------------------------------------------------------
 
@@ -151,18 +143,10 @@ class ExactCounter:
         self._deadline_at = (
             monotonic() + self.deadline if self.deadline is not None else None
         )
-        # Bind the cache pair for this call: the persistent (possibly
-        # engine-shared) cache when one is attached, a scratch dict
-        # otherwise.  Rebinding per call keeps an engine free to attach a
-        # shared cache after construction.
+        # Bound per call, so a cache assigned after construction is used.
         cache = self.component_cache
-        if cache is not None:
-            self._cache_get = cache.get
-            self._cache_put = cache.put
-        else:
-            scratch: dict[tuple, int] = {}
-            self._cache_get = scratch.get
-            self._cache_put = scratch.__setitem__
+        self._cache_get = cache.get
+        self._cache_put = cache.put
         if any(len(clause) == 0 for clause in cnf.clauses):
             return 0  # an empty clause is unsatisfiable
         projection = cnf.projected_vars()
@@ -217,8 +201,6 @@ class ExactCounter:
         once per batch instead of once per problem.
         """
         cache = self.component_cache
-        if cache is None:
-            return _eliminate(residual, proj_mask)
         active: list[MaskClause] = []
         inert: list[MaskClause] = []
         for clause in residual:

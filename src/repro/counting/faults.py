@@ -4,14 +4,7 @@ The robustness layer — corrupt-store rotation and disk-full degradation —
 exists to survive events that are hard to produce on demand.  This module
 makes them producible: named *injection points* in the stores consult a
 tiny activation registry and misbehave on purpose when their point is
-armed.
-
-Activation is either programmatic (:func:`inject` / the :func:`injected`
-context manager, what the chaos suites use) or environmental: the
-``REPRO_FAULTS`` variable holds a comma-separated spec like
-``"store-read-corrupt,store-disk-full"`` and is parsed at import.  Armed
-points are mirrored back into ``os.environ`` so subprocesses (an ``mcml``
-run, say) observe them too.
+armed, through :func:`inject` / the :func:`injected` context manager.
 
 Injection points currently wired in:
 
@@ -31,49 +24,12 @@ always, outside chaos tests) the hooks cost nothing measurable.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
-__all__ = ["ENV_VAR", "active", "clear", "inject", "injected"]
-
-#: Environment variable carrying the fault spec across process boundaries.
-ENV_VAR = "REPRO_FAULTS"
+__all__ = ["active", "clear", "inject", "injected"]
 
 #: Armed injection points: name -> value (True for plain flags).
 _ACTIVE: dict[str, object] = {}
-
-
-def _parse(spec: str) -> dict[str, object]:
-    """Parse ``"point,point:arg,..."`` into the registry mapping."""
-    out: dict[str, object] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, arg = part.partition(":")
-        if not arg:
-            out[name] = True
-            continue
-        try:
-            out[name] = int(arg)
-        except ValueError:
-            out[name] = arg
-    return out
-
-
-def _render() -> str:
-    """Inverse of :func:`_parse` for the environment mirror."""
-    parts = []
-    for name, value in sorted(_ACTIVE.items()):
-        parts.append(name if value is True else f"{name}:{value}")
-    return ",".join(parts)
-
-
-def _sync_env() -> None:
-    if _ACTIVE:
-        os.environ[ENV_VAR] = _render()
-    else:
-        os.environ.pop(ENV_VAR, None)
 
 
 def active(point: str):
@@ -84,9 +40,8 @@ def active(point: str):
 
 
 def inject(point: str, value: object = True) -> None:
-    """Arm an injection point (mirrored into the environment)."""
+    """Arm an injection point."""
     _ACTIVE[point] = value
-    _sync_env()
 
 
 def clear(point: str | None = None) -> None:
@@ -95,7 +50,6 @@ def clear(point: str | None = None) -> None:
         _ACTIVE.clear()
     else:
         _ACTIVE.pop(point, None)
-    _sync_env()
 
 
 @contextmanager
@@ -106,10 +60,3 @@ def injected(point: str, value: object = True):
         yield
     finally:
         clear(point)
-
-
-# Subprocesses arm themselves from the environment their parent mirrored
-# the registry into.
-_env_spec = os.environ.get(ENV_VAR)
-if _env_spec:
-    _ACTIVE.update(_parse(_env_spec))

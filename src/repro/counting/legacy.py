@@ -33,11 +33,10 @@ class LegacyExactCounter:
     as the differential/ablation baseline.
     """
 
-    name = "exact-legacy"
+    name = "legacy"
     exact = True
-    #: Exact like the packed counter, but its per-call scratch cache is
-    #: private — the engine must not install a
-    #: shared component cache on it.
+    #: Exact like the packed counter, but its component cache is per-call
+    #: scratch: the engine has no cache of it to report or spill.
     capabilities = Capabilities(
         exact=True,
         counts_formulas=False,

@@ -16,7 +16,7 @@ Features are the flattened row-major adjacency matrix, so feature ``k``
 corresponds to CNF primary variable ``k+1`` throughout the stack.
 """
 
-from repro.data.dataset import Dataset, train_test_split
+from repro.data.dataset import Dataset
 from repro.data.generation import (
     enumerate_positive_bits,
     generate_dataset,
@@ -28,5 +28,4 @@ __all__ = [
     "enumerate_positive_bits",
     "generate_dataset",
     "sample_negative_bits",
-    "train_test_split",
 ]

@@ -122,12 +122,3 @@ class Dataset:
                 property_name=str(data["property_name"]),
                 symmetry=symmetry or None,
             )
-
-
-def train_test_split(
-    dataset: Dataset,
-    train_fraction: float,
-    rng: np.random.Generator | int | None = 0,
-) -> tuple[Dataset, Dataset]:
-    """Functional alias for :meth:`Dataset.split`."""
-    return dataset.split(train_fraction, rng=rng)

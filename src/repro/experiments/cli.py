@@ -86,8 +86,6 @@ _at_least_zero = _integer_at_least(0)
 _open_fraction = _finite(lambda v: 0 < v < 1, "a number strictly between 0 and 1")
 #: ``--deadline``.
 _positive = _finite(lambda v: v > 0, "a finite number > 0")
-#: ``--component-cache-mb``.
-_non_negative = _finite(lambda v: v >= 0, "a finite number >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to DIR so re-runs skip the work (default: off)",
     )
     parser.add_argument(
-        "--component-cache-mb", type=_non_negative, default=512.0, metavar="MB",
-        help="budget of the cross-call component cache shared by all "
-        "counting problems of a run (default 512; 0 disables sharing)",
-    )
-    parser.add_argument(
         "--deadline", type=_positive, default=None, metavar="SECONDS",
         help="per-problem wall-clock deadline on every metric count "
         "(CounterTimeout past it; default: none)",
@@ -184,7 +177,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         train_fraction=args.train_fraction,
         max_positives=args.max_positives,
         cache_dir=args.cache_dir,
-        component_cache_mb=args.component_cache_mb,
         deadline=args.deadline,
         budget=args.budget,
     )

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.session import MCMLSession
-from repro.counting import EngineConfig
 from repro.counting.api import make_counter  # noqa: F401 (re-exported)
 from repro.spec.properties import PROPERTIES, Property, get_property
 
@@ -40,11 +39,9 @@ class ExperimentConfig:
     ``counter`` is any registered backend name or alias (``mcml
     --backend``); ``cache_dir`` persists every count *and compilation* to
     disk so table re-runs across sessions skip counting entirely, and
-    ``component_cache_mb`` bounds the engine-shared
-    component cache that lets overlapping counting problems (same φ,
-    different tree regions) reuse each other's sub-counts (see
-    :class:`repro.counting.EngineConfig`; 0 opts out).
-    ``cache_dir`` also persists that component cache.
+    also the exact counter's component cache, through which overlapping
+    counting problems (same φ, different tree regions) reuse each other's
+    sub-counts.
     ``deadline``/``budget`` apply per-problem wall-clock and node limits
     to every metric count made through drivers that accept them.
     """
@@ -57,7 +54,6 @@ class ExperimentConfig:
     train_fraction: float = 0.10
     max_positives: int | None = 5000
     cache_dir: str | None = None
-    component_cache_mb: float = 512.0
     deadline: float | None = None
     budget: int | None = None
     model_params: dict[str, dict] = field(
@@ -70,23 +66,16 @@ class ExperimentConfig:
     def selected_properties(self) -> list[Property]:
         return [get_property(name) for name in self.properties]
 
-    def engine_config(self) -> EngineConfig:
-        """The counting-engine scaling knobs this experiment asked for."""
-        return EngineConfig(
-            cache_dir=self.cache_dir, component_cache_mb=self.component_cache_mb
-        )
-
     def session(self) -> MCMLSession:
         """An :class:`MCMLSession` owning this configuration's substrate.
 
         The one facade every table driver (and the CLI) runs through:
-        backend by name, engine knobs, AccMC mode and seed all travel
+        backend by name, cache directory, AccMC mode and seed all travel
         together, and closing the session flushes the disk stores.
         """
         return MCMLSession(
             backend=self.counter,
             cache_dir=self.cache_dir,
-            component_cache_mb=self.component_cache_mb,
             accmc_mode=self.accmc_mode,
             deadline=self.deadline,
             budget=self.budget,

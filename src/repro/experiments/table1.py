@@ -73,14 +73,14 @@ def table1(
     passed-in ``session`` is used when its capabilities qualify (its owner
     closes it), anything else — including configs selecting ``brute`` or
     ``approxmc`` for the *metric* tables — falls back to a private exact
-    engine with the config's scaling knobs, exactly the paper's setup.
+    engine over the config's cache_dir, exactly the paper's setup.
     """
     config = config or ExperimentConfig()
     if session is not None:
         caps = session.capabilities
         if caps.exact and caps.supports_projection:
             return _table1_rows(session.engine, config, paper_scopes)
-    with CountingEngine(config=config.engine_config()) as engine:
+    with CountingEngine(cache_dir=config.cache_dir) as engine:
         return _table1_rows(engine, config, paper_scopes)
 
 

@@ -145,10 +145,6 @@ class CNF:
         self.clauses.append(clause)
         self._signature = None
 
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        for clause in clauses:
-            self.add_clause(clause)
-
     def new_var(self) -> int:
         """Allocate a fresh variable id."""
         self.num_vars += 1

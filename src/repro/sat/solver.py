@@ -163,11 +163,6 @@ class Solver:
         var = abs(ext) - 1
         return 2 * var if ext > 0 else 2 * var + 1
 
-    @staticmethod
-    def _to_external(lit: int) -> int:
-        var = (lit >> 1) + 1
-        return var if (lit & 1) == 0 else -var
-
     def _lit_value(self, lit: int) -> int:
         """1 true, 0 false, _UNASSIGNED otherwise."""
         value = self._assign[lit >> 1]

@@ -26,7 +26,6 @@ from repro.core.tree2cnf import label_region_cnf
 from repro.counting import (
     Capabilities,
     CountingEngine,
-    EngineConfig,
     ExactCounter,
     closed_form_count,
 )
@@ -35,7 +34,6 @@ from repro.counting.api import (
     available_backends,
     backend_aliases,
     backend_capabilities,
-    capabilities_of,
     make_backend,
 )
 from repro.counting.brute import iter_assignment_blocks
@@ -64,12 +62,13 @@ class TestRegistry:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_constructs_and_declares(self, name):
         backend = make_backend(name)
-        assert isinstance(backend.name, str) and backend.name
+        # The declared name is the registered one: it is what results and
+        # ``mcml --stats`` report as the producing backend.
+        assert backend.name == name
         assert isinstance(backend.capabilities, Capabilities)
         assert callable(backend.count)
         # The registry's capability view equals the instance's declaration.
         assert backend_capabilities(name) == backend.capabilities
-        assert capabilities_of(backend) == backend.capabilities
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_aliases_resolve_to_same_class(self, name):
@@ -234,9 +233,7 @@ class _AuxFreeStub:
 class TestEngineNegotiatesThroughCapabilities:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_store_gated_on_exactness_memos_always_on(self, name, tmp_path):
-        with CountingEngine(
-            make_backend(name), config=EngineConfig(cache_dir=tmp_path)
-        ) as engine:
+        with CountingEngine(make_backend(name), cache_dir=tmp_path) as engine:
             caps = engine.capabilities
             assert (engine.store is not None) == caps.exact
             # Compilation memos are backend-independent: always persisted.
@@ -266,7 +263,7 @@ class TestEngineNegotiatesThroughCapabilities:
 
         backend = _AuxFreeStub() if name == "aux-free-stub" else make_backend(name)
         caps = backend.capabilities
-        accmc = AccMC(counter=backend)
+        accmc = AccMC(engine=CountingEngine(backend))
         prop = get_property("Reflexive")
         ground_truth = accmc.ground_truth(prop, 3)
         pipeline = MCMLPipeline(seed=0)

@@ -16,7 +16,6 @@ the tests that could conceivably hang carry a SIGALRM hard timeout so a
 regression fails fast instead of wedging the suite.
 """
 
-import os
 import signal
 import time
 from contextlib import contextmanager
@@ -31,11 +30,10 @@ from repro.counting import (
     CountFailure,
     CountingEngine,
     CountStore,
-    EngineConfig,
     ExactCounter,
     faults,
 )
-from repro.counting.api import CountRequest, CountResult
+from repro.counting.api import Capabilities, CountRequest, CountResult
 from repro.counting.store import STORE_FILENAME
 from repro.logic import CNF
 from repro.spec import get_property, translate
@@ -79,6 +77,7 @@ class NoKnobCounter:
     """A slow backend with no ``deadline`` knob: it counts at its own pace."""
 
     name = "no-knob"
+    capabilities = Capabilities(exact=True, supports_projection=True)
 
     def count(self, cnf):
         time.sleep(0.2)
@@ -89,7 +88,7 @@ class AbortingCounter:
     """An exact backend whose every count raises one given abort."""
 
     name = "aborting"
-    exact = True
+    capabilities = Capabilities(exact=True, supports_projection=True)
 
     def __init__(self, abort: CounterAbort) -> None:
         self.abort = abort
@@ -168,17 +167,16 @@ class TestFailureTaxonomy:
 
 
 class TestFaultHarness:
-    def test_env_round_trip(self):
+    def test_arm_and_disarm(self):
         faults.inject("store-read-corrupt")
         faults.inject("store-disk-full", 2)
-        assert os.environ[faults.ENV_VAR] == "store-disk-full:2,store-read-corrupt"
         assert faults.active("store-disk-full") == 2
         assert faults.active("store-read-corrupt") is True
         assert faults.active("not-armed") is None
         faults.clear("store-disk-full")
-        assert os.environ[faults.ENV_VAR] == "store-read-corrupt"
+        assert faults.active("store-disk-full") is None
+        assert faults.active("store-read-corrupt") is True
         faults.clear()
-        assert faults.ENV_VAR not in os.environ
         assert faults.active("store-read-corrupt") is None
 
     def test_injected_context_manager(self):
@@ -304,9 +302,7 @@ class TestStoreDegradations:
             assert store.get("k") == 7
 
     def test_engine_surfaces_store_degradations(self, tmp_path):
-        engine = CountingEngine(
-            ExactCounter(), config=EngineConfig(cache_dir=tmp_path)
-        )
+        engine = CountingEngine(ExactCounter(), cache_dir=tmp_path)
         with faults.injected("store-disk-full"):
             engine.solve(property_cnf("Transitive", 3))
         assert engine.stats.store_degradations >= 1

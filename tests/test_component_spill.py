@@ -9,10 +9,9 @@ Covers:
   rotates aside and reads as misses — engine construction never crashes);
 * the :class:`ComponentCache` spill tier — evict→spill→promote round trips,
   ``spill_all`` at engine close, warm-restart promotions surfacing as
-  ``EngineStats.component_spill_hits``, no spill without a ``cache_dir``
-  or a component cache, detaching the store, and counting on after the
-  store closed;
-* the knob plumbing — ``EngineConfig``/``MCMLSession``/CLI defaults.
+  ``EngineStats.component_spill_hits``, no spill without a ``cache_dir``,
+  detaching the store, and counting on after the store closed;
+* the session's view of the spill store.
 """
 
 import os
@@ -24,7 +23,6 @@ from repro.counting import (
     ComponentCache,
     ComponentStore,
     CountingEngine,
-    EngineConfig,
 )
 from repro.counting.store import COMPONENT_STORE_FILENAME, component_key_digest
 from repro.spec import SymmetryBreaking, get_property, translate
@@ -110,7 +108,7 @@ class TestComponentStore:
 
     def test_truncated_file_never_crashes_engine_construction(self, tmp_path):
         (tmp_path / COMPONENT_STORE_FILENAME).write_bytes(b"SQLite format 3\x00tru")
-        engine = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
+        engine = CountingEngine(cache_dir=tmp_path)
         assert engine.component_store is not None
         assert engine.solve(_phi()).value == 42
         engine.close()
@@ -172,7 +170,7 @@ class TestSpillTier:
         store.close()
 
     def test_counter_with_spill_attached_counts_after_close(self, tmp_path):
-        engine = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
+        engine = CountingEngine(cache_dir=tmp_path)
         engine.solve(_phi())
         engine.close()
         counter = engine.counter
@@ -187,14 +185,14 @@ class TestSpillTier:
 class TestEngineSpill:
     def test_warm_restart_promotes_components(self, tmp_path):
         phi = _phi()
-        cold = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
+        cold = CountingEngine(cache_dir=tmp_path)
         expected = cold.solve(phi).value
         cold.close()  # spills the live entries
         assert len(ComponentStore(tmp_path)) > 0
         # Remove the whole-count store so the warm engine must genuinely
         # recount — through promoted components, not memoized answers.
         os.remove(tmp_path / "counts.sqlite")
-        warm = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
+        warm = CountingEngine(cache_dir=tmp_path)
         result = warm.solve(phi)
         assert result.value == expected
         assert result.source == "backend"
@@ -218,10 +216,10 @@ class TestEngineSpill:
                 phi.conjoin(label_region_cnf(paths, label, 9)) for label in (1, 0)
             ]
 
-        first = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
+        first = CountingEngine(cache_dir=tmp_path)
         first.solve_many(problems(0.75))
         first.close()
-        warm = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
+        warm = CountingEngine(cache_dir=tmp_path)
         batch = problems(0.3)  # a different tree: whole counts are cold
         results = warm.solve_many(batch)
         assert [r.source for r in results] == ["backend", "backend"]
@@ -237,16 +235,9 @@ class TestEngineSpill:
         assert engine.component_store is None
         engine.close()
 
-    def test_no_component_cache_means_no_spill(self, tmp_path):
-        engine = CountingEngine(
-            config=EngineConfig(cache_dir=tmp_path, component_cache_mb=0)
-        )
-        assert engine.component_store is None
-        engine.close()
-
     def test_clear_rebaselines_spill_hits(self, tmp_path):
         phi = _phi()
-        engine = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
+        engine = CountingEngine(cache_dir=tmp_path)
         engine.solve(phi)
         engine.component_cache.spill_all()
         # Empty the *whole-count* store and memos so the re-solve genuinely

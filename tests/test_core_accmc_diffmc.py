@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import AccMC, DiffMC, MCMLPipeline
 from repro.core.accmc import GroundTruth
-from repro.counting import ApproxMCCounter, make_backend
+from repro.counting import ApproxMCCounter, CountingEngine, make_backend
 from repro.data import generate_dataset
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.spec import SymmetryBreaking, get_property
@@ -137,7 +137,7 @@ def _matrix_tree(prop_name: str, scope: int, fraction: float = 0.5, rng: int = 0
 def _formula_sweep_counts(prop_name: str, scope: int):
     """The cell DT's confusion counts from the numpy formula sweep
     (``brute``), which shares no code with the CNF route."""
-    sweep = AccMC(counter=make_backend("brute"), mode="product")
+    sweep = AccMC(engine=CountingEngine(make_backend("brute")), mode="product")
     ground_truth = sweep.ground_truth(
         get_property(prop_name), scope, symmetry=SymmetryBreaking()
     )
@@ -157,7 +157,7 @@ class TestAccMCMatrix:
     @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
     @pytest.mark.parametrize("scope", (2, 3, 4))
     def test_cnf_route_matches_formula_sweep(self, prop, scope):
-        cnf_route = AccMC(counter=make_backend("exact"), mode="product")
+        cnf_route = AccMC(engine=CountingEngine(make_backend("exact")), mode="product")
         actual = cnf_route.evaluate(
             _matrix_tree(prop.name, scope),
             cnf_route.ground_truth(prop, scope, symmetry=SymmetryBreaking()),
@@ -170,7 +170,7 @@ class TestAccMCMatrix:
         """``mode="derived"`` counts φ∧τ, φ, τ and the symmetry-reduced space
         on the CNF route and derives fp, fn and tn from the partition
         identities; they must equal the sweep's four product counts."""
-        derived = AccMC(counter=make_backend("exact"), mode="derived")
+        derived = AccMC(engine=CountingEngine(make_backend("exact")), mode="derived")
         actual = derived.evaluate(
             _matrix_tree(prop.name, scope),
             derived.ground_truth(prop, scope, symmetry=SymmetryBreaking()),
@@ -243,7 +243,7 @@ class TestDiffMCMatrix:
     def test_counts_match_prediction_sweep(self, prop, scope):
         first = _matrix_tree(prop.name, scope)
         second = _matrix_tree(prop.name, scope, fraction=0.3, rng=1)
-        result = DiffMC(counter=make_backend("exact")).evaluate(first, second)
+        result = DiffMC(engine=CountingEngine(make_backend("exact"))).evaluate(first, second)
         a = _predictions(first, scope * scope)
         b = _predictions(second, scope * scope)
         assert (result.tt, result.tf, result.ft, result.ff) == (
@@ -258,7 +258,7 @@ class TestApproxBackend:
     def test_accmc_with_approx_counter_is_close(self):
         tree, prop = _tree_for("Reflexive", 2)
         exact = AccMC().evaluate(tree, GroundTruth(prop, 2))
-        approx = AccMC(counter=ApproxMCCounter(seed=1)).evaluate(
+        approx = AccMC(engine=CountingEngine(ApproxMCCounter(seed=1))).evaluate(
             tree, GroundTruth(prop, 2)
         )
         # Scope-2 counts are tiny, so ApproxMC's exact-small path applies.

@@ -24,7 +24,6 @@ from repro.counting import (
     ExactCounter,
     LegacyExactCounter,
     brute_force_count,
-    shared_engine,
 )
 from repro.core.pipeline import MCMLPipeline
 from repro.core.tree2cnf import label_region_cnf
@@ -176,7 +175,7 @@ class TestCountingEngine:
         assert engine.solve(gt1.positive().cnf).value == 1 << 6  # free off-diagonal bits
 
     def test_backend_delegation(self):
-        engine = shared_engine(None)
+        engine = CountingEngine()
         assert engine.backend_name == "exact"
         # The engine is not a backend: backend attributes live on
         # ``engine.counter`` only.
@@ -185,10 +184,20 @@ class TestCountingEngine:
         with pytest.raises(AttributeError):
             engine.max_nodes
         assert engine.counter.max_nodes > 0
-        assert shared_engine(engine) is engine
-        # Wrapping an engine in a fresh engine unwraps to the same backend.
-        rewrapped = CountingEngine(engine)
-        assert rewrapped.counter is engine.counter
+        # Engines do not nest: share the engine itself instead.
+        with pytest.raises(TypeError, match="not another engine"):
+            CountingEngine(engine)
+
+    def test_engines_over_one_counter_share_its_component_cache(self):
+        counter = ExactCounter()
+        first = CountingEngine(counter)
+        second = CountingEngine(counter)
+        assert first.component_cache is second.component_cache
+        assert first.component_cache is counter.component_cache
+        # Counting through the first engine warms the cache it reports,
+        # even after a second engine was built over the same counter.
+        first.solve(translate(get_property("PartialOrder"), 3).cnf)
+        assert len(first.component_cache) > 0
 
     def test_region_memo(self):
         from repro.ml.decision_tree import TreePath
@@ -302,8 +311,8 @@ def _top_level_residual(cnf):
 
 
 def _nodes(cnf) -> int:
-    """Search nodes of one count with no component cache carried over."""
-    counter = ExactCounter(component_cache=None)
+    """Search nodes of one count on a fresh counter (an empty cache)."""
+    counter = ExactCounter()
     counter.count(cnf)
     return counter._nodes
 

@@ -39,9 +39,9 @@ import pytest
 from repro.core.session import MCMLSession
 from repro.counting import (
     ApproxMCCounter,
+    Capabilities,
     CountingEngine,
     CountStore,
-    EngineConfig,
     CountRequest,
     ExactCounter,
     closed_form_count,
@@ -193,6 +193,7 @@ class TestBatchSolve:
     def test_backend_that_does_not_pickle_counts_in_process(self):
         class Unpicklable:
             name = "closure"
+            capabilities = Capabilities(exact=True, supports_projection=True)
 
             def __init__(self):
                 self.fn = lambda cnf: ExactCounter().count(cnf)  # defeats pickle
@@ -218,7 +219,7 @@ class TestBatchSolve:
                     raise RuntimeError("not a resource failure")
                 return super().count(cnf)
 
-        engine = CountingEngine(BrokenOnOne(), config=EngineConfig(cache_dir=tmp_path))
+        engine = CountingEngine(BrokenOnOne(), cache_dir=tmp_path)
         # A genuine backend error is no per-problem outcome: it leaves the
         # batch at once, but the count already paid for is kept.
         with pytest.raises(RuntimeError, match="not a resource failure"):
@@ -233,8 +234,7 @@ class TestBatchSolve:
 
         easy = CNF([[1, 2]], projection=[1, 2])  # 3 models, two search nodes
         hard = translate(get_property("Transitive"), 3).cnf  # blows a 10-node budget
-        config = EngineConfig(cache_dir=tmp_path)
-        engine = CountingEngine(ExactCounter(max_nodes=10), config=config)
+        engine = CountingEngine(ExactCounter(max_nodes=10), cache_dir=tmp_path)
         with pytest.raises(CounterBudgetExceeded):
             engine.solve_many([easy, hard])
         # The count paid for before the failure reached memo *and* store.
@@ -254,17 +254,16 @@ class TestDiskPersistentEngine:
         ]
 
     def test_cold_populates_warm_hits_with_zero_backend_calls(self, tmp_path):
-        config = EngineConfig(cache_dir=tmp_path)
         batch = self._batch()
 
-        cold = CountingEngine(config=config)
+        cold = CountingEngine(cache_dir=tmp_path)
         first = [r.value for r in cold.solve_many(batch)]
         assert cold.stats.backend_calls == len(batch)
         assert cold.stats.store_hits == 0
         assert len(cold.store) == len(batch)
         cold.close()
 
-        warm = CountingEngine(config=config)
+        warm = CountingEngine(cache_dir=tmp_path)
         second = [r.value for r in warm.solve_many(batch)]
         assert second == first
         assert warm.stats.backend_calls == 0
@@ -272,12 +271,11 @@ class TestDiskPersistentEngine:
         warm.close()
 
     def test_singular_count_uses_store(self, tmp_path):
-        config = EngineConfig(cache_dir=tmp_path)
         cnf = translate(get_property("Transitive"), 3).cnf
-        cold = CountingEngine(config=config)
+        cold = CountingEngine(cache_dir=tmp_path)
         value = cold.solve(cnf).value
         cold.close()
-        warm = CountingEngine(config=config)
+        warm = CountingEngine(cache_dir=tmp_path)
         assert warm.solve(cnf.copy()).value == value
         assert warm.stats.backend_calls == 0
         assert warm.stats.store_hits == 1
@@ -287,24 +285,22 @@ class TestDiskPersistentEngine:
         warm.close()
 
     def test_corrupted_entry_triggers_recount_and_repair(self, tmp_path):
-        config = EngineConfig(cache_dir=tmp_path)
         cnf = translate(get_property("Connex"), 3).cnf
-        cold = CountingEngine(config=config)
+        cold = CountingEngine(cache_dir=tmp_path)
         value = cold.solve(cnf).value
         key = signature_key(cnf.signature())
         cold.close()
         with sqlite3.connect(tmp_path / STORE_FILENAME) as raw:
             raw.execute("UPDATE counts SET value = 'garbage' WHERE key = ?", (key,))
             raw.commit()
-        warm = CountingEngine(config=config)
+        warm = CountingEngine(cache_dir=tmp_path)
         assert warm.solve(cnf).value == value  # graceful miss → recount
         assert warm.stats.backend_calls == 1
         assert warm.store.get(key) == value  # …and the row is repaired
         warm.close()
 
     def test_clear_keeps_disk_store(self, tmp_path):
-        config = EngineConfig(cache_dir=tmp_path)
-        engine = CountingEngine(config=config)
+        engine = CountingEngine(cache_dir=tmp_path)
         cnf = translate(get_property("Reflexive"), 2).cnf
         engine.solve(cnf)
         engine.clear()
@@ -317,12 +313,11 @@ class TestDiskPersistentEngine:
         # An (ε, δ) estimate persisted under a signature-only key would be
         # served to later *exact* runs sharing the cache_dir — so engines
         # over non-exact backends must neither write nor read the store.
-        config = EngineConfig(cache_dir=tmp_path)
         cnf = CNF(num_vars=12, projection=range(1, 13))
-        approx_engine = CountingEngine(ApproxMCCounter(seed=3), config=config)
+        approx_engine = CountingEngine(ApproxMCCounter(seed=3), cache_dir=tmp_path)
         assert approx_engine.store is None
         approx_engine.solve(cnf)  # would have persisted 4096±ε
-        exact_engine = CountingEngine(config=config)
+        exact_engine = CountingEngine(cache_dir=tmp_path)
         assert exact_engine.solve(cnf).value == 4096
         assert exact_engine.stats.store_hits == 0
         assert exact_engine.stats.backend_calls == 1
@@ -353,12 +348,11 @@ class TestDiskPersistentEngine:
         assert not any(r.exact for r in results)
 
     def test_engines_share_a_cache_dir(self, tmp_path):
-        config = EngineConfig(cache_dir=tmp_path)
         batch = self._batch()
-        producer = CountingEngine(config=config)
+        producer = CountingEngine(cache_dir=tmp_path)
         counts = [r.value for r in producer.solve_many(batch)]
         producer.close()
-        consumer = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
+        consumer = CountingEngine(cache_dir=tmp_path)
         assert [r.value for r in consumer.solve_many(batch)] == counts
         assert consumer.stats.backend_calls == 0
         consumer.close()

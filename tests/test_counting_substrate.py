@@ -27,7 +27,6 @@ from repro.counting import (
     ComponentCache,
     CountingEngine,
     CountStore,
-    EngineConfig,
     ExactCounter,
     FormulaBruteCounter,
     LegacyExactCounter,
@@ -122,7 +121,7 @@ class TestSharedCacheDifferential:
         ]
         shared = ExactCounter()  # owns one persistent cache across all calls
         for cnf in cases:
-            fresh = ExactCounter(component_cache=None).count(cnf)
+            fresh = ExactCounter().count(cnf)
             assert shared.count(cnf) == fresh
             # A second, fully warm call must agree too.
             assert shared.count(cnf) == fresh
@@ -141,20 +140,13 @@ class TestSharedCacheDifferential:
         tiny = ExactCounter(component_cache=ComponentCache(max_bytes=None, max_entries=64))
         for _ in range(150):
             cnf = _random_cnf(rng)
-            fresh = ExactCounter(component_cache=None).count(cnf)
+            fresh = ExactCounter().count(cnf)
             legacy = LegacyExactCounter().count(cnf.copy())
             assert fresh == legacy
             assert shared.count(cnf) == fresh
             # Eviction-heavy cache: correctness must survive mid-search
             # evictions under a cap far below the working set.
             assert tiny.count(cnf) == fresh
-
-    def test_engine_opt_out_restores_per_call_cache(self):
-        engine = CountingEngine(config=EngineConfig(component_cache_mb=0))
-        assert engine.component_cache is None
-        assert engine.counter.component_cache is None
-        cnf = translate(get_property("Transitive"), 3).cnf
-        assert engine.solve(cnf).value == 171
 
 
 @pytest.fixture(scope="class")
@@ -168,7 +160,7 @@ class TestEngineLifecycle:
 
     def test_engine_is_a_context_manager(self, tmp_path):
         batch = self._cold_batch(("Reflexive", "Irreflexive"))
-        with CountingEngine(config=EngineConfig(cache_dir=tmp_path)) as engine:
+        with CountingEngine(cache_dir=tmp_path) as engine:
             counts = [r.value for r in engine.solve_many(batch)]
             stores = [engine.store, engine.memo_store, engine.component_store]
             assert all(store._connection is not None for store in stores)
@@ -232,8 +224,7 @@ class TestSatelliteFixes:
         plain = repr(CountingEngine())
         assert plain.startswith("CountingEngine(backend='exact', counts=0")
         assert "components=0" in plain and "store=" not in plain
-        config = EngineConfig(cache_dir=tmp_path)
-        with CountingEngine(config=config) as engine:
+        with CountingEngine(cache_dir=tmp_path) as engine:
             engine.solve(translate(get_property("Reflexive"), 2).cnf)
             text = repr(engine)
         assert "counts=1" in text and "hits=0/1" in text

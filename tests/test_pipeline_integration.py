@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import MCMLPipeline
 from repro.core.accmc import AccMC, GroundTruth
-from repro.counting import ExactCounter, FormulaBruteCounter
+from repro.counting import CountingEngine, ExactCounter, FormulaBruteCounter
 from repro.counting.vector import count_formula, evaluate_formula_block
 from repro.data import generate_dataset
 from repro.logic.formula import And, Iff, Implies, Not, Or, Var, iter_assignments
@@ -111,7 +111,7 @@ class TestBackendConsistency:
         tree = DecisionTreeClassifier().fit(train.X.astype(float), train.y)
         gt = GroundTruth(prop, 3, symmetry=symmetry)
         results = {
-            (mode, counter.name): AccMC(counter=counter, mode=mode).evaluate(tree, gt).counts
+            (mode, counter.name): AccMC(mode, CountingEngine(counter)).evaluate(tree, gt).counts
             for mode in ("product", "derived")
             for counter in (ExactCounter(), FormulaBruteCounter())
         }

@@ -24,7 +24,6 @@ from repro.counting import (
     CountingEngine,
     CountRequest,
     CountResult,
-    EngineConfig,
     EngineStats,
     make_backend,
 )
@@ -64,8 +63,7 @@ class TestCountRequest:
 class TestTypedSolvePath:
     def test_cold_memo_store_provenance(self, tmp_path):
         cnf = _cnf()
-        config = EngineConfig(cache_dir=tmp_path)
-        with CountingEngine(config=config) as engine:
+        with CountingEngine(cache_dir=tmp_path) as engine:
             cold = engine.solve(cnf)
             assert isinstance(cold, CountResult)
             assert cold.value == 171
@@ -77,7 +75,7 @@ class TestTypedSolvePath:
             assert warm.value == cold.value
             assert int(warm) == 171
         # A fresh engine on the same cache_dir answers from the disk store.
-        with CountingEngine(config=config) as fresh:
+        with CountingEngine(cache_dir=tmp_path) as fresh:
             stored = fresh.solve(cnf)
             assert stored.source == "store"
             assert stored.value == 171
@@ -140,11 +138,10 @@ class TestTypedSolvePath:
 class TestCompilationMemoPersistence:
     def test_translations_warm_from_disk(self, tmp_path):
         prop = get_property("PartialOrder")
-        config = EngineConfig(cache_dir=tmp_path)
-        with CountingEngine(config=config) as producer:
+        with CountingEngine(cache_dir=tmp_path) as producer:
             compiled = producer.translate(prop, 3, negate=True)
             assert producer.stats.translate_store_hits == 0
-        with CountingEngine(config=config) as consumer:
+        with CountingEngine(cache_dir=tmp_path) as consumer:
             warmed = consumer.translate(prop, 3, negate=True)
             assert consumer.stats.translate_store_hits == 1
             assert warmed.cnf.signature() == compiled.cnf.signature()
@@ -162,10 +159,9 @@ class TestCompilationMemoPersistence:
             repro_scope=reflexive.repro_scope,
             oracle=irreflexive.oracle,
         )
-        config = EngineConfig(cache_dir=tmp_path)
-        with CountingEngine(config=config) as producer:
+        with CountingEngine(cache_dir=tmp_path) as producer:
             producer.translate(reflexive, 2)
-        with CountingEngine(config=config) as consumer:
+        with CountingEngine(cache_dir=tmp_path) as consumer:
             compiled = consumer.translate(impostor, 2)
             assert consumer.stats.translate_store_hits == 0  # distinct key
             assert consumer.solve(compiled.cnf).value == 4  # irreflexive count
@@ -178,18 +174,17 @@ class TestCompilationMemoPersistence:
         paths = tree.decision_paths()
         region = session.engine.region(paths, 1, 9)
         session.close()
-        with CountingEngine(config=EngineConfig(cache_dir=tmp_path)) as consumer:
+        with CountingEngine(cache_dir=tmp_path) as consumer:
             warmed = consumer.region(paths, 1, 9)
             assert consumer.stats.region_store_hits == 1
             assert warmed.signature() == region.signature()
 
     def test_memo_store_active_for_approximate_backends(self, tmp_path):
-        config = EngineConfig(cache_dir=tmp_path)
         prop = get_property("Connex")
-        with CountingEngine(ApproxMCCounter(seed=0), config=config) as producer:
+        with CountingEngine(ApproxMCCounter(seed=0), cache_dir=tmp_path) as producer:
             assert producer.store is None  # estimates are never persisted
             producer.translate(prop, 2)
-        with CountingEngine(ApproxMCCounter(seed=0), config=config) as consumer:
+        with CountingEngine(ApproxMCCounter(seed=0), cache_dir=tmp_path) as consumer:
             consumer.translate(prop, 2)
             assert consumer.stats.translate_store_hits == 1
 
@@ -295,14 +290,14 @@ class TestMCMLSession:
             assert session.accmc(tree, "Reflexive", 3).counter == "exact"
 
     @pytest.mark.parametrize(
-        "surface", ("EngineConfig", "MCMLSession", "ExperimentConfig")
+        "surface", ("CountingEngine", "MCMLSession", "ExperimentConfig")
     )
     def test_workers_option_is_rejected(self, surface):
         """The removed ``workers`` option fails loudly, never silently."""
         from repro.experiments.config import ExperimentConfig
 
         build = {
-            "EngineConfig": EngineConfig,
+            "CountingEngine": CountingEngine,
             "MCMLSession": MCMLSession,
             "ExperimentConfig": ExperimentConfig,
         }[surface]
@@ -310,23 +305,42 @@ class TestMCMLSession:
             build(workers=2)
 
     @pytest.mark.parametrize(
-        "keyword", ("component_spill", "circuit_store", "region_strategy", "fallback")
+        "keyword",
+        (
+            "component_spill", "circuit_store", "region_strategy", "fallback",
+            "component_cache_mb", "config",
+        ),
     )
     @pytest.mark.parametrize(
-        "surface", ("EngineConfig", "MCMLSession", "ExperimentConfig")
+        "surface", ("CountingEngine", "MCMLSession", "ExperimentConfig")
     )
     def test_tier_switches_are_rejected(self, surface, keyword):
-        """The removed per-tier opt-outs, the removed region route and the
-        removed fallback backend fail loudly, never silently."""
+        """The removed per-tier opt-outs, the removed region route, the
+        removed fallback backend, the removed component-cache budget and
+        the removed engine config fail loudly, never silently."""
         from repro.experiments.config import ExperimentConfig
 
         build = {
-            "EngineConfig": EngineConfig,
+            "CountingEngine": CountingEngine,
             "MCMLSession": MCMLSession,
             "ExperimentConfig": ExperimentConfig,
         }[surface]
         with pytest.raises(TypeError, match=keyword):
             build(**{keyword: False})
+
+    @pytest.mark.parametrize("keyword", ("counter", "config", "component_cache_mb"))
+    @pytest.mark.parametrize("surface", ("AccMC", "DiffMC", "MCMLPipeline"))
+    def test_consumers_take_only_an_engine(self, surface, keyword):
+        """The consumers count through the engine they are given (or a
+        fresh default one); the removed backend and engine-config keywords
+        fail loudly, never silently."""
+        from repro.core.pipeline import MCMLPipeline
+
+        build = {"AccMC": AccMC, "DiffMC": DiffMC, "MCMLPipeline": MCMLPipeline}[
+            surface
+        ]
+        with pytest.raises(TypeError, match=keyword):
+            build(**{keyword: None})
 
 
 #: The conformance battery's problems: four scope-3 properties with
@@ -468,11 +482,9 @@ class TestCLISurface:
     def test_limit_flags_flow_into_config(self):
         args = build_parser().parse_args([
             "table9", "--deadline", "2.5", "--budget", "100",
-            "--component-cache-mb", "0",  # 0 opts out of the shared cache
         ])
         config = config_from_args(args)
         assert (config.deadline, config.budget) == (2.5, 100)
-        assert config.component_cache_mb == 0.0
 
     @pytest.mark.parametrize("flag", ("--backend",))
     def test_unknown_backend_name_lists_the_registry(self, flag, capsys):
@@ -508,6 +520,7 @@ class TestCLISurface:
             ["table9", "--max-deadline", "5"],
             ["table9", "--max-budget", "7"],
             ["table9", "--drain-grace", "5"],
+            ["table9", "--component-cache-mb", "0"],
         ),
         ids=(
             "cluster", "serve", "shards", "solver-threads", "fanout-min-vars",
@@ -515,7 +528,7 @@ class TestCLISurface:
             "region-strategy", "backend-compiled", "backend-circuit",
             "fallback-nope", "fallback-approxmc", "host", "port", "max-queue",
             "max-inflight", "read-timeout", "max-deadline", "max-budget",
-            "drain-grace",
+            "drain-grace", "component-cache-mb",
         ),
     )
     def test_parser_rejects_removed_verbs_and_flags(self, argv, capsys):
@@ -536,14 +549,11 @@ class TestCLISurface:
             (["table9", "--scope", "3", "--budget", "0"], "--budget"),
             (["table9", "--scope", "3", "--deadline", "0"], "--deadline"),
             (["table9", "--scope", "3", "--deadline", "inf"], "--deadline"),
-            (["table9", "--component-cache-mb", "-1"], "--component-cache-mb"),
-            (["table9", "--component-cache-mb", "nan"], "--component-cache-mb"),
             (["table9", "--scope", "3", "--seed", "-1"], "--seed"),
         ),
         ids=(
             "max-positives-0", "scope-0", "train-fraction-1.5", "budget-neg5",
-            "budget-0", "deadline-0", "deadline-inf", "component-cache-mb-neg1",
-            "component-cache-mb-nan", "seed-neg1",
+            "budget-0", "deadline-0", "deadline-inf", "seed-neg1",
         ),
     )
     def test_parser_rejects_out_of_range_numbers(self, argv, flag, capsys):

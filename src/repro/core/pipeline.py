@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.accmc import AccMC, AccMCResult
-from repro.counting.engine import CountingEngine
+from repro.counting.engine import CountingEngine, _prop_key
 from repro.data.dataset import Dataset
-from repro.data.generation import generate_dataset
+from repro.data.generation import enumerate_positive_bits, generate_dataset
 from repro.ml import MODEL_REGISTRY
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.metrics import ConfusionCounts, confusion_counts
@@ -57,6 +57,11 @@ class MCMLPipeline:
         An existing :class:`CountingEngine` to share memoized counts,
         translations and tree regions with other pipelines/evaluators
         (default: a fresh one over the exact counter).
+
+    A pipeline enumerates each (property, scope) once and keeps the
+    positive sets for its lifetime (see :meth:`positives`), so the tables
+    of one session share them across symmetry settings, splits and class
+    ratios.
     """
 
     def __init__(
@@ -68,8 +73,37 @@ class MCMLPipeline:
         self.accmc = AccMC(mode=accmc_mode, engine=engine)
         self.engine = self.accmc.engine
         self.seed = seed
+        self._positives: dict[tuple, np.ndarray] = {}
 
     # -- dataset handling -------------------------------------------------------------
+
+    def positives(
+        self,
+        prop: Property | str,
+        scope: int,
+        symmetry: SymmetryBreaking | None = None,
+    ) -> np.ndarray:
+        """The read-only positive set, memoized per (property, scope, symmetry kind).
+
+        The plain set comes from one :func:`enumerate_positive_bits` call; a
+        symmetry-broken set is the plain set filtered by
+        :meth:`SymmetryBreaking.mask`, the enumerator's own last step, so
+        either equals ``enumerate_positive_bits(prop, scope, symmetry)`` row
+        for row.  Two threads missing one key at once both enumerate and
+        store equal sets, so no lock is taken.
+        """
+        prop = get_property(prop) if isinstance(prop, str) else prop
+        key = (_prop_key(prop), scope, None if symmetry is None else symmetry.kind)
+        bits = self._positives.get(key)
+        if bits is None:
+            if symmetry is None:
+                bits = enumerate_positive_bits(prop, scope)
+            else:
+                plain = self.positives(prop, scope)
+                bits = plain[symmetry.mask(plain, scope)]
+            bits.flags.writeable = False
+            self._positives[key] = bits
+        return bits
 
     def make_dataset(
         self,
@@ -87,6 +121,7 @@ class MCMLPipeline:
             negative_ratio=negative_ratio,
             max_positives=max_positives,
             rng=np.random.default_rng(self.seed),
+            positives=self.positives(prop, scope, symmetry),
         )
 
     # -- model handling ---------------------------------------------------------------

@@ -218,8 +218,6 @@ class ApproxMCCounter:
     """(ε, δ) approximate projected model counter."""
 
     name = "approxmc"
-    #: (ε, δ) estimates: not portable across backends and not persisted.
-    exact = False
     capabilities = Capabilities(
         exact=False,
         counts_formulas=False,

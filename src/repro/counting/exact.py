@@ -109,8 +109,6 @@ class ExactCounter:
     """
 
     name = "exact"
-    #: Counts are exact, hence portable across backends and safe to persist.
-    exact = True
     #: Declared contract (see :class:`repro.counting.api.Capabilities`):
     #: projected DPLL search handles auxiliaries, and every count goes
     #: through the ``component_cache`` attribute.

@@ -34,7 +34,6 @@ class LegacyExactCounter:
     """
 
     name = "legacy"
-    exact = True
     #: Exact like the packed counter, but its component cache is per-call
     #: scratch: the engine has no cache of it to report or spill.
     capabilities = Capabilities(

@@ -92,7 +92,6 @@ class FormulaBruteCounter:
     """
 
     name = "brute"
-    exact = True
     #: Exact full-space sweep; counts pre-Tseitin formulas directly (the
     #: AccMC fast path) but rejects CNFs with auxiliary variables.
     capabilities = Capabilities(

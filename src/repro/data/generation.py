@@ -137,6 +137,7 @@ def generate_dataset(
     negative_ratio: float = 1.0,
     max_positives: int | None = None,
     rng: np.random.Generator | int | None = 0,
+    positives: np.ndarray | None = None,
 ) -> Dataset:
     """Build a labelled dataset for one property.
 
@@ -144,14 +145,18 @@ def generate_dataset(
     paper's balanced sets; Table 9's class-ratio sweep varies it.
     ``max_positives`` caps the bounded-exhaustive set with a seeded uniform
     subsample, drawn by row index from the enumeration order, to keep the
-    pure-Python pipeline fast at larger scopes.
+    pure-Python pipeline fast at larger scopes.  ``positives`` supplies an
+    already enumerated set, which must be what
+    ``enumerate_positive_bits(prop, scope, symmetry)`` returns, in that
+    order; without it the set is enumerated here.
     """
     if negative_ratio <= 0:
         raise ValueError("negative_ratio must be positive")
     if max_positives is not None and max_positives < 1:
         raise ValueError(f"max_positives must be >= 1, got {max_positives}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    positives = enumerate_positive_bits(prop, scope, symmetry=symmetry)
+    if positives is None:
+        positives = enumerate_positive_bits(prop, scope, symmetry=symmetry)
     if len(positives) == 0:
         raise RuntimeError(f"{prop.name} has no solutions at scope {scope}")
     if max_positives is not None and len(positives) > max_positives:

@@ -214,11 +214,6 @@ class TestCapabilityFlagsMatchBehaviour:
         has_attr = getattr(backend, "component_cache", _MISSING) is not _MISSING
         assert backend.capabilities.owns_component_cache == has_attr
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_exact_flag_matches_historical_attr(self, name):
-        backend = make_backend(name)
-        assert backend.capabilities.exact == bool(getattr(backend, "exact", False))
-
 
 class _AuxFreeStub:
     """An exact backend declaring neither formula counting nor projection."""

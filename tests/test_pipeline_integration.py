@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from repro.core import MCMLPipeline
+from repro.core import pipeline as pipeline_module
 from repro.core.accmc import AccMC, GroundTruth
 from repro.counting import CountingEngine, ExactCounter, FormulaBruteCounter
 from repro.counting.vector import count_formula, evaluate_formula_block
-from repro.data import generate_dataset
+from repro.data import enumerate_positive_bits, generate_dataset
+from repro.data import generation as generation_module
+from repro.experiments.config import ExperimentConfig
 from repro.logic.formula import And, Iff, Implies, Not, Or, Var, iter_assignments
 from repro.ml.decision_tree import DecisionTreeClassifier
-from repro.spec import SymmetryBreaking, get_property, translate
+from repro.spec import PROPERTIES, SymmetryBreaking, get_property, translate
 
 from tests.test_logic_formula import formula_strategy, _MAX_VARS
 from hypothesis import given, settings
@@ -97,6 +100,95 @@ class TestPipeline:
         # Unconstrained evaluation space is the full 2^9; constrained is smaller.
         assert mismatch.whole_space.counts.total == 2**9
         assert matched.whole_space.counts.total < 2**9
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Every positive enumeration as ``(property, scope, symmetry kind)``.
+
+    Both bindings are wrapped: the pipeline's memo and
+    :func:`generate_dataset` when it is not handed a set.
+    """
+    calls = []
+
+    def recording(prop, scope, symmetry=None):
+        calls.append((prop.name, scope, None if symmetry is None else symmetry.kind))
+        return enumerate_positive_bits(prop, scope, symmetry)
+
+    monkeypatch.setattr(pipeline_module, "enumerate_positive_bits", recording)
+    monkeypatch.setattr(generation_module, "enumerate_positive_bits", recording)
+    return calls
+
+
+class TestPositiveSetMemo:
+    """A pipeline enumerates each (property, scope) once, and its datasets
+    are byte-identical to enumerating on every call."""
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    def test_memo_matches_enumeration_and_direct_generation(self, prop):
+        seed = 3
+        pipeline = MCMLPipeline(seed=seed)
+        for scope in (2, 3, 4):
+            for symmetry in (None, SymmetryBreaking("adjacent")):
+                memoized = pipeline.positives(prop, scope, symmetry)
+                expected = enumerate_positive_bits(prop, scope, symmetry)
+                assert memoized.dtype == expected.dtype
+                assert np.array_equal(memoized, expected)
+                for max_positives in (None, 5):
+                    for ratio in (1.0, 2.5):
+                        got = pipeline.make_dataset(
+                            prop, scope, symmetry=symmetry,
+                            negative_ratio=ratio, max_positives=max_positives,
+                        )
+                        want = generate_dataset(
+                            prop, scope, symmetry=symmetry,
+                            negative_ratio=ratio, max_positives=max_positives,
+                            rng=np.random.default_rng(seed),
+                        )
+                        assert got.X.dtype == want.X.dtype
+                        assert np.array_equal(got.X, want.X)
+                        assert np.array_equal(got.y, want.y)
+                        assert got.symmetry == want.symmetry
+
+    def test_one_enumeration_per_property_and_scope_per_session(self, enumerations):
+        config = ExperimentConfig(
+            properties=("Function", "PartialOrder", "Transitive"),
+            scope=3,
+            max_positives=40,
+        )
+        with config.session() as session:
+            for number in (3, 5, 6, 7, 8, 9):
+                session.table(number, config=config)
+        # Table 9 adds Antisymmetric; symmetry-broken sets come by mask.
+        assert sorted(enumerations) == [
+            ("Antisymmetric", 3, None),
+            ("Function", 3, None),
+            ("PartialOrder", 3, None),
+            ("Transitive", 3, None),
+        ]
+
+    def test_no_cache_across_sessions(self, enumerations):
+        config = ExperimentConfig(seed=0)
+        for _ in range(2):
+            with config.session() as session:
+                session.pipeline.make_dataset("PartialOrder", 3)
+                session.pipeline.make_dataset(
+                    "PartialOrder", 3, symmetry=SymmetryBreaking()
+                )
+        assert enumerations == [("PartialOrder", 3, None)] * 2
+
+    @pytest.mark.parametrize("symmetry", [None, SymmetryBreaking()])
+    def test_memoized_sets_are_read_only(self, symmetry):
+        pipeline = MCMLPipeline(seed=0)
+        bits = pipeline.positives("PartialOrder", 3, symmetry)
+        with pytest.raises(ValueError, match="read-only"):
+            bits[0, 0] ^= 1
+        dataset = pipeline.make_dataset("PartialOrder", 3, symmetry=symmetry)
+        dataset.X[0, 0] ^= 1  # datasets own their rows
+        assert np.array_equal(
+            pipeline.positives("PartialOrder", 3, symmetry),
+            enumerate_positive_bits(get_property("PartialOrder"), 3, symmetry),
+        )
 
 
 class TestBackendConsistency:

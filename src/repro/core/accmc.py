@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from collections.abc import Callable
 
-from repro.counting.api import CountRequest
 from repro.counting.engine import CountingEngine
 from repro.logic.cnf import CNF
 from repro.logic.formula import Formula, TRUE
@@ -173,23 +172,16 @@ class AccMC:
         return self.engine.ground_truth(prop, scope, symmetry=symmetry)
 
     def evaluate(
-        self,
-        tree: DecisionTreeClassifier,
-        ground_truth: GroundTruth,
-        *,
-        deadline: float | None = None,
-        budget: int | None = None,
+        self, tree: DecisionTreeClassifier, ground_truth: GroundTruth
     ) -> AccMCResult:
         """Whole-space confusion metrics of ``tree`` against ``ground_truth``.
 
-        ``deadline`` (wall-clock seconds) and ``budget`` (search nodes)
-        apply *per counting problem* on the CNF route: each confusion
-        count becomes a limited :class:`~repro.counting.api.CountRequest`,
-        so an intractable region raises
+        Every count is bounded by the limits of the engine's backend, so
+        an intractable region raises
         :class:`~repro.counting.exact.CounterTimeout` /
         :class:`~repro.counting.exact.CounterBudgetExceeded` instead of
-        running unbounded.  The formula-sweep route has no search loop to
-        interrupt and ignores both knobs.
+        running unbounded.  The formula-sweep backend has no search loop
+        to interrupt and no limits.
         """
         started = time.perf_counter()
         m = ground_truth.num_primary
@@ -220,9 +212,7 @@ class AccMC:
                 ground_truth, true_region, false_region, m
             )
         else:
-            counts = self._evaluate_by_cnf(
-                ground_truth, true_region, false_region, deadline, budget
-            )
+            counts = self._evaluate_by_cnf(ground_truth, true_region, false_region)
         return AccMCResult(
             property_name=ground_truth.prop.name,
             scope=ground_truth.scope,
@@ -243,12 +233,7 @@ class AccMC:
     # -- backend-specific constructions --------------------------------------------
 
     def _evaluate_by_cnf(
-        self,
-        ground_truth: GroundTruth,
-        true_region: CNF,
-        false_region: CNF,
-        deadline: float | None,
-        budget: int | None,
+        self, ground_truth: GroundTruth, true_region: CNF, false_region: CNF
     ) -> ConfusionCounts:
         """The paper's pipeline: conjoin CNFs, hand them to the counting engine.
 
@@ -256,23 +241,16 @@ class AccMC:
         confusion count carries backend/cache provenance on the way in.
         """
         phi = ground_truth.positive().cnf
-        limited = deadline is not None or budget is not None
-
-        def problem(cnf: CNF) -> CNF | CountRequest:
-            if not limited:
-                return cnf
-            return CountRequest.from_cnf(cnf, deadline=deadline, budget=budget)
-
         if self.mode == "product":
             not_phi = ground_truth.negative().cnf
             tp, fp, fn, tn = (
                 r.value
                 for r in self.engine.solve_many(
                     [
-                        problem(phi.conjoin(true_region)),
-                        problem(not_phi.conjoin(true_region)),
-                        problem(phi.conjoin(false_region)),
-                        problem(not_phi.conjoin(false_region)),
+                        phi.conjoin(true_region),
+                        not_phi.conjoin(true_region),
+                        phi.conjoin(false_region),
+                        not_phi.conjoin(false_region),
                     ]
                 )
             )
@@ -281,11 +259,7 @@ class AccMC:
             tp, phi_count, tau_count = (
                 r.value
                 for r in self.engine.solve_many(
-                    [
-                        problem(phi.conjoin(true_region)),
-                        problem(phi),
-                        problem(space.conjoin(true_region)),
-                    ]
+                    [phi.conjoin(true_region), phi, space.conjoin(true_region)]
                 )
             )
             space_count = self._space_count(

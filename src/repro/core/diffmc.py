@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.counting.api import CountRequest
 from repro.counting.engine import CountingEngine
 from repro.ml.decision_tree import DecisionTreeClassifier
 
@@ -74,18 +73,12 @@ class DiffMC:
         self.engine = engine if engine is not None else CountingEngine()
 
     def evaluate(
-        self,
-        first: DecisionTreeClassifier,
-        second: DecisionTreeClassifier,
-        *,
-        deadline: float | None = None,
-        budget: int | None = None,
+        self, first: DecisionTreeClassifier, second: DecisionTreeClassifier
     ) -> DiffMCResult:
         """The four agreement counts of ``first`` vs ``second``.
 
-        ``deadline`` (wall-clock seconds) and ``budget`` (search nodes)
-        bound each of the four counting problems individually; past a
-        limit the count raises its typed abort.
+        The limits of the engine's backend bound each of the four counts;
+        past a limit the count raises its typed abort.
         """
         if first.n_features is None or second.n_features is None:
             raise RuntimeError("both trees must be fitted")
@@ -107,11 +100,6 @@ class DiffMC:
             false1.conjoin(true2),
             false1.conjoin(false2),
         ]
-        if deadline is not None or budget is not None:
-            problems = [
-                CountRequest.from_cnf(cnf, deadline=deadline, budget=budget)
-                for cnf in problems
-            ]
         tt, tf, ft, ff = (r.value for r in self.engine.solve_many(problems))
         result = DiffMCResult(
             tt=tt,

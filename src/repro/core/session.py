@@ -6,9 +6,9 @@ paper's table drivers.  Before this facade each consumer wired its own
 engine/config/store plumbing by hand; a session owns that plumbing once:
 
 * one :class:`~repro.counting.engine.CountingEngine` over a backend chosen
-  by registered name (:func:`repro.counting.api.make_backend`), with its
-  memos, the backend's component cache and, given a ``cache_dir``, the
-  disk-persistent stores;
+  by registered name (:func:`repro.counting.api.make_counter`), which
+  carries the run's count limits, with the engine's memos, the backend's
+  component cache and, given a ``cache_dir``, the disk-persistent stores;
 * one :class:`~repro.core.pipeline.MCMLPipeline` for dataset generation
   and model training, sharing the session seed;
 * the metric entry points — :meth:`accmc`, :meth:`diffmc`, :meth:`bnnmc`,
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from repro.core.accmc import AccMC, AccMCResult, GroundTruth
 from repro.core.diffmc import DiffMC, DiffMCResult
-from repro.counting.api import Capabilities, CountRequest, CountResult, make_counter
+from repro.counting.api import Capabilities, CountResult, make_counter
 from repro.counting.engine import CountingEngine
 from repro.logic.cnf import CNF
 from repro.spec.properties import Property, get_property
@@ -65,14 +65,21 @@ class MCMLSession:
     backend:
         Registered backend name (``exact``, ``legacy``, ``brute``,
         ``approxmc`` or an alias), built by
-        :func:`~repro.counting.api.make_counter` with the session ``seed``.
-        Ignored when ``engine`` is supplied.
-    engine:
-        An existing :class:`CountingEngine` to adopt instead of building
-        one — the session then shares (and on ``close()`` releases) it.
+        :func:`~repro.counting.api.make_counter` with the session ``seed``,
+        ``budget`` and ``deadline``.
     cache_dir:
         Directory of the engine's disk-persistent counts, compilations and
         component-cache spill (so work survives session restarts).
+    budget, deadline:
+        The count limits (search nodes, an integer >= 1; wall-clock
+        seconds, a finite number > 0), set once on the backend's own
+        knobs, so they bound every ``count()`` the session makes: metric
+        tables, Table 1 and the counting verbs alike.  A count past a
+        limit fails with its typed
+        :class:`~repro.counting.exact.CounterAbort` (a
+        :class:`~repro.counting.api.CountFailure` under
+        ``on_failure="return"``); a backend without the knob ignores the
+        limit.  A malformed limit raises ``ValueError`` here.
     accmc_mode:
         Default AccMC construction (``"derived"`` or the paper's
         ``"product"``); overridable per :meth:`accmc` call.
@@ -85,24 +92,17 @@ class MCMLSession:
         self,
         backend: str = "exact",
         *,
-        engine: CountingEngine | None = None,
         cache_dir=None,
         deadline: float | None = None,
         budget: int | None = None,
         accmc_mode: str = "derived",
         seed: int = 0,
     ) -> None:
-        if engine is None:
-            engine = CountingEngine(
-                make_counter(backend, seed=seed), cache_dir=cache_dir
-            )
-        self.engine = engine
+        self.engine = CountingEngine(
+            make_counter(backend, seed=seed, budget=budget, deadline=deadline),
+            cache_dir=cache_dir,
+        )
         self.accmc_mode = accmc_mode
-        #: Session-wide default per-problem limits, applied by the metric
-        #: entry points (:meth:`accmc`, :meth:`diffmc`) unless a call
-        #: overrides them.
-        self.deadline = deadline
-        self.budget = budget
         self.seed = seed
         self._accmc: dict[str, AccMC] = {}
         self._diffmc: DiffMC | None = None
@@ -142,16 +142,14 @@ class MCMLSession:
         """The component-cache disk spill, or None when not configured."""
         return self.engine.component_store
 
-    def solve(
-        self, problem: CountRequest | CNF, *, on_failure: str = "raise"
-    ) -> CountResult:
+    def solve(self, problem: CNF, *, on_failure: str = "raise") -> CountResult:
         """Typed count of one problem through the session engine."""
         return self.engine.solve(problem, on_failure=on_failure)
 
     def solve_many(self, problems, *, on_failure: str = "raise"):
         return self.engine.solve_many(problems, on_failure=on_failure)
 
-    def count(self, problem: CountRequest | CNF) -> int:
+    def count(self, problem: CNF) -> int:
         """Bare-int convenience over :meth:`solve`."""
         return self.engine.solve(problem).value
 
@@ -200,39 +198,16 @@ class MCMLSession:
         scope: int,
         symmetry: SymmetryBreaking | None = None,
         mode: str | None = None,
-        deadline: float | None = None,
-        budget: int | None = None,
     ) -> AccMCResult:
-        """Whole-input-space confusion metrics of ``tree`` against a property.
-
-        ``deadline``/``budget`` bound each counting problem individually
-        (falling back to the session-wide defaults when omitted); see
-        :meth:`AccMC.evaluate`.
-        """
+        """Whole-input-space confusion metrics of ``tree`` against a property."""
         ground_truth = self.ground_truth(prop, scope, symmetry=symmetry)
-        return self._accmc_for(mode or self.accmc_mode).evaluate(
-            tree,
-            ground_truth,
-            deadline=deadline if deadline is not None else self.deadline,
-            budget=budget if budget is not None else self.budget,
-        )
+        return self._accmc_for(mode or self.accmc_mode).evaluate(tree, ground_truth)
 
-    def diffmc(
-        self,
-        first,
-        second,
-        deadline: float | None = None,
-        budget: int | None = None,
-    ) -> DiffMCResult:
+    def diffmc(self, first, second) -> DiffMCResult:
         """Whole-space semantic difference between two decision trees."""
         if self._diffmc is None:
             self._diffmc = DiffMC(engine=self.engine)
-        return self._diffmc.evaluate(
-            first,
-            second,
-            deadline=deadline if deadline is not None else self.deadline,
-            budget=budget if budget is not None else self.budget,
-        )
+        return self._diffmc.evaluate(first, second)
 
     def bnnmc(
         self,

@@ -16,16 +16,16 @@ back-ends used for validation and ablation:
   Table 1 at paper scopes without running a counter.
 * :mod:`repro.counting.legacy` — the tuple-based predecessor of the packed
   exact counter, kept as a differential baseline.
-* :mod:`repro.counting.api` — the typed counting contract: frozen
-  :class:`CountRequest`/:class:`CountResult` objects, the
-  :class:`Capabilities` declaration every backend carries, the
-  :class:`CounterBackend` protocol, and the backend registry
-  (:func:`make_backend`, :func:`available_backends`) that ``mcml
-  --backend NAME`` and the conformance suite iterate over.
+* :mod:`repro.counting.api` — the typed counting contract: the frozen
+  :class:`CountResult`, the :class:`Capabilities` declaration every
+  backend carries, the :class:`CounterBackend` protocol, and the backend
+  registry (:func:`make_backend`, :func:`available_backends`) that ``mcml
+  --backend NAME`` and the conformance suite iterate over; its
+  ``make_counter`` sets a run's seed and count limits on the backend.
 * :mod:`repro.counting.engine` — :class:`CountingEngine`, the shared,
   memoizing facade AccMC/DiffMC and the experiment drivers count through
-  (optionally over a ``cache_dir``); ``solve``/``solve_many`` return
-  typed :class:`CountResult`\\ s.
+  (optionally over a ``cache_dir``); ``solve``/``solve_many`` take CNFs
+  and return typed :class:`CountResult`\\ s.
 * :mod:`repro.counting.component_cache` — :class:`ComponentCache`, the
   bounded LRU of counted components the exact counter owns; it persists
   across counting calls, so every problem an engine counts shares it.
@@ -38,7 +38,8 @@ back-ends used for validation and ablation:
 
 Failure taxonomy: :class:`CounterAbort` is the base of the cooperative
 resource aborts (:class:`CounterBudgetExceeded` for node budgets,
-:class:`CounterTimeout` for wall-clock deadlines);
+:class:`CounterTimeout` for wall-clock deadlines), which a backend raises
+past the limits set on it once, when it is built;
 :class:`CountFailure` is the engine-level typed outcome a failed batch
 problem becomes.
 """
@@ -46,7 +47,6 @@ problem becomes.
 from repro.counting.api import (
     Capabilities,
     CountFailure,
-    CountRequest,
     CountResult,
     CounterBackend,
     EngineStats,
@@ -84,7 +84,6 @@ __all__ = [
     "ComponentCache",
     "ComponentStore",
     "CountFailure",
-    "CountRequest",
     "CountResult",
     "CountStore",
     "CounterAbort",

@@ -1,4 +1,4 @@
-"""The counting API: typed requests/results, capabilities, registry.
+"""The counting API: typed results, capabilities, registry.
 
 MCML's substrate serves many consumers — AccMC confusion counts, DiffMC
 model diffs, BNN quantification — and before this module their contract
@@ -6,12 +6,11 @@ with the backends was informal: duck-typed ``count`` objects, capability
 sniffing via ``hasattr``/class attributes, and hard-coded construction.
 This module makes the contract explicit:
 
-* :class:`CountRequest` / :class:`CountResult` — a frozen, picklable
-  description of one projected counting problem (CNF payload + precision
-  mode + node budget) and the typed answer (count, exactness, backend
-  name, wall time, cache provenance, engine-stats delta).  The
+* :class:`CountResult` / :class:`CountFailure` — the typed answer to one
+  projected counting problem (count, exactness, backend name, wall time,
+  cache provenance, engine-stats delta) or why it has none.  The
   :class:`~repro.counting.engine.CountingEngine`'s ``solve``/``solve_many``
-  speak these.
+  take CNFs and return these.
 * :class:`Capabilities` — what a backend can actually do, declared once as
   a dataclass instead of being sniffed per call site: exactness (counts
   portable across backends/sessions), formula counting (AccMC's
@@ -26,7 +25,9 @@ This module makes the contract explicit:
   plus aliases) and enumerable via
   :func:`available_backends`, which is what ``mcml --backend NAME`` and
   the conformance suite iterate over.  A new backend is a registry entry
-  plus a conformance-suite run.
+  plus a conformance-suite run.  :func:`make_counter` builds the backend
+  a run counts with: its seed and its two count limits, set once on the
+  backend's own knobs.
 
 The module sits below the engine (it imports only :mod:`repro.logic.cnf`),
 so backends and the engine can both import from it without cycles; the
@@ -40,12 +41,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from typing import Protocol, runtime_checkable
 
-from repro.logic.cnf import CNF, Clause
+from repro.logic.cnf import CNF
 
 __all__ = [
     "Capabilities",
     "CountFailure",
-    "CountRequest",
     "CountResult",
     "CounterBackend",
     "EngineStats",
@@ -111,121 +111,7 @@ class CounterBackend(Protocol):
         ...
 
 
-# -- typed request / result -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountRequest:
-    """One projected model-counting problem, frozen and picklable.
-
-    The CNF payload is flattened to hashable tuples, plus the knobs a
-    caller can put on a single problem:
-
-    ``precision``
-        ``"exact"`` demands a backend whose counts are exact (the engine
-        raises otherwise); ``"any"`` (default) accepts whatever the
-        configured backend produces.
-    ``budget``
-        Per-problem search-node budget (an integer ≥ 1) overriding the
-        backend's default (``max_nodes``); ``None`` keeps the backend's
-        own.  The override is applied per problem and restored afterwards.
-    ``deadline``
-        Per-problem wall-clock seconds (a finite number > 0).  Deadlines
-        are cooperative: backends with a ``deadline`` knob (the exact and
-        approxmc counters) enforce it and raise
-        :class:`~repro.counting.exact.CounterTimeout`; a backend without
-        the knob ignores it.  Like ``budget`` it never changes a count's
-        value — only whether the count finishes — so it is excluded from
-        the request's :meth:`signature`.
-    """
-
-    clauses: tuple[Clause, ...]
-    num_vars: int
-    projection: tuple[int, ...] | None = None
-    aux_unique: bool = False
-    precision: str = "any"
-    budget: int | None = None
-    deadline: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.precision not in ("any", "exact"):
-            raise ValueError(
-                f"precision must be 'any' or 'exact', got {self.precision!r}"
-            )
-        # Limits arrive from outside the program (the CLI, library
-        # callers), so a malformed one is refused here rather than reaching
-        # the backend's knobs.  ``bool`` is an ``int`` subclass, not a limit.
-        budget, deadline = self.budget, self.deadline
-        if budget is not None and (
-            not isinstance(budget, int) or isinstance(budget, bool) or budget < 1
-        ):
-            raise ValueError(f"budget must be None or an integer >= 1, got {budget!r}")
-        if deadline is not None and (
-            not isinstance(deadline, (int, float))
-            or isinstance(deadline, bool)
-            or not 0 < deadline < math.inf
-        ):
-            raise ValueError(
-                f"deadline must be None or a finite number > 0, got {deadline!r}"
-            )
-
-    @classmethod
-    def from_cnf(
-        cls,
-        cnf: CNF,
-        *,
-        precision: str = "any",
-        budget: int | None = None,
-        deadline: float | None = None,
-    ) -> "CountRequest":
-        """Freeze a :class:`CNF` into a request."""
-        projection = (
-            tuple(sorted(cnf.projection)) if cnf.projection is not None else None
-        )
-        return cls(
-            clauses=tuple(cnf.clauses),
-            num_vars=cnf.num_vars,
-            projection=projection,
-            aux_unique=cnf.aux_unique,
-            precision=precision,
-            budget=budget,
-            deadline=deadline,
-        )
-
-    def cnf(self) -> CNF:
-        """Rebuild the CNF this request describes (clauses are normalised).
-
-        Memoized on the request: repeated calls return the *same* CNF
-        object, so its signature memo survives across uses (the engine's
-        memo and store keys are one signature, computed once) — treat the
-        returned CNF as frozen.  The memo never travels in pickles (an
-        unpickled request rebuilds it on first use).
-        """
-        memo = self.__dict__.get("_cnf_memo")
-        if memo is not None:
-            return memo
-        cnf = CNF(
-            num_vars=self.num_vars,
-            projection=self.projection,
-            aux_unique=self.aux_unique,
-        )
-        cnf.clauses = [tuple(clause) for clause in self.clauses]
-        object.__setattr__(self, "_cnf_memo", cnf)
-        return cnf
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_cnf_memo", None)
-        return state
-
-    def signature(self) -> tuple:
-        """The canonical counting identity (see :meth:`CNF.signature`).
-
-        Deliberately excludes ``precision``, ``budget`` and ``deadline``:
-        they control *how* the count is produced, never its value, so
-        requests differing only in them share memo/store entries.
-        """
-        return self.cnf().signature()
+# -- typed result ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -427,17 +313,55 @@ def make_backend(name: str, **opts):
     return _REGISTRY[_resolve(name)].factory(**opts)
 
 
-def make_counter(name: str, seed: int = 0):
-    """A registered backend by name, seeded when it draws random numbers.
+#: The built-in backends with a search-node budget (``max_nodes``) and
+#: those with a wall-clock ``deadline``; any other backend has no such
+#: knob and ignores that limit.
+_BUDGETED = ("exact", "legacy")
+_TIMED = ("exact", "approxmc")
 
-    The one place a run's seed reaches its backend: the approximate
-    counter's hashes take ``seed``, the exact backends take none.
-    :class:`~repro.core.session.MCMLSession` and
+
+def make_counter(
+    name: str,
+    seed: int = 0,
+    *,
+    budget: int | None = None,
+    deadline: float | None = None,
+):
+    """A registered backend by name, with a run's seed and count limits.
+
+    The one place a run's seed and limits reach its backend: the
+    approximate counter's hashes take ``seed``, the exact backends take
+    none.  ``budget`` (search nodes, an integer >= 1) becomes the
+    ``max_nodes`` of ``exact`` and ``legacy``; ``deadline`` (wall-clock
+    seconds, a finite number > 0) becomes the ``deadline`` of ``exact``
+    and ``approxmc``.  Both bound every ``count()`` call the backend makes
+    and never change a count's value.  A backend without the knob (``brute``
+    has neither) ignores the limit.  A malformed limit raises
+    ``ValueError``.  :class:`~repro.core.session.MCMLSession` and
     ``repro.experiments.make_counter`` both build through this.
     """
-    if _resolve(name) == "approxmc":
-        return make_backend(name, seed=seed)
-    return make_backend(name)
+    # Limits arrive from outside the program (the CLI, library callers),
+    # so a malformed one is refused here rather than reaching a knob.
+    # ``bool`` is an ``int`` subclass, not a limit.
+    if budget is not None and (
+        not isinstance(budget, int) or isinstance(budget, bool) or budget < 1
+    ):
+        raise ValueError(f"budget must be None or an integer >= 1, got {budget!r}")
+    if deadline is not None and (
+        not isinstance(deadline, (int, float))
+        or isinstance(deadline, bool)
+        or not 0 < deadline < math.inf
+    ):
+        raise ValueError(
+            f"deadline must be None or a finite number > 0, got {deadline!r}"
+        )
+    canonical = _resolve(name)
+    opts = {"seed": seed} if canonical == "approxmc" else {}
+    if budget is not None and canonical in _BUDGETED:
+        opts["max_nodes"] = budget
+    if deadline is not None and canonical in _TIMED:
+        opts["deadline"] = deadline
+    return make_backend(canonical, **opts)
 
 
 def available_backends() -> list[str]:

@@ -7,11 +7,10 @@ CNF for all sixteen properties of a table, the same tree regions when a
 model is evaluated twice.  The engine makes that reuse automatic, within a
 process and across sessions:
 
-* ``solve`` / ``solve_many`` are the typed front door: they accept a
-  :class:`~repro.counting.api.CountRequest` (or a raw CNF) and return
-  :class:`~repro.counting.api.CountResult` objects carrying the count plus
-  provenance — exactness, backend name, wall time, which tier answered
-  (memo, disk store or backend), and the
+* ``solve`` / ``solve_many`` are the typed front door: they take CNFs
+  and return :class:`~repro.counting.api.CountResult` objects carrying
+  the count plus provenance — exactness, backend name, wall time, which
+  tier answered (memo, disk store or backend), and the
   :class:`~repro.counting.api.EngineStats` delta the call caused;
 * results are memoized keyed on the CNF's canonical packed signature
   (:meth:`repro.logic.cnf.CNF.signature`), so a cache hit is bit-identical
@@ -33,12 +32,14 @@ process and across sessions:
   additionally *spills to disk*: evictions and ``close()`` persist entries
   into a :class:`repro.counting.store.ComponentStore` and misses consult
   it before recounting, so component work survives engine restarts;
-* failures are *typed and contained*: budget exhaustions and wall-clock
-  deadline overruns (``CountRequest(deadline=...)``) become per-problem
-  :class:`~repro.counting.api.CountFailure` outcomes instead of batch
-  aborts — completed counts always merge into the caches, and
-  ``solve_many(..., on_failure="return")`` returns the failures in their
-  batch positions (the default re-raises the first original exception);
+* failures are *typed and contained*: the backend's own limits (its node
+  budget and wall-clock deadline, set once by
+  :func:`~repro.counting.api.make_counter`) bound every count, and an
+  abort becomes a per-problem :class:`~repro.counting.api.CountFailure`
+  outcome instead of a batch abort — completed counts always merge into
+  the caches, and ``solve_many(..., on_failure="return")`` returns the
+  failures in their batch positions (the default re-raises the first
+  original exception);
 * ``translate`` memoizes grounded-property compilations (property × scope ×
   symmetry × polarity), keyed on the property's *structural* identity —
   two distinct properties sharing a name never collide;
@@ -64,17 +65,9 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
 
-from repro.counting.api import (
-    Capabilities,
-    CountFailure,
-    CountRequest,
-    CountResult,
-    EngineStats,
-)
+from repro.counting.api import Capabilities, CountFailure, CountResult, EngineStats
 from repro.counting.component_cache import ComponentCache
 from repro.counting.store import (
     BlobStore,
@@ -84,9 +77,6 @@ from repro.counting.store import (
     text_key,
 )
 from repro.logic.cnf import CNF
-
-#: Attribute-absence sentinel for budget overrides (no ``hasattr`` here).
-_MISSING = object()
 
 
 def _prop_key(prop) -> object:
@@ -108,14 +98,6 @@ def _prop_key(prop) -> object:
             repr(getattr(prop, "formula", prop)),
         )
     return prop
-
-
-class _Flat(NamedTuple):
-    """One problem of a ``solve_many`` batch, with its request's limits."""
-
-    cnf: CNF
-    budget: int | None
-    deadline: float | None
 
 
 class CountingEngine:
@@ -189,8 +171,8 @@ class CountingEngine:
         self._regions: dict[tuple, CNF] = {}
         #: The concurrency guard.  The engine (and the backend it wraps)
         #: is single-threaded by design — memo dicts, EngineStats and the
-        #: backend's knob overrides (``_limits``) all assume one caller at
-        #: a time.  ``solve*`` and the compilation memos serialize on this
+        #: backend's search state all assume one caller at a time.
+        #: ``solve*`` and the compilation memos serialize on this
         #: reentrant lock so a multi-threaded caller gets bit-identical
         #: counts and consistent stats, never racing threads into one
         #: backend.
@@ -199,23 +181,18 @@ class CountingEngine:
 
     # -- typed counting API ----------------------------------------------------------
 
-    def solve(
-        self, problem: CountRequest | CNF, *, on_failure: str = "raise"
-    ) -> CountResult:
+    def solve(self, problem: CNF, *, on_failure: str = "raise") -> CountResult:
         """Solve one counting problem, returning the typed result."""
         return self.solve_many([problem], on_failure=on_failure)[0]
 
     def solve_many(self, problems, *, on_failure: str = "raise"):
-        """Solve a batch of problems, reusing every cache layer.
+        """Solve a batch of CNFs, reusing every cache layer.
 
-        Accepts :class:`~repro.counting.api.CountRequest` objects or raw
-        CNFs (counted with default precision and the backend's own
-        limits).  Each problem is one item, and the whole batch runs one
-        chain: the in-memory memo answers first (duplicates inside the
-        batch collapse onto the first occurrence and report as memo
-        hits), then the disk count store, then the backend, one cold
-        problem after another.  New counts merge back into the memo and
-        the disk store.  Each result records its provenance;
+        The whole batch runs one chain: the in-memory memo answers first
+        (duplicates inside the batch collapse onto the first occurrence
+        and report as memo hits), then the disk count store, then the
+        backend, one cold problem after another.  New counts merge back
+        into the memo and the disk store.  Each result records its provenance;
         ``stats_delta`` is the whole batch's telemetry movement (shared
         by the batch's results).
 
@@ -228,9 +205,9 @@ class CountingEngine:
         every other problem still completes, and completed counts always
         reach the memo and the disk store (a retry resumes, it does not
         recount).  Each failed problem counts once in
-        ``EngineStats.timeouts`` when it timed out.  Deadlines are
-        cooperative: they are enforced by the backend's own ``deadline``
-        knob, so a backend without one ignores them.  ``on_failure``
+        ``EngineStats.timeouts`` when it timed out.  The limits are the
+        backend's own knobs, which bound each of its ``count()`` calls;
+        a backend without a knob ignores that limit.  ``on_failure``
         selects what happens to the failures: ``"raise"`` (the default)
         re-raises the first failure's original exception after the batch
         completes; ``"return"`` returns the ``CountFailure`` objects in
@@ -240,7 +217,7 @@ class CountingEngine:
         the compilation memos) serialize on the engine's internal
         reentrant lock: a multi-threaded caller gets bit-identical
         counts and consistent :class:`EngineStats`, never interleaved
-        memo/knob state.
+        memo state.
         """
         with self._lock:
             return self._solve_many_locked(problems, on_failure)
@@ -251,20 +228,7 @@ class CountingEngine:
                 f"on_failure must be 'raise' or 'return', got {on_failure!r}"
             )
         before = self.stats.copy()
-        caps = self.capabilities
-        items: list[_Flat] = []
-        for problem in problems:
-            if not isinstance(problem, CountRequest):
-                items.append(_Flat(problem, None, None))
-                continue
-            if problem.precision == "exact" and not caps.exact:
-                raise ValueError(
-                    f"request demands exact precision but backend "
-                    f"{self.backend_name!r} is approximate"
-                )
-            items.append(_Flat(problem.cnf(), problem.budget, problem.deadline))
-
-        outcomes = self._solve_flat(items, caps)
+        outcomes = self._answer(list(problems))
         self._mirror_tier_counters()
         delta = self.stats.delta_since(before)
         results: list[CountResult | CountFailure] = []
@@ -282,12 +246,12 @@ class CountingEngine:
             raise primary
         return results
 
-    def _solve_flat(self, items: list[_Flat], caps: Capabilities) -> list:
+    def _answer(self, cnfs: list[CNF]) -> list:
         """Answer a batch's problems: memo → store → backend.
 
-        Returns one outcome per item: a ``(value, source,
+        Returns one outcome per CNF: a ``(value, source,
         elapsed_seconds)`` record or a
-        :class:`~repro.counting.api.CountFailure`.  Each item counts once
+        :class:`~repro.counting.api.CountFailure`.  Each CNF counts once
         in :class:`EngineStats`: as a memo hit (duplicates inside the
         batch included, which share the first occurrence's outcome), a
         store hit, a backend call or a failure.
@@ -296,14 +260,14 @@ class CountingEngine:
 
         stats = self.stats
         counts = self._counts
-        outcomes: list = [None] * len(items)
+        outcomes: list = [None] * len(cnfs)
         #: cold key -> the batch positions it answers; the first position
-        #: holds the item that gets counted
+        #: holds the CNF that gets counted
         positions: dict[tuple, list[int]] = {}
         cold: list[tuple] = []
-        stats.count_calls += len(items)
-        for i, item in enumerate(items):
-            key = item.cnf.signature()
+        stats.count_calls += len(cnfs)
+        for i, cnf in enumerate(cnfs):
+            key = cnf.signature()
             value = counts.get(key)
             if value is not None:
                 stats.count_hits += 1
@@ -339,11 +303,9 @@ class CountingEngine:
         completed: dict[tuple, tuple] = {}
         try:
             for key in missing:
-                item = items[positions[key][0]]
                 started = time.perf_counter()
                 try:
-                    with self._limits(item.budget, item.deadline):
-                        value = self.counter.count(item.cnf)
+                    value = self.counter.count(cnfs[positions[key][0]])
                 except CounterAbort as exc:
                     # Budget/deadline aborts are per-problem outcomes, not
                     # batch aborts: record and keep counting — the rest of
@@ -367,7 +329,7 @@ class CountingEngine:
             for key, record in completed.items():
                 # An estimate is never memoized (the store exists only
                 # for exact backends).
-                if caps.exact:
+                if self.capabilities.exact:
                     counts[key] = record[0]
                 for i in positions[key]:
                     outcomes[i] = record
@@ -443,34 +405,6 @@ class CountingEngine:
             if self.capabilities.exact:
                 self._counts[key] = value
         return self._result(*record, self.stats.delta_since(before))
-
-    @contextmanager
-    def _limits(self, budget: int | None, deadline: float | None = None):
-        """Temporarily override the backend's resource knobs, if it has them.
-
-        ``budget`` maps onto a ``max_nodes`` attribute and ``deadline``
-        onto a ``deadline`` attribute; a knob the backend lacks makes the
-        corresponding request limit moot.  Restores on exit even when the
-        count aborts.
-        """
-        counter = self.counter
-        previous_budget = _MISSING
-        previous_deadline = _MISSING
-        if budget is not None:
-            previous_budget = getattr(counter, "max_nodes", _MISSING)
-            if previous_budget is not _MISSING:
-                counter.max_nodes = budget
-        if deadline is not None:
-            previous_deadline = getattr(counter, "deadline", _MISSING)
-            if previous_deadline is not _MISSING:
-                counter.deadline = deadline
-        try:
-            yield
-        finally:
-            if previous_budget is not _MISSING:
-                counter.max_nodes = previous_budget
-            if previous_deadline is not _MISSING:
-                counter.deadline = previous_deadline
 
     # -- compilation memos -----------------------------------------------------------
 

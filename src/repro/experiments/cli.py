@@ -152,13 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--deadline", type=_positive, default=None, metavar="SECONDS",
-        help="per-problem wall-clock deadline on every metric count "
-        "(CounterTimeout past it; default: none)",
+        help="wall-clock deadline on every count, Table 1's included "
+        "(CounterTimeout past it, \"-\" in Table 1; default: none)",
     )
     parser.add_argument(
         "--budget", type=_at_least_one, default=None, metavar="NODES",
-        help="per-problem search-node budget on every metric count "
-        "(CounterBudgetExceeded past it; default: none)",
+        help="search-node budget on every count, Table 1's included "
+        "(CounterBudgetExceeded past it, \"-\" in Table 1; default: none)",
     )
     parser.add_argument(
         "--stats", action="store_true",

@@ -42,8 +42,10 @@ class ExperimentConfig:
     also the exact counter's component cache, through which overlapping
     counting problems (same φ, different tree regions) reuse each other's
     sub-counts.
-    ``deadline``/``budget`` apply per-problem wall-clock and node limits
-    to every metric count made through drivers that accept them.
+    ``deadline``/``budget`` are wall-clock and search-node limits set
+    once on the session's backend (and on Table 1's private exact one),
+    so they bound every count of every table; a count past one is a
+    typed failure, and Table 1 prints it as "-".
     """
 
     properties: tuple[str, ...] = tuple(p.name for p in PROPERTIES)

@@ -11,8 +11,10 @@ they double as the ApproxMC columns' model sets: each hash cell's size is
 a popcount filter over them (``ApproxMCCounter.count(cnf, models=…)``),
 with no SAT search.  The estimates are those of sizing every cell by
 projected AllSAT.  When the exact counts finish, each set's size must
-equal its exact count (a mismatch raises ``RuntimeError``); when they hit
-their budget, the sets are used unchecked, as the enumerated column is.
+equal its exact count (a mismatch raises ``RuntimeError``); when one hits
+the run's budget or deadline, both exact cells print "-", as the paper
+prints a time-out, and the sets are used unchecked, as the enumerated
+column is.
 
 With ``paper_scopes=True`` the no-symmetry-breaking exact column is
 checked against the closed forms instead of run (a pure-Python counter
@@ -26,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.counting import ApproxMCCounter, CountingEngine, closed_form_count
-from repro.counting.exact import CounterBudgetExceeded
+from repro.counting.api import make_counter
+from repro.counting.exact import CounterAbort
 from repro.data.generation import enumerate_positive_bits
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import render_table
@@ -73,14 +76,16 @@ def table1(
     passed-in ``session`` is used when its capabilities qualify (its owner
     closes it), anything else — including configs selecting ``brute`` or
     ``approxmc`` for the *metric* tables — falls back to a private exact
-    engine over the config's cache_dir, exactly the paper's setup.
+    engine over the config's cache_dir and limits, exactly the paper's
+    setup.
     """
     config = config or ExperimentConfig()
     if session is not None:
         caps = session.capabilities
         if caps.exact and caps.supports_projection:
             return _table1_rows(session.engine, config, paper_scopes)
-    with CountingEngine(cache_dir=config.cache_dir) as engine:
+    counter = make_counter("exact", budget=config.budget, deadline=config.deadline)
+    with CountingEngine(counter, cache_dir=config.cache_dir) as engine:
         return _table1_rows(engine, config, paper_scopes)
 
 
@@ -117,7 +122,7 @@ def _table1_rows(engine, config: ExperimentConfig, paper_scopes: bool) -> list[T
                     [problem_symbr.cnf, problem_plain.cnf]
                 )
             )
-        except CounterBudgetExceeded:
+        except CounterAbort:
             exact_symbr = exact_plain = None
         # The positive sets are the CNFs' complete projected model sets
         # (column j is variable j + 1), so ApproxMC sizes its cells from

@@ -111,8 +111,8 @@ class _Constant(Formula):
         # __slots__ + argument-taking constructors defeat default pickling;
         # nodes reduce to their constructor calls instead (the constructors
         # re-apply the structural simplifications idempotently), which is
-        # what lets formulas, RelationalProblems and CountRequests persist
-        # to the engine's compilation memo store.
+        # what lets formulas and RelationalProblems persist to the
+        # engine's compilation memo store.
         return (_Constant, (self.value,))
 
     def __repr__(self) -> str:

@@ -8,15 +8,18 @@ exact backends against the closed-form oracles, the (ε, δ) envelope for
 approximate ones,
 and — flag by flag — that the declared :class:`Capabilities` match actual
 behaviour: formula counting, auxiliary-variable support, component-cache
-ownership, engine store gating; and that every backend's counts reproduce
-across fresh instances.
+ownership, engine store gating; that every backend's counts reproduce
+across fresh instances; and that ``make_counter`` sets each count limit
+on the knob a backend has, while a backend without it ignores the limit.
 
 A new backend is a registry entry plus a green run of this module; a
 capability flag that lies fails here before it can mis-route the engine.
 The module also keeps the counting/core packages grep-clean of
-``hasattr``-based capability sniffing (the API v2 redesign's invariant).
+``hasattr``-based capability sniffing and ``getattr`` probes of the
+counter (the API v2 redesign's invariant).
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -25,16 +28,18 @@ from repro.core.pipeline import MCMLPipeline
 from repro.core.tree2cnf import label_region_cnf
 from repro.counting import (
     Capabilities,
+    CounterBudgetExceeded,
+    CounterTimeout,
     CountingEngine,
     ExactCounter,
     closed_form_count,
 )
 from repro.counting.api import (
-    CountRequest,
     available_backends,
     backend_aliases,
     backend_capabilities,
     make_backend,
+    make_counter,
 )
 from repro.counting.brute import iter_assignment_blocks
 from repro.logic import CNF
@@ -142,7 +147,7 @@ class TestAuxFreeMatrix:
     def test_against_closed_forms(self, name, scope, prop):
         cnf = _truth_table_cnf(prop, scope)
         assert not cnf.aux_vars()
-        result = CountingEngine(make_backend(name)).solve(CountRequest.from_cnf(cnf))
+        result = CountingEngine(make_backend(name)).solve(cnf)
         truth = closed_form_count(prop.oracle, scope)
         assert result.exact == backend_capabilities(name).exact
         if result.exact:
@@ -215,6 +220,42 @@ class TestCapabilityFlagsMatchBehaviour:
         assert backend.capabilities.owns_component_cache == has_attr
 
 
+class TestLimitsReachTheKnobs:
+    """``make_counter`` sets a limit on the knob a backend has, and a count
+    past it aborts; a backend without the knob counts the tree regions as
+    an unlimited instance does."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_budget(self, name, tree_regions):
+        limited = make_counter(name, budget=1)
+        knob = getattr(limited, "max_nodes", _MISSING)
+        if knob is _MISSING:
+            free = make_counter(name)
+            assert [limited.count(r) for r in tree_regions] == [
+                free.count(r) for r in tree_regions
+            ]
+        else:
+            assert knob == 1
+            with pytest.raises(CounterBudgetExceeded):
+                limited.count(translate(get_property("PartialOrder"), 3).cnf)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_deadline(self, name, tree_regions):
+        limited = make_counter(name, deadline=1e-9)
+        knob = getattr(limited, "deadline", _MISSING)
+        if knob is _MISSING:
+            free = make_counter(name)
+            assert [limited.count(r) for r in tree_regions] == [
+                free.count(r) for r in tree_regions
+            ]
+        else:
+            assert knob == 1e-9
+            # ~1.8k search nodes: the exact counter reads its clock at
+            # the 128th; ApproxMC reads it before its first hashed cell.
+            with pytest.raises(CounterTimeout):
+                limited.count(translate(get_property("Transitive"), 5).cnf)
+
+
 class _AuxFreeStub:
     """An exact backend declaring neither formula counting nor projection."""
 
@@ -275,13 +316,24 @@ class TestEngineNegotiatesThroughCapabilities:
 
 
 class TestGrepClean:
-    def test_no_hasattr_capability_sniffing_in_counting_or_core(self):
-        """Routing reads ``backend.capabilities`` only — enforced textually."""
+    @staticmethod
+    def _offenders(pattern: str) -> list[str]:
         src = Path(__file__).resolve().parent.parent / "src" / "repro"
         offenders = []
         for package in ("counting", "core"):
             for path in sorted((src / package).rglob("*.py")):
                 for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                    if "hasattr(" in line:
+                    if re.search(pattern, line):
                         offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+        return offenders
+
+    def test_no_hasattr_capability_sniffing_in_counting_or_core(self):
+        """Routing reads ``backend.capabilities`` only — enforced textually."""
+        offenders = self._offenders(r"hasattr\(")
+        assert not offenders, "\n".join(offenders)
+
+    def test_no_getattr_probe_of_the_counter_in_counting_or_core(self):
+        """Limits reach a backend's knobs when it is built, never by probing
+        the counter for an attribute (CI's gates job greps the same)."""
+        offenders = self._offenders(r"getattr\((self\.)?counter")
         assert not offenders, "\n".join(offenders)

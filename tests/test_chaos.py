@@ -3,11 +3,14 @@
 Drives the failure machinery on demand through :mod:`repro.counting.faults`
 and asserts the PR's acceptance criteria:
 
+* limits are set once, on the backend (``make_counter``), which refuses a
+  malformed one; a limit never changes a count or its store key;
 * wall-clock deadlines abort cooperatively (``CounterTimeout``) — never by
   hanging — and a backend without a ``deadline`` knob ignores them;
 * a timeout or budget failure stays a typed, per-problem ``CountFailure``
-  (raised or returned) while the rest of its batch completes and caches;
-  each abort the backend raises keeps its kind and re-raises as itself;
+  (raised or returned) while the rest of its batch completes and caches,
+  and a retry resumes from the warm component cache; each abort the
+  backend raises keeps its kind and re-raises as itself;
 * the disk tiers degrade (rotate, miss, swallow) instead of failing, and
   every such event is visible as ``store_degradations``.
 
@@ -33,7 +36,7 @@ from repro.counting import (
     ExactCounter,
     faults,
 )
-from repro.counting.api import Capabilities, CountRequest, CountResult
+from repro.counting.api import Capabilities, CountResult, make_counter
 from repro.counting.store import STORE_FILENAME
 from repro.logic import CNF
 from repro.spec import get_property, translate
@@ -73,17 +76,6 @@ def property_cnf(name: str, scope: int) -> CNF:
     return translate(get_property(name), scope).cnf
 
 
-class NoKnobCounter:
-    """A slow backend with no ``deadline`` knob: it counts at its own pace."""
-
-    name = "no-knob"
-    capabilities = Capabilities(exact=True, supports_projection=True)
-
-    def count(self, cnf):
-        time.sleep(0.2)
-        return ExactCounter().count(cnf)
-
-
 class AbortingCounter:
     """An exact backend whose every count raises one given abort."""
 
@@ -99,7 +91,7 @@ class AbortingCounter:
         raise self.abort
 
 
-# -- taxonomy and request validation --------------------------------------------------
+# -- taxonomy and limit validation ----------------------------------------------------
 
 
 class TestFailureTaxonomy:
@@ -147,23 +139,30 @@ class TestFailureTaxonomy:
         assert engine.stats.timeouts == (2 if kind == "timeout" else 0)
 
     def test_deadline_must_be_positive(self):
-        cnf = CNF([[1]], num_vars=1)
-        for deadline in (0, -1.5, float("inf"), float("nan"), True, "5"):
-            with pytest.raises(ValueError, match="deadline"):
-                CountRequest.from_cnf(cnf, deadline=deadline)
+        # Checked for every backend, also the ones without the knob.
+        for name in ("exact", "brute"):
+            for deadline in (0, -1.5, float("inf"), float("nan"), True, "5"):
+                with pytest.raises(ValueError, match="deadline"):
+                    make_counter(name, deadline=deadline)
+        assert make_counter("exact", deadline=2.5).deadline == 2.5
 
     def test_budget_must_be_a_positive_integer(self):
-        cnf = CNF([[1]], num_vars=1)
-        for budget in (0, -5, 2.5, True, "abc"):
-            with pytest.raises(ValueError, match="budget"):
-                CountRequest.from_cnf(cnf, budget=budget)
-        assert CountRequest.from_cnf(cnf, budget=1).budget == 1
+        for name in ("exact", "brute"):
+            for budget in (0, -5, 2.5, True, "abc"):
+                with pytest.raises(ValueError, match="budget"):
+                    make_counter(name, budget=budget)
+        assert make_counter("exact", budget=1).max_nodes == 1
 
-    def test_signature_ignores_limits(self):
+    def test_signature_ignores_limits(self, tmp_path):
+        """A limit decides only whether a count finishes: an unlimited
+        backend reads the count a limited one stored, under the same key."""
         cnf = property_cnf("Transitive", 3)
-        plain = CountRequest.from_cnf(cnf)
-        limited = CountRequest.from_cnf(cnf, deadline=5.0, budget=10)
-        assert plain.signature() == limited.signature()
+        limited = make_counter("exact", budget=10**6, deadline=60.0)
+        with CountingEngine(limited, cache_dir=tmp_path) as engine:
+            assert engine.solve(cnf).value == TRANSITIVE_3
+        with CountingEngine(ExactCounter(), cache_dir=tmp_path) as engine:
+            stored = engine.solve(cnf)
+        assert (stored.source, stored.value) == ("store", TRANSITIVE_3)
 
 
 class TestFaultHarness:
@@ -210,47 +209,67 @@ class TestCooperativeDeadline:
             with pytest.raises(CounterTimeout):
                 counter.count(cnf)
 
-    def test_engine_deadline_raises_and_restores_the_knob(self):
-        engine = CountingEngine(ExactCounter())
-        request = CountRequest.from_cnf(property_cnf("Transitive", 5), deadline=0.01)
+    def test_engine_deadline_raises_a_typed_timeout(self):
+        engine = CountingEngine(make_counter("exact", deadline=0.01))
         with hard_timeout(60):
             with pytest.raises(CounterTimeout):
-                engine.solve(request)
-        assert engine.counter.deadline is None  # per-problem override restored
-        assert engine.stats.timeouts == 1
+                engine.solve(property_cnf("Transitive", 5))
+            failure = engine.solve(property_cnf("Transitive", 5), on_failure="return")
+        assert failure.kind == "timeout"
+        assert engine.counter.deadline == 0.01  # the limit stays on the backend
+        assert engine.stats.timeouts == 2
 
     def test_backend_without_a_deadline_knob_ignores_deadlines(self):
         """Deadlines are cooperative: nothing aborts a backend that cannot
         check one, so the count runs past it and still answers."""
-        engine = CountingEngine(NoKnobCounter())
-        request = CountRequest.from_cnf(property_cnf("Transitive", 3), deadline=0.01)
+        deadline = 1e-6
+        engine = CountingEngine(make_counter("legacy", deadline=deadline))
         with hard_timeout(60):
-            result = engine.solve(request)
+            result = engine.solve(property_cnf("Transitive", 3))
         assert result.value == TRANSITIVE_3
-        assert result.elapsed_seconds > request.deadline
+        assert result.elapsed_seconds > deadline
+        # brute has neither knob: a deadline and a budget both pass it by.
+        engine = CountingEngine(make_counter("brute", budget=1, deadline=deadline))
+        assert engine.solve(CNF([[1, 2], [3]], projection=[1, 2, 3])).value == 3
         assert engine.stats.timeouts == 0
 
     def test_timed_out_work_warms_the_resume(self):
         """A retry after a timeout resumes from the warm tiers, not scratch."""
-        engine = CountingEngine(ExactCounter())
+        engine = CountingEngine(make_counter("exact", deadline=0.02))
         cnf = property_cnf("Transitive", 5)
         with hard_timeout(60):
             with pytest.raises(CounterTimeout):
-                engine.solve(CountRequest.from_cnf(cnf, deadline=0.02))
+                engine.solve(cnf)
         # The aborted search already paid for components; they stayed.
         assert engine.component_cache is not None
         warmed = len(engine.component_cache)
         assert warmed > 0
-        result = engine.solve(cnf)
+        # An unlimited retry counts through the same component cache.
+        retry = CountingEngine(ExactCounter(component_cache=engine.component_cache))
+        result = retry.solve(cnf)
         assert result.value == TRANSITIVE_5
         assert result.source == "backend"
 
+    def test_budget_aborted_work_shortens_the_resume(self):
+        """Node counts are deterministic, so the resume's saving is exact:
+        the retry spends fewer nodes than a cold count."""
+        cnf = property_cnf("Transitive", 5)
+        cold = ExactCounter()
+        assert cold.count(cnf) == TRANSITIVE_5
+        engine = CountingEngine(make_counter("exact", budget=cold._nodes // 2))
+        with pytest.raises(CounterBudgetExceeded):
+            engine.solve(cnf)
+        retry = ExactCounter(component_cache=engine.component_cache)
+        assert retry.count(cnf) == TRANSITIVE_5
+        assert retry._nodes < cold._nodes
+
     def test_mid_batch_failure_leaves_the_rest_typed(self):
         """on_failure="return": one bad problem cannot poison the batch."""
-        engine = CountingEngine(ExactCounter())
+        # 100 nodes count both easy problems, not the hard one (~1.8k).
+        engine = CountingEngine(make_counter("exact", budget=100))
         easy = property_cnf("Transitive", 3)
         easy2 = property_cnf("PartialOrder", 3)
-        hard = CountRequest.from_cnf(property_cnf("Transitive", 5), budget=10)
+        hard = property_cnf("Transitive", 5)
         results = engine.solve_many([easy, hard, easy2], on_failure="return")
         assert isinstance(results[0], CountResult)
         assert results[0].value == TRANSITIVE_3
@@ -260,13 +279,21 @@ class TestCooperativeDeadline:
         assert isinstance(results[2], CountResult)
         # Completed counts reached the memo even though a sibling failed.
         assert engine.solve(easy).source == "memo"
+        assert engine.solve(easy2).source == "memo"
         assert engine.stats.backend_calls == 2
 
     def test_raise_mode_reraises_the_original_exception(self):
-        engine = CountingEngine(ExactCounter())
-        hard = CountRequest.from_cnf(property_cnf("Transitive", 3), budget=5)
+        """on_failure="raise": the batch still finishes, and its siblings
+        reach the memo before the original abort re-raises."""
+        engine = CountingEngine(make_counter("exact", budget=100))
+        easy = property_cnf("Transitive", 3)
+        easy2 = property_cnf("PartialOrder", 3)
+        hard = property_cnf("Transitive", 5)
         with pytest.raises(CounterBudgetExceeded):
-            engine.solve_many([hard])
+            engine.solve_many([easy, hard, easy2])
+        assert engine.stats.backend_calls == 2
+        assert engine.solve(easy).source == "memo"
+        assert engine.solve(easy2).source == "memo"
 
 
 # -- disk-tier degradations -----------------------------------------------------------

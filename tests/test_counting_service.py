@@ -4,9 +4,9 @@ Covers:
 
 * :class:`CountStore` — round-trips of arbitrary-precision counts, graceful
   handling of corrupted rows and corrupted database files;
-* batch solving — request round-trips, empty batches, bit-identity with
-  one-at-a-time solving over the property matrix, memo merging, cold
-  problems counted in batch order, in-process counting of unpicklable
+* batch solving — empty batches, bit-identity with one-at-a-time solving
+  over the property matrix, memo merging, cold problems counted in batch
+  order on a limited backend, in-process counting of unpicklable
   backends, and completed counts surviving a mid-batch failure or error;
 * the engine's disk persistence — a cold run populates the store, a warm
   run in a fresh engine performs *zero* backend calls (``EngineStats``);
@@ -42,11 +42,11 @@ from repro.counting import (
     Capabilities,
     CountingEngine,
     CountStore,
-    CountRequest,
     ExactCounter,
     closed_form_count,
     signature_key,
 )
+from repro.counting.api import make_counter
 from repro.counting.store import STORE_FILENAME
 from repro.logic import CNF
 from repro.spec import SymmetryBreaking, get_property, translate
@@ -130,13 +130,6 @@ class TestCountStore:
 
 
 class TestBatchSolve:
-    def test_request_round_trip_preserves_signature(self):
-        cnf = translate(get_property("PartialOrder"), 3, symmetry=SymmetryBreaking()).cnf
-        rebuilt = CountRequest.from_cnf(cnf).cnf()
-        assert rebuilt.signature() == cnf.signature()
-        assert rebuilt.num_vars == cnf.num_vars
-        assert rebuilt.aux_unique == cnf.aux_unique
-
     def test_empty_batch(self):
         assert CountingEngine().solve_many([]) == []
 
@@ -174,20 +167,20 @@ class TestBatchSolve:
             translate(get_property(name), 3).cnf
             for name in ("Reflexive", "Transitive", "Connex", "Function")
         )
-        engine = CountingEngine(RecordingCounter())
+        engine = CountingEngine(RecordingCounter(max_nodes=10**6, deadline=60.0))
         engine.solve(c)
         seen.clear()
         engine.solve_many(
             [
-                CountRequest.from_cnf(a, budget=10**6),
+                a,
                 b,
                 c,  # memo hit
                 a.copy(),  # in-batch duplicate
-                CountRequest.from_cnf(d, deadline=60.0),
+                d,
             ]
         )
-        # Limited and unlimited problems alike run once each, in the order
-        # they were submitted; hits and duplicates never reach the backend.
+        # On a limited backend too, cold problems run once each, in the
+        # order they were submitted; hits and duplicates never reach it.
         assert seen == [a.signature(), b.signature(), d.signature()]
 
     def test_backend_that_does_not_pickle_counts_in_process(self):
@@ -334,16 +327,16 @@ class TestDiskPersistentEngine:
 
     def test_seeded_approximate_batch_draws_in_batch_order(self):
         # A seeded approximate backend draws every estimate from one random
-        # stream, so a batch must consume it in submission order (limited
-        # and unlimited requests alike) to match counting the problems one
-        # at a time on a backend with the same seed.  Seed 9 estimates
-        # Transitive differently when it is drawn first.
+        # stream, so a batch must consume it in submission order to match
+        # counting the problems one at a time on a backend with the same
+        # seed; a deadline the counts fit in changes no draw.  Seed 9
+        # estimates Transitive differently when it is drawn first.
         first = translate(get_property("Antisymmetric"), 3).cnf
         second = translate(get_property("Transitive"), 3).cnf
         reference = ApproxMCCounter(seed=9)
         expected = [reference.count(first), reference.count(second)]
-        batch = [CountRequest.from_cnf(first, deadline=60.0), second]
-        results = CountingEngine(ApproxMCCounter(seed=9)).solve_many(batch)
+        limited = make_counter("approxmc", seed=9, deadline=60.0)
+        results = CountingEngine(limited).solve_many([first, second])
         assert [r.value for r in results] == expected
         assert not any(r.exact for r in results)
 

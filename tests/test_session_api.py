@@ -1,19 +1,22 @@
 """Counting API v2 + MCMLSession tests.
 
-Covers the typed request/result layer (`CountRequest`/`CountResult`
-round-trips, provenance, precision/budget semantics), the engine's typed
+Covers the typed result layer (`CountResult` provenance, the budget as
+the backend's own knob), the engine's typed
 ``solve``/``solve_many``/``solve_formula`` path,
 the disk-persistent compilation memos, the `MCMLSession` facade (its
-session-wide limits reaching ``accmc``/``diffmc``, and one conformance
-battery over each deployment -- in memory, a fresh ``cache_dir``, a
+limits reaching every count -- ``accmc``, ``diffmc``, ``run`` -- and
+refused when malformed, and one conformance battery over each deployment
+of a budgeted session -- in memory, a fresh ``cache_dir``, a
 ``cache_dir`` another session filled: counting verbs bit-identical to a
 bare `ExactCounter`, the ``on_failure`` contract, ``stats()``, memo-hit
 retries and an idempotent ``close()``), and the CLI surface
-(``--backend``, ``--list-backends``, ``--stats``).
+(``--backend``, ``--list-backends``, ``--stats``, and ``--budget``/
+``--deadline`` reaching Tables 1 and 3).
 """
 
+import inspect
 import json
-import pickle
+import math
 
 import pytest
 
@@ -22,7 +25,6 @@ from repro.counting import (
     ApproxMCCounter,
     CountFailure,
     CountingEngine,
-    CountRequest,
     CountResult,
     EngineStats,
     make_backend,
@@ -34,30 +36,6 @@ from repro.spec import SymmetryBreaking, get_property, translate
 
 def _cnf(prop="Transitive", scope=3, **kwargs):
     return translate(get_property(prop), scope, **kwargs).cnf
-
-
-class TestCountRequest:
-    def test_round_trip_preserves_signature(self):
-        cnf = _cnf()
-        request = CountRequest.from_cnf(cnf)
-        assert request.cnf().signature() == cnf.signature()
-        assert request.signature() == cnf.signature()
-
-    def test_frozen_and_picklable(self):
-        request = CountRequest.from_cnf(_cnf())
-        with pytest.raises(Exception):
-            request.num_vars = 1
-        assert pickle.loads(pickle.dumps(request)) == request
-
-    def test_signature_ignores_precision_and_budget(self):
-        cnf = _cnf()
-        plain = CountRequest.from_cnf(cnf)
-        tuned = CountRequest.from_cnf(cnf, precision="exact", budget=10_000)
-        assert plain.signature() == tuned.signature()
-
-    def test_rejects_unknown_precision(self):
-        with pytest.raises(ValueError, match="precision"):
-            CountRequest.from_cnf(_cnf(), precision="roughly")
 
 
 class TestTypedSolvePath:
@@ -104,26 +82,18 @@ class TestTypedSolvePath:
         # The in-batch duplicate shares the representative's answer.
         assert results[2].value == results[1].value
 
-    def test_precision_exact_rejected_on_approximate_backend(self):
-        engine = CountingEngine(ApproxMCCounter(seed=0))
-        request = CountRequest.from_cnf(_cnf(), precision="exact")
-        with pytest.raises(ValueError, match="exact precision"):
-            engine.solve(request)
-        # The exact engine accepts the same request.
-        assert CountingEngine().solve(request).value == 171
-
-    def test_budget_overrides_and_restores_max_nodes(self):
-        counter = ExactCounter(max_nodes=5_000_000)
-        engine = CountingEngine(counter)
-        request = CountRequest.from_cnf(
-            _cnf("PartialOrder", 4, symmetry=None), budget=3
-        )
-        with pytest.raises(CounterBudgetExceeded):
-            engine.solve(request)
-        assert counter.max_nodes == 5_000_000  # restored after the failure
-        # Unbudgeted retry succeeds and memoizes.
-        value = engine.solve(_cnf("PartialOrder", 4, symmetry=None)).value
-        assert value > 0
+    def test_budget_is_the_backends_max_nodes(self):
+        cnf = _cnf("PartialOrder", 4, symmetry=None)
+        with MCMLSession(budget=3) as session:
+            counter = session.engine.counter
+            assert counter.max_nodes == 3
+            with pytest.raises(CounterBudgetExceeded):
+                session.solve(cnf)
+            # The knob is the backend's own: raised, the retry finishes
+            # and memoizes.
+            counter.max_nodes = 5_000_000
+            assert session.solve(cnf).value == ExactCounter().count(cnf)
+            assert session.solve(cnf).source == "memo"
 
     def test_solve_formula_memoizes_and_gates(self):
         brute = CountingEngine(make_backend("brute"))
@@ -253,7 +223,7 @@ class TestMCMLSession:
 
     def test_session_limits_reach_accmc(self):
         """``MCMLSession(budget=...)`` bounds every count behind ``accmc``;
-        a per-call limit overrides the session default."""
+        a limit the counts fit in changes none of them."""
         with MCMLSession(seed=0) as free:
             dataset = free.pipeline.make_dataset("PartialOrder", 4)
             train, _ = dataset.split(0.10, rng=1)
@@ -262,8 +232,8 @@ class TestMCMLSession:
         with MCMLSession(seed=0, budget=5) as limited:
             with pytest.raises(CounterBudgetExceeded):
                 limited.accmc(tree, "PartialOrder", 4)
-            overridden = limited.accmc(tree, "PartialOrder", 4, budget=10**9)
-        assert overridden.counts == expected.counts
+        with MCMLSession(seed=0, budget=10**9, deadline=600.0) as roomy:
+            assert roomy.accmc(tree, "PartialOrder", 4).counts == expected.counts
 
     def test_session_limits_reach_diffmc(self):
         with MCMLSession(seed=0) as free:
@@ -275,10 +245,49 @@ class TestMCMLSession:
         with MCMLSession(seed=0, budget=1) as limited:
             with pytest.raises(CounterBudgetExceeded):
                 limited.diffmc(first, second)
-            overridden = limited.diffmc(first, second, budget=10**9)
-        assert (overridden.tt, overridden.tf, overridden.ft, overridden.ff) == (
+        with MCMLSession(seed=0, budget=10**9, deadline=600.0) as roomy:
+            diff = roomy.diffmc(first, second)
+        assert (diff.tt, diff.tf, diff.ft, diff.ff) == (
             expected.tt, expected.tf, expected.ft, expected.ff,
         )
+
+    def test_session_limits_reach_the_pipeline(self):
+        """``MCMLPipeline.run`` -- the path of Tables 3 and 5-7 -- counts
+        on the session's backend, so its limits bound it too."""
+        with MCMLSession(budget=1) as limited:
+            with pytest.raises(CounterBudgetExceeded):
+                limited.run("PartialOrder", 3)
+
+    @pytest.mark.parametrize(
+        "limits",
+        (
+            {"budget": 0}, {"budget": -5}, {"budget": 2.5}, {"budget": True},
+            {"deadline": 0}, {"deadline": math.inf}, {"deadline": math.nan},
+            {"deadline": True},
+        ),
+        ids=(
+            "budget-0", "budget-neg5", "budget-2.5", "budget-True",
+            "deadline-0", "deadline-inf", "deadline-nan", "deadline-True",
+        ),
+    )
+    @pytest.mark.parametrize("backend", ("exact", "brute"))
+    def test_malformed_limits_are_refused_when_the_session_is_built(
+        self, backend, limits, tmp_path
+    ):
+        """Also on a backend without the knob, and before any store opens."""
+        name = next(iter(limits))
+        with pytest.raises(ValueError, match=name):
+            MCMLSession(backend=backend, cache_dir=tmp_path, **limits)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "verb",
+        (AccMC.evaluate, DiffMC.evaluate, MCMLSession.accmc, MCMLSession.diffmc),
+        ids=("AccMC.evaluate", "DiffMC.evaluate", "session.accmc", "session.diffmc"),
+    )
+    def test_metric_verbs_take_no_limits(self, verb):
+        """Limits live on the backend; no verb takes one per call."""
+        assert {"budget", "deadline"}.isdisjoint(inspect.signature(verb).parameters)
 
     def test_unknown_property_names_the_known_ones(self):
         with MCMLSession(seed=0) as session:
@@ -308,7 +317,7 @@ class TestMCMLSession:
         "keyword",
         (
             "component_spill", "circuit_store", "region_strategy", "fallback",
-            "component_cache_mb", "config",
+            "component_cache_mb", "config", "engine",
         ),
     )
     @pytest.mark.parametrize(
@@ -316,8 +325,9 @@ class TestMCMLSession:
     )
     def test_tier_switches_are_rejected(self, surface, keyword):
         """The removed per-tier opt-outs, the removed region route, the
-        removed fallback backend, the removed component-cache budget and
-        the removed engine config fail loudly, never silently."""
+        removed fallback backend, the removed component-cache budget, the
+        removed engine config and the session's removed engine adoption
+        fail loudly, never silently."""
         from repro.experiments.config import ExperimentConfig
 
         build = {
@@ -344,8 +354,11 @@ class TestMCMLSession:
 
 
 #: The conformance battery's problems: four scope-3 properties with
-#: symmetry breaking, and one request whose node budget is too small.
+#: symmetry breaking, each under 40 search nodes, and one problem of about
+#: 1.8k nodes, over the battery's node budget even when a few aborted
+#: attempts have warmed the component cache.
 CONFORMANCE_NAMES = ("Reflexive", "Transitive", "Antisymmetric", "PartialOrder")
+CONFORMANCE_BUDGET = 100
 
 
 def _conformance_problems():
@@ -353,7 +366,7 @@ def _conformance_problems():
 
 
 def _over_budget():
-    return CountRequest.from_cnf(_cnf("PartialOrder", 4), budget=10)
+    return _cnf("Transitive", 5)
 
 
 @pytest.fixture(params=("memory", "cache_dir", "warm_cache_dir"))
@@ -363,20 +376,21 @@ def deployment(request):
 
 @pytest.fixture
 def session(deployment, tmp_path):
-    """A ready-to-count exact session of one in-process deployment.
+    """A ready-to-count exact session of one in-process deployment, with
+    the battery's node budget.
 
     ``memory`` keeps counts in the session, ``cache_dir`` persists them to
     a fresh directory, and ``warm_cache_dir`` opens a directory another
     session already filled with the battery's counts (and failed the
-    over-budget request in) -- the way separate processes share warm
+    over-budget problem in) -- the way separate processes share warm
     counts.
     """
     cache_dir = None if deployment == "memory" else str(tmp_path)
     if deployment == "warm_cache_dir":
-        with MCMLSession(backend="exact", cache_dir=cache_dir) as producer:
+        with MCMLSession(cache_dir=cache_dir, budget=CONFORMANCE_BUDGET) as producer:
             producer.solve_many(_conformance_problems())
             producer.solve(_over_budget(), on_failure="return")
-    opened = MCMLSession(backend="exact", cache_dir=cache_dir)
+    opened = MCMLSession(cache_dir=cache_dir, budget=CONFORMANCE_BUDGET)
     yield opened
     opened.close()
 
@@ -385,6 +399,7 @@ class TestSessionConformance:
     """One battery over every deployment of :class:`MCMLSession`."""
 
     def test_counting_verbs_bit_identical_and_ordered(self, session, deployment):
+        # The truths are unlimited counts: the budget changes none of them.
         problems = _conformance_problems()
         truths = [ExactCounter().count(p) for p in problems]
         warm = deployment == "warm_cache_dir"
@@ -485,6 +500,43 @@ class TestCLISurface:
         ])
         config = config_from_args(args)
         assert (config.deadline, config.budget) == (2.5, 100)
+        with config.session() as session:
+            assert session.engine.counter.max_nodes == 100
+            assert session.engine.counter.deadline == 2.5
+
+    def test_budget_reaches_table3(self):
+        """Table 3 counts through ``MCMLPipeline.run``; the run's budget
+        bounds those counts, and the first failure leaves ``mcml``."""
+        with pytest.raises(CounterBudgetExceeded):
+            main(["table3", "--scope", "3", "--properties", "PartialOrder",
+                  "--budget", "1"])
+
+    @pytest.mark.parametrize("backend", ("exact", "brute"))
+    @pytest.mark.parametrize(
+        "limit", (["--budget", "1"], ["--deadline", "0.0001"]),
+        ids=("budget", "deadline"),
+    )
+    def test_limits_print_dashes_in_table1(self, limit, backend, capsys):
+        """Table 1's exact counts run under the run's limits -- on the
+        session's backend, or on the private exact one a ``brute`` run
+        builds -- and a count that hit one prints "-", the paper's
+        time-out mark.  Every other cell is the unlimited run's.  Both
+        properties need more than 128 search nodes at scope 4, so the
+        deadline's clock is read before they finish."""
+
+        def cells(*flags):
+            argv = ["table1", "--scope", "4", "--backend", backend,
+                    "--properties", "PartialOrder", "Transitive", *flags]
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert lines[1].split()[6:8] == [
+                "Valid-SymBr(exact)", "Valid-NoSymBr(exact)",
+            ]
+            return [line.split() for line in lines[3:]]
+
+        free = cells()
+        assert len(free) == 2 and all("-" not in row[6:8] for row in free)
+        assert cells(*limit) == [row[:6] + ["-", "-"] + row[8:] for row in free]
 
     @pytest.mark.parametrize("flag", ("--backend",))
     def test_unknown_backend_name_lists_the_registry(self, flag, capsys):

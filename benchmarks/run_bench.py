@@ -99,9 +99,10 @@ def run_benchmarks() -> dict[str, dict[str, float]]:
 def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
     """Cold-run vs warm-restart on the same-φ/many-regions sweep.
 
-    The sweep is an AccMC product-mode *training-ratio sweep*: one
-    property's φ/¬φ conjoined with the true/false regions of a decision
-    tree retrained at each fraction — the shape Tables 3–7 and 9 produce.
+    The sweep is a *training-ratio sweep* of AccMC's four products (the
+    construction it takes on approximate backends): one property's φ/¬φ
+    conjoined with the true/false regions of a decision tree retrained at
+    each fraction — the shape Tables 3–7 and 9 produce.
     Three timed runs:
 
     * ``conjunction_s`` — the sweep, cold, on an engine without a

@@ -11,19 +11,25 @@ over all 2^{n²} inputs.  Accuracy/precision/recall/F1 derive from the counts
 (:class:`repro.ml.metrics.ConfusionCounts` handles the astronomically large
 integers involved).
 
-Two construction modes:
+The backend's declared exactness (``capabilities.exact``) picks the
+construction:
 
-* ``mode="product"`` — the paper's construction: four counting problems,
-  with ``¬φ`` obtained by negating the grounded formula before Tseitin.
-* ``mode="derived"`` — counts ``φ∧τ``, ``φ`` and ``τ`` only and derives the
-  rest from the partition identities ``fn = mc(φ) − tp``,
-  ``fp = mc(τ) − tp``, ``tn = 2^{n²} − tp − fp − fn``.  Half the solver
-  work; bit-identical results (enforced by tests).
+* an exact backend counts ``φ∧τ``, ``φ``, ``space∧τ`` and the evaluation
+  space only, and :func:`derived_counts` derives the rest from the
+  partition identities ``fn = mc(φ) − tp``, ``fp = mc(space∧τ) − tp``,
+  ``tn = mc(space) − tp − fp − fn``.  φ and the space repeat across trees,
+  so each further tree costs two counts instead of the paper's four, and
+  the counts are the same (enforced by tests);
+* an approximate backend counts the paper's four products, with ``¬φ``
+  obtained by negating the grounded formula before Tseitin.  Differences
+  of independent estimates can go negative, so this is the only
+  construction that works there.
 
 Each region count is one problem: the region CNF (Håstad's
 one-clause-per-opposite-path construction, see
 :func:`repro.core.tree2cnf.label_region_cnf`) conjoined with φ, ¬φ or the
-evaluation space.
+evaluation space.  An exact backend that counts formulas derives from the
+pre-Tseitin formulas instead.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ class AccMCResult:
     property_name: str
     scope: int
     counts: ConfusionCounts
-    mode: str
     counter: str
     elapsed_seconds: float
 
@@ -119,6 +124,7 @@ class GroundTruth:
         return self._positive
 
     def negative(self) -> RelationalProblem:
+        """¬φ, which only the product construction compiles."""
         if self._negative is None:
             self._negative = self._translate(negate=True)
         return self._negative
@@ -136,6 +142,18 @@ class GroundTruth:
         return self._space_cnf
 
 
+def derived_counts(tp: int, phi: int, tau: int, space: int) -> ConfusionCounts:
+    """Confusion counts from ``mc(φ∧τ)``, ``mc(φ)``, ``mc(space∧τ)`` and
+    ``mc(space)`` by the partition identities.
+
+    The subtractions hold for exact counts only: for independent
+    estimates they can go negative.
+    """
+    fn = phi - tp
+    fp = tau - tp
+    return ConfusionCounts(tp=tp, fp=fp, tn=space - tp - fp - fn, fn=fn)
+
+
 class AccMC:
     """Quantify a decision tree against a ground truth, via model counting.
 
@@ -143,24 +161,17 @@ class AccMC:
     count goes through (default: a fresh one over the exact counter, the
     ProjMC stand-in); wrap any backend built with
     :func:`repro.counting.api.make_backend` in one.  The backend's declared
-    capabilities pick the evaluation route: formula-counting backends take
-    the vectorised sweep, the rest the paper's CNF construction.
+    capabilities pick the construction and the route: an exact backend
+    derives from four counts, over formulas when it counts them and over
+    CNFs otherwise, and an approximate one counts the paper's four
+    products over CNFs.
     """
 
-    def __init__(
-        self, mode: str = "product", engine: CountingEngine | None = None
-    ) -> None:
-        if mode not in ("product", "derived"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, engine: CountingEngine | None = None) -> None:
         # All counting goes through a shared memoizing engine: repeated
         # regions, translations and counts (across evaluate() calls, rows
         # of a table, or tables sharing a pipeline) are computed once.
         self.engine = engine if engine is not None else CountingEngine()
-        self.mode = mode
-        # The symmetry-reduced space size is tree- and property-independent;
-        # cache it across evaluate() calls (one table = 16 properties at the
-        # same scope).
-        self._space_count_cache: dict[tuple[int, str], int] = {}
 
     def ground_truth(
         self,
@@ -192,114 +203,84 @@ class AccMC:
             )
         paths = tree.decision_paths()
         caps = self.engine.capabilities
-        if not caps.counts_formulas and not caps.supports_projection:
+        by_formula = caps.counts_formulas and caps.exact
+        if not by_formula and not caps.supports_projection:
             # Fail at the routing layer, not deep inside the backend: the
             # CNF route conjoins Tseitin formulas with auxiliaries, which
             # a projection-incapable backend cannot serve.  No registered
             # backend is one, but ``register_backend`` is public.
             raise ValueError(
                 f"backend {self.engine.backend_name!r} can serve neither AccMC "
-                "route: it counts no formulas and rejects CNFs with auxiliary "
-                "variables (capabilities.counts_formulas and "
-                ".supports_projection are both False)"
+                "route: it counts no formulas exactly and rejects CNFs with "
+                "auxiliary variables (capabilities.counts_formulas and .exact "
+                "are not both True, and .supports_projection is False)"
             )
         true_region = self.engine.region(paths, 1, m)
-        false_region = self.engine.region(paths, 0, m)
-        if caps.counts_formulas:
-            # Vectorised-sweep backend: counts the pre-Tseitin formulas
-            # directly, sidestepping CNF structure sensitivity entirely.
-            counts = self._evaluate_by_formula(
-                ground_truth, true_region, false_region, m
-            )
+        if by_formula:
+            counts = self._derive_by_formula(ground_truth, true_region, m)
+        elif caps.exact:
+            counts = self._derive_by_cnf(ground_truth, true_region)
         else:
-            counts = self._evaluate_by_cnf(ground_truth, true_region, false_region)
+            counts = self._count_products(
+                ground_truth, true_region, self.engine.region(paths, 0, m)
+            )
         return AccMCResult(
             property_name=ground_truth.prop.name,
             scope=ground_truth.scope,
             counts=counts,
-            mode=self.mode,
             counter=self.engine.backend_name,
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    def _space_count(self, ground_truth: GroundTruth, compute) -> int:
-        if ground_truth.symmetry is None:
-            return 1 << ground_truth.num_primary
-        key = (ground_truth.scope, ground_truth.symmetry.kind)
-        if key not in self._space_count_cache:
-            self._space_count_cache[key] = compute()
-        return self._space_count_cache[key]
-
     # -- backend-specific constructions --------------------------------------------
 
-    def _evaluate_by_cnf(
-        self, ground_truth: GroundTruth, true_region: CNF, false_region: CNF
+    def _derive_by_cnf(
+        self, ground_truth: GroundTruth, true_region: CNF
     ) -> ConfusionCounts:
-        """The paper's pipeline: conjoin CNFs, hand them to the counting engine.
+        """The four counts :func:`derived_counts` needs, in one batch.
 
         Counting goes through the typed ``solve_many`` path, so every
-        confusion count carries backend/cache provenance on the way in.
+        count carries backend/cache provenance on the way in; the engine's
+        memo answers φ and the space for every tree after the first.
         """
         phi = ground_truth.positive().cnf
-        if self.mode == "product":
-            not_phi = ground_truth.negative().cnf
-            tp, fp, fn, tn = (
-                r.value
-                for r in self.engine.solve_many(
-                    [
-                        phi.conjoin(true_region),
-                        not_phi.conjoin(true_region),
-                        phi.conjoin(false_region),
-                        not_phi.conjoin(false_region),
-                    ]
-                )
-            )
-        else:
-            space = ground_truth.space_cnf()
-            tp, phi_count, tau_count = (
-                r.value
-                for r in self.engine.solve_many(
-                    [phi.conjoin(true_region), phi, space.conjoin(true_region)]
-                )
-            )
-            space_count = self._space_count(
-                ground_truth, lambda: self.engine.solve(space).value
-            )
-            fn = phi_count - tp
-            fp = tau_count - tp
-            tn = space_count - tp - fp - fn
-        return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+        space = ground_truth.space_cnf()
+        problems = [phi.conjoin(true_region), phi, space.conjoin(true_region), space]
+        return derived_counts(*(r.value for r in self.engine.solve_many(problems)))
 
-    def _evaluate_by_formula(
-        self, ground_truth: GroundTruth, true_region: CNF, false_region: CNF, m: int
+    def _derive_by_formula(
+        self, ground_truth: GroundTruth, true_region: CNF, m: int
     ) -> ConfusionCounts:
-        """Formula-sweep route for backends exposing ``count_formula``."""
+        """The same four counts over the pre-Tseitin formulas, for exact
+        backends exposing ``count_formula``."""
         from repro.logic.formula import And, Not, Or, Var, all_of
 
-        def region_formula(cnf: CNF):
-            return all_of(
-                Or(*(Var(l) if l > 0 else Not(Var(-l)) for l in clause))
-                for clause in cnf.clauses
-            )
+        phi = ground_truth.positive().formula
+        space = ground_truth.space_formula()
+        tau = all_of(
+            Or(*(Var(l) if l > 0 else Not(Var(-l)) for l in clause))
+            for clause in true_region.clauses
+        )
+        problems = (And(phi, tau), phi, And(space, tau), space)
+        return derived_counts(
+            *(self.engine.solve_formula(f, m).value for f in problems)
+        )
 
-        phi_f = ground_truth.positive().formula
-        space_f = ground_truth.space_formula()
-        tau_f = region_formula(true_region)
-        count = lambda f: self.engine.solve_formula(f, m).value  # noqa: E731
-        tp = count(And(phi_f, tau_f))
-        if self.mode == "product":
-            # ¬φ stays inside the evaluation space (symmetry constraints);
-            # the negative problem is compiled exactly that way.
-            not_phi_f = ground_truth.negative().formula
-            psi_f = region_formula(false_region)
-            fp = count(And(not_phi_f, tau_f))
-            fn = count(And(phi_f, psi_f))
-            tn = count(And(not_phi_f, psi_f))
-        else:
-            phi_count = count(phi_f)
-            tau_count = count(And(space_f, tau_f))
-            space_count = self._space_count(ground_truth, lambda: count(space_f))
-            fn = phi_count - tp
-            fp = tau_count - tp
-            tn = space_count - tp - fp - fn
+    def _count_products(
+        self, ground_truth: GroundTruth, true_region: CNF, false_region: CNF
+    ) -> ConfusionCounts:
+        """The paper's four products, for backends whose counts are estimates."""
+        phi = ground_truth.positive().cnf
+        not_phi = ground_truth.negative().cnf
+        tp, fp, fn, tn = (
+            r.value
+            for r in self.engine.solve_many(
+                [
+                    phi.conjoin(true_region),
+                    not_phi.conjoin(true_region),
+                    phi.conjoin(false_region),
+                    not_phi.conjoin(false_region),
+                ]
+            )
+        )
         return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import time
 
-from repro.core.accmc import AccMCResult, GroundTruth
+from repro.core.accmc import AccMCResult, GroundTruth, derived_counts
 from repro.core.diffmc import DiffMCResult
 from repro.counting.vector import count_formula
 from repro.logic.formula import And, Formula, Not
 from repro.ml.bnn import BinarizedMLP
-from repro.ml.metrics import ConfusionCounts
 
 
 def _region(model_or_formula) -> Formula:
@@ -42,18 +41,16 @@ def quantify_bnn(
     phi = ground_truth.positive().formula
     space = ground_truth.space_formula()
 
-    tp = count_formula(And(phi, region), m)
-    phi_count = count_formula(phi, m)
-    tau_count = count_formula(And(space, region), m)
-    space_count = count_formula(space, m) if ground_truth.symmetry else (1 << m)
-    fn = phi_count - tp
-    fp = tau_count - tp
-    tn = space_count - tp - fp - fn
+    counts = derived_counts(
+        count_formula(And(phi, region), m),
+        count_formula(phi, m),
+        count_formula(And(space, region), m),
+        count_formula(space, m) if ground_truth.symmetry else (1 << m),
+    )
     return AccMCResult(
         property_name=ground_truth.prop.name,
         scope=ground_truth.scope,
-        counts=ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn),
-        mode="derived",
+        counts=counts,
         counter="brute",
         elapsed_seconds=time.perf_counter() - started,
     )

@@ -5,7 +5,8 @@ dataset for a property, split, train a model, score it traditionally on the
 test set, and — for decision trees — quantify it against the whole bounded
 input space with AccMC.  The symmetry settings for *data generation* and for
 *whole-space evaluation* are independent knobs because RQ3/RQ4 (Tables 5–7)
-deliberately mismatch them.
+deliberately mismatch them.  How AccMC counts is not a knob: its
+construction follows the engine's backend (see :mod:`repro.core.accmc`).
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class MCMLPipeline:
 
     Parameters
     ----------
-    accmc_mode:
-        ``"product"`` (the paper's four-problem construction) or
-        ``"derived"`` (algebraic shortcut); see :mod:`repro.core.accmc`.
     seed:
         Master seed for data generation, splitting and model training.
     engine:
@@ -65,12 +63,9 @@ class MCMLPipeline:
     """
 
     def __init__(
-        self,
-        accmc_mode: str = "product",
-        seed: int = 0,
-        engine: CountingEngine | None = None,
+        self, seed: int = 0, engine: CountingEngine | None = None
     ) -> None:
-        self.accmc = AccMC(mode=accmc_mode, engine=engine)
+        self.accmc = AccMC(engine=engine)
         self.engine = self.accmc.engine
         self.seed = seed
         self._positives: dict[tuple, np.ndarray] = {}

@@ -14,7 +14,9 @@ engine/config/store plumbing by hand; a session owns that plumbing once:
 * the metric entry points — :meth:`accmc`, :meth:`diffmc`, :meth:`bnnmc`,
   :meth:`count`/:meth:`solve` — and the artifact entry point
   :meth:`table`, which runs any of the paper's tables through this
-  session's engine instead of a private one.
+  session's engine instead of a private one.  :meth:`accmc` evaluates
+  through the pipeline's AccMC, whose construction follows the backend's
+  ``capabilities.exact``.
 
 Quickstart::
 
@@ -43,7 +45,7 @@ get parallelism.  Processes share warm counts through a common
 
 from __future__ import annotations
 
-from repro.core.accmc import AccMC, AccMCResult, GroundTruth
+from repro.core.accmc import AccMCResult, GroundTruth
 from repro.core.diffmc import DiffMC, DiffMCResult
 from repro.counting.api import Capabilities, CountResult, make_counter
 from repro.counting.engine import CountingEngine
@@ -80,9 +82,6 @@ class MCMLSession:
         :class:`~repro.counting.api.CountFailure` under
         ``on_failure="return"``); a backend without the knob ignores the
         limit.  A malformed limit raises ``ValueError`` here.
-    accmc_mode:
-        Default AccMC construction (``"derived"`` or the paper's
-        ``"product"``); overridable per :meth:`accmc` call.
     seed:
         Master seed for dataset generation, splitting and training, and
         for the approximate backend's hashes.
@@ -95,16 +94,13 @@ class MCMLSession:
         cache_dir=None,
         deadline: float | None = None,
         budget: int | None = None,
-        accmc_mode: str = "derived",
         seed: int = 0,
     ) -> None:
         self.engine = CountingEngine(
             make_counter(backend, seed=seed, budget=budget, deadline=deadline),
             cache_dir=cache_dir,
         )
-        self.accmc_mode = accmc_mode
         self.seed = seed
-        self._accmc: dict[str, AccMC] = {}
         self._diffmc: DiffMC | None = None
         self._pipeline = None
 
@@ -165,9 +161,7 @@ class MCMLSession:
         if self._pipeline is None:
             from repro.core.pipeline import MCMLPipeline
 
-            self._pipeline = MCMLPipeline(
-                accmc_mode=self.accmc_mode, seed=self.seed, engine=self.engine
-            )
+            self._pipeline = MCMLPipeline(seed=self.seed, engine=self.engine)
         return self._pipeline
 
     def run(self, *args, **kwargs):
@@ -184,24 +178,20 @@ class MCMLSession:
         prop = get_property(prop) if isinstance(prop, str) else prop
         return self.engine.ground_truth(prop, scope, symmetry=symmetry)
 
-    def _accmc_for(self, mode: str) -> AccMC:
-        accmc = self._accmc.get(mode)
-        if accmc is None:
-            accmc = AccMC(mode=mode, engine=self.engine)
-            self._accmc[mode] = accmc
-        return accmc
-
     def accmc(
         self,
         tree,
         prop: Property | str,
         scope: int,
         symmetry: SymmetryBreaking | None = None,
-        mode: str | None = None,
     ) -> AccMCResult:
-        """Whole-input-space confusion metrics of ``tree`` against a property."""
+        """Whole-input-space confusion metrics of ``tree`` against a property.
+
+        The construction follows the backend's ``capabilities.exact`` (see
+        :mod:`repro.core.accmc`).
+        """
         ground_truth = self.ground_truth(prop, scope, symmetry=symmetry)
-        return self._accmc_for(mode or self.accmc_mode).evaluate(tree, ground_truth)
+        return self.pipeline.accmc.evaluate(tree, ground_truth)
 
     def diffmc(self, first, second) -> DiffMCResult:
         """Whole-space semantic difference between two decision trees."""
@@ -274,5 +264,5 @@ class MCMLSession:
     def __repr__(self) -> str:
         return (
             f"MCMLSession(backend={self.backend_name!r}, "
-            f"mode={self.accmc_mode!r}, seed={self.seed}, engine={self.engine!r})"
+            f"seed={self.seed}, engine={self.engine!r})"
         )

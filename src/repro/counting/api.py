@@ -67,8 +67,10 @@ class Capabilities:
     ----------
     exact:
         Counts are exact, hence portable across backends and sessions: the
-        engine may persist them to a shared disk store.  Approximate
-        (ε, δ) estimates are not.
+        engine may persist them to a shared disk store, and AccMC derives
+        three confusion counts from four such counts by subtraction.
+        Approximate (ε, δ) estimates are neither persisted nor subtracted:
+        AccMC counts the paper's four products on them.
     counts_formulas:
         The backend exposes ``count_formula(formula, num_vars)``; AccMC's
         formula-sweep fast path and the engine's memoized
@@ -150,13 +152,18 @@ class CountFailure(Exception):
     """A counting problem that could not be answered, as a typed outcome.
 
     Raised (or returned, with ``solve_many(..., on_failure="return")``)
-    by the engine when a problem exhausts its budget or deadline, or when
-    the backend itself raised.  Carries enough provenance for the caller
-    to decide what to do next:
+    by the engine when a problem's count aborts
+    (:class:`~repro.counting.exact.CounterAbort`), which is how a backend
+    reports an exhausted budget or deadline.  Any other backend exception
+    is no per-problem outcome: it leaves the batch at once as itself, and
+    the counts completed before it still merge into the memo and the disk
+    store.  Carries enough provenance for the caller to decide what to do
+    next:
 
     ``kind``
         ``"timeout"`` (wall-clock deadline), ``"budget"`` (node budget) or
-        ``"error"`` (any other backend exception).
+        ``"error"`` (an abort of neither kind, such as a bare
+        ``CounterAbort``).
     ``backend``
         The backend that was counting when the problem failed.
     ``cause``
@@ -190,7 +197,7 @@ class CountFailure(Exception):
         backend: str = "?",
         elapsed_seconds: float = 0.0,
     ) -> "CountFailure":
-        """Classify a backend exception into its failure kind."""
+        """Classify a counter abort into its failure kind."""
         from repro.counting.exact import CounterBudgetExceeded, CounterTimeout
 
         if isinstance(exc, CounterTimeout):

@@ -80,6 +80,8 @@ class CounterTimeout(CounterAbort):
     The paper's 5000-second timeout, enforced cooperatively: the search
     probes ``time.monotonic()`` every :data:`_DEADLINE_CHECK_MASK` + 1
     nodes, so the abort lands within the deadline plus one probe interval.
+    A count that finishes in fewer nodes never reads the clock, so no
+    deadline, however small, interrupts it.
     """
 
 

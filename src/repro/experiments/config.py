@@ -1,4 +1,10 @@
-"""Experiment configuration and shared factories."""
+"""Experiment configuration and shared factories.
+
+:class:`ExperimentConfig` holds what a run may set: properties, scope,
+backend, seed, training fraction, positive cap, cache directory, count
+limits and model parameters.  AccMC's construction is not among them: it
+follows the backend (see :mod:`repro.core.accmc`).
+"""
 
 from __future__ import annotations
 
@@ -51,7 +57,6 @@ class ExperimentConfig:
     properties: tuple[str, ...] = tuple(p.name for p in PROPERTIES)
     scope: int | None = None
     counter: str = "exact"
-    accmc_mode: str = "derived"
     seed: int = 0
     train_fraction: float = 0.10
     max_positives: int | None = 5000
@@ -72,13 +77,12 @@ class ExperimentConfig:
         """An :class:`MCMLSession` owning this configuration's substrate.
 
         The one facade every table driver (and the CLI) runs through:
-        backend by name, cache directory, AccMC mode and seed all travel
+        backend by name, cache directory, count limits and seed all travel
         together, and closing the session flushes the disk stores.
         """
         return MCMLSession(
             backend=self.counter,
             cache_dir=self.cache_dir,
-            accmc_mode=self.accmc_mode,
             deadline=self.deadline,
             budget=self.budget,
             seed=self.seed,

@@ -61,7 +61,7 @@ def table9(
             train, test = dataset.split(train_fraction, rng=config.seed)
             tree = session.pipeline.train("DT", train)
             traditional = confusion_counts(test.y, tree.predict(test.X.astype(float)))
-            whole_space = session.accmc(tree, prop, scope, mode=config.accmc_mode)
+            whole_space = session.accmc(tree, prop, scope)
             rows.append(
                 Table9Row(
                     ratio=f"{valid}:{invalid}",

@@ -8,12 +8,29 @@ import pytest
 
 from repro.core import AccMC, DiffMC, MCMLPipeline
 from repro.core.accmc import GroundTruth
-from repro.counting import ApproxMCCounter, CountingEngine, make_backend
+from repro.counting import ApproxMCCounter, CountingEngine, ExactCounter, make_backend
+from repro.counting.api import Capabilities
 from repro.data import generate_dataset
 from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml.metrics import ConfusionCounts
 from repro.spec import SymmetryBreaking, get_property
 from repro.spec.evaluate import evaluate_bits
+from repro.spec.matrices import bits_to_matrices, property_mask
 from repro.spec.properties import PROPERTIES
+
+
+class InexactExactCounter:
+    """An ``ExactCounter`` declaring ``exact=False``: AccMC counts the
+    paper's four products on it, and the counts stay exact."""
+
+    name = "inexact-exact"
+    capabilities = Capabilities(exact=False, supports_projection=True)
+
+    def __init__(self) -> None:
+        self._counter = ExactCounter()
+
+    def count(self, cnf) -> int:
+        return self._counter.count(cnf)
 
 
 def _tree_for(prop_name: str, scope: int, symmetry=None, seed=0, train_fraction=0.5):
@@ -56,12 +73,20 @@ class TestAccMC:
         result = AccMC().evaluate(tree, GroundTruth(prop, 3))
         assert result.counts.total == 2**9
 
-    def test_modes_agree(self):
+    @pytest.mark.parametrize(
+        "backend, regions",
+        ((ExactCounter, 1), (InexactExactCounter, 2)),
+        ids=("derived", "product"),
+    )
+    def test_construction_follows_exactness(self, backend, regions):
+        """No knob picks the construction: an exact backend derives from
+        φ∧τ, φ, space∧τ and the space, compiling τ only; an inexact one
+        counts the four products, compiling ψ too.  Both equal the sweep."""
         tree, prop = _tree_for("Equivalence", 3)
-        gt = GroundTruth(prop, 3)
-        product = AccMC(mode="product").evaluate(tree, gt)
-        derived = AccMC(mode="derived").evaluate(tree, gt)
-        assert product.counts == derived.counts
+        engine = CountingEngine(backend())
+        result = AccMC(engine=engine).evaluate(tree, GroundTruth(prop, 3))
+        assert result.counts == _sweep_counts(tree, prop, 3)
+        assert engine.stats.region_calls == regions
 
     def test_with_symmetry_constrained_ground_truth(self):
         sb = SymmetryBreaking("adjacent")
@@ -110,10 +135,6 @@ class TestAccMC:
         with pytest.raises(ValueError):
             AccMC().evaluate(tree, GroundTruth(prop, 3))
 
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            AccMC(mode="magic")
-
     def test_result_row_fields(self):
         tree, prop = _tree_for("Irreflexive", 2)
         row = AccMC().evaluate(tree, GroundTruth(prop, 2)).as_row()
@@ -133,49 +154,64 @@ def _matrix_tree(prop_name: str, scope: int, fraction: float = 0.5, rng: int = 0
     return pipeline.train("DT", train)
 
 
-@functools.lru_cache(maxsize=None)
-def _formula_sweep_counts(prop_name: str, scope: int):
-    """The cell DT's confusion counts from the numpy formula sweep
-    (``brute``), which shares no code with the CNF route."""
-    sweep = AccMC(engine=CountingEngine(make_backend("brute")), mode="product")
-    ground_truth = sweep.ground_truth(
-        get_property(prop_name), scope, symmetry=SymmetryBreaking()
-    )
-    return sweep.evaluate(_matrix_tree(prop_name, scope), ground_truth).counts
+def _all_inputs(num_features: int) -> np.ndarray:
+    """Every input as a row: bit j of row i is feature j."""
+    return (np.arange(1 << num_features)[:, None] >> np.arange(num_features)) & 1
 
 
 def _predictions(tree, num_features: int):
     """The tree's verdict (``True`` for label 1) on all 2^num_features inputs."""
-    bits = (np.arange(1 << num_features)[:, None] >> np.arange(num_features)) & 1
-    return tree.predict(bits.astype(float)) == 1
+    return tree.predict(_all_inputs(num_features).astype(float)) == 1
+
+
+def _sweep_counts(tree, prop, scope: int, symmetry=None) -> ConfusionCounts:
+    """The tree's confusion counts over every input of the evaluation space,
+    from its predictions, the property's vectorised evaluator and the
+    lex-leader mask: an oracle that shares no code with AccMC."""
+    m = scope * scope
+    rows = _all_inputs(m)
+    predicted = _predictions(tree, m)
+    actual = property_mask(prop.name)(bits_to_matrices(rows, scope))
+    space = (
+        np.ones(len(rows), dtype=bool) if symmetry is None else symmetry.mask(rows, scope)
+    )
+    return ConfusionCounts(
+        tp=int(np.sum(space & actual & predicted)),
+        fp=int(np.sum(space & ~actual & predicted)),
+        tn=int(np.sum(space & ~actual & ~predicted)),
+        fn=int(np.sum(space & actual & ~predicted)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix_sweep_counts(prop_name: str, scope: int) -> ConfusionCounts:
+    prop = get_property(prop_name)
+    return _sweep_counts(_matrix_tree(prop_name, scope), prop, scope, SymmetryBreaking())
+
+
+#: Backend per AccMC route: exact counts derived over CNFs, exact counts
+#: derived over formulas, and the paper's four products over CNFs.
+ROUTES = {
+    "cnf": ExactCounter,
+    "formula": lambda: make_backend("brute"),
+    "product": InexactExactCounter,
+}
 
 
 class TestAccMCMatrix:
-    """The CNF route against the numpy formula sweep, which shares no code
-    with it: 16 properties × scopes 2–4, adjacent symmetry breaking."""
+    """Every AccMC route against the sweep oracle: 16 properties × scopes
+    2–4, adjacent symmetry breaking."""
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
     @pytest.mark.parametrize("scope", (2, 3, 4))
-    def test_cnf_route_matches_formula_sweep(self, prop, scope):
-        cnf_route = AccMC(engine=CountingEngine(make_backend("exact")), mode="product")
-        actual = cnf_route.evaluate(
+    def test_route_matches_the_sweep(self, route, prop, scope):
+        accmc = AccMC(engine=CountingEngine(ROUTES[route]()))
+        actual = accmc.evaluate(
             _matrix_tree(prop.name, scope),
-            cnf_route.ground_truth(prop, scope, symmetry=SymmetryBreaking()),
+            accmc.ground_truth(prop, scope, symmetry=SymmetryBreaking()),
         )
-        assert actual.counts == _formula_sweep_counts(prop.name, scope)
-
-    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
-    @pytest.mark.parametrize("scope", (2, 3, 4))
-    def test_derived_mode_matches_formula_sweep(self, prop, scope):
-        """``mode="derived"`` counts φ∧τ, φ, τ and the symmetry-reduced space
-        on the CNF route and derives fp, fn and tn from the partition
-        identities; they must equal the sweep's four product counts."""
-        derived = AccMC(engine=CountingEngine(make_backend("exact")), mode="derived")
-        actual = derived.evaluate(
-            _matrix_tree(prop.name, scope),
-            derived.ground_truth(prop, scope, symmetry=SymmetryBreaking()),
-        )
-        assert actual.counts == _formula_sweep_counts(prop.name, scope)
+        assert actual.counts == _matrix_sweep_counts(prop.name, scope)
 
 
 class TestDiffMC:

@@ -7,7 +7,12 @@ import pytest
 from repro.core import MCMLPipeline
 from repro.core import pipeline as pipeline_module
 from repro.core.accmc import AccMC, GroundTruth
-from repro.counting import CountingEngine, ExactCounter, FormulaBruteCounter
+from repro.counting import (
+    CountingEngine,
+    ExactCounter,
+    FormulaBruteCounter,
+    LegacyExactCounter,
+)
 from repro.counting.vector import count_formula, evaluate_formula_block
 from repro.data import enumerate_positive_bits, generate_dataset
 from repro.data import generation as generation_module
@@ -16,6 +21,7 @@ from repro.logic.formula import And, Iff, Implies, Not, Or, Var, iter_assignment
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.spec import PROPERTIES, SymmetryBreaking, get_property, translate
 
+from tests.test_core_accmc_diffmc import InexactExactCounter, _sweep_counts
 from tests.test_logic_formula import formula_strategy, _MAX_VARS
 from hypothesis import given, settings
 
@@ -192,7 +198,9 @@ class TestPositiveSetMemo:
 
 
 class TestBackendConsistency:
-    """Exact counter vs vectorised sweep, product vs derived — all equal."""
+    """Exact and legacy counters (derived over CNFs), the vectorised sweep
+    (derived over formulas) and an inexact declaration (the four products)
+    — all equal to a sweep over every input."""
 
     @pytest.mark.parametrize("prop_name", ["Function", "PartialOrder", "Equivalence"])
     @pytest.mark.parametrize("symmetry", [None, SymmetryBreaking("adjacent")])
@@ -202,14 +210,15 @@ class TestBackendConsistency:
         train, _ = dataset.split(0.5, rng=0)
         tree = DecisionTreeClassifier().fit(train.X.astype(float), train.y)
         gt = GroundTruth(prop, 3, symmetry=symmetry)
-        results = {
-            (mode, counter.name): AccMC(mode, CountingEngine(counter)).evaluate(tree, gt).counts
-            for mode in ("product", "derived")
-            for counter in (ExactCounter(), FormulaBruteCounter())
-        }
-        baseline = results[("product", "exact")]
-        for key, counts in results.items():
-            assert counts == baseline, f"{key} disagrees with product/exact"
+        expected = _sweep_counts(tree, prop, 3, symmetry)
+        for counter in (
+            ExactCounter(),
+            LegacyExactCounter(),
+            FormulaBruteCounter(),
+            InexactExactCounter(),
+        ):
+            counts = AccMC(CountingEngine(counter)).evaluate(tree, gt).counts
+            assert counts == expected, f"{counter.name} disagrees with the sweep"
 
     def test_tseitin_negation_consistency(self):
         """mc(φ) + mc(¬φ) = 2^m — the negate=True compilation is really the

@@ -18,11 +18,13 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import AccMC, DiffMC, MCMLSession
 from repro.counting import (
     ApproxMCCounter,
+    Capabilities,
     CountFailure,
     CountingEngine,
     CountResult,
@@ -31,6 +33,7 @@ from repro.counting import (
 )
 from repro.counting.exact import CounterBudgetExceeded, ExactCounter
 from repro.experiments.cli import build_parser, config_from_args, list_backends, main
+from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.spec import SymmetryBreaking, get_property, translate
 
 
@@ -166,7 +169,7 @@ class TestMCMLSession:
             train, _ = dataset.split(0.10, rng=1)
             tree = session.pipeline.train("DT", train)
             via_session = session.accmc(tree, "PartialOrder", 3)
-            direct = AccMC(mode="derived").evaluate(
+            direct = AccMC().evaluate(
                 tree, AccMC().ground_truth(get_property("PartialOrder"), 3)
             )
             assert via_session.counts == direct.counts
@@ -220,6 +223,36 @@ class TestMCMLSession:
             assert "Table 9" in text
             with pytest.raises(ValueError, match="unknown table"):
                 session.table(12)
+
+    def test_inexact_backend_counts_the_four_products(self, monkeypatch):
+        """AccMC never subtracts estimates: on an inexact backend each
+        confusion count is one of the backend's own estimates, so none goes
+        negative (derived from these estimates, tn would be -1)."""
+        from repro.counting import api
+
+        class PlusOne:
+            """Every ``ExactCounter`` count plus one, declared inexact."""
+
+            name = "plus-one"
+            capabilities = Capabilities(exact=False, supports_projection=True)
+
+            def __init__(self):
+                self.counter = ExactCounter()
+                self.estimates = []
+
+            def count(self, cnf):
+                self.estimates.append(self.counter.count(cnf) + 1)
+                return self.estimates[-1]
+
+        monkeypatch.setitem(api._REGISTRY, "plus-one", api._BackendEntry(PlusOne))
+        # One leaf labelling every input 1: τ holds everywhere, ψ nowhere.
+        tree = DecisionTreeClassifier().fit(np.zeros((1, 4)), np.ones(1, dtype=int))
+        with MCMLSession(backend="plus-one") as session:
+            counts = session.accmc(tree, "Reflexive", 2).counts
+            estimates = session.engine.counter.estimates
+        # Reflexive holds on 4 of the 16 inputs at scope 2.
+        assert (counts.tp, counts.fp, counts.fn, counts.tn) == (5, 13, 1, 1)
+        assert estimates == [5, 13, 1, 1]
 
     def test_session_limits_reach_accmc(self):
         """``MCMLSession(budget=...)`` bounds every count behind ``accmc``;
@@ -286,8 +319,10 @@ class TestMCMLSession:
         ids=("AccMC.evaluate", "DiffMC.evaluate", "session.accmc", "session.diffmc"),
     )
     def test_metric_verbs_take_no_limits(self, verb):
-        """Limits live on the backend; no verb takes one per call."""
-        assert {"budget", "deadline"}.isdisjoint(inspect.signature(verb).parameters)
+        """Limits live on the backend and AccMC's construction follows it;
+        no verb takes either per call."""
+        parameters = inspect.signature(verb).parameters
+        assert {"budget", "deadline", "mode"}.isdisjoint(parameters)
 
     def test_unknown_property_names_the_known_ones(self):
         with MCMLSession(seed=0) as session:
@@ -317,7 +352,7 @@ class TestMCMLSession:
         "keyword",
         (
             "component_spill", "circuit_store", "region_strategy", "fallback",
-            "component_cache_mb", "config", "engine",
+            "component_cache_mb", "config", "engine", "accmc_mode",
         ),
     )
     @pytest.mark.parametrize(
@@ -326,8 +361,8 @@ class TestMCMLSession:
     def test_tier_switches_are_rejected(self, surface, keyword):
         """The removed per-tier opt-outs, the removed region route, the
         removed fallback backend, the removed component-cache budget, the
-        removed engine config and the session's removed engine adoption
-        fail loudly, never silently."""
+        removed engine config, the session's removed engine adoption and
+        the removed AccMC construction knob fail loudly, never silently."""
         from repro.experiments.config import ExperimentConfig
 
         build = {
@@ -338,12 +373,14 @@ class TestMCMLSession:
         with pytest.raises(TypeError, match=keyword):
             build(**{keyword: False})
 
-    @pytest.mark.parametrize("keyword", ("counter", "config", "component_cache_mb"))
+    @pytest.mark.parametrize(
+        "keyword", ("counter", "config", "component_cache_mb", "mode", "accmc_mode")
+    )
     @pytest.mark.parametrize("surface", ("AccMC", "DiffMC", "MCMLPipeline"))
     def test_consumers_take_only_an_engine(self, surface, keyword):
         """The consumers count through the engine they are given (or a
-        fresh default one); the removed backend and engine-config keywords
-        fail loudly, never silently."""
+        fresh default one); the removed backend, engine-config and AccMC
+        construction keywords fail loudly, never silently."""
         from repro.core.pipeline import MCMLPipeline
 
         build = {"AccMC": AccMC, "DiffMC": DiffMC, "MCMLPipeline": MCMLPipeline}[
@@ -573,6 +610,7 @@ class TestCLISurface:
             ["table9", "--max-budget", "7"],
             ["table9", "--drain-grace", "5"],
             ["table9", "--component-cache-mb", "0"],
+            ["table9", "--accmc-mode", "derived"],
         ),
         ids=(
             "cluster", "serve", "shards", "solver-threads", "fanout-min-vars",
@@ -580,7 +618,7 @@ class TestCLISurface:
             "region-strategy", "backend-compiled", "backend-circuit",
             "fallback-nope", "fallback-approxmc", "host", "port", "max-queue",
             "max-inflight", "read-timeout", "max-deadline", "max-budget",
-            "drain-grace", "component-cache-mb",
+            "drain-grace", "component-cache-mb", "accmc-mode",
         ),
     )
     def test_parser_rejects_removed_verbs_and_flags(self, argv, capsys):

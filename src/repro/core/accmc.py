@@ -101,7 +101,8 @@ class GroundTruth:
     scope: int
     symmetry: SymmetryBreaking | None = None
     #: Compilation function — a :class:`CountingEngine`'s memoized
-    #: ``translate`` when the ground truth is built through one, the plain
+    #: ``translate``, reached through a weak reference, when the ground
+    #: truth is built through one, the plain
     #: :func:`repro.spec.translate.translate` otherwise.
     translator: Callable[..., RelationalProblem] | None = field(
         default=None, repr=False

@@ -31,7 +31,9 @@ Quickstart::
 
 Closing the session (or leaving the ``with`` block) flushes the disk
 stores; every consumer built through the session shares its caches, which
-is the point.
+is the point.  Dropping the session frees its engine, counter and
+component cache by reference counting, without waiting for the cyclic
+collector.
 
 Thread-safety: the session is as thread-safe as its engine — ``solve``,
 ``solve_many``, ``count`` and the metric entry points may be called from
@@ -76,7 +78,8 @@ class MCMLSession:
         The count limits (search nodes, an integer >= 1; wall-clock
         seconds, a finite number > 0), set once on the backend's own
         knobs, so they bound every ``count()`` the session makes: metric
-        tables, Table 1 and the counting verbs alike.  A count past a
+        tables, Table 1 and the counting verbs alike (:meth:`bnnmc` counts
+        outside the engine and is not bounded).  A count past a
         limit fails with its typed
         :class:`~repro.counting.exact.CounterAbort` (a
         :class:`~repro.counting.api.CountFailure` under
@@ -206,7 +209,14 @@ class MCMLSession:
         scope: int,
         symmetry: SymmetryBreaking | None = None,
     ) -> AccMCResult:
-        """AccMC for a binarized network (QuantifyML-style quantification)."""
+        """AccMC for a binarized network (QuantifyML-style quantification).
+
+        The one verb that does not count through the session's engine:
+        :func:`~repro.core.bnnmc.quantify_bnn` sweeps its formulas with
+        :func:`repro.counting.vector.count_formula`, so the session's
+        backend and its ``budget``/``deadline`` do not apply, the result's
+        ``counter`` is ``"brute"``, and ``engine.stats`` does not move.
+        """
         from repro.core.bnnmc import quantify_bnn
 
         return quantify_bnn(bnn, self.ground_truth(prop, scope, symmetry=symmetry))

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from pathlib import Path
 
 from repro.counting.api import Capabilities, CountFailure, CountResult, EngineStats
@@ -427,8 +428,18 @@ class CountingEngine:
         )
 
     def ground_truth(self, prop, scope: int, symmetry=None):
-        """Memoized compiled ground truth for AccMC evaluation."""
+        """Memoized compiled ground truth for AccMC evaluation.
+
+        The ground truth compiles through this engine's ``translate``
+        while the engine lives, by a weak reference: the engine holds its
+        ground truths, so a bound method would be a reference cycle
+        keeping a dropped engine, its counter and their component cache
+        alive until the collector's next full pass.  Translations are
+        pure, so one that outlives its engine compiles through
+        :func:`repro.spec.translate.translate` to the same problem.
+        """
         from repro.core.accmc import GroundTruth
+        from repro.spec.translate import translate
 
         key = (
             _prop_key(prop),
@@ -438,8 +449,13 @@ class CountingEngine:
         with self._lock:
             cached = self._ground_truths.get(key)
             if cached is None:
+                engine_translate = weakref.WeakMethod(self.translate)
+
+                def translator(*args, **kwargs):
+                    return (engine_translate() or translate)(*args, **kwargs)
+
                 cached = GroundTruth(
-                    prop, scope, symmetry=symmetry, translator=self.translate
+                    prop, scope, symmetry=symmetry, translator=translator
                 )
                 self._ground_truths[key] = cached
             return cached

@@ -26,15 +26,18 @@ sharpSAT/ProjMC lineage:
   model is counted once regardless of how many auxiliary extensions it
   has).
 
-Representation.  The hot path never manipulates tuple clauses: ``count``
+Representation.  The hot path never manipulates literal tuples: ``count``
 renumbers the occurring variables into a dense ``0..k-1`` index
 (:meth:`repro.logic.cnf.CNF.packed_view`) and every clause becomes a
 ``(pos_mask, neg_mask)`` pair of Python ints.  Asserting a literal,
 detecting units/empty clauses, splitting components and computing free
 variables are then single integer ops per clause, and cache keys are
-``frozenset``s of per-clause integers ``(pos << k) | neg`` instead of
-``frozenset``s of literal tuples.  The original tuple-based algorithm is
-preserved in :mod:`repro.counting.legacy` as a differential baseline.
+``frozenset``s of those ``(pos_mask, neg_mask)`` tuples.  ``_assign`` and
+``_propagate`` pass a clause they leave unchanged through as the same
+tuple, so cache keys share clause objects instead of each holding copies
+for the cyclic garbage collector to walk.  The original tuple-based
+algorithm is preserved in :mod:`repro.counting.legacy` as a differential
+baseline.
 
 Projection.  Because the search *is* projected counting, the counter no
 longer needs the ``aux_unique`` unique-extension flag to be correct: the
@@ -503,7 +506,8 @@ def _assign(
     has_units = False
     residual_vars = 0
     if positive:
-        for pos, neg in clauses:
+        for clause in clauses:
+            pos, neg = clause
             if pos & bit:
                 continue  # satisfied
             if neg & bit:
@@ -514,11 +518,13 @@ def _assign(
                 if mask & (mask - 1) == 0:
                     has_units = True
                 residual_vars |= mask
+                append((pos, neg))
             else:
                 residual_vars |= pos | neg
-            append((pos, neg))
+                append(clause)
     else:
-        for pos, neg in clauses:
+        for clause in clauses:
+            pos, neg = clause
             if neg & bit:
                 continue
             if pos & bit:
@@ -529,9 +535,10 @@ def _assign(
                 if mask & (mask - 1) == 0:
                     has_units = True
                 residual_vars |= mask
+                append((pos, neg))
             else:
                 residual_vars |= pos | neg
-            append((pos, neg))
+                append(clause)
     return out, has_units, residual_vars
 
 
@@ -562,7 +569,8 @@ def _propagate(
         assigned = true_mask | false_mask
         residual_vars = 0
         progressed = False
-        for pos, neg in work:
+        for clause in work:
+            pos, neg = clause
             mask = pos | neg
             if not (mask & assigned):
                 # Untouched by any assignment so far (a unit is impossible
@@ -570,7 +578,7 @@ def _propagate(
                 # first sweep's masks start empty only until its first unit).
                 if mask & (mask - 1):
                     residual_vars |= mask
-                    append((pos, neg))
+                    append(clause)
                 else:
                     if pos:
                         true_mask |= mask

@@ -122,14 +122,20 @@ class SymmetryBreaking:
         keep = np.ones(bits.shape[0], dtype=bool)
         for perm in self.generators(n):
             positions = permuted_positions(perm)
-            b = a[:, positions]
-            # Column-wise lexicographic a ≤ b (no integer packing, so any n).
+            if self.kind == "adjacent":
+                # A transposition swaps positions in pairs, and a pair's
+                # later member is reached only with its partner equal, so
+                # it never decides: compare each pair once.
+                compared = [k for k in range(m) if positions[k] > k]
+            else:
+                # Not involutions: every moved position can decide (a fixed
+                # one compares a_k with itself).
+                compared = [k for k in range(m) if positions[k] != k]
+            # Column-wise lexicographic a ≤ a∘π (no integer packing, so any n).
             less = np.zeros(a.shape[0], dtype=bool)
             equal_prefix = np.ones(a.shape[0], dtype=bool)
-            for k in range(m):
-                if positions[k] == k:
-                    continue  # fixed position: a_k == b_k by construction
-                ak, bk = a[:, k], b[:, k]
+            for k in compared:
+                ak, bk = a[:, k], a[:, positions[k]]
                 less |= equal_prefix & ~ak & bk
                 equal_prefix &= ak == bk
             keep &= less | equal_prefix

@@ -11,8 +11,10 @@ oracles:
 
 Plus regression tests that :class:`CountingEngine` cache hits return
 bit-identical counts to cold calls, unit tests for the packed clause
-representation itself, the search's node counts pinned per problem, and the
-indexed auxiliary elimination against the list scan it replaced.
+representation itself, the search's node counts pinned per problem, the
+indexed auxiliary elimination against the list scan it replaced, and the
+clause-reusing ``_assign``/``_propagate`` against the copying versions they
+replaced.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.counting import (
 )
 from repro.core.pipeline import MCMLPipeline
 from repro.core.tree2cnf import label_region_cnf
-from repro.counting.exact import _branch_bit, _eliminate, _propagate
+from repro.counting.exact import _assign, _branch_bit, _eliminate, _propagate
 from repro.counting.vector import FormulaBruteCounter
 from repro.logic import CNF, Var, tseitin_cnf
 from repro.logic.cnf import pack_clauses
@@ -367,6 +369,145 @@ class TestIndexedElimination:
         assert _eliminate(packed.clauses, proj) == _eliminate_by_scan(
             packed.clauses, proj
         )
+
+
+def _assign_by_copy(clauses, bit, positive):
+    """The oracle: ``_assign`` building a new tuple for every clause it
+    keeps, as the counter did before untouched clauses kept theirs."""
+    out = []
+    has_units = False
+    residual_vars = 0
+    if positive:
+        for pos, neg in clauses:
+            if pos & bit:
+                continue
+            if neg & bit:
+                neg ^= bit
+                mask = pos | neg
+                if not mask:
+                    return None
+                if mask & (mask - 1) == 0:
+                    has_units = True
+                residual_vars |= mask
+            else:
+                residual_vars |= pos | neg
+            out.append((pos, neg))
+    else:
+        for pos, neg in clauses:
+            if neg & bit:
+                continue
+            if pos & bit:
+                pos ^= bit
+                mask = pos | neg
+                if not mask:
+                    return None
+                if mask & (mask - 1) == 0:
+                    has_units = True
+                residual_vars |= mask
+            else:
+                residual_vars |= pos | neg
+            out.append((pos, neg))
+    return out, has_units, residual_vars
+
+
+def _propagate_by_copy(clauses):
+    """The oracle: ``_propagate`` building a new tuple for every clause it
+    keeps."""
+    true_mask = 0
+    false_mask = 0
+    work = clauses
+    while True:
+        residual = []
+        assigned = true_mask | false_mask
+        residual_vars = 0
+        progressed = False
+        for pos, neg in work:
+            mask = pos | neg
+            if not (mask & assigned):
+                if mask & (mask - 1):
+                    residual_vars |= mask
+                    residual.append((pos, neg))
+                else:
+                    if pos:
+                        true_mask |= mask
+                    else:
+                        false_mask |= mask
+                    assigned |= mask
+                    progressed = True
+                continue
+            if pos & true_mask or neg & false_mask:
+                continue
+            pos &= ~false_mask
+            neg &= ~true_mask
+            mask = pos | neg
+            if not mask:
+                return None
+            if mask & (mask - 1) == 0:
+                if pos:
+                    true_mask |= mask
+                else:
+                    false_mask |= mask
+                assigned |= mask
+                progressed = True
+            else:
+                residual_vars |= mask
+                residual.append((pos, neg))
+        if not progressed:
+            return residual, true_mask, false_mask, residual_vars
+        work = residual
+
+
+def _kept_as_is(clauses, assigned, residual) -> bool:
+    """Whether every input clause free of the ``assigned`` variables is in
+    ``residual`` as the same object."""
+    kept = {id(clause) for clause in residual}
+    return all(
+        id(clause) in kept
+        for clause in clauses
+        if not (clause[0] | clause[1]) & assigned
+    )
+
+
+def _check_clause_reuse(clauses):
+    """``_propagate`` on ``clauses``, then ``_assign`` of every variable
+    both ways on its residual, each against its copying oracle."""
+    simplified = _propagate(clauses)
+    assert simplified == _propagate_by_copy(clauses)
+    if simplified is None:
+        return
+    residual, true_mask, false_mask, residual_vars = simplified
+    assert _kept_as_is(clauses, true_mask | false_mask, residual)
+    bits = residual_vars
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        for positive in (True, False):
+            branch = _assign(residual, bit, positive)
+            assert branch == _assign_by_copy(residual, bit, positive)
+            if branch is not None:
+                assert _kept_as_is(residual, bit, branch[0])
+
+
+class TestClauseReuse:
+    """``_assign`` and ``_propagate`` return what the copying versions did,
+    and keep every clause they leave untouched as the input object, so
+    cache keys share clause tuples instead of holding copies."""
+
+    @pytest.mark.parametrize(
+        "case", [c for c in ALL_CASES if c[1] >= 3], ids=_case_id
+    )
+    def test_property_residuals(self, case):
+        prop, scope, symmetry = case
+        cnf = translate(prop, scope, symmetry=symmetry).cnf
+        _check_clause_reuse(cnf.packed_view().clauses)
+        _check_clause_reuse(_top_level_residual(cnf)[0])
+
+    @given(random_cnf(max_vars=10, max_clauses=24))
+    @settings(max_examples=80, deadline=None)
+    def test_random_cnfs(self, instance):
+        num_vars, clauses = instance
+        packed = pack_clauses(CNF(clauses, num_vars=num_vars).clauses)
+        _check_clause_reuse(packed.clauses)
 
 
 class TestSearchNodes:

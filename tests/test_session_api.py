@@ -5,7 +5,8 @@ the backend's own knob), the engine's typed
 ``solve``/``solve_many``/``solve_formula`` path,
 the disk-persistent compilation memos, the `MCMLSession` facade (its
 limits reaching every count -- ``accmc``, ``diffmc``, ``run`` -- and
-refused when malformed, and one conformance battery over each deployment
+refused when malformed, its engine and counter freed by reference
+counting once it is dropped, and one conformance battery over each deployment
 of a budgeted session -- in memory, a fresh ``cache_dir``, a
 ``cache_dir`` another session filled: counting verbs bit-identical to a
 bare `ExactCounter`, the ``on_failure`` contract, ``stats()``, memo-hit
@@ -14,9 +15,11 @@ retries and an idempotent ``close()``), and the CLI surface
 ``--deadline`` reaching Tables 1 and 3).
 """
 
+import gc
 import inspect
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -174,6 +177,35 @@ class TestMCMLSession:
             )
             assert via_session.counts == direct.counts
             assert via_session.counter == "exact"
+
+    def test_a_dropped_session_frees_its_counting_state_without_the_collector(self):
+        """Reference counting alone frees a dropped session's engine and
+        counter, and with them the component cache: a reference cycle
+        would keep them alive until the collector's next full pass."""
+        gc.disable()
+        try:
+            session = MCMLSession(seed=0)
+            dataset = session.pipeline.make_dataset("PartialOrder", 3)
+            train, _ = dataset.split(0.10, rng=1)
+            tree = session.pipeline.train("DT", train)
+            session.accmc(tree, "PartialOrder", 3)
+            refs = [weakref.ref(session.engine), weakref.ref(session.engine.counter)]
+            session.close()
+            del session
+            assert [ref() for ref in refs] == [None, None]
+
+            engine = CountingEngine()
+            ground_truth = engine.ground_truth(get_property("PartialOrder"), 3)
+            refs = [weakref.ref(engine), weakref.ref(engine.counter)]
+            del engine
+            assert [ref() for ref in refs] == [None, None]
+            # A ground truth outliving its engine still compiles.
+            assert (
+                ground_truth.positive().cnf.signature()
+                == _cnf("PartialOrder", 3).signature()
+            )
+        finally:
+            gc.enable()
 
     def test_diffmc_and_bnnmc_share_the_engine(self):
         with MCMLSession(seed=0) as session:

@@ -6,6 +6,7 @@ import pytest
 from repro.counting import exact_count
 from repro.counting.brute import iter_assignment_blocks
 from repro.counting.oracles import fibonacci
+from repro.data.generation import enumerate_positive_bits
 from repro.logic.formula import TRUE, Var, iter_assignments
 from repro.spec import SymmetryBreaking, get_property, lex_leq, translate
 from repro.spec.matrices import bits_to_matrices, property_mask
@@ -70,6 +71,43 @@ class TestMaskVsFormula:
             for row, keep in zip(block, mask):
                 assignment = {k + 1: bool(row[k]) for k in range(m)}
                 assert formula.evaluate(assignment) == bool(keep)
+
+
+def _mask_by_full_scan(sb, bits, n):
+    """The oracle: every moved position of every generator compared, as
+    the mask did before it compared a transposition's pairs once."""
+    a = bits.astype(bool)
+    keep = np.ones(bits.shape[0], dtype=bool)
+    for perm in sb.generators(n):
+        positions = permuted_positions(perm)
+        b = a[:, positions]
+        less = np.zeros(a.shape[0], dtype=bool)
+        equal_prefix = np.ones(a.shape[0], dtype=bool)
+        for k in range(n * n):
+            if positions[k] == k:
+                continue
+            ak, bk = a[:, k], b[:, k]
+            less |= equal_prefix & ~ak & bk
+            equal_prefix &= ak == bk
+        keep &= less | equal_prefix
+    return keep
+
+
+class TestMaskAgainstFullScan:
+    """Comparing each transposition's pairs once keeps the same rows."""
+
+    @pytest.mark.parametrize("kind", ["adjacent", "all"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_row(self, kind, n):
+        sb = SymmetryBreaking(kind)
+        for block in iter_assignment_blocks(n * n):
+            assert np.array_equal(sb.mask(block, n), _mask_by_full_scan(sb, block, n))
+
+    def test_partial_order_scope_5_positives(self):
+        bits = enumerate_positive_bits(get_property("PartialOrder"), 5)
+        assert len(bits) == 135_392
+        sb = SymmetryBreaking()
+        assert np.array_equal(sb.mask(bits, 5), _mask_by_full_scan(sb, bits, 5))
 
 
 class TestFibonacciAnchor:

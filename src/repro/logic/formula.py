@@ -1,6 +1,6 @@
 """Boolean formula AST.
 
-Formulas are immutable trees built from :class:`Var`, :class:`Not`,
+Formulas are immutable DAGs built from :class:`Var`, :class:`Not`,
 :class:`And`, :class:`Or`, :class:`Implies`, :class:`Iff` and the constants
 :data:`TRUE` / :data:`FALSE`.  The AST is deliberately small: the relational
 layer (:mod:`repro.spec`) grounds quantifiers itself and only ever needs this
@@ -8,12 +8,27 @@ propositional core.
 
 Design notes
 ------------
-* Nodes are hash-consed *structurally* via ``__eq__``/``__hash__`` so they can
-  be used as dictionary keys by the Tseitin transform's common-subexpression
-  cache.
+* Nodes compare structurally, so they can be used as dictionary keys by the
+  Tseitin transform's common-subexpression cache.  They are not interned:
+  equal nodes may be distinct objects.  Each node computes its hash once, at
+  construction, from its children's; ``==`` on connectives returns early on
+  identity or on a hash mismatch.  The hash is never persisted (pickles
+  rebuild nodes through their constructors, and ``str`` hashes are salted
+  per process).
+* :data:`TRUE` and :data:`FALSE` are the only constants: ``_Constant(v)``,
+  pickling, copying and :meth:`Formula.to_nnf` all return them, so
+  constructors fold constants by identity.
+* Formulas are DAGs: grounding and :mod:`repro.ml.bnn` reuse subformulas.
+  :meth:`Formula.variables` and :func:`dag_size` visit each distinct node
+  once, and ``==`` stops at children that are the same object.  ``walk``,
+  ``size``, ``evaluate``, ``substitute``, ``to_nnf`` and ``repr`` still
+  expand shared subtrees; only tests and
+  :func:`repro.logic.tseitin.direct_cnf` use them.
 * ``And``/``Or`` are n-ary and flatten nested applications of the same
   connective on construction; obvious constant folding (``x ∧ ⊥ = ⊥`` …) also
   happens on construction, which keeps grounded relational formulas compact.
+  Grounding folds most cells against a constant, so a two-operand call with
+  a constant operand returns before the flattening loop.
 * Operator overloading (``&``, ``|``, ``~``, ``>>`` for implication) is
   provided because grounded formulas are built in tight loops and the infix
   form keeps that code readable.
@@ -55,10 +70,25 @@ class Formula:
 
     def variables(self) -> frozenset[int]:
         """The set of variable ids occurring in the formula."""
-        raise NotImplementedError
+        found: set[int] = set()
+        seen: set[int] = set()
+        stack: list[Formula] = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, Var):
+                found.add(node.id)
+            else:
+                stack.extend(node.children())
+        return frozenset(found)
 
     def children(self) -> tuple["Formula", ...]:
         return ()
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- transformations -------------------------------------------------------
 
@@ -86,26 +116,19 @@ class Formula:
 class _Constant(Formula):
     __slots__ = ("value",)
 
-    def __init__(self, value: bool) -> None:
-        self.value = value
+    def __new__(cls, value: bool) -> "_Constant":
+        # TRUE and FALSE (made below) are the only instances, so equality is
+        # identity.  Pickles and copies rebuild constants through this call.
+        return TRUE if value else FALSE
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         return self.value
-
-    def variables(self) -> frozenset[int]:
-        return frozenset()
 
     def to_nnf(self, *, negate: bool = False) -> Formula:
         return _Constant(self.value ^ negate)
 
     def substitute(self, mapping: Mapping[int, Formula]) -> Formula:
         return self
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Constant) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("const", self.value))
 
     def __reduce__(self):
         # __slots__ + argument-taking constructors defeat default pickling;
@@ -119,8 +142,15 @@ class _Constant(Formula):
         return "TRUE" if self.value else "FALSE"
 
 
-TRUE = _Constant(True)
-FALSE = _Constant(False)
+def _make_constant(value: bool) -> _Constant:
+    node = object.__new__(_Constant)
+    node.value = value
+    node._hash = hash(("const", value))
+    return node
+
+
+TRUE = _make_constant(True)
+FALSE = _make_constant(False)
 
 
 class Var(Formula):
@@ -137,12 +167,10 @@ class Var(Formula):
         if var_id <= 0:
             raise ValueError(f"variable ids must be positive, got {var_id}")
         self.id = var_id
+        self._hash = hash(("var", var_id))
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         return bool(assignment[self.id])
-
-    def variables(self) -> frozenset[int]:
-        return frozenset((self.id,))
 
     def to_nnf(self, *, negate: bool = False) -> Formula:
         return Not(self) if negate else self
@@ -153,8 +181,7 @@ class Var(Formula):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Var) and self.id == other.id
 
-    def __hash__(self) -> int:
-        return hash(("var", self.id))
+    __hash__ = Formula.__hash__
 
     def __reduce__(self):
         return (Var, (self.id,))
@@ -168,24 +195,19 @@ class Not(Formula):
 
     def __new__(cls, operand: Formula):
         # Constant folding and double-negation elimination.
-        if operand is TRUE or operand == TRUE:
+        if operand is TRUE:
             return FALSE
-        if operand is FALSE or operand == FALSE:
+        if operand is FALSE:
             return TRUE
         if isinstance(operand, Not):
             return operand.operand
         self = object.__new__(cls)
         self.operand = operand
+        self._hash = hash(("not", operand))
         return self
-
-    def __init__(self, operand: Formula) -> None:  # noqa: D107 - set in __new__
-        pass
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         return not self.operand.evaluate(assignment)
-
-    def variables(self) -> frozenset[int]:
-        return self.operand.variables()
 
     def children(self) -> tuple[Formula, ...]:
         return (self.operand,)
@@ -197,10 +219,13 @@ class Not(Formula):
         return Not(self.operand.substitute(mapping))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Not) and self.operand == other.operand
+        return self is other or (
+            isinstance(other, Not)
+            and self._hash == other._hash
+            and self.operand == other.operand
+        )
 
-    def __hash__(self) -> int:
-        return hash(("not", self.operand))
+    __hash__ = Formula.__hash__
 
     def __reduce__(self):
         return (Not, (self.operand,))
@@ -225,9 +250,9 @@ def _flatten(
         if isinstance(op, cls):
             stack.extend(reversed(op.operands))
             continue
-        if op == absorbing:
+        if op is absorbing:
             return absorbing
-        if op == identity:
+        if op is identity:
             continue
         if op not in seen:
             seen.add(op)
@@ -239,6 +264,14 @@ class And(Formula):
     __slots__ = ("operands",)
 
     def __new__(cls, *operands: Formula):
+        if len(operands) == 2:
+            a, b = operands
+            if a is FALSE or b is FALSE:
+                return FALSE
+            if a is TRUE:
+                return b
+            if b is TRUE:
+                return a
         flat = _flatten(cls, operands, absorbing=FALSE, identity=TRUE)
         if isinstance(flat, Formula):
             return flat
@@ -248,16 +281,11 @@ class And(Formula):
             return flat[0]
         self = object.__new__(cls)
         self.operands = tuple(flat)
+        self._hash = hash(("and", self.operands))
         return self
-
-    def __init__(self, *operands: Formula) -> None:
-        pass
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         return all(op.evaluate(assignment) for op in self.operands)
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(itertools.chain.from_iterable(op.variables() for op in self.operands))
 
     def children(self) -> tuple[Formula, ...]:
         return self.operands
@@ -270,10 +298,13 @@ class And(Formula):
         return And(*(op.substitute(mapping) for op in self.operands))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, And) and self.operands == other.operands
+        return self is other or (
+            isinstance(other, And)
+            and self._hash == other._hash
+            and self.operands == other.operands
+        )
 
-    def __hash__(self) -> int:
-        return hash(("and", self.operands))
+    __hash__ = Formula.__hash__
 
     def __reduce__(self):
         return (And, tuple(self.operands))
@@ -286,6 +317,14 @@ class Or(Formula):
     __slots__ = ("operands",)
 
     def __new__(cls, *operands: Formula):
+        if len(operands) == 2:
+            a, b = operands
+            if a is TRUE or b is TRUE:
+                return TRUE
+            if a is FALSE:
+                return b
+            if b is FALSE:
+                return a
         flat = _flatten(cls, operands, absorbing=TRUE, identity=FALSE)
         if isinstance(flat, Formula):
             return flat
@@ -295,16 +334,11 @@ class Or(Formula):
             return flat[0]
         self = object.__new__(cls)
         self.operands = tuple(flat)
+        self._hash = hash(("or", self.operands))
         return self
-
-    def __init__(self, *operands: Formula) -> None:
-        pass
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         return any(op.evaluate(assignment) for op in self.operands)
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(itertools.chain.from_iterable(op.variables() for op in self.operands))
 
     def children(self) -> tuple[Formula, ...]:
         return self.operands
@@ -317,10 +351,13 @@ class Or(Formula):
         return Or(*(op.substitute(mapping) for op in self.operands))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Or) and self.operands == other.operands
+        return self is other or (
+            isinstance(other, Or)
+            and self._hash == other._hash
+            and self.operands == other.operands
+        )
 
-    def __hash__(self) -> int:
-        return hash(("or", self.operands))
+    __hash__ = Formula.__hash__
 
     def __reduce__(self):
         return (Or, tuple(self.operands))
@@ -333,25 +370,20 @@ class Implies(Formula):
     __slots__ = ("antecedent", "consequent")
 
     def __new__(cls, antecedent: Formula, consequent: Formula):
-        if antecedent == TRUE:
+        if antecedent is TRUE:
             return consequent
-        if antecedent == FALSE or consequent == TRUE:
+        if antecedent is FALSE or consequent is TRUE:
             return TRUE
-        if consequent == FALSE:
+        if consequent is FALSE:
             return Not(antecedent)
         self = object.__new__(cls)
         self.antecedent = antecedent
         self.consequent = consequent
+        self._hash = hash(("implies", antecedent, consequent))
         return self
-
-    def __init__(self, antecedent: Formula, consequent: Formula) -> None:
-        pass
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         return (not self.antecedent.evaluate(assignment)) or self.consequent.evaluate(assignment)
-
-    def variables(self) -> frozenset[int]:
-        return self.antecedent.variables() | self.consequent.variables()
 
     def children(self) -> tuple[Formula, ...]:
         return (self.antecedent, self.consequent)
@@ -365,14 +397,14 @@ class Implies(Formula):
         return Implies(self.antecedent.substitute(mapping), self.consequent.substitute(mapping))
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Implies)
+            and self._hash == other._hash
             and self.antecedent == other.antecedent
             and self.consequent == other.consequent
         )
 
-    def __hash__(self) -> int:
-        return hash(("implies", self.antecedent, self.consequent))
+    __hash__ = Formula.__hash__
 
     def __reduce__(self):
         return (Implies, (self.antecedent, self.consequent))
@@ -387,27 +419,22 @@ class Iff(Formula):
     def __new__(cls, left: Formula, right: Formula):
         if left == right:
             return TRUE
-        if left == TRUE:
+        if left is TRUE:
             return right
-        if right == TRUE:
+        if right is TRUE:
             return left
-        if left == FALSE:
+        if left is FALSE:
             return Not(right)
-        if right == FALSE:
+        if right is FALSE:
             return Not(left)
         self = object.__new__(cls)
         self.left = left
         self.right = right
+        self._hash = hash(("iff", left, right))
         return self
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        pass
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         return self.left.evaluate(assignment) == self.right.evaluate(assignment)
-
-    def variables(self) -> frozenset[int]:
-        return self.left.variables() | self.right.variables()
 
     def children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
@@ -429,10 +456,14 @@ class Iff(Formula):
         return Iff(self.left.substitute(mapping), self.right.substitute(mapping))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Iff) and self.left == other.left and self.right == other.right
+        return self is other or (
+            isinstance(other, Iff)
+            and self._hash == other._hash
+            and self.left == other.left
+            and self.right == other.right
+        )
 
-    def __hash__(self) -> int:
-        return hash(("iff", self.left, self.right))
+    __hash__ = Formula.__hash__
 
     def __reduce__(self):
         return (Iff, (self.left, self.right))

@@ -13,7 +13,6 @@ from repro.counting import (
     ApproxMCCounter,
     CountingEngine,
     ExactCounter,
-    FormulaBruteCounter,
     LegacyExactCounter,
 )
 from repro.logic.tseitin import direct_cnf, tseitin_cnf
@@ -84,12 +83,6 @@ class TestCounterAblation:
             iterations=1,
         )
         assert exact / 1.8 <= estimate <= exact * 1.8
-
-    def test_formula_brute_counter(self, benchmark):
-        problem = translate(get_property("PartialOrder"), 4, symmetry=SymmetryBreaking())
-        counter = FormulaBruteCounter()
-        count = benchmark(lambda: counter.count_formula(problem.formula, 16))
-        assert count == ExactCounter().count(problem.cnf)
 
 
 class TestTree2CnfAblation:

@@ -11,9 +11,3 @@ def test_table3_generalization(benchmark, bench_config):
     # space while recall survives; diagonal properties can stay perfect.
     assert by_name["Function"].phi_precision < 0.2
     assert by_name["Function"].phi_recall >= 0.5
-
-
-def test_table3_exact_counter_slice(benchmark, exact_config):
-    """The same table through the real exact counter (ProjMC stand-in)."""
-    rows = once(benchmark, generalization_table, 3, exact_config)
-    assert len(rows) == 2

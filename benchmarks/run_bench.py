@@ -51,7 +51,6 @@ BACKENDS = {
     "test_legacy_exact_counter": "exact-legacy",
     "test_counting_engine_warm": "engine-warm",
     "test_approxmc_counter": "approxmc",
-    "test_formula_brute_counter": "formula-brute",
 }
 
 INSTANCE = (
@@ -313,40 +312,33 @@ def _print_ablations(
 
 
 def backend_smoke(name: str, scope: int = 3) -> dict:
-    """Exercise one registered backend end-to-end against ground truth.
+    """Exercise one backend end-to-end against ground truth.
 
-    Builds the backend by registry name, picks an instance its declared
-    capabilities can serve — the pre-Tseitin formula for formula-counting
-    backends, a translated property CNF for the rest — and checks the
-    count: bit-identity against the closed form for exact backends, the
-    (ε, δ) envelope for approximate ones.
-    CI runs this for a non-default backend so registry entries cannot rot
-    silently.
+    Builds the backend by name through ``make_counter``, counts a
+    translated property CNF and checks the count: bit-identity against
+    the closed form for the exact backend, the (ε, δ) envelope for the
+    approximate one.  CI runs this for ``approxmc``, the non-default
+    backend, so it cannot rot silently.
     """
-    from repro.counting import closed_form_count, make_backend
-    from repro.counting.api import backend_capabilities
+    from repro.counting import closed_form_count
+    from repro.counting.api import make_counter
     from repro.spec import get_property, translate
 
     prop = get_property("PartialOrder")
-    caps = backend_capabilities(name)
-    backend = make_backend(name)
+    backend = make_counter(name)
+    caps = backend.capabilities
     truth = closed_form_count(prop.oracle, scope)
-    if caps.counts_formulas:
-        instance = f"{prop.name} formula at scope {scope}"
-        value = backend.count_formula(
-            translate(prop, scope).formula, scope * scope
-        )
-    else:
-        instance = f"{prop.name} CNF at scope {scope}"
-        value = backend.count(translate(prop, scope).cnf)
+    instance = f"{prop.name} CNF at scope {scope}"
+    value = backend.count(translate(prop, scope).cnf)
     if caps.exact:
         if value != truth:
             raise SystemExit(
                 f"backend {name!r} smoke failed: {value} != {truth} on {instance}"
             )
-    elif not truth / 4 <= value <= truth * 4:
+    elif not truth / (1 + backend.epsilon) <= value <= truth * (1 + backend.epsilon):
         raise SystemExit(
-            f"backend {name!r} estimate {value} implausible vs {truth} on {instance}"
+            f"backend {name!r} estimate {value} is outside the (eps, delta) "
+            f"envelope of {truth} (eps = {backend.epsilon}) on {instance}"
         )
     print(
         f"  backend smoke: {name!r} on {instance} -> {value} "
@@ -459,9 +451,9 @@ def main() -> None:
     )
     parser.add_argument(
         "--backend", action="append", default=None, metavar="NAME",
-        help="additionally smoke a registered backend by name against "
-        "ground truth; repeatable (CI smokes legacy so non-default "
-        "backends cannot rot)",
+        help="additionally smoke a backend (exact or approxmc) by name "
+        "against ground truth; repeatable (CI smokes approxmc so the "
+        "non-default backend cannot rot)",
     )
     parser.add_argument(
         "--profile", action="store_true",

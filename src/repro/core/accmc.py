@@ -28,8 +28,7 @@ construction:
 Each region count is one problem: the region CNF (Håstad's
 one-clause-per-opposite-path construction, see
 :func:`repro.core.tree2cnf.label_region_cnf`) conjoined with φ, ¬φ or the
-evaluation space.  An exact backend that counts formulas derives from the
-pre-Tseitin formulas instead.
+evaluation space.
 """
 
 from __future__ import annotations
@@ -160,12 +159,10 @@ class AccMC:
 
     ``engine`` is the :class:`~repro.counting.engine.CountingEngine` every
     count goes through (default: a fresh one over the exact counter, the
-    ProjMC stand-in); wrap any backend built with
-    :func:`repro.counting.api.make_backend` in one.  The backend's declared
-    capabilities pick the construction and the route: an exact backend
-    derives from four counts, over formulas when it counts them and over
-    CNFs otherwise, and an approximate one counts the paper's four
-    products over CNFs.
+    ProjMC stand-in); wrap a backend built with
+    :func:`repro.counting.api.make_counter` in one.  The backend's declared
+    exactness picks the construction: an exact backend derives from four
+    counts, and an approximate one counts the paper's four products.
     """
 
     def __init__(self, engine: CountingEngine | None = None) -> None:
@@ -192,8 +189,7 @@ class AccMC:
         an intractable region raises
         :class:`~repro.counting.exact.CounterTimeout` /
         :class:`~repro.counting.exact.CounterBudgetExceeded` instead of
-        running unbounded.  The formula-sweep backend has no search loop
-        to interrupt and no limits.
+        running unbounded.
         """
         started = time.perf_counter()
         m = ground_truth.num_primary
@@ -203,23 +199,8 @@ class AccMC:
                 f"{ground_truth.scope} needs {m}"
             )
         paths = tree.decision_paths()
-        caps = self.engine.capabilities
-        by_formula = caps.counts_formulas and caps.exact
-        if not by_formula and not caps.supports_projection:
-            # Fail at the routing layer, not deep inside the backend: the
-            # CNF route conjoins Tseitin formulas with auxiliaries, which
-            # a projection-incapable backend cannot serve.  No registered
-            # backend is one, but ``register_backend`` is public.
-            raise ValueError(
-                f"backend {self.engine.backend_name!r} can serve neither AccMC "
-                "route: it counts no formulas exactly and rejects CNFs with "
-                "auxiliary variables (capabilities.counts_formulas and .exact "
-                "are not both True, and .supports_projection is False)"
-            )
         true_region = self.engine.region(paths, 1, m)
-        if by_formula:
-            counts = self._derive_by_formula(ground_truth, true_region, m)
-        elif caps.exact:
+        if self.engine.capabilities.exact:
             counts = self._derive_by_cnf(ground_truth, true_region)
         else:
             counts = self._count_products(
@@ -248,24 +229,6 @@ class AccMC:
         space = ground_truth.space_cnf()
         problems = [phi.conjoin(true_region), phi, space.conjoin(true_region), space]
         return derived_counts(*(r.value for r in self.engine.solve_many(problems)))
-
-    def _derive_by_formula(
-        self, ground_truth: GroundTruth, true_region: CNF, m: int
-    ) -> ConfusionCounts:
-        """The same four counts over the pre-Tseitin formulas, for exact
-        backends exposing ``count_formula``."""
-        from repro.logic.formula import And, Not, Or, Var, all_of
-
-        phi = ground_truth.positive().formula
-        space = ground_truth.space_formula()
-        tau = all_of(
-            Or(*(Var(l) if l > 0 else Not(Var(-l)) for l in clause))
-            for clause in true_region.clauses
-        )
-        problems = (And(phi, tau), phi, And(space, tau), space)
-        return derived_counts(
-            *(self.engine.solve_formula(f, m).value for f in problems)
-        )
 
     def _count_products(
         self, ground_truth: GroundTruth, true_region: CNF, false_region: CNF

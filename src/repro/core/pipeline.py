@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.accmc import AccMC, AccMCResult
-from repro.counting.engine import CountingEngine, _prop_key
+from repro.counting.engine import CountingEngine
 from repro.data.dataset import Dataset
 from repro.data.generation import enumerate_positive_bits, generate_dataset
 from repro.ml import MODEL_REGISTRY
@@ -88,7 +88,7 @@ class MCMLPipeline:
         store equal sets, so no lock is taken.
         """
         prop = get_property(prop) if isinstance(prop, str) else prop
-        key = (_prop_key(prop), scope, None if symmetry is None else symmetry.kind)
+        key = (prop, scope, None if symmetry is None else symmetry.kind)
         bits = self._positives.get(key)
         if bits is None:
             if symmetry is None:

@@ -6,8 +6,9 @@ paper's table drivers.  Before this facade each consumer wired its own
 engine/config/store plumbing by hand; a session owns that plumbing once:
 
 * one :class:`~repro.counting.engine.CountingEngine` over a backend chosen
-  by registered name (:func:`repro.counting.api.make_counter`), which
-  carries the run's count limits, with the engine's memos, the backend's
+  by name, ``exact`` or ``approxmc``
+  (:func:`repro.counting.api.make_counter`), which carries the run's count
+  limits, with the engine's memos, the backend's
   component cache and, given a ``cache_dir``, the disk-persistent stores;
 * one :class:`~repro.core.pipeline.MCMLPipeline` for dataset generation
   and model training, sharing the session seed;
@@ -67,10 +68,10 @@ class MCMLSession:
     Parameters
     ----------
     backend:
-        Registered backend name (``exact``, ``legacy``, ``brute``,
-        ``approxmc`` or an alias), built by
-        :func:`~repro.counting.api.make_counter` with the session ``seed``,
-        ``budget`` and ``deadline``.
+        Backend name, ``exact`` (the ProjMC stand-in) or ``approxmc``,
+        built by :func:`~repro.counting.api.make_counter` with the session
+        ``seed``, ``budget`` and ``deadline``; any other name raises
+        ``ValueError``.
     cache_dir:
         Directory of the engine's disk-persistent counts, compilations and
         component-cache spill (so work survives session restarts).
@@ -83,8 +84,8 @@ class MCMLSession:
         limit fails with its typed
         :class:`~repro.counting.exact.CounterAbort` (a
         :class:`~repro.counting.api.CountFailure` under
-        ``on_failure="return"``); a backend without the knob ignores the
-        limit.  A malformed limit raises ``ValueError`` here.
+        ``on_failure="return"``); ``approxmc`` has no node budget and
+        ignores it.  A malformed limit raises ``ValueError`` here.
     seed:
         Master seed for dataset generation, splitting and training, and
         for the approximate backend's hashes.
@@ -215,7 +216,8 @@ class MCMLSession:
         :func:`~repro.core.bnnmc.quantify_bnn` sweeps its formulas with
         :func:`repro.counting.vector.count_formula`, so the session's
         backend and its ``budget``/``deadline`` do not apply, the result's
-        ``counter`` is ``"brute"``, and ``engine.stats`` does not move.
+        ``counter`` is ``"brute"``, naming that sweep, and ``engine.stats``
+        does not move.
         """
         from repro.core.bnnmc import quantify_bnn
 

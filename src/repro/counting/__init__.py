@@ -1,16 +1,21 @@
 """Model counting back-ends.
 
 MCML reduces every whole-input-space metric to model counting.  The paper
-uses two external tools; we implement both families natively, plus the
-back-ends used for validation and ablation:
+uses two external tools; we implement both natively — they are the two
+backends ``mcml --backend`` chooses between — plus the counters used as
+test oracles:
 
 * :mod:`repro.counting.exact` — exact counting in the ProjMC/sharpSAT
   tradition: DPLL search with unit propagation, connected-component
   decomposition and component caching.  This is the default backend.
 * :mod:`repro.counting.approxmc` — ApproxMC2-style (ε, δ) approximate
   counting with random XOR hash constraints and bounded cell enumeration.
-* :mod:`repro.counting.brute` — numpy-vectorised exhaustive counting for
-  small variable counts; the ground truth for differential tests.
+* :mod:`repro.counting.brute` — numpy-vectorised exhaustive counting of
+  auxiliary-free CNFs for small variable counts; the ground truth for
+  differential tests.
+* :mod:`repro.counting.vector` — the same sweep over formulas
+  (:func:`count_formula`), with no CNF conversion; an oracle that shares
+  no code with Tseitin, and BNN quantification's counter.
 * :mod:`repro.counting.oracles` — closed-form combinatorial counts for the
   16 relational properties (Bell numbers, labeled posets, …), used to check
   Table 1 at paper scopes without running a counter.
@@ -18,10 +23,9 @@ back-ends used for validation and ablation:
   exact counter, kept as a differential baseline.
 * :mod:`repro.counting.api` — the typed counting contract: the frozen
   :class:`CountResult`, the :class:`Capabilities` declaration every
-  backend carries, the :class:`CounterBackend` protocol, and the backend
-  registry (:func:`make_backend`, :func:`available_backends`) that ``mcml
-  --backend NAME`` and the conformance suite iterate over; its
-  ``make_counter`` sets a run's seed and count limits on the backend.
+  backend carries, the :class:`CounterBackend` protocol, the two backend
+  names (:func:`available_backends`) and ``make_counter``, which builds
+  one with a run's seed and count limits.
 * :mod:`repro.counting.engine` — :class:`CountingEngine`, the shared,
   memoizing facade AccMC/DiffMC and the experiment drivers count through
   (optionally over a ``cache_dir``); ``solve``/``solve_many`` take CNFs
@@ -52,8 +56,6 @@ from repro.counting.api import (
     EngineStats,
     available_backends,
     backend_capabilities,
-    make_backend,
-    register_backend,
 )
 from repro.counting.approxmc import ApproxMCCounter, approx_count
 from repro.counting.brute import brute_force_count, brute_force_models
@@ -75,7 +77,7 @@ from repro.counting.store import (
     signature_key,
     text_key,
 )
-from repro.counting.vector import FormulaBruteCounter, count_formula
+from repro.counting.vector import count_formula
 
 __all__ = [
     "ApproxMCCounter",
@@ -93,7 +95,6 @@ __all__ = [
     "CountingEngine",
     "EngineStats",
     "ExactCounter",
-    "FormulaBruteCounter",
     "LegacyExactCounter",
     "approx_count",
     "available_backends",
@@ -103,8 +104,6 @@ __all__ = [
     "closed_form_count",
     "count_formula",
     "exact_count",
-    "make_backend",
-    "register_backend",
     "signature_key",
     "text_key",
 ]

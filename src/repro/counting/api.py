@@ -1,4 +1,4 @@
-"""The counting API: typed results, capabilities, registry.
+"""The counting API: typed results, capabilities, the two backends.
 
 MCML's substrate serves many consumers — AccMC confusion counts, DiffMC
 model diffs, BNN quantification — and before this module their contract
@@ -13,31 +13,28 @@ This module makes the contract explicit:
   take CNFs and return these.
 * :class:`Capabilities` — what a backend can actually do, declared once as
   a dataclass instead of being sniffed per call site: exactness (counts
-  portable across backends/sessions), formula counting (AccMC's
-  vectorised fast path), projection support (Tseitin auxiliaries allowed
-  in clauses) and component-cache ownership (the backend counts through
-  a cache the engine reports and spills).  Engine routing, store gating
-  and consumer fast paths all negotiate through these flags only.
+  portable across backends/sessions) and component-cache ownership (the
+  backend counts through a cache the engine reports and spills).  Engine
+  routing, store gating and AccMC's construction read these flags only.
 * :class:`CounterBackend` — the structural protocol every backend
   satisfies: ``name``, ``capabilities``, ``count(cnf) -> int``.
-* the **backend registry** — every backend is constructible by name via
-  :func:`make_backend` (``exact``, ``legacy``, ``brute``, ``approxmc``,
-  plus aliases) and enumerable via
-  :func:`available_backends`, which is what ``mcml --backend NAME`` and
-  the conformance suite iterate over.  A new backend is a registry entry
-  plus a conformance-suite run.  :func:`make_counter` builds the backend
-  a run counts with: its seed and its two count limits, set once on the
-  backend's own knobs.
+* the **backends** — the paper counts with the exact projected counter
+  ProjMC and the hashing-based ApproxMC; ``exact``
+  (:class:`~repro.counting.exact.ExactCounter`) and ``approxmc``
+  (:class:`~repro.counting.approxmc.ApproxMCCounter`) stand in for them.
+  :func:`available_backends` lists the two names ``mcml --backend NAME``
+  accepts, and :func:`make_counter` builds one with a run's seed and its
+  two count limits, set once on the backend's own knobs.
 
 The module sits below the engine (it imports only :mod:`repro.logic.cnf`),
 so backends and the engine can both import from it without cycles; the
-concrete backend factories are imported lazily inside the registry.
+backend classes are imported lazily, on first use.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from typing import Protocol, runtime_checkable
 
@@ -51,9 +48,7 @@ __all__ = [
     "EngineStats",
     "available_backends",
     "backend_capabilities",
-    "make_backend",
     "make_counter",
-    "register_backend",
 ]
 
 # -- capabilities ---------------------------------------------------------------------
@@ -71,15 +66,6 @@ class Capabilities:
         three confusion counts from four such counts by subtraction.
         Approximate (ε, δ) estimates are neither persisted nor subtracted:
         AccMC counts the paper's four products on them.
-    counts_formulas:
-        The backend exposes ``count_formula(formula, num_vars)``; AccMC's
-        formula-sweep fast path and the engine's memoized
-        ``solve_formula`` negotiate on this flag.
-    supports_projection:
-        Clauses may mention variables outside the projection (Tseitin
-        auxiliaries); backends without it (the brute sweep) reject such
-        CNFs, so they only serve auxiliary-free problems like tree
-        regions.
     owns_component_cache:
         The backend counts through the
         :class:`~repro.counting.component_cache.ComponentCache` on its
@@ -88,8 +74,6 @@ class Capabilities:
     """
 
     exact: bool
-    counts_formulas: bool = False
-    supports_projection: bool = False
     owns_component_cache: bool = False
 
     def as_dict(self) -> dict[str, bool]:
@@ -102,8 +86,9 @@ class CounterBackend(Protocol):
     """The structural contract of a counting backend.
 
     Anything with a ``name``, declared :class:`Capabilities` and a
-    ``count(cnf) -> int`` method is a backend; registered implementations
-    additionally construct via :func:`make_backend`.
+    ``count(cnf) -> int`` method is a backend that a
+    :class:`~repro.counting.engine.CountingEngine` can wrap; the two that
+    ``mcml --backend`` chooses between construct via :func:`make_counter`.
     """
 
     name: str
@@ -122,7 +107,7 @@ class CountResult:
 
     ``value`` is the projected model count; ``exact`` whether the backend
     guarantees it bit-exactly; ``backend`` the producing backend's
-    registered name; ``source`` where the answer came from (``"memo"``,
+    declared name; ``source`` where the answer came from (``"memo"``,
     ``"store"`` or ``"backend"``); ``elapsed_seconds`` the wall time this
     problem cost (≈0 for cache hits); ``stats_delta`` the
     :class:`EngineStats` movement the solving call caused (per batch for
@@ -276,55 +261,36 @@ class EngineStats:
         )
 
 
-# -- registry -------------------------------------------------------------------------
+# -- backends -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _BackendEntry:
-    factory: Callable[..., object]
-    aliases: tuple[str, ...] = ()
+#: The counters ``mcml --backend`` chooses between, name -> (module, class):
+#: the exact counter stands in for the paper's ProjMC and the hashing-based
+#: one for its ApproxMC.  Imported on first use, because the backend
+#: modules import :class:`Capabilities` from this one.
+_BACKENDS = {
+    "approxmc": ("repro.counting.approxmc", "ApproxMCCounter"),
+    "exact": ("repro.counting.exact", "ExactCounter"),
+}
 
 
-#: canonical name -> entry; aliases resolve through :func:`_resolve`.
-_REGISTRY: dict[str, _BackendEntry] = {}
+def available_backends() -> list[str]:
+    """The backend names, sorted."""
+    return sorted(_BACKENDS)
 
 
-def register_backend(
-    name: str,
-    factory: Callable[..., object],
-    *,
-    aliases: Iterable[str] = (),
-) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    ``factory(**opts)`` must return an object satisfying
-    :class:`CounterBackend`.  Aliases resolve to the canonical name but do
-    not show up in :func:`available_backends`.
-    """
-    _REGISTRY[name] = _BackendEntry(factory=factory, aliases=tuple(aliases))
-    _CAPABILITY_CACHE.pop(name, None)
+def _backend_class(name: str) -> type:
+    try:
+        module, cls = _BACKENDS[name]
+    except KeyError:
+        known = ", ".join(available_backends())
+        raise ValueError(f"unknown counter {name!r} (use one of: {known})") from None
+    return getattr(importlib.import_module(module), cls)
 
 
-def _resolve(name: str) -> str:
-    if name in _REGISTRY:
-        return name
-    for canonical, entry in _REGISTRY.items():
-        if name in entry.aliases:
-            return canonical
-    known = ", ".join(sorted(_REGISTRY))
-    raise ValueError(f"unknown counter {name!r} (use one of: {known})")
-
-
-def make_backend(name: str, **opts):
-    """Construct a registered backend by (canonical or alias) name."""
-    return _REGISTRY[_resolve(name)].factory(**opts)
-
-
-#: The built-in backends with a search-node budget (``max_nodes``) and
-#: those with a wall-clock ``deadline``; any other backend has no such
-#: knob and ignores that limit.
-_BUDGETED = ("exact", "legacy")
-_TIMED = ("exact", "approxmc")
+def backend_capabilities(name: str) -> Capabilities:
+    """The :class:`Capabilities` a backend's class declares."""
+    return _backend_class(name).capabilities
 
 
 def make_counter(
@@ -334,18 +300,17 @@ def make_counter(
     budget: int | None = None,
     deadline: float | None = None,
 ):
-    """A registered backend by name, with a run's seed and count limits.
+    """The backend ``name``, with a run's seed and count limits.
 
     The one place a run's seed and limits reach its backend: the
-    approximate counter's hashes take ``seed``, the exact backends take
-    none.  ``budget`` (search nodes, an integer >= 1) becomes the
-    ``max_nodes`` of ``exact`` and ``legacy``; ``deadline`` (wall-clock
-    seconds, a finite number > 0) becomes the ``deadline`` of ``exact``
-    and ``approxmc``.  Both bound every ``count()`` call the backend makes
-    and never change a count's value.  A backend without the knob (``brute``
-    has neither) ignores the limit.  A malformed limit raises
-    ``ValueError``.  :class:`~repro.core.session.MCMLSession` and
-    ``repro.experiments.make_counter`` both build through this.
+    approximate counter's hashes take ``seed``, the exact counter takes
+    none.  ``budget`` (search nodes, an integer >= 1) becomes the exact
+    counter's ``max_nodes``; ``approxmc`` has no such knob and ignores it.
+    ``deadline`` (wall-clock seconds, a finite number > 0) becomes either
+    backend's ``deadline``.  Both bound every ``count()`` call the backend
+    makes and never change a count's value.  An unknown name or a
+    malformed limit raises ``ValueError``.
+    :class:`~repro.core.session.MCMLSession` builds through this.
     """
     # Limits arrive from outside the program (the CLI, library callers),
     # so a malformed one is refused here rather than reaching a knob.
@@ -362,83 +327,9 @@ def make_counter(
         raise ValueError(
             f"deadline must be None or a finite number > 0, got {deadline!r}"
         )
-    canonical = _resolve(name)
-    opts = {"seed": seed} if canonical == "approxmc" else {}
-    if budget is not None and canonical in _BUDGETED:
-        opts["max_nodes"] = budget
-    if deadline is not None and canonical in _TIMED:
-        opts["deadline"] = deadline
-    return make_backend(canonical, **opts)
-
-
-def available_backends() -> list[str]:
-    """Canonical registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def backend_aliases(name: str) -> tuple[str, ...]:
-    """The aliases a canonical name is also reachable under."""
-    return _REGISTRY[_resolve(name)].aliases
-
-
-#: canonical name -> resolved Capabilities (declarations are class-level
-#: constants, so one default construction per backend suffices forever).
-_CAPABILITY_CACHE: dict[str, Capabilities] = {}
-
-
-def backend_capabilities(name: str) -> Capabilities:
-    """Capabilities of a registered backend without keeping an instance.
-
-    Factory callables may carry a ``capabilities`` attribute (classes
-    registered directly do); lazy function factories fall back to one
-    throwaway default construction, cached per canonical name.
-    """
-    canonical = _resolve(name)
-    cached = _CAPABILITY_CACHE.get(canonical)
-    if cached is not None:
-        return cached
-    entry = _REGISTRY[canonical]
-    declared = getattr(entry.factory, "capabilities", None)
-    caps = (
-        declared
-        if isinstance(declared, Capabilities)
-        else entry.factory().capabilities
-    )
-    _CAPABILITY_CACHE[canonical] = caps
-    return caps
-
-
-# The built-in backends.  Factories import lazily so this module stays
-# importable from the backend modules themselves (they only need
-# :class:`Capabilities`).
-def _exact_factory(**opts):
-    from repro.counting.exact import ExactCounter
-
-    return ExactCounter(**opts)
-
-
-def _legacy_factory(**opts):
-    from repro.counting.legacy import LegacyExactCounter
-
-    return LegacyExactCounter(**opts)
-
-
-def _brute_factory(**opts):
-    from repro.counting.vector import FormulaBruteCounter
-
-    return FormulaBruteCounter(**opts)
-
-
-def _approxmc_factory(**opts):
-    from repro.counting.approxmc import ApproxMCCounter
-
-    return ApproxMCCounter(**opts)
-
-
-register_backend("exact", _exact_factory)
-register_backend("legacy", _legacy_factory, aliases=("exact-legacy",))
-# "brute" is the numpy whole-space sweep over formulas and aux-free CNFs
-# (repro.counting.vector); "vector" is its descriptive alias.
-register_backend("brute", _brute_factory, aliases=("vector",))
-register_backend("approxmc", _approxmc_factory, aliases=("approx",))
-
+    backend = _backend_class(name)
+    if name == "approxmc":
+        return backend(seed=seed, deadline=deadline)
+    if budget is None:
+        return backend(deadline=deadline)
+    return backend(max_nodes=budget, deadline=deadline)

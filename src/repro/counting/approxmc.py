@@ -218,12 +218,7 @@ class ApproxMCCounter:
     """(ε, δ) approximate projected model counter."""
 
     name = "approxmc"
-    capabilities = Capabilities(
-        exact=False,
-        counts_formulas=False,
-        supports_projection=True,
-        owns_component_cache=False,
-    )
+    capabilities = Capabilities(exact=False)
 
     def __init__(
         self,

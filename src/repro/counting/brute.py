@@ -5,9 +5,10 @@ variables.  They exist for two reasons:
 
 * **differential testing** — every other counter in this package is checked
   against brute force on small instances;
-* **whole-space sweeps** — the ``brute`` backend and :mod:`repro.spec.scopes`
-  sweep the full space at small scopes (positive datasets do not: they grow
-  one atom at a time, :func:`repro.data.enumerate_positive_bits`).
+* **whole-space sweeps** — the formula sweep (:mod:`repro.counting.vector`)
+  and :mod:`repro.spec.scopes` sweep the full space at small scopes
+  (positive datasets do not: they grow one atom at a time,
+  :func:`repro.data.enumerate_positive_bits`).
 
 Assignments are materialised in blocks so memory stays bounded even at the
 upper end of the supported range (~2^24 assignments).

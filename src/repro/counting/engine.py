@@ -41,18 +41,19 @@ process and across sessions:
   failures in their batch positions (the default re-raises the first
   original exception);
 * ``translate`` memoizes grounded-property compilations (property × scope ×
-  symmetry × polarity), keyed on the property's *structural* identity —
-  two distinct properties sharing a name never collide;
+  symmetry × polarity), keyed on the property itself: a
+  :class:`~repro.spec.properties.Property` hashes and compares
+  structurally, so two distinct properties sharing a name never collide;
 * ``ground_truth`` memoizes the :class:`repro.core.accmc.GroundTruth`
   objects built on those translations;
 * ``region`` memoizes decision-tree label-region CNFs keyed on the paths.
 
-Routing decisions — disk persistence, the component cache and its spill,
-the ``solve_formula`` fast path — are negotiated purely through the
-backend's declared :class:`~repro.counting.api.Capabilities`
-(``engine.capabilities``); the engine never sniffs attributes.  Backends
-are constructible by registered name via
-:func:`repro.counting.api.make_backend`; the wrapped backend itself is
+Routing decisions — disk persistence, the component cache and its spill —
+are negotiated purely through the backend's declared
+:class:`~repro.counting.api.Capabilities` (``engine.capabilities``); the
+engine never sniffs attributes.  The two backends build by name via
+:func:`repro.counting.api.make_counter`, and any object with a ``name``,
+``capabilities`` and ``count`` serves too; the wrapped backend itself is
 ``engine.counter`` and its declared name ``engine.backend_name``.  One
 engine is meant to be shared across every ``AccMC``, ``DiffMC`` and
 pipeline in a process — or owned by one
@@ -80,27 +81,6 @@ from repro.counting.store import (
 from repro.logic.cnf import CNF
 
 
-def _prop_key(prop) -> object:
-    """Structural memo identity of a property.
-
-    :class:`repro.spec.properties.Property` is a frozen dataclass over a
-    frozen-dataclass formula AST, so the object itself hashes and compares
-    structurally — two distinct ``Property`` objects sharing a *name* but
-    differing in formula get distinct keys (and two structurally equal ones
-    correctly share).  Unhashable stand-ins fall back to a name + formula
-    repr, which still separates same-named properties.
-    """
-    try:
-        hash(prop)
-    except TypeError:
-        return (
-            type(prop).__name__,
-            getattr(prop, "name", None),
-            repr(getattr(prop, "formula", prop)),
-        )
-    return prop
-
-
 class CountingEngine:
     """Memoizing, optionally disk-backed counting front door.
 
@@ -109,8 +89,8 @@ class CountingEngine:
     counter:
         Any object satisfying :class:`repro.counting.api.CounterBackend`
         (default: :class:`repro.counting.exact.ExactCounter`); build one
-        by registered name with
-        :func:`repro.counting.api.make_backend`.  Engines do not nest:
+        of the two backends by name with
+        :func:`repro.counting.api.make_counter`.  Engines do not nest:
         passing an engine raises ``TypeError``.
     cache_dir:
         Directory for the disk-persistent caches.  ``None`` (default)
@@ -214,8 +194,8 @@ class CountingEngine:
         completes; ``"return"`` returns the ``CountFailure`` objects in
         their batch positions alongside the successes.
 
-        Thread safety.  ``solve``/``solve_many``/``solve_formula`` (and
-        the compilation memos) serialize on the engine's internal
+        Thread safety.  ``solve``/``solve_many`` (and the compilation
+        memos) serialize on the engine's internal
         reentrant lock: a multi-threaded caller gets bit-identical
         counts and consistent :class:`EngineStats`, never interleaved
         memo state.
@@ -372,41 +352,6 @@ class CountingEngine:
             store.degradations for store in self._disk_tiers()
         )
 
-    def solve_formula(self, formula, num_vars: int) -> CountResult:
-        """Typed memoized whole-space formula count (fast-path backends).
-
-        Served only when the backend's capabilities declare
-        ``counts_formulas``; keys the count memo on the formula's
-        structural hash (``Formula`` nodes hash structurally).  Like the
-        batch loop, only an exact backend's count is memoized: an
-        estimate is recounted on every call.  Formula counts stay
-        in-memory only — the disk store is keyed on CNF signatures.
-        """
-        if not self.capabilities.counts_formulas:
-            raise ValueError(
-                f"backend {self.backend_name!r} does not count formulas "
-                "(capabilities.counts_formulas is False)"
-            )
-        with self._lock:
-            return self._solve_formula_locked(formula, num_vars)
-
-    def _solve_formula_locked(self, formula, num_vars: int) -> CountResult:
-        before = self.stats.copy()
-        self.stats.count_calls += 1
-        key = ("formula", formula, num_vars)
-        value = self._counts.get(key)
-        if value is not None:
-            self.stats.count_hits += 1
-            record = (value, "memo", 0.0)
-        else:
-            self.stats.backend_calls += 1
-            started = time.perf_counter()
-            value = self.counter.count_formula(formula, num_vars)
-            record = (value, "backend", time.perf_counter() - started)
-            if self.capabilities.exact:
-                self._counts[key] = value
-        return self._result(*record, self.stats.delta_since(before))
-
     # -- compilation memos -----------------------------------------------------------
 
     def translate(self, prop, scope: int, symmetry=None, negate: bool = False):
@@ -422,7 +367,6 @@ class CountingEngine:
         return self._compilation(
             "translate",
             self._translations,
-            (_prop_key(prop), scope, kind, negate),
             (prop, scope, kind, negate),
             lambda: translate(prop, scope, symmetry=symmetry, negate=negate),
         )
@@ -441,11 +385,7 @@ class CountingEngine:
         from repro.core.accmc import GroundTruth
         from repro.spec.translate import translate
 
-        key = (
-            _prop_key(prop),
-            scope,
-            symmetry.kind if symmetry is not None else None,
-        )
+        key = (prop, scope, symmetry.kind if symmetry is not None else None)
         with self._lock:
             cached = self._ground_truths.get(key)
             if cached is None:
@@ -468,22 +408,20 @@ class CountingEngine:
         """
         from repro.core.tree2cnf import label_region_cnf
 
-        key = (tuple(paths), label, num_features)
         return self._compilation(
             "region",
             self._regions,
-            key,
-            key,
+            (tuple(paths), label, num_features),
             lambda: label_region_cnf(paths, label, num_features),
         )
 
-    def _compilation(self, kind: str, memo: dict, key, disk_parts: tuple, build):
+    def _compilation(self, kind: str, memo: dict, key: tuple, build):
         """One compilation memo: in-process dict → memo store → ``build()``.
 
         ``kind`` names the :class:`EngineStats` counters it moves
         (``{kind}_calls``, ``{kind}_hits``, ``{kind}_store_hits``) and
         prefixes the memo-store key, which is the
-        :func:`~repro.counting.store.text_key` of ``(kind, *disk_parts)``.
+        :func:`~repro.counting.store.text_key` of ``(kind, *key)``.
         """
         with self._lock:
             counters = vars(self.stats)
@@ -494,7 +432,7 @@ class CountingEngine:
                 return value
             disk_key = None
             if self.memo_store is not None:
-                disk_key = text_key(kind, *disk_parts)
+                disk_key = text_key(kind, *key)
                 value = self.memo_store.get(disk_key)
             if value is not None:
                 counters[f"{kind}_store_hits"] += 1

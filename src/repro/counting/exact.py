@@ -115,14 +115,8 @@ class ExactCounter:
 
     name = "exact"
     #: Declared contract (see :class:`repro.counting.api.Capabilities`):
-    #: projected DPLL search handles auxiliaries, and every count goes
-    #: through the ``component_cache`` attribute.
-    capabilities = Capabilities(
-        exact=True,
-        counts_formulas=False,
-        supports_projection=True,
-        owns_component_cache=True,
-    )
+    #: every count goes through the ``component_cache`` attribute.
+    capabilities = Capabilities(exact=True, owns_component_cache=True)
 
     def __init__(
         self,

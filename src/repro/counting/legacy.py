@@ -13,7 +13,7 @@ original are fixed here because they were bugs, not behaviour:
   rebuild instead of calling ``_assign`` over the full clause list once per
   unit (quadratic in the number of units).
 
-Do not use this backend in new code — it exists for tests and for the
+It is no ``mcml --backend`` choice: it exists as a test oracle and for the
 counter-ablation benchmark that records how much the packed rewrite buys.
 """
 
@@ -36,12 +36,7 @@ class LegacyExactCounter:
     name = "legacy"
     #: Exact like the packed counter, but its component cache is per-call
     #: scratch: the engine has no cache of it to report or spill.
-    capabilities = Capabilities(
-        exact=True,
-        counts_formulas=False,
-        supports_projection=True,
-        owns_component_cache=False,
-    )
+    capabilities = Capabilities(exact=True)
 
     def __init__(self, max_nodes: int = 5_000_000) -> None:
         self.max_nodes = max_nodes

@@ -2,10 +2,9 @@
 
 Evaluates a propositional :class:`~repro.logic.formula.Formula` over *every*
 assignment of its input variables using numpy blocks — no CNF conversion, no
-search.  For the reduced scopes the default experiments run (16–25 primary
-variables) this is an exact counting backend that is immune to the
-structure-sensitivity of DPLL-style counters, and it doubles as an
-independent oracle for differential tests of the exact counter.
+search.  It shares no code with Tseitin or the counters, so it is the
+independent oracle of differential tests of the exact counter, and BNN
+quantification (:mod:`repro.core.bnnmc`) counts its formulas with it.
 
 The per-block evaluator memoises on structural formula equality, so shared
 subformulas (heavily produced by quantifier grounding) are evaluated once.
@@ -15,9 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.counting.api import Capabilities
-from repro.counting.brute import MAX_BRUTE_VARS, brute_force_count, iter_assignment_blocks
-from repro.logic.cnf import CNF
+from repro.counting.brute import MAX_BRUTE_VARS, iter_assignment_blocks
 from repro.logic.formula import (
     And,
     Formula,
@@ -62,7 +59,13 @@ def evaluate_formula_block(formula: Formula, block: np.ndarray) -> np.ndarray:
         cache[node] = result
         return result
 
-    return go(formula)
+    try:
+        return go(formula)
+    finally:
+        # ``go`` refers to itself through its closure, a reference cycle
+        # that holds ``cache``: emptied here, the per-node arrays are freed
+        # on return instead of at the cyclic collector's next pass.
+        cache.clear()
 
 
 def count_formula(formula: Formula, num_vars: int) -> int:
@@ -81,28 +84,3 @@ def count_formula(formula: Formula, num_vars: int) -> int:
         total += int(evaluate_formula_block(formula, block).sum())
     return total
 
-
-class FormulaBruteCounter:
-    """Counting backend over formulas (and aux-free CNFs).
-
-    Satisfies the same ``count(cnf)`` protocol as the other backends for
-    CNFs whose clauses stay inside the projection, and adds
-    ``count_formula`` for direct whole-space formula counting — the fast
-    path :class:`repro.core.accmc.AccMC` uses at reduced scopes.
-    """
-
-    name = "brute"
-    #: Exact full-space sweep; counts pre-Tseitin formulas directly (the
-    #: AccMC fast path) but rejects CNFs with auxiliary variables.
-    capabilities = Capabilities(
-        exact=True,
-        counts_formulas=True,
-        supports_projection=False,
-        owns_component_cache=False,
-    )
-
-    def count(self, cnf: CNF) -> int:
-        return brute_force_count(cnf)
-
-    def count_formula(self, formula: Formula, num_vars: int) -> int:
-        return count_formula(formula, num_vars)

@@ -23,7 +23,7 @@ exposes every knob, and ``tests/golden/full/`` holds what ``mcml all
 --seed 0`` prints at those defaults.
 """
 
-from repro.experiments.config import ExperimentConfig, make_counter
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.classification import classification_table
 from repro.experiments.generalization import generalization_table
 from repro.experiments.figures import figure1, figure2
@@ -38,5 +38,4 @@ __all__ = [
     "figure1",
     "figure2",
     "generalization_table",
-    "make_counter",
 ]

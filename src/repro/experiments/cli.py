@@ -6,14 +6,15 @@ Examples::
     mcml table1
     mcml table1 --paper-scopes          # analytic verification at paper scopes
     mcml table3 --properties Reflexive PartialOrder --scope 4
-    mcml table9 --backend brute
-    mcml --list-backends                # registered counting backends
+    mcml table9 --backend approxmc      # ApproxMC estimates in every count
+    mcml --list-backends                # the two counting backends
     mcml all                            # every artifact, reduced scopes
 
 Every counting artifact runs through one :class:`repro.core.session.MCMLSession`
-built from the parsed configuration: backend by registered name
-(``--backend``), disk caches and the component cache all travel on the
-session, and successive artifacts of an ``mcml all`` run share its memos.
+built from the parsed configuration: backend by name (``--backend``,
+``exact`` or ``approxmc``), disk caches and the component cache all travel
+on the session, and successive artifacts of an ``mcml all`` run share its
+memos.
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ import argparse
 import math
 import sys
 
-from repro.counting.api import (
-    available_backends,
-    backend_aliases,
-    backend_capabilities,
-)
+from repro.counting.api import available_backends, backend_capabilities
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.spec.properties import property_names
@@ -37,23 +34,9 @@ ARTIFACTS = (
 )
 
 
-def _registered_backend(name: str) -> str:
-    """``--backend`` type: a registered backend name or alias.
-
-    Checked at parse time, so an unknown name is a usage error (exit 2,
-    listing the registered names) instead of a traceback from
-    :func:`repro.counting.api.make_backend` once the session is built.
-    """
-    try:
-        backend_aliases(name)  # resolves aliases; raises for unknown names
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return name
-
-
 def _integer_at_least(low: int):
-    """An argparse type: an integer >= ``low``, checked at parse time like
-    :func:`_registered_backend` (exit 2, not a traceback)."""
+    """An argparse type: an integer >= ``low``, checked at parse time (exit
+    2, not a traceback)."""
 
     def parse(text: str) -> int:
         if text.isdecimal() and int(text) >= low:
@@ -111,20 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--scope", type=_at_least_one, default=None,
         help="override the scope for every property",
     )
+    # ``choices`` makes an unknown name a usage error at parse time (exit
+    # 2, listing both names), not a traceback once the session is built.
     parser.add_argument(
         "--backend",
-        type=_registered_backend,
+        choices=available_backends(),
         default="exact",
         metavar="NAME",
-        help="counting backend by registered name "
-        f"({', '.join(available_backends())}; see --list-backends; "
-        "default exact)",
+        help="counting backend: exact (the ProjMC stand-in, default) or "
+        "approxmc (ApproxMC estimates); see --list-backends",
     )
     parser.add_argument(
         "--list-backends",
         action="store_true",
-        help="list the registered counting backends with their capability "
-        "flags and exit",
+        help="list the counting backends with their capability flags and exit",
     )
     parser.add_argument("--seed", type=_at_least_zero, default=0)
     parser.add_argument(
@@ -181,43 +164,30 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 #: ``Capabilities`` field → column header of the ``--list-backends`` table.
-_CAPABILITY_COLUMNS = {
-    "exact": "exact",
-    "counts_formulas": "formulas",
-    "supports_projection": "projection",
-    "owns_component_cache": "components",
-}
+_CAPABILITY_COLUMNS = {"exact": "exact", "owns_component_cache": "components"}
 
 
 def list_backends() -> str:
     """The capability table ``mcml --list-backends`` prints.
 
-    One row per registered backend, one yes/no column per declared
+    One row per backend, one yes/no column per declared
     :class:`~repro.counting.api.Capabilities` flag — the same negotiation
     surface the engine routes on, so what this table says a backend can
     do is exactly what the engine will let it do.
     """
-    names = available_backends()
     rows = []
-    for name in names:
+    for name in available_backends():
         caps = backend_capabilities(name).as_dict()
-        aliases = backend_aliases(name)
-        rows.append(
-            [name]
-            + [("yes" if caps.get(field, False) else "no")
-               for field in _CAPABILITY_COLUMNS]
-            + [", ".join(aliases) if aliases else "-"]
-        )
-    header = ["backend", *_CAPABILITY_COLUMNS.values(), "aliases"]
+        rows.append([name, *("yes" if caps[f] else "no" for f in _CAPABILITY_COLUMNS)])
+    header = ["backend", *_CAPABILITY_COLUMNS.values()]
     widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows))
-        for i in range(len(header))
+        max(len(cells[i]) for cells in (header, *rows)) for i in range(len(header))
     ]
+
     def render(cells):
         return "  " + "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = ["registered counting backends:", render(header)]
-    lines.extend(render(row) for row in rows)
-    return "\n".join(lines)
+
+    return "\n".join(["counting backends:", render(header), *map(render, rows)])
 
 
 def run_artifact(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.session import MCMLSession
-from repro.counting.api import make_counter  # noqa: F401 (re-exported)
 from repro.spec.properties import PROPERTIES, Property, get_property
 
 #: Fast out-of-the-box-ish model settings for the experiment grids.  The
@@ -42,12 +41,12 @@ class ExperimentConfig:
     property uses its reduced default (``Property.repro_scope``).
     ``max_positives`` caps bounded-exhaustive sets so dense properties
     (Reflexive has 4096 positives at scope 4) do not dominate runtime.
-    ``counter`` is any registered backend name or alias (``mcml
-    --backend``); ``cache_dir`` persists every count *and compilation* to
-    disk so table re-runs across sessions skip counting entirely, and
-    also the exact counter's component cache, through which overlapping
-    counting problems (same φ, different tree regions) reuse each other's
-    sub-counts.
+    ``counter`` names the backend (``mcml --backend``): ``exact``, the
+    ProjMC stand-in, or ``approxmc``; ``cache_dir`` persists every count
+    *and compilation* to disk so table re-runs across sessions skip
+    counting entirely, and also the exact counter's component cache,
+    through which overlapping counting problems (same φ, different tree
+    regions) reuse each other's sub-counts.
     ``deadline``/``budget`` are wall-clock and search-node limits set
     once on the session's backend (and on Table 1's private exact one),
     so they bound every count of every table; a count past one is a

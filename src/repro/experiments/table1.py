@@ -72,18 +72,14 @@ def table1(
     knob makes re-runs perform zero backend counts.
 
     The exact columns are definitionally exact projected counts of
-    Tseitin CNFs, so the engine must be exact and projection-capable: a
-    passed-in ``session`` is used when its capabilities qualify (its owner
-    closes it), anything else — including configs selecting ``brute`` or
-    ``approxmc`` for the *metric* tables — falls back to a private exact
-    engine over the config's cache_dir and limits, exactly the paper's
-    setup.
+    Tseitin CNFs, so the engine must be exact: a passed-in ``session`` is
+    used when its backend is (its owner closes it); one over ``approxmc``
+    falls back to a private exact engine over the config's cache_dir and
+    limits, exactly the paper's setup.
     """
     config = config or ExperimentConfig()
-    if session is not None:
-        caps = session.capabilities
-        if caps.exact and caps.supports_projection:
-            return _table1_rows(session.engine, config, paper_scopes)
+    if session is not None and session.capabilities.exact:
+        return _table1_rows(session.engine, config, paper_scopes)
     counter = make_counter("exact", budget=config.budget, deadline=config.deadline)
     with CountingEngine(counter, cache_dir=config.cache_dir) as engine:
         return _table1_rows(engine, config, paper_scopes)

@@ -34,9 +34,8 @@ def table8(
 ) -> list[Table8Row]:
     """Compute Table 8 through one session (built from ``config`` if absent).
 
-    DiffMC's four region-overlap CNFs are auxiliary-free, so every
-    registered backend can count them — the config backend is used
-    verbatim.
+    DiffMC's four region-overlap CNFs are auxiliary-free; the config
+    backend counts them verbatim.
     """
     config = config or ExperimentConfig()
     owned = session is None

@@ -1,20 +1,22 @@
-"""Backend conformance suite: every registry entry honours its contract.
+"""Backend conformance suite: every counter honours its contract.
 
-One parametrized module runs every registered backend over the 16-property
-× scope 2–4 matrix (each backend counting through the representation its
-declared capabilities advertise) and over the same properties as
+One parametrized module runs the two backends ``mcml --backend`` chooses
+between, and the tuple-clause exact counter kept as a test oracle
+(:class:`LegacyExactCounter`, constructed directly), over the 16-property
+× scope 2–4 matrix of Tseitin CNFs and over the same properties as
 auxiliary-free truth-table CNFs at scopes 2–3, asserting bit-identity of
-exact backends against the closed-form oracles, the (ε, δ) envelope for
-approximate ones,
-and — flag by flag — that the declared :class:`Capabilities` match actual
-behaviour: formula counting, auxiliary-variable support, component-cache
-ownership, engine store gating; that every backend's counts reproduce
-across fresh instances; and that ``make_counter`` sets each count limit
-on the knob a backend has, while a backend without it ignores the limit.
+exact counters against the closed-form oracles, the (ε, δ) envelope for
+the approximate one, and — flag by flag — that the declared
+:class:`Capabilities` match actual behaviour: component-cache ownership
+and engine store gating; that every counter's counts reproduce across
+fresh instances; and that ``make_counter`` sets each count limit on the
+knob a backend has, while a backend without it ignores the limit.  The
+two sweeps other suites use as oracles, the numpy sweep of the
+pre-Tseitin formula and :func:`brute_force_count`, meet the closed forms
+on the same two matrices.
 
-A new backend is a registry entry plus a green run of this module; a
-capability flag that lies fails here before it can mis-route the engine.
-The module also keeps the counting/core packages grep-clean of
+A capability flag that lies fails here before it can mis-route the
+engine.  The module also keeps the counting/core packages grep-clean of
 ``hasattr``-based capability sniffing and ``getattr`` probes of the
 counter (the API v2 redesign's invariant).
 """
@@ -32,16 +34,13 @@ from repro.counting import (
     CounterTimeout,
     CountingEngine,
     ExactCounter,
+    LegacyExactCounter,
+    brute_force_count,
     closed_form_count,
 )
-from repro.counting.api import (
-    available_backends,
-    backend_aliases,
-    backend_capabilities,
-    make_backend,
-    make_counter,
-)
+from repro.counting.api import available_backends, backend_capabilities, make_counter
 from repro.counting.brute import iter_assignment_blocks
+from repro.counting.vector import count_formula
 from repro.logic import CNF
 from repro.spec import SymmetryBreaking, get_property, translate
 from repro.spec.matrices import bits_to_matrices, property_mask
@@ -49,58 +48,52 @@ from repro.spec.properties import PROPERTIES
 
 BACKENDS = available_backends()
 
+#: Every counter the matrices pin, by name: the two backends, built as
+#: ``make_counter`` builds them, and the tuple-clause exact counter.
+COUNTERS = {
+    "approxmc": lambda: make_counter("approxmc"),
+    "exact": lambda: make_counter("exact"),
+    "legacy": LegacyExactCounter,
+}
+EXACT_COUNTERS = [name for name, make in COUNTERS.items() if make().capabilities.exact]
+
 #: Attribute-absence sentinel (this suite never uses hasattr either).
 _MISSING = object()
 
 
-def _count_via_capabilities(backend, problem, num_primary):
-    """Count a translated problem through the backend's declared surface."""
-    if backend.capabilities.counts_formulas:
-        return backend.count_formula(problem.formula, num_primary)
-    return backend.count(problem.cnf)
-
-
 class TestRegistry:
     def test_lists_the_expected_backends(self):
-        assert BACKENDS == ["approxmc", "brute", "exact", "legacy"]
+        assert BACKENDS == ["approxmc", "exact"]
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_constructs_and_declares(self, name):
-        backend = make_backend(name)
-        # The declared name is the registered one: it is what results and
+        backend = make_counter(name)
+        # The declared name is the backend's name: it is what results and
         # ``mcml --stats`` report as the producing backend.
         assert backend.name == name
         assert isinstance(backend.capabilities, Capabilities)
         assert callable(backend.count)
-        # The registry's capability view equals the instance's declaration.
+        # The class's declaration is the one the CLI lists.
         assert backend_capabilities(name) == backend.capabilities
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_aliases_resolve_to_same_class(self, name):
-        backend = make_backend(name)
-        for alias in backend_aliases(name):
-            assert type(make_backend(alias)) is type(backend)
 
     def test_unknown_backend_raises_with_known_names(self):
         with pytest.raises(ValueError, match="exact"):
-            make_backend("quantum")
+            make_counter("quantum")
 
 
 class TestMatrixConformance:
-    """16 properties × scopes 2–4, each backend via its declared surface."""
+    """16 properties × scopes 2–4, each counter on the Tseitin CNF."""
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COUNTERS)
     @pytest.mark.parametrize("scope", (2, 3, 4))
     @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
     def test_against_closed_forms(self, name, scope, prop):
-        caps = backend_capabilities(name)
         if name == "approxmc" and scope > 3:
             pytest.skip("approximate envelope is pinned at scopes 2-3 (runtime)")
-        backend = make_backend(name)
-        problem = translate(prop, scope)
-        value = _count_via_capabilities(backend, problem, scope * scope)
+        backend = COUNTERS[name]()
+        value = backend.count(translate(prop, scope).cnf)
         truth = closed_form_count(prop.oracle, scope)
-        if caps.exact:
+        if backend.capabilities.exact:
             assert value == truth
         elif truth == 0:
             assert value == 0
@@ -109,15 +102,22 @@ class TestMatrixConformance:
             # bound is |est - C| <= ε·C with ε = 0.8.
             assert truth / 1.8 <= value <= truth * 1.8
 
-    @pytest.mark.parametrize("name", [n for n in BACKENDS if backend_capabilities(n).exact])
+    @pytest.mark.parametrize("scope", (2, 3, 4))
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    def test_formula_sweep_against_closed_forms(self, scope, prop):
+        """The numpy sweep of the pre-Tseitin formula over all 2^{n²}
+        relations, the oracle the packed counter is checked against."""
+        value = count_formula(translate(prop, scope).formula, scope * scope)
+        assert value == closed_form_count(prop.oracle, scope)
+
+    @pytest.mark.parametrize("name", EXACT_COUNTERS)
     def test_symmetry_broken_slice_agrees_across_exact_backends(self, name):
-        """Exact backends are interchangeable on symmetry-constrained φ too."""
-        backend = make_backend(name)
+        """Exact counters are interchangeable on symmetry-constrained φ too."""
+        backend = COUNTERS[name]()
         reference = ExactCounter()
         for prop_name in ("Reflexive", "Antisymmetric", "PartialOrder"):
             problem = translate(get_property(prop_name), 3, symmetry=SymmetryBreaking())
-            value = _count_via_capabilities(backend, problem, 9)
-            assert value == reference.count(problem.cnf)
+            assert backend.count(problem.cnf) == reference.count(problem.cnf)
 
 
 def _truth_table_cnf(prop, scope):
@@ -133,32 +133,40 @@ def _truth_table_cnf(prop, scope):
 
 
 class TestAuxFreeMatrix:
-    """16 properties × scopes 2–3 as auxiliary-free CNFs, every backend.
+    """16 properties × scopes 2–3 as auxiliary-free CNFs, every counter.
 
-    The Tseitin matrix above counts formulas on formula-counting backends;
-    this matrix gives every backend's CNF path — the one AccMC's tree
-    regions take — the same property coverage, counted through the
-    engine's typed ``solve``.
+    This matrix gives every counter the problems with no Tseitin
+    auxiliaries — the kind AccMC's tree regions are — with the same
+    property coverage, counted through the engine's typed ``solve``.
     """
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COUNTERS)
     @pytest.mark.parametrize("scope", (2, 3))
     @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
     def test_against_closed_forms(self, name, scope, prop):
         cnf = _truth_table_cnf(prop, scope)
         assert not cnf.aux_vars()
-        result = CountingEngine(make_backend(name)).solve(cnf)
+        backend = COUNTERS[name]()
+        result = CountingEngine(backend).solve(cnf)
         truth = closed_form_count(prop.oracle, scope)
-        assert result.exact == backend_capabilities(name).exact
+        assert result.exact == backend.capabilities.exact
         if result.exact:
             assert result.value == truth
         else:
             assert truth / 1.8 <= result.value <= truth * 1.8
 
+    @pytest.mark.parametrize("scope", (2, 3))
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    def test_brute_force_against_closed_forms(self, scope, prop):
+        """:func:`brute_force_count`, the oracle of the tree-region and
+        random-CNF suites, sweeps the same auxiliary-free problems."""
+        value = brute_force_count(_truth_table_cnf(prop, scope))
+        assert value == closed_form_count(prop.oracle, scope)
+
 
 @pytest.fixture(scope="module")
 def tree_regions():
-    """Auxiliary-free CNFs every backend's CNF path must serve: DT regions."""
+    """Auxiliary-free CNFs every counter must serve: DT regions."""
     pipeline = MCMLPipeline(seed=0)
     prop = get_property("PartialOrder")
     dataset = pipeline.make_dataset(prop, 3)
@@ -169,53 +177,32 @@ def tree_regions():
 
 
 class TestCapabilityFlagsMatchBehaviour:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_counts_formulas_flag(self, name):
-        backend = make_backend(name)
-        assert backend.capabilities.counts_formulas == callable(
-            getattr(backend, "count_formula", None)
-        )
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_supports_projection_flag(self, name):
-        """Flag on: auxiliary CNFs count correctly.  Off: they are rejected."""
-        backend = make_backend(name)
-        problem = translate(get_property("PartialOrder"), 3)
-        assert problem.cnf.aux_vars()  # the probe must actually have auxiliaries
-        if backend.capabilities.supports_projection:
-            value = backend.count(problem.cnf)
-            if backend.capabilities.exact:
-                assert value == closed_form_count("partialorder", 3)
-        else:
-            with pytest.raises(ValueError):
-                backend.count(problem.cnf)
-
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COUNTERS)
     def test_region_cnfs_count_identically(self, name, tree_regions):
-        """Auxiliary-free CNFs are common ground: every exact backend agrees."""
-        backend = make_backend(name)
+        """Auxiliary-free CNFs are common ground: every exact counter agrees."""
+        backend = COUNTERS[name]()
         if not backend.capabilities.exact:
             pytest.skip("approximate backends are pinned by the envelope test")
         reference = ExactCounter()
         for region in tree_regions:
             assert backend.count(region) == reference.count(region)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COUNTERS)
     def test_counts_reproduce_across_instances(self, name, tree_regions):
         """A count does not depend on the instance that produced it: the
         memo, the disk store and the golden artifacts all rely on that
         (approximate backends through their fixed default seed)."""
-        first, second = make_backend(name), make_backend(name)
+        first, second = COUNTERS[name](), COUNTERS[name]()
         counts = [first.count(region) for region in tree_regions]
         assert [second.count(region) for region in tree_regions] == counts
-        if backend_capabilities(name).exact:
+        if first.capabilities.exact:
             # Nor on its history: a warm instance recounts identically.
             recount = [first.count(region) for region in reversed(tree_regions)]
             assert recount == counts[::-1]
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COUNTERS)
     def test_owns_component_cache_flag(self, name):
-        backend = make_backend(name)
+        backend = COUNTERS[name]()
         has_attr = getattr(backend, "component_cache", _MISSING) is not _MISSING
         assert backend.capabilities.owns_component_cache == has_attr
 
@@ -256,20 +243,10 @@ class TestLimitsReachTheKnobs:
                 limited.count(translate(get_property("Transitive"), 5).cnf)
 
 
-class _AuxFreeStub:
-    """An exact backend declaring neither formula counting nor projection."""
-
-    name = "aux-free-stub"
-    capabilities = Capabilities(exact=True)
-
-    def count(self, cnf):
-        return ExactCounter().count(cnf)
-
-
 class TestEngineNegotiatesThroughCapabilities:
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COUNTERS)
     def test_store_gated_on_exactness_memos_always_on(self, name, tmp_path):
-        with CountingEngine(make_backend(name), cache_dir=tmp_path) as engine:
+        with CountingEngine(COUNTERS[name](), cache_dir=tmp_path) as engine:
             caps = engine.capabilities
             assert (engine.store is not None) == caps.exact
             # Compilation memos are backend-independent: always persisted.
@@ -277,42 +254,6 @@ class TestEngineNegotiatesThroughCapabilities:
             assert (engine.component_cache is not None) == (
                 caps.exact and caps.owns_component_cache
             )
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_count_formula_routing(self, name):
-        engine = CountingEngine(make_backend(name))
-        problem = translate(get_property("Reflexive"), 2)
-        if engine.capabilities.counts_formulas:
-            result = engine.solve_formula(problem.formula, 4)
-            assert result.value == closed_form_count("reflexive", 2)
-            assert engine.solve_formula(problem.formula, 4).source == "memo"
-        else:
-            with pytest.raises(ValueError, match="count formulas"):
-                engine.solve_formula(problem.formula, 4)
-
-    @pytest.mark.parametrize("name", [*BACKENDS, "aux-free-stub"])
-    def test_accmc_rejects_unroutable_backends_at_the_routing_layer(self, name):
-        """Backends serving neither AccMC route fail with a capability error,
-        not a deep backend exception.  No registered backend is one, but
-        ``register_backend`` is public, so a stub stands in for one."""
-        from repro.core.accmc import AccMC
-
-        backend = _AuxFreeStub() if name == "aux-free-stub" else make_backend(name)
-        caps = backend.capabilities
-        accmc = AccMC(engine=CountingEngine(backend))
-        prop = get_property("Reflexive")
-        ground_truth = accmc.ground_truth(prop, 3)
-        pipeline = MCMLPipeline(seed=0)
-        dataset = pipeline.make_dataset(prop, 3)
-        train, _ = dataset.split(0.5, rng=0)
-        tree = pipeline.train("DT", train)
-        if caps.counts_formulas or caps.supports_projection:
-            result = accmc.evaluate(tree, ground_truth)
-            if caps.exact:
-                assert 0.0 <= result.accuracy <= 1.0
-        else:
-            with pytest.raises(ValueError, match="capabilities"):
-                accmc.evaluate(tree, ground_truth)
 
 
 class TestGrepClean:

@@ -6,7 +6,7 @@ and asserts the PR's acceptance criteria:
 * limits are set once, on the backend (``make_counter``), which refuses a
   malformed one; a limit never changes a count or its store key;
 * wall-clock deadlines abort cooperatively (``CounterTimeout``) — never by
-  hanging — and a backend without a ``deadline`` knob ignores them;
+  hanging — and ``approxmc``, which has no node budget, ignores one;
 * a timeout or budget failure stays a typed, per-problem ``CountFailure``
   (raised or returned) while the rest of its batch completes and caches,
   and a retry resumes from the warm component cache; each abort the
@@ -36,7 +36,12 @@ from repro.counting import (
     ExactCounter,
     faults,
 )
-from repro.counting.api import Capabilities, CountResult, make_counter
+from repro.counting.api import (
+    Capabilities,
+    CountResult,
+    available_backends,
+    make_counter,
+)
 from repro.counting.store import STORE_FILENAME
 from repro.logic import CNF
 from repro.spec import get_property, translate
@@ -80,7 +85,7 @@ class AbortingCounter:
     """An exact backend whose every count raises one given abort."""
 
     name = "aborting"
-    capabilities = Capabilities(exact=True, supports_projection=True)
+    capabilities = Capabilities(exact=True)
 
     def __init__(self, abort: CounterAbort) -> None:
         self.abort = abort
@@ -139,15 +144,15 @@ class TestFailureTaxonomy:
         assert engine.stats.timeouts == (2 if kind == "timeout" else 0)
 
     def test_deadline_must_be_positive(self):
-        # Checked for every backend, also the ones without the knob.
-        for name in ("exact", "brute"):
+        for name in available_backends():
             for deadline in (0, -1.5, float("inf"), float("nan"), True, "5"):
                 with pytest.raises(ValueError, match="deadline"):
                     make_counter(name, deadline=deadline)
         assert make_counter("exact", deadline=2.5).deadline == 2.5
 
     def test_budget_must_be_a_positive_integer(self):
-        for name in ("exact", "brute"):
+        # Checked for both backends, also approxmc, which has no budget knob.
+        for name in available_backends():
             for budget in (0, -5, 2.5, True, "abc"):
                 with pytest.raises(ValueError, match="budget"):
                     make_counter(name, budget=budget)
@@ -219,18 +224,14 @@ class TestCooperativeDeadline:
         assert engine.counter.deadline == 0.01  # the limit stays on the backend
         assert engine.stats.timeouts == 2
 
-    def test_backend_without_a_deadline_knob_ignores_deadlines(self):
-        """Deadlines are cooperative: nothing aborts a backend that cannot
-        check one, so the count runs past it and still answers."""
-        deadline = 1e-6
-        engine = CountingEngine(make_counter("legacy", deadline=deadline))
+    def test_backend_without_a_budget_knob_ignores_budgets(self):
+        """Limits are cooperative: nothing aborts a backend that cannot
+        check one, so ``approxmc`` counts past a one-node budget."""
+        engine = CountingEngine(make_counter("approxmc", budget=1))
         with hard_timeout(60):
-            result = engine.solve(property_cnf("Transitive", 3))
-        assert result.value == TRANSITIVE_3
-        assert result.elapsed_seconds > deadline
-        # brute has neither knob: a deadline and a budget both pass it by.
-        engine = CountingEngine(make_counter("brute", budget=1, deadline=deadline))
-        assert engine.solve(CNF([[1, 2], [3]], projection=[1, 2, 3])).value == 3
+            result = engine.solve(CNF([[1, 2], [3]], projection=[1, 2, 3]))
+        # 3 models are below ApproxMC's cell threshold: counted outright.
+        assert result.value == 3
         assert engine.stats.timeouts == 0
 
     def test_timed_out_work_warms_the_resume(self):

@@ -8,8 +8,13 @@ import pytest
 
 from repro.core import AccMC, DiffMC, MCMLPipeline
 from repro.core.accmc import GroundTruth
-from repro.counting import ApproxMCCounter, CountingEngine, ExactCounter, make_backend
-from repro.counting.api import Capabilities
+from repro.counting import (
+    ApproxMCCounter,
+    CountingEngine,
+    ExactCounter,
+    LegacyExactCounter,
+)
+from repro.counting.api import Capabilities, make_counter
 from repro.data import generate_dataset
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.metrics import ConfusionCounts
@@ -24,7 +29,7 @@ class InexactExactCounter:
     paper's four products on it, and the counts stay exact."""
 
     name = "inexact-exact"
-    capabilities = Capabilities(exact=False, supports_projection=True)
+    capabilities = Capabilities(exact=False)
 
     def __init__(self) -> None:
         self._counter = ExactCounter()
@@ -189,13 +194,22 @@ def _matrix_sweep_counts(prop_name: str, scope: int) -> ConfusionCounts:
     return _sweep_counts(_matrix_tree(prop_name, scope), prop, scope, SymmetryBreaking())
 
 
-#: Backend per AccMC route: exact counts derived over CNFs, exact counts
-#: derived over formulas, and the paper's four products over CNFs.
+#: Backend per AccMC construction: exact counts derived from four counts,
+#: and the paper's four products.
 ROUTES = {
     "cnf": ExactCounter,
-    "formula": lambda: make_backend("brute"),
     "product": InexactExactCounter,
 }
+
+
+def _assert_in_envelope(estimates, truths) -> None:
+    """ApproxMC's (ε, δ) bound at its default ε = 0.8, count by count:
+    truth / 1.8 <= estimate <= truth · 1.8, and an empty region counts 0."""
+    for estimate, truth in zip(estimates, truths, strict=True):
+        if truth == 0:
+            assert estimate == 0
+        else:
+            assert truth / 1.8 <= estimate <= truth * 1.8, (estimate, truth)
 
 
 class TestAccMCMatrix:
@@ -212,6 +226,23 @@ class TestAccMCMatrix:
             accmc.ground_truth(prop, scope, symmetry=SymmetryBreaking()),
         )
         assert actual.counts == _matrix_sweep_counts(prop.name, scope)
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("scope", (2, 3))
+    def test_approxmc_products_lie_in_the_envelope(self, prop, scope):
+        """The ``approxmc`` backend, built as ``mcml --backend approxmc``
+        builds it: each of the four products estimates the sweep's count.
+        Scopes 2–3 only: the hashed cells of scope 4 take minutes."""
+        accmc = AccMC(engine=CountingEngine(make_counter("approxmc")))
+        actual = accmc.evaluate(
+            _matrix_tree(prop.name, scope),
+            accmc.ground_truth(prop, scope, symmetry=SymmetryBreaking()),
+        )
+        truth = _matrix_sweep_counts(prop.name, scope)
+        _assert_in_envelope(
+            (actual.counts.tp, actual.counts.fp, actual.counts.tn, actual.counts.fn),
+            (truth.tp, truth.fp, truth.tn, truth.fn),
+        )
 
 
 class TestDiffMC:
@@ -269,24 +300,53 @@ class TestDiffMC:
         assert 0.0 <= row["diff_percent"] <= 100.0
 
 
+def _agreement_sweep(first, second, num_features: int) -> tuple[int, int, int, int]:
+    """TT, TF, FT and FF of two trees from their predictions on every input."""
+    a = _predictions(first, num_features)
+    b = _predictions(second, num_features)
+    return (
+        int(np.sum(a & b)),
+        int(np.sum(a & ~b)),
+        int(np.sum(~a & b)),
+        int(np.sum(~a & ~b)),
+    )
+
+
+#: The exact counters DiffMC's regions are pinned on: the ``exact`` backend
+#: and the tuple-clause counter kept as its oracle.
+EXACT_COUNTERS = {"exact": ExactCounter, "legacy": LegacyExactCounter}
+
+
 class TestDiffMCMatrix:
     """DiffMC's four region conjunctions against both trees' predictions on
     every input: 16 properties × scopes 2–4, the cell's DT against a DT
     trained on another split of the same dataset."""
 
+    @pytest.mark.parametrize("counter", EXACT_COUNTERS)
     @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
     @pytest.mark.parametrize("scope", (2, 3, 4))
-    def test_counts_match_prediction_sweep(self, prop, scope):
+    def test_counts_match_prediction_sweep(self, counter, prop, scope):
         first = _matrix_tree(prop.name, scope)
         second = _matrix_tree(prop.name, scope, fraction=0.3, rng=1)
-        result = DiffMC(engine=CountingEngine(make_backend("exact"))).evaluate(first, second)
-        a = _predictions(first, scope * scope)
-        b = _predictions(second, scope * scope)
-        assert (result.tt, result.tf, result.ft, result.ff) == (
-            int(np.sum(a & b)),
-            int(np.sum(a & ~b)),
-            int(np.sum(~a & b)),
-            int(np.sum(~a & ~b)),
+        engine = CountingEngine(EXACT_COUNTERS[counter]())
+        result = DiffMC(engine=engine).evaluate(first, second)
+        assert (result.tt, result.tf, result.ft, result.ff) == _agreement_sweep(
+            first, second, scope * scope
+        )
+
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("scope", (2, 3))
+    def test_approxmc_counts_lie_in_the_envelope(self, prop, scope):
+        """Table 8 on ``mcml --backend approxmc``: each of the four counts
+        estimates the sweep's.  Scopes 2–3 only, as for AccMC."""
+        first = _matrix_tree(prop.name, scope)
+        second = _matrix_tree(prop.name, scope, fraction=0.3, rng=1)
+        result = DiffMC(engine=CountingEngine(make_counter("approxmc"))).evaluate(
+            first, second
+        )
+        _assert_in_envelope(
+            (result.tt, result.tf, result.ft, result.ff),
+            _agreement_sweep(first, second, scope * scope),
         )
 
 

@@ -4,7 +4,7 @@ Pins the bitmask-packed :class:`ExactCounter` rewrite to three independent
 oracles:
 
 * vectorised brute force over the full ``2^{n²}`` space (the pre-Tseitin
-  formula swept with numpy) on every registered property at scopes 2-4,
+  formula swept with numpy) on every property at scopes 2-4,
   with and without symmetry breaking;
 * the original tuple-based algorithm (:class:`LegacyExactCounter`);
 * :func:`brute_force_count` on randomized aux-free CNFs.
@@ -30,7 +30,7 @@ from repro.counting import (
 from repro.core.pipeline import MCMLPipeline
 from repro.core.tree2cnf import label_region_cnf
 from repro.counting.exact import _assign, _branch_bit, _eliminate, _propagate
-from repro.counting.vector import FormulaBruteCounter
+from repro.counting.vector import count_formula
 from repro.logic import CNF, Var, tseitin_cnf
 from repro.logic.cnf import pack_clauses
 from repro.spec import SymmetryBreaking, get_property, translate
@@ -63,7 +63,7 @@ class TestPackedAgainstBruteForce:
         prop, scope, symmetry = case
         problem = translate(prop, scope, symmetry=symmetry)
         packed = ExactCounter().count(problem.cnf)
-        swept = FormulaBruteCounter().count_formula(problem.formula, scope * scope)
+        swept = count_formula(problem.formula, scope * scope)
         assert packed == swept
 
     @pytest.mark.parametrize("scope", SCOPES)

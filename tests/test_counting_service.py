@@ -186,7 +186,7 @@ class TestBatchSolve:
     def test_backend_that_does_not_pickle_counts_in_process(self):
         class Unpicklable:
             name = "closure"
-            capabilities = Capabilities(exact=True, supports_projection=True)
+            capabilities = Capabilities(exact=True)
 
             def __init__(self):
                 self.fn = lambda cnf: ExactCounter().count(cnf)  # defeats pickle

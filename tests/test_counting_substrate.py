@@ -12,9 +12,9 @@ Covers:
   runs in-process, batches warm the shared component cache, and the
   engine counts on after a budget abort;
 * the satellite fixes — ``CountingEngine.__repr__`` reporting the backend
-  and the configured tiers, ``solve_formula`` routed through the count memo
-  (estimates recounted, never memoized; rejected on CNF-only backends), lazy ``CNF.signature()`` memoization
-  with invalidation, and ``CountStore`` write batching + WAL.
+  and the configured tiers, estimates recounted (never memoized), lazy
+  ``CNF.signature()`` memoization with invalidation, and ``CountStore``
+  write batching + WAL.
 """
 
 import os
@@ -28,13 +28,11 @@ from repro.counting import (
     CountingEngine,
     CountStore,
     ExactCounter,
-    FormulaBruteCounter,
     LegacyExactCounter,
     closed_form_count,
 )
 from repro.counting.component_cache import entry_cost
 from repro.logic import CNF
-from repro.logic.formula import And, Or, Var
 from repro.spec import SymmetryBreaking, get_property, translate
 from repro.spec.properties import PROPERTIES
 
@@ -230,27 +228,13 @@ class TestSatelliteFixes:
         assert "counts=1" in text and "hits=0/1" in text
         assert "+spill" in text and "store=" in text
 
-    def test_count_formula_memoized_through_engine(self):
-        engine = CountingEngine(FormulaBruteCounter())
-        formula = Or(And(Var(1), Var(2)), Var(3))
-        first = engine.solve_formula(formula, 3).value
-        assert first == 5
-        assert engine.solve_formula(formula, 3).value == 5
-        assert engine.stats.count_calls == 2
-        assert engine.stats.count_hits == 1
-        assert engine.stats.backend_calls == 1
-        # A different variable space is a different counting problem.
-        assert engine.solve_formula(formula, 4).value == 10
-        assert engine.stats.backend_calls == 2
-
-    def test_count_formula_estimates_are_never_memoized(self):
-        """The batch loop's rule holds in the formula lane too: only an
-        exact backend's count enters the memo, so an estimate is
+    def test_estimates_are_never_memoized(self):
+        """Only an exact backend's count enters the memo, so an estimate is
         recounted on every call instead of replayed as a memo hit."""
 
         class DriftingEstimator:
             name = "drifting"
-            capabilities = Capabilities(exact=False, counts_formulas=True)
+            capabilities = Capabilities(exact=False)
 
             def __init__(self):
                 self.calls = 0
@@ -259,34 +243,14 @@ class TestSatelliteFixes:
                 self.calls += 1
                 return 100 + self.calls
 
-            def count_formula(self, formula, num_vars):
-                return self.count(None)
-
         engine = CountingEngine(DriftingEstimator())
-        formula = Or(And(Var(1), Var(2)), Var(3))
-        first = engine.solve_formula(formula, 3)
-        second = engine.solve_formula(formula, 3)
+        cnf = translate(get_property("Reflexive"), 2).cnf
+        first, second = engine.solve(cnf), engine.solve(cnf)
         assert (first.value, second.value) == (101, 102)
         assert first.source == second.source == "backend"
         assert not second.exact
         assert engine.stats.count_hits == 0
         assert engine.stats.backend_calls == 2
-        # The same backend's CNF route recounts too.
-        cnf = translate(get_property("Reflexive"), 2).cnf
-        assert engine.solve(cnf).value == 103
-        assert engine.solve(cnf).value == 104
-
-    def test_count_formula_rejected_for_cnf_only_backends(self):
-        engine = CountingEngine()
-        formula = Or(And(Var(1), Var(2)), Var(3))
-        with pytest.raises(ValueError, match="does not count formulas"):
-            engine.solve_formula(formula, 3)
-        # Refused before the memo or the backend is touched.
-        assert engine.stats.count_calls == 0
-        assert engine.stats.backend_calls == 0
-        # AccMC's capability probe must still route CNF backends to CNFs.
-        assert not engine.capabilities.counts_formulas
-        assert CountingEngine(FormulaBruteCounter()).capabilities.counts_formulas
 
     def test_signature_is_memoized_and_invalidated(self):
         cnf = CNF([[1, 2], [-1, 3]], projection=[1, 2, 3])

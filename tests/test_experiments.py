@@ -4,11 +4,12 @@ structure and reproduces the paper's qualitative claims at reduced scopes."""
 import pytest
 
 from repro.counting import CountingEngine, ExactCounter, closed_form_count
+from repro.counting.api import make_counter
 from repro.data.generation import enumerate_positive_bits
 from repro.experiments import table1 as table1_module
 from repro.experiments.classification import classification_table
 from repro.experiments.classification import render as render_classification
-from repro.experiments.config import ExperimentConfig, make_counter
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import figure1, figure2, render_figure2
 from repro.experiments.generalization import generalization_table
 from repro.experiments.generalization import render as render_generalization
@@ -22,7 +23,7 @@ from repro.experiments.table9 import table9
 from repro.sat import Solver
 
 
-def fast_config(*properties, scope=3, counter="brute", **kwargs):
+def fast_config(*properties, scope=3, counter="exact", **kwargs):
     return ExperimentConfig(
         properties=tuple(properties),
         scope=scope,
@@ -56,8 +57,7 @@ class TestRender:
 class TestConfig:
     def test_counter_factory(self):
         assert make_counter("exact").name == "exact"
-        assert make_counter("approx").name == "approxmc"
-        assert make_counter("brute").name == "brute"
+        assert make_counter("approxmc").name == "approxmc"
         with pytest.raises(ValueError):
             make_counter("quantum")
 
@@ -299,7 +299,7 @@ class TestCli:
     def test_cli_table9_with_options(self, capsys):
         from repro.experiments.cli import main
 
-        code = main(["table9", "--scope", "3", "--backend", "brute"])
+        code = main(["table9", "--scope", "3", "--backend", "exact"])
         assert code == 0
         assert "MCML Precision" in capsys.readouterr().out
 

@@ -1,18 +1,16 @@
 """End-to-end integration tests for the MCML pipeline and cross-backend
 consistency — the "does the whole machine agree with itself" layer."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import MCMLPipeline
 from repro.core import pipeline as pipeline_module
 from repro.core.accmc import AccMC, GroundTruth
-from repro.counting import (
-    CountingEngine,
-    ExactCounter,
-    FormulaBruteCounter,
-    LegacyExactCounter,
-)
+from repro.counting import CountingEngine, ExactCounter, LegacyExactCounter
 from repro.counting.vector import count_formula, evaluate_formula_block
 from repro.data import enumerate_positive_bits, generate_dataset
 from repro.data import generation as generation_module
@@ -44,6 +42,29 @@ class TestVectorizedFormulaCounting:
         )
         result = evaluate_formula_block(f, block)
         assert result.tolist() == [False, True, False]
+
+    def test_block_evaluation_frees_its_memo_on_return(self):
+        """The per-node arrays of one block go when the call returns, not
+        at the cyclic collector's next pass: numpy allocations rarely
+        trigger one, so a sweep's blocks would pile up."""
+        formula = translate(get_property("PartialOrder"), 4).formula
+        rows = 1 << 14
+        block = ((np.arange(rows)[:, None] >> np.arange(16)) & 1).astype(bool)
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = evaluate_formula_block(formula, block)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert result.nbytes == rows
+        # The result array and a few hundred bytes of bookkeeping; the
+        # memo of PartialOrder's φ holds over a hundred such arrays.
+        assert kept < result.nbytes + 8 * 1024, kept
 
     def test_iff_implies_nodes(self):
         f = Iff(Var(1), Implies(Var(2), Var(1)))
@@ -198,13 +219,13 @@ class TestPositiveSetMemo:
 
 
 class TestBackendConsistency:
-    """Exact and legacy counters (derived over CNFs), the vectorised sweep
-    (derived over formulas) and an inexact declaration (the four products)
-    — all equal to a sweep over every input."""
+    """The exact and legacy counters (derived from four counts) and an
+    inexact declaration (the four products) — all equal to a sweep over
+    every input."""
 
     @pytest.mark.parametrize("prop_name", ["Function", "PartialOrder", "Equivalence"])
     @pytest.mark.parametrize("symmetry", [None, SymmetryBreaking("adjacent")])
-    def test_all_four_paths_agree(self, prop_name, symmetry):
+    def test_every_path_agrees(self, prop_name, symmetry):
         prop = get_property(prop_name)
         dataset = generate_dataset(prop, 3, symmetry=symmetry, rng=0)
         train, _ = dataset.split(0.5, rng=0)
@@ -214,7 +235,6 @@ class TestBackendConsistency:
         for counter in (
             ExactCounter(),
             LegacyExactCounter(),
-            FormulaBruteCounter(),
             InexactExactCounter(),
         ):
             counts = AccMC(CountingEngine(counter)).evaluate(tree, gt).counts

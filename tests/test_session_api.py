@@ -1,8 +1,7 @@
 """Counting API v2 + MCMLSession tests.
 
 Covers the typed result layer (`CountResult` provenance, the budget as
-the backend's own knob), the engine's typed
-``solve``/``solve_many``/``solve_formula`` path,
+the backend's own knob), the engine's typed ``solve``/``solve_many`` path,
 the disk-persistent compilation memos, the `MCMLSession` facade (its
 limits reaching every count -- ``accmc``, ``diffmc``, ``run`` -- and
 refused when malformed, its engine and counter freed by reference
@@ -11,8 +10,8 @@ of a budgeted session -- in memory, a fresh ``cache_dir``, a
 ``cache_dir`` another session filled: counting verbs bit-identical to a
 bare `ExactCounter`, the ``on_failure`` contract, ``stats()``, memo-hit
 retries and an idempotent ``close()``), and the CLI surface
-(``--backend``, ``--list-backends``, ``--stats``, and ``--budget``/
-``--deadline`` reaching Tables 1 and 3).
+(``--backend`` with its two names, ``--list-backends``, ``--stats``, and
+``--budget``/``--deadline`` reaching Tables 1 and 3).
 """
 
 import gc
@@ -32,8 +31,8 @@ from repro.counting import (
     CountingEngine,
     CountResult,
     EngineStats,
-    make_backend,
 )
+from repro.counting.api import make_counter
 from repro.counting.exact import CounterBudgetExceeded, ExactCounter
 from repro.experiments.cli import build_parser, config_from_args, list_backends, main
 from repro.ml.decision_tree import DecisionTreeClassifier
@@ -100,15 +99,6 @@ class TestTypedSolvePath:
             counter.max_nodes = 5_000_000
             assert session.solve(cnf).value == ExactCounter().count(cnf)
             assert session.solve(cnf).source == "memo"
-
-    def test_solve_formula_memoizes_and_gates(self):
-        brute = CountingEngine(make_backend("brute"))
-        problem = translate(get_property("Reflexive"), 2)
-        first = brute.solve_formula(problem.formula, 4)
-        assert first.source == "backend" and first.value == 4
-        assert brute.solve_formula(problem.formula, 4).source == "memo"
-        with pytest.raises(ValueError, match="count formulas"):
-            CountingEngine().solve_formula(problem.formula, 4)
 
 
 class TestCompilationMemoPersistence:
@@ -223,14 +213,15 @@ class TestMCMLSession:
     def test_backend_selection_and_passthroughs(self):
         from repro.logic.cnf import CNF
 
-        with MCMLSession(backend="brute") as session:
-            assert session.backend_name == "brute"
-            assert session.capabilities.counts_formulas
-            # An auxiliary-free CNF (brute rejects Tseitin auxiliaries):
-            # x1 ∧ x2 over 4 projected vars -> 2 free vars -> 4 models.
+        with MCMLSession(backend="approxmc") as session:
+            assert session.backend_name == "approxmc"
+            assert not session.capabilities.exact
+            # x1 ∧ x2 over 4 projected vars -> 2 free vars -> 4 models,
+            # below ApproxMC's cell threshold, so counted outright.
             cnf = CNF([(1,), (2,)], num_vars=4, projection=range(1, 5))
             assert session.count(cnf) == 4
-            assert session.solve(cnf).source == "memo"  # warmed by count()
+            # An estimate is never memoized: every call reaches the backend.
+            assert session.solve(cnf).source == "backend"
 
     @pytest.mark.parametrize("seed", (0, 5))
     def test_backend_seed_matches_experiment_config(self, seed):
@@ -249,24 +240,23 @@ class TestMCMLSession:
     def test_table_dispatch(self):
         from repro.experiments.config import ExperimentConfig
 
-        config = ExperimentConfig(properties=("Reflexive",), scope=3, counter="brute")
-        with MCMLSession(backend="brute") as session:
+        config = ExperimentConfig(properties=("Reflexive",), scope=3)
+        with MCMLSession() as session:
             text = session.table(9, config=config)
             assert "Table 9" in text
             with pytest.raises(ValueError, match="unknown table"):
                 session.table(12)
 
-    def test_inexact_backend_counts_the_four_products(self, monkeypatch):
+    def test_inexact_backend_counts_the_four_products(self):
         """AccMC never subtracts estimates: on an inexact backend each
         confusion count is one of the backend's own estimates, so none goes
         negative (derived from these estimates, tn would be -1)."""
-        from repro.counting import api
 
         class PlusOne:
             """Every ``ExactCounter`` count plus one, declared inexact."""
 
             name = "plus-one"
-            capabilities = Capabilities(exact=False, supports_projection=True)
+            capabilities = Capabilities(exact=False)
 
             def __init__(self):
                 self.counter = ExactCounter()
@@ -276,12 +266,12 @@ class TestMCMLSession:
                 self.estimates.append(self.counter.count(cnf) + 1)
                 return self.estimates[-1]
 
-        monkeypatch.setitem(api._REGISTRY, "plus-one", api._BackendEntry(PlusOne))
         # One leaf labelling every input 1: τ holds everywhere, ψ nowhere.
         tree = DecisionTreeClassifier().fit(np.zeros((1, 4)), np.ones(1, dtype=int))
-        with MCMLSession(backend="plus-one") as session:
-            counts = session.accmc(tree, "Reflexive", 2).counts
-            estimates = session.engine.counter.estimates
+        accmc = AccMC(CountingEngine(PlusOne()))
+        ground_truth = accmc.ground_truth(get_property("Reflexive"), 2)
+        counts = accmc.evaluate(tree, ground_truth).counts
+        estimates = accmc.engine.counter.estimates
         # Reflexive holds on 4 of the 16 inputs at scope 2.
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (5, 13, 1, 1)
         assert estimates == [5, 13, 1, 1]
@@ -335,11 +325,12 @@ class TestMCMLSession:
             "deadline-0", "deadline-inf", "deadline-nan", "deadline-True",
         ),
     )
-    @pytest.mark.parametrize("backend", ("exact", "brute"))
+    @pytest.mark.parametrize("backend", ("exact", "approxmc"))
     def test_malformed_limits_are_refused_when_the_session_is_built(
         self, backend, limits, tmp_path
     ):
-        """Also on a backend without the knob, and before any store opens."""
+        """Also on a backend without the knob (``approxmc`` has no node
+        budget), and before any store opens."""
         name = next(iter(limits))
         with pytest.raises(ValueError, match=name):
             MCMLSession(backend=backend, cache_dir=tmp_path, **limits)
@@ -545,23 +536,14 @@ class TestCLISurface:
         out = capsys.readouterr().out
         # A title line, the header, then exactly one row per backend.
         rows = out.splitlines()[2:]
-        assert [row.split()[0] for row in rows] == [
-            "approxmc", "brute", "exact", "legacy",
-        ]
+        assert [row.split()[0] for row in rows] == ["approxmc", "exact"]
         # One column per declared capability flag.
-        assert out.splitlines()[1].split() == [
-            "backend", "exact", "formulas", "projection", "components", "aliases",
-        ]
+        assert out.splitlines()[1].split() == ["backend", "exact", "components"]
 
     def test_backend_flag_flows_into_config(self):
-        args = build_parser().parse_args(["table9", "--backend", "legacy"])
-        assert config_from_args(args).counter == "legacy"
-        args = build_parser().parse_args(["table9", "--backend", "brute"])
-        assert config_from_args(args).counter == "brute"
+        args = build_parser().parse_args(["table9", "--backend", "approxmc"])
+        assert config_from_args(args).counter == "approxmc"
         assert config_from_args(build_parser().parse_args(["table9"])).counter == "exact"
-        # Aliases pass the parse-time registry check unchanged.
-        args = build_parser().parse_args(["table9", "--backend", "approx"])
-        assert config_from_args(args).counter == "approx"
 
     def test_limit_flags_flow_into_config(self):
         args = build_parser().parse_args([
@@ -580,14 +562,14 @@ class TestCLISurface:
             main(["table3", "--scope", "3", "--properties", "PartialOrder",
                   "--budget", "1"])
 
-    @pytest.mark.parametrize("backend", ("exact", "brute"))
+    @pytest.mark.parametrize("backend", ("exact", "approxmc"))
     @pytest.mark.parametrize(
         "limit", (["--budget", "1"], ["--deadline", "0.0001"]),
         ids=("budget", "deadline"),
     )
     def test_limits_print_dashes_in_table1(self, limit, backend, capsys):
         """Table 1's exact counts run under the run's limits -- on the
-        session's backend, or on the private exact one a ``brute`` run
+        session's backend, or on the private exact one an ``approxmc`` run
         builds -- and a count that hit one prints "-", the paper's
         time-out mark.  Every other cell is the unlimited run's.  Both
         properties need more than 128 search nodes at scope 4, so the
@@ -607,14 +589,24 @@ class TestCLISurface:
         assert len(free) == 2 and all("-" not in row[6:8] for row in free)
         assert cells(*limit) == [row[:6] + ["-", "-"] + row[8:] for row in free]
 
-    @pytest.mark.parametrize("flag", ("--backend",))
-    def test_unknown_backend_name_lists_the_registry(self, flag, capsys):
+    @pytest.mark.parametrize(
+        "name", ("nope", "brute", "legacy", "vector", "approx", "exact-legacy")
+    )
+    def test_a_name_other_than_the_two_backends_is_refused(self, name, capsys):
+        """At parse time (exit 2, the error naming both backends), by
+        ``make_counter`` and by a session alike.  ``brute`` and ``legacy``
+        were backends once, and ``vector``, ``exact-legacy`` and ``approx``
+        aliases."""
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["table9", flag, "nope"])
+            build_parser().parse_args(["table9", "--backend", name])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: unknown counter 'nope'" in err
-        assert "approxmc, brute, exact, legacy" in err
+        assert f"argument --backend: invalid choice: {name!r}" in err
+        assert "approxmc" in err and "exact" in err
+        with pytest.raises(ValueError, match=r"use one of: approxmc, exact\)"):
+            make_counter(name)
+        with pytest.raises(ValueError, match=r"use one of: approxmc, exact\)"):
+            MCMLSession(backend=name)
 
     @pytest.mark.parametrize(
         "argv",
@@ -704,27 +696,16 @@ class TestCLISurface:
         assert engine["backend_calls"] > 0
 
     def test_listing_renders_every_backend(self):
-        text = list_backends()
-        assert "vector" in text and "approx" in text
-        # Four capability cells per row; exact declares all but formulas
-        # and has no alias.
-        rows = text.splitlines()[2:]
-        assert [len(row.split()) for row in rows] == [6, 6, 6, 6]
-        exact_row = next(l for l in rows if l.split()[:1] == ["exact"])
-        assert exact_row.split()[1:] == ["yes", "no", "yes", "yes", "-"]
+        # Two capability cells per row: the exact counter declares both,
+        # ApproxMC neither.
+        rows = [row.split() for row in list_backends().splitlines()[2:]]
+        assert rows == [["approxmc", "no", "no"], ["exact", "yes", "yes"]]
 
     def test_backend_runs_end_to_end(self, capsys):
-        # Fast end-to-end runs for non-default backends: the legacy exact
-        # counter drives Table 9, the numpy formula sweep drives Table 8.
-        assert main(["table9", "--scope", "3", "--backend", "legacy"]) == 0
-        assert "Table 9" in capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "table8", "--scope", "3", "--backend", "brute",
-                    "--properties", "Reflexive",
-                ]
-            )
-            == 0
-        )
-        assert "Table 8" in capsys.readouterr().out
+        # Fast end-to-end runs for the non-default backend: ApproxMC drives
+        # DiffMC (Table 8) and AccMC's four products (Table 5).
+        for table in ("table8", "table5"):
+            argv = [table, "--scope", "3", "--backend", "approxmc",
+                    "--properties", "Reflexive"]
+            assert main(argv) == 0
+            assert f"Table {table[-1]}" in capsys.readouterr().out
